@@ -15,6 +15,7 @@ from .pauli import (
     classify_terms,
     load_pauli_sum,
     multiply_strings,
+    project,
     save_pauli_sum,
     string_matrix_element,
     sum_matrix_element,
@@ -76,7 +77,7 @@ __all__ = [
     "__version__",
     "BasisState", "PauliOp", "PauliString", "PauliSum",
     "apply_string", "classify_terms", "multiply_strings",
-    "string_matrix_element", "sum_matrix_element",
+    "string_matrix_element", "sum_matrix_element", "project",
     "load_pauli_sum", "save_pauli_sum",
     "FermionHamiltonian", "FermionTerm", "check_particle_conservation",
     "jw_ladder", "jw_transform", "load_fermion_hamiltonian", "save_fermion_hamiltonian",

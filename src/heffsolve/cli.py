@@ -15,7 +15,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 from pathlib import Path
 
@@ -104,7 +104,11 @@ def _parse_noise(text: str | None) -> ReadoutNoise | None:
 
 @dataclass
 class RunConfig:
-    """Everything a solve/scan run depends on; echoed into the manifest."""
+    """Everything a solve/scan run depends on; echoed into the manifest.
+
+    A configuration is validated whole when it is built, so a bad one is
+    rejected before any work is done or any file is written.
+    """
 
     input_path: str
     out_dir: str
@@ -127,6 +131,23 @@ class RunConfig:
     levels: int
     dos_bins: int
     fmt: str = "auto"
+
+    def __post_init__(self) -> None:
+        for flag, value in (
+            ("--shots", self.shots),
+            ("--repeats", self.repeats),
+            ("--levels", self.levels),
+            ("--dos-bins", self.dos_bins),
+        ):
+            if value < 1:
+                raise ValueError(f"{flag} must be at least 1, got {value}")
+        if self.particle_number < 0:
+            raise ValueError(f"--nf must be nonnegative, got {self.particle_number}")
+        if self.mc_steps < 0:
+            raise ValueError(f"--mc-steps must be nonnegative, got {self.mc_steps}")
+        # The subspace spec and the backend check their own fields.
+        self.subspace_spec()
+        self.backend_for(0)
 
     def describe(self) -> dict:
         return {
@@ -330,6 +351,7 @@ def _distance_from_name(stem: str) -> float:
 
 
 def _cmd_scan(args) -> int:
+    base = _config_from_args(args)
     directory = Path(args.input)
     files = sorted(p for p in directory.iterdir() if p.is_file()) if directory.is_dir() else []
     if not files:
@@ -341,9 +363,7 @@ def _cmd_scan(args) -> int:
     rows = []
     point_manifests = []
     for distance, path in points:
-        config = _config_from_args(args)
-        config.input_path = str(path)
-        config.out_dir = str(out_root / path.stem)
+        config = replace(base, input_path=str(path), out_dir=str(out_root / path.stem))
         manifest = _run_solve(config)
         qubit_counts.add(manifest["qubit_count"])
         if len(qubit_counts) > 1:
@@ -362,7 +382,7 @@ def _cmd_scan(args) -> int:
         {
             "command": "scan",
             "version": __version__,
-            "config": _config_from_args(args).describe(),
+            "config": base.describe(),
             "points": point_manifests,
         },
     )

@@ -11,6 +11,15 @@ recovery reduces to
     Re <n|h|n'> = 4 m_re - 1        Im <n|h|n'> = 1 - 4 m_im   (indirect, per string)
 
 where ``m`` is the measured ancilla-projector expectation of each circuit.
+
+A string ``h`` can contribute to ``<n|H|n'>`` only when it flips exactly
+``n XOR n'`` (``h.x_mask == n.mask ^ n'.mask``), which is known classically.
+Each pair therefore measures only its connecting strings: the others would
+give exact zeros (``exact``) or zero-mean shot noise (``sampled``).  The
+direct style still runs and counts its two circuits (real and imaginary) for
+every pair, so its circuit count stays ``2 C(Ns, 2)``; ``string_executions``
+and shots count only the connecting strings.
+
 Backends: ``oracle`` (combinatorial, no circuits), ``exact`` (statevector
 expectations), ``sampled`` (finite shots, optional readout noise and
 calibration-matrix mitigation).
@@ -41,7 +50,14 @@ from .circuits import (
     sample_outcome_counts,
     state_expectation,
 )
-from .pauli import BasisState, PauliString, PauliSum, classify_terms, sum_matrix_element
+from .pauli import (
+    BasisState,
+    PauliString,
+    PauliSum,
+    classify_terms,
+    project,
+    sum_matrix_element,
+)
 from .subspace import SubspaceBasis
 
 __all__ = [
@@ -188,8 +204,11 @@ class CircuitCounts:
     """Execution accounting for one effective-Hamiltonian build.
 
     ``diagonal``/``offdiagonal_*`` count circuits at per-(state) and
-    per-(pair, part) granularity; ``string_executions`` counts individual
-    string-level measurement settings within them.
+    per-(pair, part) granularity (direct style: ``2 C(Ns, 2)`` in all, even
+    for pairs no string connects; indirect style: one per (pair, part,
+    connecting string)).  ``string_executions`` counts the string-level
+    measurement settings within them and ``total_shots`` their shots; both
+    cover only the strings that connect their pair.
     """
 
     diagonal: int = 0
@@ -423,7 +442,7 @@ def measure_diagonal(
 
 
 def _offdiagonal_direct(
-    offdiag: PauliSum,
+    connecting: list[tuple[int, float, PauliString]],
     n: BasisState,
     nprime: BasisState,
     backend: Backend,
@@ -434,7 +453,8 @@ def _offdiagonal_direct(
     Per part the circuit expectation is ``m = sum_s lambda_s q_s`` with
     ``q_s = (<I (x) h_s> + <Z_anc (x) h_s>)/2``, read from the rotated
     histogram as the string-support parity gated on the ancilla reading 0;
-    the recovery is ``Re = 2 m_re`` and ``Im = -2 m_im``.
+    the recovery is ``Re = 2 m_re`` and ``Im = -2 m_im``.  ``connecting``
+    holds ``(seed key, weight, string)`` of the strings that flip ``n XOR n'``.
     """
     num = n.num_qubits
     anc_bit = 1 << num
@@ -450,14 +470,14 @@ def _offdiagonal_direct(
             counts.offdiagonal_imag += 1
         m_total = 0.0
         var_total = 0.0
-        for s_index, (w, s) in enumerate(offdiag.terms):
+        for s_index, w, s in connecting:
             counts.string_executions += 1
             if backend.kind == "exact":
                 q = 0.5 * (
                     state_expectation(base_state, PauliString(s.label + "I"))
                     + state_expectation(base_state, PauliString(s.label + "Z"))
                 )
-                m_total += w.real * q
+                m_total += w * q
                 continue
             rotated = apply_circuit(
                 base_state, Circuit(num + 1, measurement_rotations(s))
@@ -474,8 +494,8 @@ def _offdiagonal_direct(
             q_mean, q_var = _sampled_estimate(
                 probs, values, backend, seed, circuit.measured, calibration
             )
-            m_total += w.real * q_mean
-            var_total += (w.real ** 2) * q_var
+            m_total += w * q_mean
+            var_total += (w ** 2) * q_var
             counts.total_shots += backend.shots
         m_part[part] = m_total
         var_part[part] = var_total
@@ -484,7 +504,7 @@ def _offdiagonal_direct(
 
 
 def _offdiagonal_indirect(
-    offdiag: PauliSum,
+    connecting: list[tuple[int, float, PauliString]],
     n: BasisState,
     nprime: BasisState,
     backend: Backend,
@@ -495,7 +515,7 @@ def _offdiagonal_indirect(
     ``m_s`` is the probability that both ancillas read 0; since every
     measured string flips bits its own diagonal elements vanish, leaving
     ``Re_s = 4 m_s - 1`` on the real circuit and ``Im_s = 1 - 4 m_s`` on the
-    imaginary one.
+    imaginary one.  Only the ``connecting`` strings get circuits.
     """
     num = n.num_qubits
     ancilla_bits = (1 << num) | (1 << (num + 1))
@@ -503,7 +523,7 @@ def _offdiagonal_indirect(
     totals = {"real": 0.0, "imag": 0.0}
     variances = {"real": 0.0, "imag": 0.0}
     for part in ("real", "imag"):
-        for s_index, (w, s) in enumerate(offdiag.terms):
+        for s_index, w, s in connecting:
             circuit = build_indirect_circuit(n, nprime, s, part)
             if part == "real":
                 counts.offdiagonal_real += 1
@@ -527,8 +547,8 @@ def _offdiagonal_indirect(
                 )
                 counts.total_shots += backend.shots
             recovered = 4.0 * m_s - 1.0
-            totals[part] += w.real * (recovered if part == "real" else -recovered)
-            variances[part] += (w.real ** 2) * 16.0 * v_s
+            totals[part] += w * (recovered if part == "real" else -recovered)
+            variances[part] += (w ** 2) * 16.0 * v_s
     value = complex(totals["real"], totals["imag"])
     return value, variances["real"], variances["imag"], counts
 
@@ -544,11 +564,13 @@ def measure_offdiagonal(
 ) -> MeasurementEstimate:
     """Estimate the complex element ``<n|H|n'>`` for ``n != n'``.
 
-    Only the off-diagonal-classified strings are measured; substituting the
-    (identically zero) diagonal elements of that operator into the recovery
-    leaves ``Re = 2 m_re`` and ``Im = -2 m_im``.  The reported standard errors
-    propagate the circuit variance together with the supplied diagonal
-    estimates' variances, treating the circuits as independent.
+    Only the off-diagonal strings that flip exactly ``n XOR n'`` are
+    measured; each keeps its index in the full off-diagonal list as its seed
+    key, so its shot stream does not depend on which other strings exist.
+    Substituting the (identically zero) diagonal elements of that operator
+    into the recovery leaves ``Re = 2 m_re`` and ``Im = -2 m_im``, so the
+    diagonal estimates that circuit backends require enter neither the value
+    nor its standard errors, which propagate the circuit variances alone.
     """
     if n == nprime:
         raise ValueError("off-diagonal measurement needs two distinct states")
@@ -559,27 +581,22 @@ def measure_offdiagonal(
     _, offdiag = classify_terms(hamiltonian)
     if offdiag.num_terms == 0:
         return MeasurementEstimate(0j)
+    flip = n.mask ^ nprime.mask
+    connecting = [
+        (k, w.real, s) for k, (w, s) in enumerate(offdiag.terms) if s.x_mask == flip
+    ]
     if backend.measurement_style == "direct":
         value, var_re, var_im, counts = _offdiagonal_direct(
-            offdiag, n, nprime, backend, calibration
+            connecting, n, nprime, backend, calibration
         )
     else:
         value, var_re, var_im, counts = _offdiagonal_indirect(
-            offdiag, n, nprime, backend, calibration
+            connecting, n, nprime, backend, calibration
         )
-
-    def _variance(d) -> float:
-        if isinstance(d, MeasurementEstimate):
-            return d.variance_re
-        return 0.0
-
-    diag_var = 0.25 * (_variance(diag_n) + _variance(diag_nprime))
-    stderr_re = math.sqrt(var_re + diag_var)
-    stderr_im = math.sqrt(var_im + diag_var)
     return MeasurementEstimate(
         value,
-        stderr_re=stderr_re,
-        stderr_im=stderr_im,
+        stderr_re=math.sqrt(var_re),
+        stderr_im=math.sqrt(var_im),
         shots=counts.total_shots,
         circuits=counts.offdiagonal,
         executions=counts.string_executions,
@@ -595,11 +612,28 @@ def build_effective_hamiltonian(
 
     ``size`` diagonal entries plus one complex estimate per unordered pair
     fill the upper triangle; the lower triangle is the conjugate transpose
-    and a final ``(M + M^dagger)/2`` pass makes Hermiticity exact.
+    and a final ``(M + M^dagger)/2`` pass makes Hermiticity exact.  The
+    oracle backend takes every entry from one :func:`project` call.
     """
     hamiltonian = hamiltonian.real_weights()
     states = basis.states
     size = len(states)
+    if not backend.uses_circuits:
+        matrix = project(hamiltonian, states)
+        # Most pairs are unconnected: they share one (frozen) zero estimate.
+        zero = MeasurementEstimate(0j)
+        rows = matrix.tolist()
+        estimates = {
+            (i, j): MeasurementEstimate(rows[i][j]) if rows[i][j] else zero
+            for i in range(size)
+            for j in range(i, size)
+        }
+        # Mirror the upper triangle as the measured path does, so that even
+        # the signs of zeros match it.
+        lower = np.tril_indices(size, -1)
+        matrix[lower] = matrix.T[lower].conj()
+        matrix = 0.5 * (matrix + matrix.conj().T)
+        return EffectiveHamiltonian(basis, matrix, estimates, backend, CircuitCounts())
     calibration = None
     if backend.mitigation:
         calibration = build_calibration(

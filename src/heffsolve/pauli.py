@@ -16,6 +16,8 @@ from __future__ import annotations
 import enum
 from typing import Iterable, Iterator, Sequence, TextIO
 
+import numpy as np
+
 __all__ = [
     "PauliOp",
     "PauliString",
@@ -26,6 +28,7 @@ __all__ = [
     "apply_string",
     "string_matrix_element",
     "sum_matrix_element",
+    "project",
     "classify_terms",
     "load_pauli_sum",
     "save_pauli_sum",
@@ -356,6 +359,30 @@ def sum_matrix_element(m: BasisState, hamiltonian: PauliSum, n: BasisState) -> c
             sign = -1 if (n.mask & string.z_mask).bit_count() & 1 else 1
             total += weight * sign * (1j ** (string.y_count % 4))
     return total
+
+
+def project(hamiltonian: PauliSum, states: Sequence[BasisState]) -> np.ndarray:
+    """Dense projection ``M[r, c] = <states[r]|H|states[c]>``, string by string.
+
+    Each Pauli string maps a basis state to exactly one image state, which a
+    hash index ``{mask: k}`` of the states finds in O(1).  The assembly is
+    therefore O(terms * len(states)) rather than the O(terms * len(states)**2)
+    of one :func:`sum_matrix_element` per pair, and accumulates each entry in
+    the same term order.
+    """
+    for state in states:
+        _require_equal_length(hamiltonian.qubit_count, state.num_qubits)
+    index = {s.mask: k for k, s in enumerate(states)}
+    matrix = np.zeros((len(states), len(states)), dtype=complex)
+    for w, s in hamiltonian:
+        phase_base = 1j ** (s.y_count % 4)
+        for col, state in enumerate(states):
+            row = index.get(state.mask ^ s.x_mask)
+            if row is None:
+                continue
+            sign = -1.0 if (state.mask & s.z_mask).bit_count() & 1 else 1.0
+            matrix[row, col] += w * sign * phase_base
+    return matrix
 
 
 def classify_terms(hamiltonian: PauliSum) -> tuple[PauliSum, PauliSum]:

@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .pauli import BasisState, PauliSum
+from .pauli import BasisState, PauliSum, project
 from .subspace import _sector_masks
 
 __all__ = [
@@ -175,25 +175,9 @@ def sector_basis(num_qubits: int, particle_number: int) -> list[BasisState]:
 
 
 def sector_matrix(hamiltonian: PauliSum, particle_number: int) -> tuple[list[BasisState], np.ndarray]:
-    """Dense fixed-particle-number matrix, assembled string by string.
-
-    Each Pauli string maps a basis state to exactly one image state, so the
-    assembly is O(terms * dimension) rather than O(terms * dimension**2).
-    """
-    num = hamiltonian.qubit_count
-    states = sector_basis(num, particle_number)
-    index = {s.mask: k for k, s in enumerate(states)}
-    dim = len(states)
-    matrix = np.zeros((dim, dim), dtype=complex)
-    for w, s in hamiltonian:
-        phase_base = 1j ** (s.y_count % 4)
-        for col, state in enumerate(states):
-            row = index.get(state.mask ^ s.x_mask)
-            if row is None:
-                continue
-            sign = -1.0 if (state.mask & s.z_mask).bit_count() & 1 else 1.0
-            matrix[row, col] += w * sign * phase_base
-    return states, matrix
+    """Dense fixed-particle-number matrix: :func:`project` onto the whole sector."""
+    states = sector_basis(hamiltonian.qubit_count, particle_number)
+    return states, project(hamiltonian, states)
 
 
 def exact_sector_spectrum(

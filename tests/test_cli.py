@@ -162,6 +162,45 @@ class TestSolve:
         assert main(["solve", h2_path, "--out", str(out), "--nf", "2"]) == 3
 
 
+class TestInputValidation:
+    """A bad configuration exits 2 before any work and writes no file."""
+
+    @staticmethod
+    def rejected(tmp_path, capsys, h2_path, *flags, command="solve"):
+        out = tmp_path / "out"
+        source = str(DATA) if command == "scan" else h2_path
+        assert main([command, source, "--out", str(out), "--nf", "2", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert not out.exists()
+        return err
+
+    def test_zero_repeats(self, tmp_path, capsys, h2_path):
+        err = self.rejected(tmp_path, capsys, h2_path, "--backend", "sampled", "--repeats", "0")
+        assert "--repeats" in err
+
+    def test_zero_dos_bins(self, tmp_path, capsys, h2_path):
+        assert "--dos-bins" in self.rejected(tmp_path, capsys, h2_path, "--dos-bins", "0")
+
+    @pytest.mark.parametrize("backend", ["oracle", "exact"])
+    def test_negative_shots(self, tmp_path, capsys, h2_path, backend):
+        err = self.rejected(tmp_path, capsys, h2_path, "--backend", backend, "--shots", "-5")
+        assert "--shots" in err
+
+    def test_zero_levels(self, tmp_path, capsys, h2_path):
+        assert "--levels" in self.rejected(tmp_path, capsys, h2_path, "--levels", "0")
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--nf", "-1"), ("--mc-steps", "-1"), ("--order", "-1"), ("--ns", "0")]
+    )
+    def test_other_out_of_range_values(self, tmp_path, capsys, h2_path, flag, value):
+        self.rejected(tmp_path, capsys, h2_path, "--strategy", "mc", flag, value, command="scan")
+
+    def test_mitigation_without_noise(self, tmp_path, capsys, h2_path):
+        err = self.rejected(tmp_path, capsys, h2_path, "--backend", "sampled", "--mitigate")
+        assert "noise model" in err
+
+
 class TestScan:
     def test_two_point_scan(self, tmp_path):
         out = tmp_path / "pes"

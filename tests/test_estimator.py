@@ -20,17 +20,46 @@ from heffsolve.estimator import (
     mitigate,
     _mitigate_probabilities,
 )
-from heffsolve.pauli import BasisState, PauliSum, sum_matrix_element
-from heffsolve.spectra import eigendecompose
+from heffsolve.pauli import (
+    BasisState,
+    PauliSum,
+    classify_terms,
+    project,
+    sum_matrix_element,
+)
+from heffsolve.spectra import eigendecompose, sector_basis, sector_matrix
 from heffsolve.subspace import SubspaceSpec, basis_from_states, build_subspace
 
-from conftest import dense_projection, random_conserving_hamiltonian
+from conftest import dense_projection, random_conserving_hamiltonian, random_hermitian_sum
 
 SECTOR_BASES = [BasisState(b) for b in ("1100", "1010", "1001", "0110", "0101", "0011")]
 
 
 def two_particle_basis(hamiltonian):
     return basis_from_states(hamiltonian, SECTOR_BASES)
+
+
+def random_sector(rng, num_modes, particles):
+    """A random conserving Hamiltonian and its whole sector, shuffled."""
+    hamiltonian = random_conserving_hamiltonian(rng, num_modes, max_strings=40)
+    states = sector_basis(num_modes, particles)
+    shuffled = [states[k] for k in rng.permutation(len(states))]
+    return hamiltonian, basis_from_states(hamiltonian, shuffled)
+
+
+def connecting_count(hamiltonian, n, nprime):
+    """Off-diagonal strings that flip exactly ``n XOR n'``."""
+    _, offdiag = classify_terms(hamiltonian)
+    return sum(1 for _, s in offdiag if s.x_mask == n.mask ^ nprime.mask)
+
+
+def connecting_settings(hamiltonian, states):
+    """Sum over unordered pairs of the strings that connect the pair."""
+    return sum(
+        connecting_count(hamiltonian, states[i], states[j])
+        for i in range(len(states))
+        for j in range(i + 1, len(states))
+    )
 
 
 class TestBackendType:
@@ -143,15 +172,19 @@ class TestMeasureOffdiagonal:
                 hamiltonian, BasisState("0110"), BasisState("1001"), Backend.exact()
             )
 
-    def test_diagonal_variances_propagate(self):
+    def test_diagonal_variances_do_not_enter(self):
+        # Re = 2 m_re and Im = -2 m_im use no diagonal estimate, so neither
+        # does their standard error.
         hamiltonian = PauliSum.from_label_weights([(1.0, "YXXY")])
+        n, nprime = BasisState("0110"), BasisState("1001")
         noisy_diag = MeasurementEstimate(0j, stderr_re=0.1)
-        estimate = measure_offdiagonal(
-            hamiltonian, BasisState("0110"), BasisState("1001"), Backend.exact(),
-            noisy_diag, noisy_diag,
-        )
-        # sqrt(4 var(m) + 0.25 var(d) + 0.25 var(d)) with var(m) = 0
-        assert estimate.stderr_re == pytest.approx(np.sqrt(0.005))
+        zero = MeasurementEstimate(0j)
+        exact = measure_offdiagonal(hamiltonian, n, nprime, Backend.exact(), noisy_diag, noisy_diag)
+        assert exact.stderr_re == 0.0 and exact.stderr_im == 0.0
+        backend = Backend.sampled(shots=500, seed=4)
+        noisy = measure_offdiagonal(hamiltonian, n, nprime, backend, noisy_diag, noisy_diag)
+        clean = measure_offdiagonal(hamiltonian, n, nprime, backend, zero, zero)
+        assert noisy == clean
 
 
 class TestBuildEffectiveHamiltonian:
@@ -171,11 +204,13 @@ class TestBuildEffectiveHamiltonian:
 
     def test_exact_circuit_equals_oracle_both_styles(self, rng):
         hamiltonian = random_conserving_hamiltonian(rng, 4)
-        basis = two_particle_basis(hamiltonian)
-        oracle = build_effective_hamiltonian(hamiltonian, basis, Backend.oracle())
-        for style in ("direct", "indirect"):
-            exact = build_effective_hamiltonian(hamiltonian, basis, Backend.exact(style=style))
-            assert np.abs(exact.matrix - oracle.matrix).max() < 1e-10
+        cases = [(hamiltonian, two_particle_basis(hamiltonian))]
+        cases += [random_sector(rng, num, particles) for num, particles in ((5, 2), (5, 3))]
+        for hamiltonian, basis in cases:
+            oracle = build_effective_hamiltonian(hamiltonian, basis, Backend.oracle())
+            for style in ("direct", "indirect"):
+                exact = build_effective_hamiltonian(hamiltonian, basis, Backend.exact(style=style))
+                assert np.abs(exact.matrix - oracle.matrix).max() <= 1e-12
 
     def test_exactly_hermitian(self, rng):
         hamiltonian = random_conserving_hamiltonian(rng, 4)
@@ -200,8 +235,9 @@ class TestBuildEffectiveHamiltonian:
         hamiltonian = random_conserving_hamiltonian(rng, 4)
         basis = two_particle_basis(hamiltonian)
         heff = build_effective_hamiltonian(hamiltonian, basis, Backend.exact(style="indirect"))
-        n_off = sum(1 for _, s in hamiltonian if not s.is_diagonal())
-        assert heff.circuit_counts.offdiagonal == 2 * comb(basis.size, 2) * n_off
+        settings = connecting_settings(hamiltonian, basis.states)
+        assert settings > 0
+        assert heff.circuit_counts.offdiagonal == 2 * settings
 
     def test_rephasing_leaves_spectrum_invariant(self, rng):
         hamiltonian = random_conserving_hamiltonian(rng, 4)
@@ -336,5 +372,129 @@ class TestHeffJson:
         states, matrix = heff_matrix_from_dict(payload)
         assert [s.bits for s in states] == [s.bits for s in basis.states]
         assert np.allclose(matrix, heff.matrix)
-        entry = payload["entries"][1]
-        assert entry["shots"] > 0 and entry["stderr_re"] > 0
+        connected = 0
+        for entry in payload["entries"]:
+            i, j = entry["row"], entry["col"]
+            if i == j:  # classical diagonals
+                assert entry["shots"] == 0 and entry["stderr_re"] == 0
+                continue
+            stats = (entry["shots"], entry["stderr_re"], entry["stderr_im"])
+            if connecting_count(hamiltonian, states[i], states[j]):
+                connected += 1
+                assert min(stats) > 0, (i, j)
+            else:
+                assert stats == (0, 0.0, 0.0), (i, j)
+        assert 0 < connected < comb(basis.size, 2)
+
+
+class TestScreening:
+    """Only strings with ``x_mask == n XOR n'`` are measured for a pair."""
+
+    def test_string_executions_closed_form(self, rng):
+        hamiltonian, basis = random_sector(rng, 5, 2)
+        settings = connecting_settings(hamiltonian, basis.states)
+        diagonal_strings = classify_terms(hamiltonian)[0].num_terms
+        assert settings > 0
+        for style in ("direct", "indirect"):
+            for circuit_diagonals in (False, True):
+                for backend in (
+                    Backend.exact(style, measure_diagonals_with_circuits=circuit_diagonals),
+                    Backend.sampled(
+                        shots=100, seed=1, style=style,
+                        measure_diagonals_with_circuits=circuit_diagonals,
+                    ),
+                ):
+                    counts = build_effective_hamiltonian(hamiltonian, basis, backend).circuit_counts
+                    diagonal = basis.size * diagonal_strings if circuit_diagonals else 0
+                    assert counts.string_executions == 2 * settings + diagonal
+                    if backend.kind == "sampled":
+                        diagonal_shots = basis.size * 100 if circuit_diagonals else 0
+                        assert counts.total_shots == 2 * settings * 100 + diagonal_shots
+                    else:
+                        assert counts.total_shots == 0
+                    if style == "direct":
+                        assert counts.offdiagonal == 2 * comb(basis.size, 2)
+                    else:
+                        assert counts.offdiagonal == 2 * settings
+
+    def test_unconnected_pair_is_exact_zero(self):
+        hamiltonian = PauliSum.from_label_weights([(0.5, "ZIII"), (1.0, "YXXY")])
+        n, nprime = BasisState("1100"), BasisState("1010")
+        assert connecting_count(hamiltonian, n, nprime) == 0
+        noise = ReadoutNoise(0.03, 0.03)
+        calibration = build_calibration(noise, None, 0, 6)
+        diagonal = MeasurementEstimate(0.5 + 0j, stderr_re=0.02, shots=1000, circuits=1)
+        for style, circuits in (("direct", 2), ("indirect", 0)):
+            for backend in (
+                Backend.exact(style),
+                Backend.sampled(
+                    shots=1000, seed=3, style=style, noise=noise, mitigation=True,
+                    measure_diagonals_with_circuits=True,
+                ),
+            ):
+                estimate = measure_offdiagonal(
+                    hamiltonian, n, nprime, backend, diagonal, diagonal, calibration
+                )
+                assert estimate.value == 0
+                assert (estimate.shots, estimate.stderr_re, estimate.stderr_im) == (0, 0.0, 0.0)
+                assert estimate.circuits == circuits
+                assert estimate.executions == 0
+
+    def test_sampled_pair_ignores_appended_strings(self, rng):
+        hamiltonian = random_conserving_hamiltonian(rng, 4, max_strings=40)
+        n, nprime = max(
+            ((a, b) for a in SECTOR_BASES for b in SECTOR_BASES if a.mask < b.mask),
+            key=lambda pair: connecting_count(hamiltonian, *pair),
+        )
+        flip = n.mask ^ nprime.mask
+        assert connecting_count(hamiltonian, n, nprime) > 0
+        labels = {s.label for _, s in hamiltonian}
+        extra = [
+            (w, s)
+            for w, s in random_hermitian_sum(rng, 4, 30)
+            if s.x_mask != flip and s.label not in labels
+        ]
+        assert any(not s.is_diagonal() for _, s in extra)
+        padded = PauliSum(hamiltonian.terms + tuple(extra), hamiltonian.qubit_count)
+        noise = ReadoutNoise(0.02, 0.02)
+        calibration = build_calibration(noise, 2000, 5, 6)
+        zero = MeasurementEstimate(0j)
+        for style in ("direct", "indirect"):
+            for extra_kw in ({}, {"noise": noise, "mitigation": True}):
+                backend = Backend.sampled(shots=2000, seed=5, style=style, **extra_kw)
+                before, after = (
+                    measure_offdiagonal(h, n, nprime, backend, zero, zero, calibration)
+                    for h in (hamiltonian, padded)
+                )
+                assert before == after
+
+    def test_project_equals_pairwise_loop(self, rng):
+        for hamiltonian in (
+            random_conserving_hamiltonian(rng, 5, max_strings=40),
+            random_hermitian_sum(rng, 5, 25),
+        ):
+            states = [BasisState.from_mask(int(m), 5) for m in rng.permutation(32)[:12]]
+            expected = np.array(
+                [[sum_matrix_element(m, hamiltonian, n) for n in states] for m in states]
+            )
+            assert np.array_equal(project(hamiltonian, states), expected)
+
+    def test_sector_matrix_unchanged(self, rng):
+        hamiltonian = random_conserving_hamiltonian(rng, 6, max_strings=60)
+        states, matrix = sector_matrix(hamiltonian, 3)
+        assert [s.mask for s in states] == [s.mask for s in sector_basis(6, 3)]
+        # reference: the string-by-string sector assembly, written out here
+        index = {s.mask: k for k, s in enumerate(states)}
+        expected = np.zeros_like(matrix)
+        for w, s in hamiltonian:
+            for col, state in enumerate(states):
+                row = index.get(state.mask ^ s.x_mask)
+                if row is not None:
+                    sign = -1.0 if (state.mask & s.z_mask).bit_count() & 1 else 1.0
+                    expected[row, col] += w * sign * 1j ** (s.y_count % 4)
+        assert np.array_equal(matrix, expected)
+
+    def test_project_rejects_mismatched_states(self):
+        hamiltonian = PauliSum.from_label_weights([(1.0, "ZIII")])
+        with pytest.raises(ValueError, match="length mismatch"):
+            project(hamiltonian, [BasisState("110")])
