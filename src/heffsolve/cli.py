@@ -75,7 +75,7 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _load_hamiltonian(path: str, fmt: str = "auto") -> PauliSum:
@@ -174,22 +174,19 @@ class RunConfig:
 
     def backend_for(self, run_index: int) -> Backend:
         seed = derive_seed(self.seed, 4, run_index)
+        # Every kind gets the readout settings, so one that has no use for
+        # them rejects them instead of dropping them silently.
+        readout = {"noise": self.noise, "mitigation": self.mitigation}
         if self.backend_kind == "oracle":
-            return Backend.oracle()
+            return Backend(kind="oracle", **readout)
         common = {
             "measurement_style": self.style,
             "measure_diagonals_with_circuits": self.diagonals == "circuit",
+            **readout,
         }
         if self.backend_kind == "exact":
             return Backend(kind="exact", **common)
-        return Backend(
-            kind="sampled",
-            shots=self.shots,
-            seed=seed,
-            noise=self.noise,
-            mitigation=self.mitigation,
-            **common,
-        )
+        return Backend(kind="sampled", shots=self.shots, seed=seed, **common)
 
     def subspace_spec(self) -> SubspaceSpec:
         if self.strategy == "exhaustive":

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .circuits import (
     Circuit,
@@ -289,6 +288,16 @@ def build_calibration(
 _NNLS_MAX_DIM = 4096
 
 
+def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Nonnegative least squares, ``scipy.optimize.nnls`` imported on first use.
+
+    Only the fallback of :func:`mitigate` needs it, so a solve never loads scipy.
+    """
+    from scipy.optimize import nnls as scipy_nnls
+
+    return scipy_nnls(a, b)
+
+
 def _mitigate_probabilities(
     weights: np.ndarray, calibration: CalibrationMatrix, qubits
 ) -> np.ndarray:
@@ -326,7 +335,9 @@ def mitigate(
     """Correct a measured histogram through the calibration matrix.
 
     Returns the corrected distribution keyed like the input bit strings; it
-    feeds the same parity estimators as raw counts.
+    feeds the same parity estimators as raw counts.  Clipping it to a
+    distribution biases those estimators, so the matrix-element measurements
+    use the linear estimate of :func:`_sampled_estimate` instead.
     """
     num_bits = len(next(iter(counts.counts)))
     if qubits is None:
@@ -357,8 +368,8 @@ def _inverse_transposed_values(
     """Per-outcome values pulled back through the calibration inverse.
 
     The mitigated mean is a linear functional of the raw counts,
-    ``u^T c / shots`` with ``u = (A^-1)^T v``, so ``u`` is what the raw
-    sampling variance acts on.
+    ``u^T c / shots`` with ``u = (A^-1)^T v``, so its mean and its raw
+    sampling variance are both moments of ``u``.
     """
     qubits = tuple(qubits)
     num = len(qubits)
@@ -380,9 +391,12 @@ def _sampled_estimate(
 ) -> tuple[float, float]:
     """Sample one histogram and estimate ``E[values]`` with its variance.
 
-    Under mitigation the mean comes from the corrected distribution while the
-    variance is evaluated on the raw counts with the pulled-back values, which
-    accounts for the amplification introduced by inverting the channel.
+    Under mitigation the values are pulled back through the calibration
+    inverse and both moments come from the raw counts: the mean
+    ``u . c / shots`` is then unbiased for the noiseless expectation, and the
+    variance carries the amplification of inverting the channel.  Being a
+    linear estimate, the mean is not clipped to the physical range of
+    ``values`` and may fall outside it.
     """
     rng = rng_from_seed(seed)
     counts = sample_outcome_counts(probs, backend.shots, rng, backend.noise, tuple(qubits))
@@ -391,11 +405,8 @@ def _sampled_estimate(
         return _mean_and_variance(weights, values, backend.shots)
     if calibration is None:
         raise ValueError("mitigation requested but no calibration supplied")
-    corrected = _mitigate_probabilities(weights, calibration, qubits)
-    mean = float(corrected @ values)
     pulled_back = _inverse_transposed_values(values, calibration, qubits)
-    _, variance = _mean_and_variance(weights, pulled_back, backend.shots)
-    return mean, variance
+    return _mean_and_variance(weights, pulled_back, backend.shots)
 
 
 def measure_diagonal(

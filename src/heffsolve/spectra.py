@@ -4,8 +4,9 @@ The always-available eigensolver is a cyclic Jacobi iteration for complex
 Hermitian matrices (each rotation zeroes one off-diagonal element through a
 phased 2x2 unitary); LAPACK via numpy can be selected for large subspaces
 behind the same interface.  Exact sector spectra come from assembling the
-full fixed-particle-number matrix combinatorially and feeding it to the same
-decomposition.
+full fixed-particle-number matrix combinatorially and diagonalizing it with
+LAPACK; the Jacobi iteration stays selectable as the reference it is tested
+against.
 """
 
 from __future__ import annotations
@@ -184,9 +185,13 @@ def exact_sector_spectrum(
     hamiltonian: PauliSum,
     particle_number: int,
     compute_vectors: bool = False,
-    method: str = "auto",
+    method: str = "lapack",
 ) -> Spectrum:
-    """Exact spectrum within one particle sector (the comparison baseline)."""
+    """Exact spectrum within one particle sector (the comparison baseline).
+
+    The sector matrix goes to LAPACK by default, whatever its size;
+    ``method="jacobi"`` gives the same eigenvalues to rounding.
+    """
     num = hamiltonian.qubit_count
     if not 0 <= particle_number <= num:
         raise ValueError("invalid particle number")

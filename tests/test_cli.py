@@ -1,6 +1,9 @@
 """Command-line pipeline: subcommands, files, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +12,8 @@ import heffsolve.spectra
 from heffsolve.cli import main
 from heffsolve.pauli import load_pauli_sum
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
 H2_FILE = DATA / "h2_style_R0.70.ferm"
 
 MINIMAL_FERMION = "modes 1\n1.0 0.0 0^ 0\n"
@@ -199,6 +203,41 @@ class TestInputValidation:
     def test_mitigation_without_noise(self, tmp_path, capsys, h2_path):
         err = self.rejected(tmp_path, capsys, h2_path, "--backend", "sampled", "--mitigate")
         assert "noise model" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--backend", "exact", "--noise", "0.1,0.1"), "sampled backend only"),
+            (("--backend", "exact", "--noise", "0.1,0.1", "--mitigate"), "sampled backend only"),
+            (("--backend", "oracle", "--mitigate"), "noise model"),
+        ],
+        ids=["exact-noise", "exact-noise-mitigate", "oracle-mitigate"],
+    )
+    def test_readout_settings_the_backend_would_drop(
+        self, tmp_path, capsys, h2_path, flags, message
+    ):
+        assert message in self.rejected(tmp_path, capsys, h2_path, *flags)
+
+
+class TestImports:
+    def test_mitigated_sampled_solve_leaves_scipy_unloaded(self, tmp_path, h2_path):
+        script = (
+            "import sys\n"
+            "from heffsolve.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        args = [
+            "solve", h2_path, "--out", str(tmp_path / "out"), "--nf", "2",
+            "--backend", "sampled", "--shots", "500", "--noise", "0.02,0.02", "--mitigate",
+        ]
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        done = subprocess.run(
+            [sys.executable, "-c", script, *args],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert done.stdout.splitlines()[-1] == "0 []"
 
 
 class TestScan:

@@ -31,6 +31,7 @@ from heffsolve.spectra import eigendecompose, sector_basis, sector_matrix
 from heffsolve.subspace import SubspaceSpec, basis_from_states, build_subspace
 
 from conftest import dense_projection, random_conserving_hamiltonian, random_hermitian_sum
+from test_acceptance import h2_style_hamiltonian
 
 SECTOR_BASES = [BasisState(b) for b in ("1100", "1010", "1001", "0110", "0101", "0011")]
 
@@ -361,6 +362,30 @@ class TestMitigation:
             if abs(fixed.value.real - oracle) < abs(raw.value.real - oracle):
                 wins += 1
         assert wins >= int(0.8 * trials)
+
+
+class TestMitigatedCoverage:
+    """The mitigated off-diagonal estimate is unbiased and its stderr calibrated."""
+
+    @pytest.mark.parametrize("style", ["direct", "indirect"])
+    def test_z_scores_over_seeds(self, style):
+        hamiltonian = h2_style_hamiltonian()
+        n, nprime = BasisState("1100"), BasisState("0011")
+        exact = sum_matrix_element(n, hamiltonian, nprime)
+        noise = ReadoutNoise(0.03, 0.03)
+        calibration = build_calibration(noise, None, 0, hamiltonian.qubit_count + 2)
+        unused = MeasurementEstimate(0j)  # diagonal estimates do not enter the recovery
+        z_re, z_im = [], []
+        for seed in range(200):
+            backend = Backend.sampled(2000, seed, style, noise=noise, mitigation=True)
+            est = measure_offdiagonal(
+                hamiltonian, n, nprime, backend, unused, unused, calibration
+            )
+            z_re.append((est.value.real - exact.real) / est.stderr_re)
+            z_im.append((est.value.imag - exact.imag) / est.stderr_im)
+        for z in (z_re, z_im):
+            assert abs(np.mean(z)) <= 0.2
+            assert 0.9 <= np.std(z, ddof=1) <= 1.1
 
 
 class TestHeffJson:

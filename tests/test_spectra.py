@@ -104,6 +104,14 @@ class TestSectorSpectrum:
             atol=1e-10,
         )
 
+    def test_lapack_baseline_matches_jacobi(self, rng):
+        hamiltonian = random_conserving_hamiltonian(rng, 8)
+        lapack = exact_sector_spectrum(hamiltonian, 4, method="lapack").eigenvalues
+        jacobi = exact_sector_spectrum(hamiltonian, 4, method="jacobi").eigenvalues
+        assert lapack.shape == (70,)
+        assert np.abs(lapack - jacobi).max() <= 1e-12
+        assert np.array_equal(exact_sector_spectrum(hamiltonian, 4).eigenvalues, lapack)
+
     def test_z_field_levels_analytic(self):
         # eps * n_0 within the 1-particle sector of 3 modes: levels {eps, 0, 0}
         hamiltonian = PauliSum.from_label_weights([(0.5, "III"), (-0.5, "ZII")])
