@@ -42,13 +42,10 @@ from .circuits import (
     Circuit,
     Gate,
     ReadoutNoise,
-    ShotResult,
     build_indirect_circuit,
     build_offdiagonal_circuit,
     controlled_prepare,
-    exact_expectation,
     run_statevector,
-    sample,
 )
 from .estimator import (
     Backend,
@@ -59,7 +56,6 @@ from .estimator import (
     build_effective_hamiltonian,
     measure_diagonal,
     measure_offdiagonal,
-    mitigate,
 )
 from .spectra import (
     CapacityError,
@@ -83,12 +79,12 @@ __all__ = [
     "jw_ladder", "jw_transform", "load_fermion_hamiltonian", "save_fermion_hamiltonian",
     "ExhaustiveSearch", "MonteCarloSearch", "SubspaceBasis", "SubspaceSpec",
     "build_subspace", "enumerate_excitations", "find_reference",
-    "Circuit", "Gate", "ReadoutNoise", "ShotResult",
+    "Circuit", "Gate", "ReadoutNoise",
     "build_indirect_circuit", "build_offdiagonal_circuit", "controlled_prepare",
-    "exact_expectation", "run_statevector", "sample",
+    "run_statevector",
     "Backend", "CalibrationMatrix", "EffectiveHamiltonian", "MeasurementEstimate",
     "build_calibration", "build_effective_hamiltonian",
-    "measure_diagonal", "measure_offdiagonal", "mitigate",
+    "measure_diagonal", "measure_offdiagonal",
     "CapacityError", "DosHistogram", "Spectrum",
     "dos", "eigendecompose", "exact_sector_spectrum", "jacobi_eigh",
 ]

@@ -7,9 +7,12 @@ two-ancilla variant that reads one Pauli string at a time through controlled
 applications.  The register layout is target qubits ``0..N-1`` followed by
 the ancilla(s) at the highest indices.
 
-Simulation is a dense statevector; finite-shot sampling (optionally through
-an asymmetric per-qubit readout flip channel) uses a counter-based Philox
-generator so every result is reproducible from its recorded seed.
+Simulation is a dense statevector.  :func:`sample_outcome_counts` is the one
+finite-shot sampler: a multinomial histogram over the measured wires, then
+optional flips through an asymmetric per-qubit readout channel, drawn from a
+counter-based Philox generator so every result is reproducible from its
+recorded seed.  :func:`apply_per_qubit` applies any per-qubit 2x2 map (the
+channel, its inverse or its inverse transpose) to an outcome vector.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ __all__ = [
     "Gate",
     "Circuit",
     "ReadoutNoise",
-    "ShotResult",
-    "SampleEstimate",
     "controlled_prepare",
     "build_offdiagonal_circuit",
     "build_indirect_circuit",
@@ -34,9 +35,8 @@ __all__ = [
     "measure_ancilla_index",
     "run_statevector",
     "apply_circuit",
-    "exact_expectation",
     "outcome_distribution",
-    "sample",
+    "apply_per_qubit",
     "measurement_rotations",
     "parity_values",
 ]
@@ -373,14 +373,6 @@ def apply_pauli_to_state(state: np.ndarray, string: PauliString) -> np.ndarray:
     return out
 
 
-def exact_expectation(circuit: Circuit, observable: PauliString) -> float:
-    """Deterministic ``<psi|O|psi>`` on the circuit's final state."""
-    if observable.num_qubits != circuit.total_qubits:
-        raise ValueError("observable must cover every wire of the circuit")
-    state = run_statevector(circuit)
-    return float(np.vdot(state, apply_pauli_to_state(state, observable)).real)
-
-
 def state_expectation(state: np.ndarray, observable: PauliString) -> float:
     return float(np.vdot(state, apply_pauli_to_state(state, observable)).real)
 
@@ -422,34 +414,6 @@ class ReadoutNoise:
         return np.array([[1 - p01, p10], [p01, 1 - p10]])
 
 
-@dataclass(slots=True)
-class ShotResult:
-    """Histogram of measured bit strings with the seed that produced it."""
-
-    counts: dict[str, int]
-    shots: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if sum(self.counts.values()) != self.shots:
-            raise ValueError("counts do not sum to the shot total")
-
-    def counts_vector(self, num_bits: int) -> np.ndarray:
-        vec = np.zeros(1 << num_bits, dtype=np.int64)
-        for bits, c in self.counts.items():
-            vec[int(bits[::-1], 2)] += c
-        return vec
-
-
-@dataclass(frozen=True, slots=True)
-class SampleEstimate:
-    """A sampled expectation value with its binomial standard error."""
-
-    value: float
-    stderr: float
-    shots: int
-
-
 def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
@@ -474,19 +438,25 @@ def marginal_probabilities(state: np.ndarray, total: int, measured: tuple[int, .
     return tensor.reshape(-1)
 
 
+def apply_per_qubit(vec: np.ndarray, matrices) -> np.ndarray:
+    """Apply the 2x2 ``matrices[j]`` to outcome bit ``j`` of ``vec``.
+
+    ``vec`` spans ``2**len(matrices)`` outcomes; the tensor-product map is
+    applied one bit at a time, never as a dense composite.
+    """
+    num = len(matrices)
+    out = vec.reshape([2] * num)
+    for j, matrix in enumerate(matrices):
+        axis = num - 1 - j
+        out = np.moveaxis(np.tensordot(matrix, out, axes=([1], [axis])), 0, axis)
+    return out.reshape(-1)
+
+
 def apply_noise_to_distribution(
     probs: np.ndarray, noise: ReadoutNoise, qubits: tuple[int, ...]
 ) -> np.ndarray:
     """Exact (infinite-shot) push of a distribution through the flip channel."""
-    num = len(qubits)
-    out = probs.reshape([2] * num)
-    for j, q in enumerate(qubits):
-        p01, p10 = noise.for_qubit(q)
-        if p01 == 0.0 and p10 == 0.0:
-            continue
-        axis = num - 1 - j
-        out = np.moveaxis(np.tensordot(noise.channel_matrix(q), out, axes=([1], [axis])), 0, axis)
-    return out.reshape(-1)
+    return apply_per_qubit(probs, [noise.channel_matrix(q) for q in qubits])
 
 
 def sample_outcome_counts(
@@ -525,30 +495,10 @@ def sample_outcome_counts(
     return counts
 
 
-def counts_vector_to_dict(counts: np.ndarray, num_bits: int) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for outcome in np.flatnonzero(counts):
-        bits = "".join("1" if outcome >> j & 1 else "0" for j in range(num_bits))
-        out[bits] = int(counts[outcome])
-    return out
-
-
 def parity_values(num_bits: int, support_mask: int) -> np.ndarray:
     """``(-1)**popcount(outcome & support)`` for every outcome index."""
     idx = _indices(1 << num_bits)
     return 1.0 - 2.0 * _mask_parity(idx, support_mask)
-
-
-def estimate_from_distribution(
-    weights: np.ndarray, values: np.ndarray, shots: int
-) -> SampleEstimate:
-    """Mean and standard error of a per-outcome value under count/prob weights."""
-    total = weights.sum()
-    freq = weights / total
-    mean = float(freq @ values)
-    second = float(freq @ (values * values))
-    var = max(second - mean * mean, 0.0)
-    return SampleEstimate(mean, math.sqrt(var / shots), shots)
 
 
 def measurement_rotations(observable: PauliString, offset: int = 0) -> list[Gate]:
@@ -571,35 +521,3 @@ def outcome_distribution(circuit: Circuit, noise: ReadoutNoise | None = None) ->
     if noise is not None:
         probs = apply_noise_to_distribution(probs, noise, measured)
     return probs
-
-
-def sample(
-    circuit: Circuit,
-    observable: PauliString,
-    shots: int,
-    seed: int,
-    noise: ReadoutNoise | None = None,
-) -> tuple[ShotResult, SampleEstimate]:
-    """Append basis rotations for ``observable``, sample, and estimate its mean.
-
-    The estimate is the +-1 parity over the observable's support; the
-    reported standard error is ``sqrt((1 - est**2)/shots)``.
-    """
-    if observable.num_qubits != circuit.total_qubits:
-        raise ValueError("observable must cover every wire of the circuit")
-    measured = circuit.measured
-    position = {q: j for j, q in enumerate(measured)}
-    support_mask = 0
-    for q in observable.support():
-        if q not in position:
-            raise ValueError(f"observable acts on unmeasured qubit {q}")
-        support_mask |= 1 << position[q]
-    rotated = Circuit(circuit.total_qubits, list(circuit.gates), circuit.measured_qubits)
-    rotated.extend(measurement_rotations(observable))
-    probs = marginal_probabilities(run_statevector(rotated), circuit.total_qubits, measured)
-    rng = rng_from_seed(seed)
-    counts = sample_outcome_counts(probs, shots, rng, noise, measured)
-    values = parity_values(len(measured), support_mask)
-    estimate = estimate_from_distribution(counts.astype(float), values, shots)
-    result = ShotResult(counts_vector_to_dict(counts, len(measured)), shots, seed)
-    return result, estimate

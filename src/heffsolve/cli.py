@@ -270,7 +270,8 @@ def _exact_reference(hamiltonian: PauliSum, particle_number: int) -> np.ndarray 
     return exact_sector_spectrum(hamiltonian, particle_number).eigenvalues
 
 
-def _run_solve(config: RunConfig) -> dict:
+def _run_solve(config: RunConfig) -> tuple[dict, list[dict]]:
+    """Solve one configuration; returns the manifest and the per-run records."""
     started = time.perf_counter()
     hamiltonian = _load_hamiltonian(config.input_path, config.fmt)
     basis = _select_basis(hamiltonian, config)
@@ -304,7 +305,7 @@ def _run_solve(config: RunConfig) -> dict:
     }
     _write_json(out_root / "manifest.json", manifest)
     _write_json(out_root / "timing.json", {"wall_seconds": time.perf_counter() - started})
-    return manifest
+    return manifest, records
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +331,7 @@ def _cmd_subspace(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    manifest = _run_solve(_config_from_args(args))
+    manifest, _ = _run_solve(_config_from_args(args))
     ground = manifest["runs"][0]["ground_energy"]
     print(f"subspace size {manifest['subspace_size']}, ground energy {ground:.10g}")
     print(f"results in {args.out}")
@@ -361,11 +362,12 @@ def _cmd_scan(args) -> int:
     point_manifests = []
     for distance, path in points:
         config = replace(base, input_path=str(path), out_dir=str(out_root / path.stem))
-        manifest = _run_solve(config)
+        manifest, records = _run_solve(config)
         qubit_counts.add(manifest["qubit_count"])
         if len(qubit_counts) > 1:
             raise ValueError("inconsistent qubit counts across scan files")
-        rows.append((distance, _read_spectrum_head(Path(config.out_dir), config)))
+        # the first run's spectrum: spectrum.csv, or run_000/spectrum.csv with --repeats
+        rows.append((distance, records[0]["eigenvalues"][: config.levels]))
         point_manifests.append({"distance": distance, "file": path.name, "directory": path.stem})
     levels = max(len(e) for _, e in rows)
     header = "R," + ",".join(f"E{k}" for k in range(levels))
@@ -385,16 +387,6 @@ def _cmd_scan(args) -> int:
     )
     print(f"scanned {len(rows)} points -> {out_root / 'pes.csv'}")
     return EXIT_OK
-
-
-def _read_spectrum_head(out_dir: Path, config: RunConfig) -> list[float]:
-    path = out_dir / ("spectrum.csv" if config.repeats == 1 else "run_000/spectrum.csv")
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            values.append(float(line.split(",")[1]))
-    return values[: config.levels]
 
 
 def _cmd_calibrate(args) -> int:

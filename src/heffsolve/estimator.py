@@ -35,8 +35,8 @@ import numpy as np
 from .circuits import (
     Circuit,
     ReadoutNoise,
-    ShotResult,
     apply_circuit,
+    apply_per_qubit,
     build_indirect_circuit,
     build_offdiagonal_circuit,
     derive_seed,
@@ -69,7 +69,6 @@ __all__ = [
     "measure_offdiagonal",
     "build_effective_hamiltonian",
     "build_calibration",
-    "mitigate",
     "heff_to_dict",
     "heff_matrix_from_dict",
 ]
@@ -152,9 +151,9 @@ class Backend:
 class MeasurementEstimate:
     """One estimated matrix element and its statistical pedigree.
 
-    Raw histograms stay at the single-observable level (:class:`ShotResult`
-    from :func:`heffsolve.circuits.sample`); per-entry aggregation keeps the
-    shot and circuit totals with the propagated standard errors.
+    Histograms are not kept: each is reduced to a mean and variance by
+    :func:`_sampled_estimate` as it is drawn, and the entry keeps the shot
+    and circuit totals with the propagated standard errors.
     """
 
     value: complex
@@ -264,10 +263,10 @@ def build_calibration(
     """
     matrices = []
     for q in range(qubit_count):
-        p01, p10 = noise.for_qubit(q)
         if shots is None:
-            matrices.append(np.array([[1 - p01, p10], [p01, 1 - p10]]))
+            matrices.append(noise.channel_matrix(q))
             continue
+        p01, p10 = noise.for_qubit(q)
         if shots <= 0:
             raise ValueError("calibration shots must be positive")
         rng0 = rng_from_seed(derive_seed(seed, _TAG_CALIBRATION, q, 0))
@@ -291,7 +290,8 @@ _NNLS_MAX_DIM = 4096
 def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Nonnegative least squares, ``scipy.optimize.nnls`` imported on first use.
 
-    Only the fallback of :func:`mitigate` needs it, so a solve never loads scipy.
+    Only the fallback of :func:`_mitigate_probabilities` needs it, and no solve
+    reaches that, so a solve never loads scipy.
     """
     from scipy.optimize import nnls as scipy_nnls
 
@@ -305,17 +305,15 @@ def _mitigate_probabilities(
 
     The tensor-structured linear inversion is tried first; when it is already
     nonnegative it coincides with the nonnegative least-squares solution.
-    Otherwise NNLS runs on the dense composite matrix.
+    Otherwise NNLS runs on the dense composite matrix.  Clipping to a
+    distribution biases the estimators fed from it, so the matrix-element
+    measurements use the linear estimate of :func:`_sampled_estimate` instead.
     """
     qubits = tuple(qubits)
-    num = len(qubits)
     observed = weights / weights.sum()
-    solved = observed.reshape([2] * num)
-    for j, q in enumerate(qubits):
-        axis = num - 1 - j
-        inverse = np.linalg.inv(calibration.matrix_for(q))
-        solved = np.moveaxis(np.tensordot(inverse, solved, axes=([1], [axis])), 0, axis)
-    solved = solved.reshape(-1)
+    solved = apply_per_qubit(
+        observed, [np.linalg.inv(calibration.matrix_for(q)) for q in qubits]
+    )
     if solved.min() < -1e-9:
         if solved.shape[0] > _NNLS_MAX_DIM:
             raise ValueError(
@@ -327,28 +325,6 @@ def _mitigate_probabilities(
     if total <= 0.0:
         raise ValueError("mitigated distribution vanished")
     return solved / total
-
-
-def mitigate(
-    counts: ShotResult, calibration: CalibrationMatrix, qubits=None
-) -> dict[str, float]:
-    """Correct a measured histogram through the calibration matrix.
-
-    Returns the corrected distribution keyed like the input bit strings; it
-    feeds the same parity estimators as raw counts.  Clipping it to a
-    distribution biases those estimators, so the matrix-element measurements
-    use the linear estimate of :func:`_sampled_estimate` instead.
-    """
-    num_bits = len(next(iter(counts.counts)))
-    if qubits is None:
-        qubits = tuple(range(num_bits))
-    vec = counts.counts_vector(num_bits).astype(float)
-    corrected = _mitigate_probabilities(vec, calibration, qubits)
-    out: dict[str, float] = {}
-    for outcome in np.flatnonzero(corrected > 0):
-        bits = "".join("1" if outcome >> j & 1 else "0" for j in range(num_bits))
-        out[bits] = float(corrected[outcome])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +347,9 @@ def _inverse_transposed_values(
     ``u^T c / shots`` with ``u = (A^-1)^T v``, so its mean and its raw
     sampling variance are both moments of ``u``.
     """
-    qubits = tuple(qubits)
-    num = len(qubits)
-    out = values.reshape([2] * num)
-    for j, q in enumerate(qubits):
-        axis = num - 1 - j
-        pullback = np.linalg.inv(calibration.matrix_for(q)).T
-        out = np.moveaxis(np.tensordot(pullback, out, axes=([1], [axis])), 0, axis)
-    return out.reshape(-1)
+    return apply_per_qubit(
+        values, [np.linalg.inv(calibration.matrix_for(q)).T for q in qubits]
+    )
 
 
 def _sampled_estimate(

@@ -73,15 +73,6 @@ class SubspaceSpec:
         if self.target_size is not None and self.target_size < 1:
             raise ValueError("target size must be at least 1")
 
-    @classmethod
-    def with_target(cls, particle_number: int, order: int, target: "int | str | None", **kw):
-        """Accepts the textual size 'all' used by configuration files."""
-        if isinstance(target, str):
-            if target != "all":
-                raise ValueError(f"target size must be an integer or 'all', got {target!r}")
-            target = None
-        return cls(particle_number, order, target, **kw)
-
 
 @dataclass(frozen=True, slots=True)
 class SubspaceBasis:
@@ -105,9 +96,6 @@ class SubspaceBasis:
     @property
     def size(self) -> int:
         return len(self.states)
-
-    def index_of(self, state: BasisState) -> int:
-        return next(i for i, s in enumerate(self.states) if s == state)
 
 
 def diagonal_energy(hamiltonian: PauliSum, state: BasisState) -> float:
@@ -133,14 +121,6 @@ def _sector_masks(num_qubits: int, particle_number: int) -> Iterable[int]:
         yield sum(1 << i for i in occupied)
 
 
-def _lex_value(mask: int, num_qubits: int) -> int:
-    """Bit-string order: reading the occupation word left to right."""
-    value = 0
-    for i in range(num_qubits):
-        value = (value << 1) | (mask >> i & 1)
-    return value
-
-
 def find_reference(
     hamiltonian: PauliSum,
     particle_number: int,
@@ -159,8 +139,7 @@ def find_reference(
         masks = np.fromiter(_sector_masks(num, particle_number), dtype=np.int64)
         energies = _diagonal_energies_batch(hamiltonian, masks)
         tied = masks[energies == energies.min()]
-        winner = min((int(m) for m in tied), key=lambda m: _lex_value(m, num))
-        return BasisState.from_mask(winner, num)
+        return min((BasisState.from_mask(int(m), num) for m in tied), key=lambda s: s.bits)
     return _anneal_reference(hamiltonian, particle_number, strategy)
 
 
@@ -186,7 +165,7 @@ def _anneal_reference(
 
     current_mask = mask_of(occupied)
     current = float(_diagonal_energies_batch(hamiltonian, np.array([current_mask]))[0])
-    best_mask, best = current_mask, current
+    best_state, best = BasisState.from_mask(current_mask, num), current
     for _ in range(strategy.steps):
         i = int(rng.integers(len(occupied)))
         j = int(rng.integers(len(unoccupied)))
@@ -196,10 +175,11 @@ def _anneal_reference(
         if delta <= 0.0 or (temperature > 0.0 and rng.random() < np.exp(-delta / temperature)):
             occupied[i], unoccupied[j] = unoccupied[j], occupied[i]
             current_mask, current = proposal_mask, proposal
-            if (current, _lex_value(current_mask, num)) < (best, _lex_value(best_mask, num)):
-                best_mask, best = current_mask, current
+            state = BasisState.from_mask(current_mask, num)
+            if (current, state.bits) < (best, best_state.bits):
+                best_state, best = state, current
         temperature *= strategy.cooling
-    return BasisState.from_mask(best_mask, num)
+    return best_state
 
 
 def enumerate_excitations(reference: BasisState, order: int) -> list[BasisState]:

@@ -12,20 +12,21 @@ from heffsolve.circuits import (
     ReadoutNoise,
     apply_circuit,
     apply_noise_to_distribution,
+    apply_per_qubit,
     build_indirect_circuit,
     build_offdiagonal_circuit,
     controlled_prepare,
-    counts_vector_to_dict,
-    exact_expectation,
     marginal_probabilities,
+    measurement_rotations,
     outcome_distribution,
+    parity_values,
     prepare_basis_circuit,
     rng_from_seed,
     run_statevector,
-    sample,
     sample_outcome_counts,
     state_expectation,
 )
+from heffsolve.estimator import Backend, _sampled_estimate
 from heffsolve.pauli import BasisState, PauliString, string_matrix_element, sum_matrix_element
 
 from conftest import dense_sum, random_hermitian_sum
@@ -227,13 +228,37 @@ class TestIndirectCircuit:
         assert all(g.qubits[0] == meas for g in controlled_paulis)
 
 
+def sampled(circuit: Circuit, observable: PauliString, shots: int, seed: int, noise=None):
+    """Counts and (mean, stderr) of ``observable`` the way the pipeline samples.
+
+    The observable is rotated to the Z basis, its support parity is read
+    from one histogram over the measured wires, and :func:`_sampled_estimate`
+    (the sampler of every sampled matrix element) reduces it.
+    """
+    rotated = Circuit(
+        circuit.total_qubits,
+        [*circuit.gates, *measurement_rotations(observable)],
+        circuit.measured_qubits,
+    )
+    measured = rotated.measured
+    probs = marginal_probabilities(run_statevector(rotated), rotated.total_qubits, measured)
+    values = parity_values(
+        len(measured), sum(1 << measured.index(q) for q in observable.support())
+    )
+    backend = Backend.sampled(shots=shots, noise=noise)
+    mean, var = _sampled_estimate(probs, values, backend, seed, measured, None)
+    counts = sample_outcome_counts(probs, shots, rng_from_seed(seed), noise, measured)
+    return counts, mean, math.sqrt(var)
+
+
 class TestExactExpectation:
     def test_ancilla_ground_state(self):
-        assert exact_expectation(Circuit(1), PauliString("Z")) == pytest.approx(1.0)
+        state = run_statevector(Circuit(1))
+        assert state_expectation(state, PauliString("Z")) == pytest.approx(1.0)
 
     def test_bell_state_zz(self):
         bell = Circuit(2, [Gate.h(0), Gate.cx(0, 1)])
-        assert exact_expectation(bell, PauliString("ZZ")) == pytest.approx(1.0)
+        assert state_expectation(run_statevector(bell), PauliString("ZZ")) == pytest.approx(1.0)
 
     def test_projector_decomposition_matches_dense(self, rng):
         # m0 = sum_s (w_s/2)(<I x h_s> + <Z x h_s>) equals <psi|(|0><0| x H)|psi>
@@ -255,7 +280,7 @@ class TestExactExpectation:
 
     def test_observable_size_checked(self):
         with pytest.raises(ValueError):
-            exact_expectation(Circuit(2), PauliString("Z"))
+            state_expectation(run_statevector(Circuit(2)), PauliString("Z"))
 
 
 class TestMarginals:
@@ -275,55 +300,48 @@ class TestMarginals:
 class TestSampling:
     def test_deterministic_eigenstate(self):
         circuit = prepare_basis_circuit(BasisState("10"))
-        result, estimate = sample(circuit, PauliString("ZI"), shots=500, seed=3)
-        assert estimate.value == -1.0 and estimate.stderr == 0.0
-        assert result.counts == {"10": 500}
+        counts, mean, stderr = sampled(circuit, PauliString("ZI"), shots=500, seed=3)
+        assert mean == -1.0 and stderr == 0.0
+        assert counts.tolist() == [0, 500, 0, 0]
 
     def test_reproducible_with_seed(self):
         circuit = Circuit(2, [Gate.h(0), Gate.cx(0, 1)])
-        first, est_a = sample(circuit, PauliString("ZZ"), shots=200, seed=11)
-        second, est_b = sample(circuit, PauliString("ZZ"), shots=200, seed=11)
-        assert first.counts == second.counts and est_a == est_b
+        first = sampled(circuit, PauliString("ZZ"), shots=200, seed=11)
+        second = sampled(circuit, PauliString("ZZ"), shots=200, seed=11)
+        assert first[0].tolist() == second[0].tolist() and first[1:] == second[1:]
 
     def test_estimate_near_exact_at_8000_shots(self, rng):
         circuit = Circuit(2, [Gate.h(0), Gate.ry(1, 0.9), Gate.cx(0, 1)])
         observable = PauliString("XY")
-        exact = exact_expectation(circuit, observable)
+        exact = state_expectation(run_statevector(circuit), observable)
         hits = 0
         trials = 60
         for seed in range(trials):
-            _, estimate = sample(circuit, observable, shots=8000, seed=seed)
-            if abs(estimate.value - exact) <= 4 * estimate.stderr:
+            _, mean, stderr = sampled(circuit, observable, shots=8000, seed=seed)
+            if abs(mean - exact) <= 4 * stderr:
                 hits += 1
         assert hits >= trials - 1
 
     def test_zero_noise_matches_noiseless_stream(self):
         circuit = Circuit(2, [Gate.h(0)])
-        quiet, _ = sample(circuit, PauliString("ZI"), shots=300, seed=5)
-        zeroed, _ = sample(
+        quiet = sampled(circuit, PauliString("ZI"), shots=300, seed=5)
+        zeroed = sampled(
             circuit, PauliString("ZI"), shots=300, seed=5, noise=ReadoutNoise(0.0, 0.0)
         )
-        assert quiet.counts == zeroed.counts
+        assert quiet[0].tolist() == zeroed[0].tolist() and quiet[1:] == zeroed[1:]
 
     def test_noise_biases_deterministic_outcome(self):
         circuit = prepare_basis_circuit(BasisState("1"))
         noise = ReadoutNoise(0.0, 0.2)
-        _, estimate = sample(circuit, PauliString("Z"), shots=20000, seed=7, noise=noise)
+        _, mean, _ = sampled(circuit, PauliString("Z"), shots=20000, seed=7, noise=noise)
         # true -1 outcome flips to +1 with p=0.2: expectation -> -0.6
-        assert estimate.value == pytest.approx(-0.6, abs=0.03)
+        assert mean == pytest.approx(-0.6, abs=0.03)
 
     def test_measured_subset(self):
         circuit = Circuit(2, [Gate.x(1)], measured_qubits=(1,))
-        result, estimate = sample(circuit, PauliString("IZ"), shots=100, seed=1)
-        assert estimate.value == -1.0
-        assert result.counts == {"1": 100}
-        with pytest.raises(ValueError, match="unmeasured"):
-            sample(circuit, PauliString("ZI"), shots=100, seed=1)
-
-    def test_counts_round_trip(self):
-        vec = np.array([3, 0, 5, 2])
-        counts = counts_vector_to_dict(vec, 2)
-        assert counts == {"00": 3, "01": 5, "11": 2}
+        counts, mean, _ = sampled(circuit, PauliString("IZ"), shots=100, seed=1)
+        assert mean == -1.0
+        assert counts.tolist() == [0, 100]
 
     def test_stderr_scales_with_shots(self):
         circuit = Circuit(1, [Gate.h(0)])
@@ -332,8 +350,8 @@ class TestSampling:
         for shots in (500, 8000):
             values = []
             for seed in range(reps):
-                _, est = sample(circuit, PauliString("Z"), shots=shots, seed=1000 + seed)
-                values.append(est.value)
+                _, mean, _ = sampled(circuit, PauliString("Z"), shots=shots, seed=1000 + seed)
+                values.append(mean)
             spread[shots] = np.std(values) * math.sqrt(shots)
         assert spread[500] == pytest.approx(spread[8000], rel=0.25)
 
@@ -362,6 +380,13 @@ class TestNoiseChannel:
         rng = rng_from_seed(99)
         counts = sample_outcome_counts(probs, 200000, rng, noise, (0, 1))
         assert np.allclose(counts / 200000, analytic, atol=5e-3)
+
+    def test_per_qubit_map_is_the_tensor_product(self, rng):
+        # matrices[j] acts on outcome bit j, the least significant one first
+        matrices = [rng.normal(size=(2, 2)) for _ in range(3)]
+        vec = rng.normal(size=8)
+        dense = np.kron(matrices[2], np.kron(matrices[1], matrices[0]))
+        assert np.allclose(apply_per_qubit(vec, matrices), dense @ vec, atol=1e-12)
 
 
 class TestNetlist:

@@ -1,5 +1,6 @@
 """Command-line pipeline: subcommands, files, exit codes, reproducibility."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -239,6 +240,22 @@ class TestImports:
         )
         assert done.stdout.splitlines()[-1] == "0 []"
 
+    def test_every_name_the_benchmark_tracer_wraps_is_bound(self):
+        # perfbench/spans.py replaces these names for a traced solve; one that
+        # is missing makes every `--trace 1` run exit 1.
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_spans", ROOT / "perfbench" / "spans.py"
+        )
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        assert spans.WRAPPED
+        missing = [
+            f"{module}.{name}"
+            for module, name, *_ in spans.WRAPPED
+            if not hasattr(importlib.import_module(module), name)
+        ]
+        assert missing == []
+
 
 class TestScan:
     def test_two_point_scan(self, tmp_path):
@@ -251,6 +268,21 @@ class TestScan:
         assert [float(r[0]) for r in rows] == [0.70, 1.00]
         for row in rows:
             assert float(row[1]) <= float(row[2]) <= float(row[3])
+
+    def test_repeats_report_the_first_run(self, tmp_path):
+        out = tmp_path / "pes"
+        assert main(
+            ["scan", str(DATA), "--out", str(out), "--nf", "2", "--repeats", "2",
+             "--backend", "sampled", "--shots", "500"]
+        ) == 0
+        _, rows = read_csv(out / "pes.csv")
+        runs_differ = False
+        for row, point in zip(rows, ("h2_style_R0.70", "h2_style_R1.00"), strict=True):
+            _, first = read_csv(out / point / "run_000" / "spectrum.csv")
+            _, second = read_csv(out / point / "run_001" / "spectrum.csv")
+            assert row[1:] == [value for _, value in first[:4]]
+            runs_differ |= first != second
+        assert runs_differ
 
     def test_single_file_single_row(self, tmp_path, h2_path):
         src = tmp_path / "only"

@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from heffsolve.circuits import ReadoutNoise, ShotResult
+from heffsolve.circuits import ReadoutNoise
 from heffsolve.estimator import (
     Backend,
     CalibrationMatrix,
@@ -17,8 +17,8 @@ from heffsolve.estimator import (
     heff_to_dict,
     measure_diagonal,
     measure_offdiagonal,
-    mitigate,
     _mitigate_probabilities,
+    _sampled_estimate,
 )
 from heffsolve.pauli import (
     BasisState,
@@ -317,9 +317,16 @@ class TestCalibration:
 class TestMitigation:
     def test_identity_calibration_is_noop(self):
         calibration = CalibrationMatrix((np.eye(2), np.eye(2)))
-        result = ShotResult({"00": 70, "10": 30}, 100, seed=0)
-        corrected = mitigate(result, calibration)
-        assert corrected == pytest.approx({"00": 0.7, "10": 0.3})
+        # 70 shots read "00" and 30 read "10" (qubit 0 set): outcome indices 0 and 1
+        counts = np.array([70.0, 30.0, 0.0, 0.0])
+        corrected = _mitigate_probabilities(counts, calibration, (0, 1))
+        assert corrected.tolist() == pytest.approx([0.7, 0.3, 0.0, 0.0])
+        # the pipeline's mitigated estimate equals the raw one
+        probs, values = counts / 100, np.array([1.0, -1.0, 0.5, 2.0])
+        backend = Backend.sampled(shots=100, noise=ReadoutNoise())
+        raw = _sampled_estimate(probs, values, backend, 5, (0, 1), None)
+        mitigated = Backend.sampled(shots=100, noise=ReadoutNoise(), mitigation=True)
+        assert _sampled_estimate(probs, values, mitigated, 5, (0, 1), calibration) == raw
 
     def test_exact_inversion_recovers_noiseless_distribution(self):
         noise = ReadoutNoise(0.04, 0.07)
