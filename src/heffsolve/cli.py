@@ -52,6 +52,9 @@ from .subspace import (
 
 CHEMICAL_ACCURACY = 5e-3  # Hartree
 
+# Occupation masks travel through numpy int64 arrays, whose bit 63 is the sign.
+MAX_QUBITS = 63
+
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
@@ -89,8 +92,15 @@ def _load_hamiltonian(path: str, fmt: str = "auto") -> PauliSum:
             else:
                 raise ValueError(f"{path}: empty input file")
     if fmt == "fermion":
-        return jw_transform(load_fermion_hamiltonian(path))
-    return load_pauli_sum(path).real_weights()
+        hamiltonian = jw_transform(load_fermion_hamiltonian(path))
+    else:
+        hamiltonian = load_pauli_sum(path).real_weights()
+    if hamiltonian.qubit_count > MAX_QUBITS:
+        raise ValueError(
+            f"{path}: {hamiltonian.qubit_count} qubits exceed the {MAX_QUBITS}-qubit limit "
+            "of the integer occupation masks"
+        )
+    return hamiltonian
 
 
 def _parse_noise(text: str | None) -> ReadoutNoise | None:
@@ -275,6 +285,10 @@ def _run_solve(config: RunConfig) -> tuple[dict, list[dict]]:
     started = time.perf_counter()
     hamiltonian = _load_hamiltonian(config.input_path, config.fmt)
     basis = _select_basis(hamiltonian, config)
+    if basis.size > MAX_DENSE_DIMENSION:
+        raise CapacityError(
+            f"subspace size {basis.size} exceeds the dense limit {MAX_DENSE_DIMENSION}"
+        )
     exact_values = _exact_reference(hamiltonian, config.particle_number)
     out_root = Path(config.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)

@@ -232,7 +232,12 @@ class CircuitCounts:
 
 @dataclass(slots=True)
 class EffectiveHamiltonian:
-    """The projected Hamiltonian over a subspace basis, exactly Hermitian."""
+    """The projected Hamiltonian over a subspace basis, exactly Hermitian.
+
+    ``estimates`` maps each upper-triangle entry ``(i, j)`` to its
+    measurement statistics; it is empty for a backend that measures nothing
+    (``oracle``), whose entries are exact.
+    """
 
     basis: SubspaceBasis
     matrix: np.ndarray
@@ -595,27 +600,20 @@ def build_effective_hamiltonian(
     ``size`` diagonal entries plus one complex estimate per unordered pair
     fill the upper triangle; the lower triangle is the conjugate transpose
     and a final ``(M + M^dagger)/2`` pass makes Hermiticity exact.  The
-    oracle backend takes every entry from one :func:`project` call.
+    oracle backend takes every entry from one :func:`project` call and keeps
+    no per-entry estimates.
     """
     hamiltonian = hamiltonian.real_weights()
     states = basis.states
     size = len(states)
     if not backend.uses_circuits:
         matrix = project(hamiltonian, states)
-        # Most pairs are unconnected: they share one (frozen) zero estimate.
-        zero = MeasurementEstimate(0j)
-        rows = matrix.tolist()
-        estimates = {
-            (i, j): MeasurementEstimate(rows[i][j]) if rows[i][j] else zero
-            for i in range(size)
-            for j in range(i, size)
-        }
         # Mirror the upper triangle as the measured path does, so that even
         # the signs of zeros match it.
         lower = np.tril_indices(size, -1)
         matrix[lower] = matrix.T[lower].conj()
         matrix = 0.5 * (matrix + matrix.conj().T)
-        return EffectiveHamiltonian(basis, matrix, estimates, backend, CircuitCounts())
+        return EffectiveHamiltonian(basis, matrix, {}, backend, CircuitCounts())
     calibration = None
     if backend.mitigation:
         calibration = build_calibration(
@@ -658,10 +656,24 @@ def build_effective_hamiltonian(
 # ---------------------------------------------------------------------------
 
 def heff_to_dict(heff: EffectiveHamiltonian) -> dict:
-    """JSON-ready description: basis, complex matrix, per-entry statistics."""
-    entries = []
-    for (i, j), est in sorted(heff.estimates.items()):
-        entries.append(
+    """JSON-ready description (format ``heffsolve-heff-v2``).
+
+    The basis, the matrix as ``[re, im]`` pairs, the backend and its circuit
+    counts; a backend that measures also gets ``entries``, the per-entry
+    statistics of the upper triangle.
+    """
+    payload = {
+        "format": "heffsolve-heff-v2",
+        "qubit_count": heff.basis.reference.num_qubits,
+        "reference": heff.basis.reference.bits,
+        "basis": [s.bits for s in heff.basis.states],
+        "diagonal_energies": list(heff.basis.diagonal_energies),
+        "matrix": np.stack([heff.matrix.real, heff.matrix.imag], -1).tolist(),
+        "backend": heff.backend.describe(),
+        "circuit_counts": heff.circuit_counts.as_dict(),
+    }
+    if heff.backend.uses_circuits:
+        payload["entries"] = [
             {
                 "row": i,
                 "col": j,
@@ -670,18 +682,9 @@ def heff_to_dict(heff: EffectiveHamiltonian) -> dict:
                 "stderr_im": est.stderr_im,
                 "circuits": est.circuits,
             }
-        )
-    return {
-        "format": "heffsolve-heff-v1",
-        "qubit_count": heff.basis.reference.num_qubits,
-        "reference": heff.basis.reference.bits,
-        "basis": [s.bits for s in heff.basis.states],
-        "diagonal_energies": list(heff.basis.diagonal_energies),
-        "matrix": [[[v.real, v.imag] for v in row] for row in heff.matrix],
-        "entries": entries,
-        "backend": heff.backend.describe(),
-        "circuit_counts": heff.circuit_counts.as_dict(),
-    }
+            for (i, j), est in sorted(heff.estimates.items())
+        ]
+    return payload
 
 
 def heff_matrix_from_dict(payload: dict) -> tuple[list[BasisState], np.ndarray]:

@@ -364,24 +364,31 @@ def sum_matrix_element(m: BasisState, hamiltonian: PauliSum, n: BasisState) -> c
 def project(hamiltonian: PauliSum, states: Sequence[BasisState]) -> np.ndarray:
     """Dense projection ``M[r, c] = <states[r]|H|states[c]>``, string by string.
 
-    Each Pauli string maps a basis state to exactly one image state, which a
-    hash index ``{mask: k}`` of the states finds in O(1).  The assembly is
-    therefore O(terms * len(states)) rather than the O(terms * len(states)**2)
-    of one :func:`sum_matrix_element` per pair, and accumulates each entry in
-    the same term order.
+    Each Pauli string maps a basis state to exactly one image state, so one
+    vectorized pass per string over the ``uint64`` mask array of the
+    (distinct) states does the work: the images are ``masks ^ x_mask``, a
+    ``searchsorted`` over the sorted masks finds their rows, and the signs are
+    the parities of ``masks & z_mask``.  The assembly is O(terms * len(states))
+    rather than the O(terms * len(states)**2) of one
+    :func:`sum_matrix_element` per pair, and accumulates each entry in the
+    same term order, so both give the same bits.
     """
     for state in states:
         _require_equal_length(hamiltonian.qubit_count, state.num_qubits)
-    index = {s.mask: k for k, s in enumerate(states)}
-    matrix = np.zeros((len(states), len(states)), dtype=complex)
+    size = len(states)
+    masks = np.array([s.mask for s in states], dtype=np.uint64)
+    order = np.argsort(masks)
+    sorted_masks = masks[order]
+    if np.any(sorted_masks[1:] == sorted_masks[:-1]):
+        raise ValueError("project needs distinct states")
+    matrix = np.zeros((size, size), dtype=complex)
     for w, s in hamiltonian:
-        phase_base = 1j ** (s.y_count % 4)
-        for col, state in enumerate(states):
-            row = index.get(state.mask ^ s.x_mask)
-            if row is None:
-                continue
-            sign = -1.0 if (state.mask & s.z_mask).bit_count() & 1 else 1.0
-            matrix[row, col] += w * sign * phase_base
+        images = masks ^ np.uint64(s.x_mask)
+        slots = np.minimum(np.searchsorted(sorted_masks, images), size - 1)
+        hit = sorted_masks[slots] == images
+        cols = np.flatnonzero(hit)
+        parity = np.bitwise_count(masks[cols] & np.uint64(s.z_mask)) & np.uint8(1)
+        matrix[order[slots[hit]], cols] += (w * 1j ** (s.y_count % 4)) * (1.0 - 2.0 * parity)
     return matrix
 
 

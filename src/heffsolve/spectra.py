@@ -3,8 +3,9 @@
 The always-available eigensolver is a cyclic Jacobi iteration for complex
 Hermitian matrices (each rotation zeroes one off-diagonal element through a
 phased 2x2 unitary); LAPACK via numpy can be selected for large subspaces
-behind the same interface.  Exact sector spectra come from assembling the
-full fixed-particle-number matrix combinatorially and diagonalizing it with
+behind the same interface, and diagonalizes a matrix with no imaginary part
+in real arithmetic.  Exact sector spectra come from assembling the full
+fixed-particle-number matrix combinatorially and diagonalizing it with
 LAPACK; the Jacobi iteration stays selectable as the reference it is tested
 against.
 """
@@ -147,7 +148,9 @@ def eigendecompose(
 
     ``method`` is ``jacobi`` (own iteration, the reference path), ``lapack``
     (bound platform routine), or ``auto`` (jacobi up to small sizes).
-    Non-Hermitian input beyond 1e-9 is rejected.
+    LAPACK gets a matrix whose imaginary part is exactly zero as a real
+    symmetric one, and then returns real eigenvectors.  Non-Hermitian input
+    beyond 1e-9 is rejected.
     """
     matrix = getattr(heff_or_matrix, "matrix", heff_or_matrix)
     matrix = _check_hermitian(matrix)
@@ -159,6 +162,9 @@ def eigendecompose(
     if method == "jacobi":
         values, vectors = jacobi_eigh(matrix)
     elif method == "lapack":
+        if not matrix.imag.any():
+            # a real symmetric matrix: the real routine, several times faster
+            matrix = matrix.real
         if compute_vectors:
             values, vectors = np.linalg.eigh(matrix)
         else:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import heffsolve.cli
 import heffsolve.spectra
 from heffsolve.cli import main
 from heffsolve.pauli import load_pauli_sum
@@ -68,6 +69,18 @@ class TestSubspace:
         lines = out.read_text().split()
         assert len(lines) == 6 and lines[0] == "1100"
         assert "reference 1100" in capsys.readouterr().out
+
+
+def wide_pauli_file(directory: Path, num_qubits: int) -> Path:
+    """A Pauli sum on ``num_qubits`` qubits: Z fields, and the Jordan-Wigner
+    hopping between the first and last mode, so bit ``num_qubits - 1`` matters."""
+    chain = "Z" * (num_qubits - 2)
+    lines = [f"{0.1 * (k % 7) - 0.3} 0.0 " + "I" * k + "Z" + "I" * (num_qubits - 1 - k)
+             for k in range(num_qubits)]
+    lines += [f"-0.25 0.0 X{chain}X", f"-0.25 0.0 Y{chain}Y"]
+    path = directory / f"wide{num_qubits}.pauli"
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 class TestSolve:
@@ -165,6 +178,33 @@ class TestSolve:
         monkeypatch.setattr(heffsolve.spectra, "MAX_DENSE_DIMENSION", 3)
         out = tmp_path / "toobig"
         assert main(["solve", h2_path, "--out", str(out), "--nf", "2"]) == 3
+
+    def test_oversized_subspace_exits_3_before_any_file(self, tmp_path, h2_path, monkeypatch):
+        monkeypatch.setattr(heffsolve.cli, "MAX_DENSE_DIMENSION", 3)
+        monkeypatch.setattr(heffsolve.spectra, "MAX_DENSE_DIMENSION", 3)
+        out = tmp_path / "toobig"
+        assert main(["solve", h2_path, "--out", str(out), "--nf", "2"]) == 3
+        assert not out.exists()
+
+    def test_63_qubits_solve(self, tmp_path):
+        out = tmp_path / "wide"
+        path = wide_pauli_file(tmp_path, 63)
+        assert main(["solve", str(path), "--out", str(out), "--nf", "1", "--order", "1"]) == 0
+        _, rows = read_csv(out / "error_vs_exact.csv")
+        assert len(rows) == 63
+        assert max(float(r[3]) for r in rows) <= 1e-10
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "mc"])
+    def test_64_qubits_are_an_input_error(self, tmp_path, capsys, strategy):
+        path = wide_pauli_file(tmp_path, 64)
+        out = tmp_path / "wide"
+        assert main(
+            ["solve", str(path), "--out", str(out), "--nf", "1", "--strategy", strategy]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "63-qubit limit" in err
+        assert not out.exists()
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestInputValidation:

@@ -1,5 +1,6 @@
 """Effective-Hamiltonian assembly: backends, calibration, mitigation."""
 
+import itertools
 import json
 from math import comb
 
@@ -46,6 +47,25 @@ def random_sector(rng, num_modes, particles):
     states = sector_basis(num_modes, particles)
     shuffled = [states[k] for k in rng.permutation(len(states))]
     return hamiltonian, basis_from_states(hamiltonian, shuffled)
+
+
+def closed_sum(rng, num_qubits, sites, terms):
+    """Random strings on ``sites`` only, with complex weights, and every
+    state those sites span over a fixed background, shuffled: each string
+    maps the states onto themselves, so most entries are nonzero."""
+    labels = []
+    for _ in range(terms):
+        chars = ["I"] * num_qubits
+        for site in sites:
+            chars[site] = "IXYZ"[rng.integers(4)]
+        labels.append("".join(chars))
+    weights = rng.normal(size=terms) + 1j * rng.normal(size=terms)
+    hamiltonian = PauliSum.from_label_weights(zip(weights, labels), num_qubits)
+    states = [
+        BasisState.from_mask(1 << 4 | sum(1 << s for s, b in zip(sites, bits) if b), num_qubits)
+        for bits in itertools.product((0, 1), repeat=len(sites))
+    ]
+    return hamiltonian, [states[k] for k in rng.permutation(len(states))]
 
 
 def connecting_count(hamiltonian, n, nprime):
@@ -401,6 +421,7 @@ class TestHeffJson:
         basis = two_particle_basis(hamiltonian)
         heff = build_effective_hamiltonian(hamiltonian, basis, Backend.sampled(seed=2))
         payload = json.loads(json.dumps(heff_to_dict(heff)))
+        assert payload["format"] == "heffsolve-heff-v2"
         states, matrix = heff_matrix_from_dict(payload)
         assert [s.bits for s in states] == [s.bits for s in basis.states]
         assert np.allclose(matrix, heff.matrix)
@@ -417,6 +438,19 @@ class TestHeffJson:
             else:
                 assert stats == (0, 0.0, 0.0), (i, j)
         assert 0 < connected < comb(basis.size, 2)
+
+    def test_oracle_writes_no_entries(self, rng):
+        hamiltonian, basis = random_sector(rng, 6, 3)
+        heff = build_effective_hamiltonian(hamiltonian, basis, Backend.oracle())
+        assert heff.estimates == {}
+        payload = json.loads(json.dumps(heff_to_dict(heff)))
+        assert payload["format"] == "heffsolve-heff-v2"
+        assert "entries" not in payload
+        states, matrix = heff_matrix_from_dict(payload)
+        assert [s.bits for s in states] == [s.bits for s in basis.states]
+        # bit for bit, signed zeros included
+        assert matrix.dtype == heff.matrix.dtype
+        assert np.array_equal(matrix.view(np.uint64), heff.matrix.view(np.uint64))
 
 
 class TestScreening:
@@ -501,15 +535,24 @@ class TestScreening:
                 assert before == after
 
     def test_project_equals_pairwise_loop(self, rng):
-        for hamiltonian in (
-            random_conserving_hamiltonian(rng, 5, max_strings=40),
-            random_hermitian_sum(rng, 5, 25),
-        ):
-            states = [BasisState.from_mask(int(m), 5) for m in rng.permutation(32)[:12]]
+        cases = [
+            (h, [BasisState.from_mask(int(m), 5) for m in rng.permutation(32)[:12]])
+            for h in (
+                random_conserving_hamiltonian(rng, 5, max_strings=40),
+                random_hermitian_sum(rng, 5, 25),
+            )
+        ]
+        top_bit = closed_sum(rng, 63, (0, 1, 31, 61, 62), 30)
+        assert any(s.mask >> 62 for s in top_bit[1])
+        odd_y = closed_sum(rng, 7, (0, 2, 3, 6), 40)
+        assert any(s.y_count % 2 for _, s in odd_y[0])
+        for hamiltonian, states in [*cases, top_bit, odd_y]:
             expected = np.array(
                 [[sum_matrix_element(m, hamiltonian, n) for n in states] for m in states]
             )
             assert np.array_equal(project(hamiltonian, states), expected)
+        assert np.count_nonzero(project(*top_bit)) > len(top_bit[1])
+        assert np.abs(project(*odd_y).imag).max() > 0
 
     def test_sector_matrix_unchanged(self, rng):
         hamiltonian = random_conserving_hamiltonian(rng, 6, max_strings=60)
@@ -530,3 +573,8 @@ class TestScreening:
         hamiltonian = PauliSum.from_label_weights([(1.0, "ZIII")])
         with pytest.raises(ValueError, match="length mismatch"):
             project(hamiltonian, [BasisState("110")])
+
+    def test_project_rejects_repeated_states(self):
+        hamiltonian = PauliSum.from_label_weights([(1.0, "XZ"), (0.5, "ZI")])
+        with pytest.raises(ValueError, match="distinct"):
+            project(hamiltonian, [BasisState("10"), BasisState("01"), BasisState("10")])

@@ -73,6 +73,27 @@ class TestEigendecompose:
         lap = eigendecompose(matrix, method="lapack").eigenvalues
         assert np.allclose(jac, lap, atol=1e-9)
 
+    def test_real_valued_input_takes_the_real_routine(self, rng):
+        a = rng.normal(size=(30, 30))
+        matrix = ((a + a.T) / 2).astype(complex)
+        spectrum = eigendecompose(matrix, method="lapack")
+        assert np.abs(spectrum.eigenvalues - np.linalg.eigvalsh(matrix)).max() <= 1e-12
+        vectors = spectrum.eigenvectors
+        assert vectors.dtype == np.float64
+        assert np.abs(vectors.T @ matrix @ vectors - np.diag(spectrum.eigenvalues)).max() <= 1e-12
+        values_only = eigendecompose(matrix, compute_vectors=False, method="lapack")
+        assert np.array_equal(values_only.eigenvalues, np.linalg.eigvalsh(matrix.real))
+
+    def test_complex_input_keeps_its_complex_spectrum(self, rng):
+        matrix = random_hermitian(rng, 30)
+        spectrum = eigendecompose(matrix, method="lapack")
+        assert np.abs(spectrum.eigenvalues - np.linalg.eigvalsh(matrix)).max() <= 1e-12
+        assert np.abs(spectrum.eigenvalues - np.linalg.eigvalsh(matrix.real)).max() > 1e-3
+        vectors = spectrum.eigenvectors
+        assert vectors.dtype == np.complex128
+        diagonalized = vectors.conj().T @ matrix @ vectors
+        assert np.abs(diagonalized - np.diag(spectrum.eigenvalues)).max() <= 1e-12
+
     def test_vectors_optional(self, rng):
         spectrum = eigendecompose(random_hermitian(rng, 5), compute_vectors=False, method="lapack")
         assert spectrum.eigenvectors is None
