@@ -64,7 +64,6 @@ from .spectra import (
     dos,
     eigendecompose,
     exact_sector_spectrum,
-    jacobi_eigh,
 )
 
 __version__ = "0.1.0"
@@ -86,5 +85,5 @@ __all__ = [
     "build_calibration", "build_effective_hamiltonian",
     "measure_diagonal", "measure_offdiagonal",
     "CapacityError", "DosHistogram", "Spectrum",
-    "dos", "eigendecompose", "exact_sector_spectrum", "jacobi_eigh",
+    "dos", "eigendecompose", "exact_sector_spectrum",
 ]

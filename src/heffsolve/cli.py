@@ -117,7 +117,8 @@ class RunConfig:
     """Everything a solve/scan run depends on; echoed into the manifest.
 
     A configuration is validated whole when it is built, so a bad one is
-    rejected before any work is done or any file is written.
+    rejected before any work is done or any file is written.  ``backend``
+    is the one for run 0; a sampled run ``r`` reseeds it from ``seed``.
     """
 
     input_path: str
@@ -130,13 +131,8 @@ class RunConfig:
     mc_steps: int
     mc_t0: float | None
     mc_cooling: float
-    backend_kind: str
-    shots: int
+    backend: Backend
     seed: int
-    noise: ReadoutNoise | None
-    mitigation: bool
-    style: str
-    diagonals: str
     repeats: int
     levels: int
     dos_bins: int
@@ -144,7 +140,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for flag, value in (
-            ("--shots", self.shots),
+            ("--shots", self.backend.shots),
             ("--repeats", self.repeats),
             ("--levels", self.levels),
             ("--dos-bins", self.dos_bins),
@@ -155,11 +151,11 @@ class RunConfig:
             raise ValueError(f"--nf must be nonnegative, got {self.particle_number}")
         if self.mc_steps < 0:
             raise ValueError(f"--mc-steps must be nonnegative, got {self.mc_steps}")
-        # The subspace spec and the backend check their own fields.
+        # The subspace spec checks its own fields; the backend checked its own.
         self.subspace_spec()
-        self.backend_for(0)
 
     def describe(self) -> dict:
+        backend = self.backend
         return {
             "input": self.input_path,
             "particle_number": self.particle_number,
@@ -170,33 +166,17 @@ class RunConfig:
             "mc_steps": self.mc_steps,
             "mc_t0": self.mc_t0,
             "mc_cooling": self.mc_cooling,
-            "backend": self.backend_kind,
-            "shots": self.shots,
+            "backend": backend.kind,
+            "shots": backend.shots,
             "seed": self.seed,
-            "noise": None if self.noise is None else {"p01": self.noise.p01, "p10": self.noise.p10},
-            "mitigation": self.mitigation,
-            "style": self.style,
-            "diagonals": self.diagonals,
+            "noise": backend.describe()["noise"],
+            "mitigation": backend.mitigation,
+            "style": backend.measurement_style,
+            "diagonals": "circuit" if backend.measure_diagonals_with_circuits else "classical",
             "repeats": self.repeats,
             "levels": self.levels,
             "dos_bins": self.dos_bins,
         }
-
-    def backend_for(self, run_index: int) -> Backend:
-        seed = derive_seed(self.seed, 4, run_index)
-        # Every kind gets the readout settings, so one that has no use for
-        # them rejects them instead of dropping them silently.
-        readout = {"noise": self.noise, "mitigation": self.mitigation}
-        if self.backend_kind == "oracle":
-            return Backend(kind="oracle", **readout)
-        common = {
-            "measurement_style": self.style,
-            "measure_diagonals_with_circuits": self.diagonals == "circuit",
-            **readout,
-        }
-        if self.backend_kind == "exact":
-            return Backend(kind="exact", **common)
-        return Backend(kind="sampled", shots=self.shots, seed=seed, **common)
 
     def subspace_spec(self) -> SubspaceSpec:
         if self.strategy == "exhaustive":
@@ -237,7 +217,9 @@ def _solve_one(
     dir_label: str | None = None,
 ) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
-    backend = config.backend_for(run_index)
+    backend = config.backend
+    if backend.kind == "sampled":
+        backend = replace(backend, seed=derive_seed(config.seed, 4, run_index))
     heff = build_effective_hamiltonian(hamiltonian, basis, backend)
     spectrum = eigendecompose(heff)
     _write_json(out_dir / "heff.json", heff_to_dict(heff))
@@ -476,13 +458,15 @@ def _config_from_args(args, needs_out: bool = True) -> RunConfig:
         mc_steps=args.mc_steps,
         mc_t0=args.mc_t0,
         mc_cooling=args.mc_cooling,
-        backend_kind=getattr(args, "backend", "oracle"),
-        shots=getattr(args, "shots", 8000),
+        backend=Backend(
+            kind=getattr(args, "backend", "oracle"),
+            shots=getattr(args, "shots", 8000),
+            noise=_parse_noise(getattr(args, "noise", None)),
+            mitigation=getattr(args, "mitigate", False),
+            measurement_style=getattr(args, "style", "direct"),
+            measure_diagonals_with_circuits=getattr(args, "diagonals", "classical") == "circuit",
+        ),
         seed=args.seed,
-        noise=_parse_noise(getattr(args, "noise", None)),
-        mitigation=getattr(args, "mitigate", False),
-        style=getattr(args, "style", "direct"),
-        diagonals=getattr(args, "diagonals", "classical"),
         repeats=getattr(args, "repeats", 1),
         levels=getattr(args, "levels", 4),
         dos_bins=getattr(args, "dos_bins", 20),

@@ -91,7 +91,7 @@ class Backend:
     finite shots, optionally through a readout-noise channel with
     calibration-matrix mitigation.  Diagonal entries default to the
     classical path even for circuit backends (they are classically trivial);
-    ``measure_diagonals_with_circuits`` forces the all-hardware mode.
+    ``measure_diagonals_with_circuits`` (circuit backends) forces the all-hardware mode.
     """
 
     kind: str = "oracle"
@@ -114,6 +114,8 @@ class Backend:
             raise ValueError("readout noise applies to the sampled backend only")
         if self.mitigation and self.noise is None:
             raise ValueError("mitigation requires a noise model")
+        if self.measure_diagonals_with_circuits and not self.uses_circuits:
+            raise ValueError("circuit diagonals need a circuit backend (exact or sampled)")
 
     @classmethod
     def oracle(cls) -> "Backend":
@@ -399,7 +401,7 @@ def measure_diagonal(
     Z-basis histogram; strings containing X or Y have identically zero
     diagonal elements and are skipped.
     """
-    if not backend.uses_circuits or not backend.measure_diagonals_with_circuits:
+    if not backend.measure_diagonals_with_circuits:
         value = sum_matrix_element(n, hamiltonian, n).real
         return MeasurementEstimate(complex(value))
     diagonal_part, _ = classify_terms(hamiltonian)

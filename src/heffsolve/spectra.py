@@ -1,13 +1,10 @@
 """Classical post-processing: eigendecomposition and density of states.
 
-The always-available eigensolver is a cyclic Jacobi iteration for complex
-Hermitian matrices (each rotation zeroes one off-diagonal element through a
-phased 2x2 unitary); LAPACK via numpy can be selected for large subspaces
-behind the same interface, and diagonalizes a matrix with no imaginary part
-in real arithmetic.  Exact sector spectra come from assembling the full
-fixed-particle-number matrix combinatorially and diagonalizing it with
-LAPACK; the Jacobi iteration stays selectable as the reference it is tested
-against.
+Every spectrum, of an effective Hamiltonian or of a whole particle sector,
+comes from the platform LAPACK routine via numpy, one connected block of the
+matrix at a time.  A matrix whose imaginary part is exactly zero is
+diagonalized in real arithmetic.  Exact sector spectra come from assembling
+the full fixed-particle-number matrix combinatorially.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ __all__ = [
     "CapacityError",
     "Spectrum",
     "DosHistogram",
-    "jacobi_eigh",
     "eigendecompose",
     "exact_sector_spectrum",
     "sector_matrix",
@@ -38,12 +34,10 @@ __all__ = [
 MAX_DENSE_DIMENSION = 4096
 
 _HERMITICITY_TOL = 1e-9
-_JACOBI_TOL = 1e-13
-_JACOBI_MAX_SWEEPS = 60
 
-# Jacobi comfortably handles acceptance-scale matrices; larger subspaces
-# switch to the bound LAPACK routine under method="auto".
-_AUTO_JACOBI_LIMIT = 128
+# Entries per strip of the Hermiticity check: its temporaries stay near 1 MB
+# whatever the matrix size.
+_CHECK_STRIP_ENTRIES = 1 << 16
 
 
 class CapacityError(RuntimeError):
@@ -56,7 +50,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None = None
-    constant_shift: float = 0.0
 
     @property
     def ground_energy(self) -> float:
@@ -79,101 +72,68 @@ def _check_hermitian(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
-    deviation = np.abs(matrix - matrix.conj().T).max() if matrix.size else 0.0
+    n = matrix.shape[0]
+    step = max(1, _CHECK_STRIP_ENTRIES // max(n, 1))
+    deviation = 0.0
+    # max |M - M^dagger| over strips of rows, so no temporary is matrix-sized
+    for start in range(0, n, step):
+        strip = slice(start, start + step)
+        diff = matrix[:, strip].conj().T
+        np.subtract(matrix[strip], diff, out=diff)
+        deviation = max(deviation, float(np.abs(diff).max()))
     if deviation > _HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {deviation:.3e})")
     return matrix
 
 
-def jacobi_eigh(
-    matrix: np.ndarray,
-    tol: float = _JACOBI_TOL,
-    max_sweeps: int = _JACOBI_MAX_SWEEPS,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a complex Hermitian matrix.
-
-    Each rotation applies ``U = [[c, -s e^{i phi}], [s e^{-i phi}, c]]`` with
-    the phase of the targeted entry, reducing the off-diagonal Frobenius norm
-    monotonically.  Returns (ascending eigenvalues, eigenvector columns).
-    """
-    a = _check_hermitian(matrix).copy()
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return a.real.diagonal().copy(), v
-    scale = max(float(np.linalg.norm(a)), 1.0)
-    strict_upper = np.triu_indices(n, k=1)
-    for _ in range(max_sweeps):
-        off = math.sqrt(2.0) * float(np.linalg.norm(a[strict_upper]))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                beta = a[p, q]
-                mag = abs(beta)
-                if mag <= 1e-300:
-                    continue
-                phase = beta / mag
-                tau = (a[p, p].real - a[q, q].real) / (2.0 * mag)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rotation = np.array(
-                    [[c, -s * phase], [s * np.conj(phase), c]], dtype=complex
-                )
-                a[:, [p, q]] = a[:, [p, q]] @ rotation
-                a[[p, q], :] = rotation.conj().T @ a[[p, q], :]
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                v[:, [p, q]] = v[:, [p, q]] @ rotation
-    else:
-        raise RuntimeError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
-    eigenvalues = a.real.diagonal().copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    return eigenvalues[order], v[:, order]
+def _block_labels(matrix: np.ndarray) -> np.ndarray:
+    """Label of each row's connected block: the smallest row index in it."""
+    coupled = matrix != 0
+    labels = np.full(matrix.shape[0], -1)
+    for start in range(matrix.shape[0]):
+        if labels[start] < 0:
+            members = frontier = np.arange(matrix.shape[0]) == start
+            while frontier.any():
+                frontier = coupled[frontier].any(axis=0) & ~members
+                members = members | frontier
+            labels[members] = start
+    return labels
 
 
-def eigendecompose(
-    heff_or_matrix,
-    compute_vectors: bool = True,
-    method: str = "auto",
-    constant_shift: float = 0.0,
-) -> Spectrum:
+def _lapack(matrix: np.ndarray, compute_vectors: bool):
+    return np.linalg.eigh(matrix) if compute_vectors else (np.linalg.eigvalsh(matrix), None)
+
+
+def eigendecompose(heff_or_matrix, compute_vectors: bool = True) -> Spectrum:
     """Full spectrum of a Hermitian matrix (or an EffectiveHamiltonian).
 
-    ``method`` is ``jacobi`` (own iteration, the reference path), ``lapack``
-    (bound platform routine), or ``auto`` (jacobi up to small sizes).
-    LAPACK gets a matrix whose imaginary part is exactly zero as a real
-    symmetric one, and then returns real eigenvectors.  Non-Hermitian input
-    beyond 1e-9 is rejected.
+    LAPACK diagonalizes every matrix, one connected block at a time, so the
+    eigenvalues of a block do not depend on states it does not couple to.
+    A matrix whose imaginary part is exactly zero goes to the real symmetric
+    routine and then has real eigenvectors.  Non-Hermitian input beyond 1e-9
+    is rejected.
     """
     matrix = getattr(heff_or_matrix, "matrix", heff_or_matrix)
     matrix = _check_hermitian(matrix)
     n = matrix.shape[0]
     if n > MAX_DENSE_DIMENSION:
         raise CapacityError(f"dense decomposition limited to {MAX_DENSE_DIMENSION}, got {n}")
-    if method == "auto":
-        method = "jacobi" if n <= _AUTO_JACOBI_LIMIT else "lapack"
-    if method == "jacobi":
-        values, vectors = jacobi_eigh(matrix)
-    elif method == "lapack":
-        if not matrix.imag.any():
-            # a real symmetric matrix: the real routine, several times faster
-            matrix = matrix.real
+    if not matrix.imag.any():
+        # a real symmetric matrix: the real routine, several times faster
+        matrix = matrix.real
+    labels = _block_labels(matrix)
+    if not labels.any():  # one block: LAPACK on the matrix itself, no copy
+        return Spectrum(*_lapack(matrix, compute_vectors))
+    values = np.empty(n)
+    vectors = np.zeros_like(matrix) if compute_vectors else None
+    for label in np.flatnonzero(labels == np.arange(n)):
+        rows = np.flatnonzero(labels == label)
+        block_values, block_vectors = _lapack(matrix[np.ix_(rows, rows)], compute_vectors)
+        values[rows] = block_values
         if compute_vectors:
-            values, vectors = np.linalg.eigh(matrix)
-        else:
-            values, vectors = np.linalg.eigvalsh(matrix), None
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if constant_shift:
-        values = values + constant_shift
-    return Spectrum(values, vectors if compute_vectors else None, constant_shift)
+            vectors[np.ix_(rows, rows)] = block_vectors
+    order = np.argsort(values, kind="stable")
+    return Spectrum(values[order], None if vectors is None else vectors[:, order])
 
 
 def sector_basis(num_qubits: int, particle_number: int) -> list[BasisState]:
@@ -191,13 +151,8 @@ def exact_sector_spectrum(
     hamiltonian: PauliSum,
     particle_number: int,
     compute_vectors: bool = False,
-    method: str = "lapack",
 ) -> Spectrum:
-    """Exact spectrum within one particle sector (the comparison baseline).
-
-    The sector matrix goes to LAPACK by default, whatever its size;
-    ``method="jacobi"`` gives the same eigenvalues to rounding.
-    """
+    """Exact spectrum within one particle sector (the comparison baseline)."""
     num = hamiltonian.qubit_count
     if not 0 <= particle_number <= num:
         raise ValueError("invalid particle number")
@@ -207,7 +162,7 @@ def exact_sector_spectrum(
             f"sector dimension C({num},{particle_number}) = {dim} exceeds {MAX_DENSE_DIMENSION}"
         )
     _, matrix = sector_matrix(hamiltonian, particle_number)
-    return eigendecompose(matrix, compute_vectors=compute_vectors, method=method)
+    return eigendecompose(matrix, compute_vectors=compute_vectors)
 
 
 def dos(

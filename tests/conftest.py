@@ -1,9 +1,13 @@
-"""Shared oracles: dense Kronecker-product matrices and fermionic ladder algebra.
+"""Shared oracles: dense Kronecker-product matrices, fermionic ladder algebra
+and a Jacobi eigensolver.
 
 Everything here is deliberately independent of the package's combinatorial
 paths: Pauli matrices are built by explicit tensor products, fermionic
-operators act on occupation tuples with explicit sign bookkeeping.
+operators act on occupation tuples with explicit sign bookkeeping, and
+spectra come from a cyclic Jacobi iteration rather than LAPACK.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -78,6 +82,63 @@ def dense_fermion(hamiltonian: FermionHamiltonian) -> np.ndarray:
             product = product @ ladder_matrix(mode, dagger, hamiltonian.mode_count)
         out += term.coefficient * product
     return out
+
+
+# --- independent eigensolver ------------------------------------------------
+
+def jacobi_eigh(
+    matrix: np.ndarray,
+    tol: float = 1e-13,
+    max_sweeps: int = 60,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic Jacobi diagonalization of a complex Hermitian matrix.
+
+    Each rotation applies ``U = [[c, -s e^{i phi}], [s e^{-i phi}, c]]`` with
+    the phase of the targeted entry, reducing the off-diagonal Frobenius norm
+    monotonically.  Returns (ascending eigenvalues, eigenvector columns).
+    """
+    a = np.array(matrix, dtype=complex)
+    assert a.ndim == 2 and a.shape[0] == a.shape[1]
+    assert np.abs(a - a.conj().T).max(initial=0.0) <= 1e-9
+    n = a.shape[0]
+    v = np.eye(n, dtype=complex)
+    if n == 1:
+        return a.real.diagonal().copy(), v
+    scale = max(float(np.linalg.norm(a)), 1.0)
+    strict_upper = np.triu_indices(n, k=1)
+    for _ in range(max_sweeps):
+        off = math.sqrt(2.0) * float(np.linalg.norm(a[strict_upper]))
+        if off <= tol * scale:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                beta = a[p, q]
+                mag = abs(beta)
+                if mag <= 1e-300:
+                    continue
+                phase = beta / mag
+                tau = (a[p, p].real - a[q, q].real) / (2.0 * mag)
+                if tau == 0.0:
+                    t = 1.0
+                else:
+                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                rotation = np.array(
+                    [[c, -s * phase], [s * np.conj(phase), c]], dtype=complex
+                )
+                a[:, [p, q]] = a[:, [p, q]] @ rotation
+                a[[p, q], :] = rotation.conj().T @ a[[p, q], :]
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                a[p, p] = a[p, p].real
+                a[q, q] = a[q, q].real
+                v[:, [p, q]] = v[:, [p, q]] @ rotation
+    else:
+        raise RuntimeError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
+    eigenvalues = a.real.diagonal().copy()
+    order = np.argsort(eigenvalues, kind="stable")
+    return eigenvalues[order], v[:, order]
 
 
 # --- random instances -------------------------------------------------------

@@ -121,14 +121,14 @@ def test_criterion_4_variational_bound_and_monotonicity():
     violations = 0.0
     for index in range(100):
         hamiltonian = random_conserving_hamiltonian(rng, 8, fermionic_terms=5, max_strings=40)
-        # LAPACK keeps this quick; the Jacobi path is pinned by its own oracle tests
-        exact_min = exact_sector_spectrum(hamiltonian, 4, method="lapack").eigenvalues[0]
+        # LAPACK, as for every spectrum; test_spectra checks it against a Jacobi reference
+        exact_min = exact_sector_spectrum(hamiltonian, 4).eigenvalues[0]
         minima = []
         orders = (1, 2, 3) if index < 25 else (2,)
         for order in orders:
             basis = build_subspace(hamiltonian, SubspaceSpec(4, order))
             heff = build_effective_hamiltonian(hamiltonian, basis, Backend.oracle())
-            minima.append(eigendecompose(heff, method="lapack").eigenvalues[0])
+            minima.append(eigendecompose(heff).eigenvalues[0])
         assert all(m >= exact_min - 1e-9 for m in minima)
         violations = min(violations, min(m - exact_min for m in minima))
         if len(minima) == 3:
@@ -242,7 +242,7 @@ def test_criterion_7_jordan_wigner_correctness():
             states = sector_basis(num_modes, n_f)
             vectors = np.stack([basis_vector(s) for s in states], axis=1)
             direct = np.linalg.eigvalsh(vectors.conj().T @ full @ vectors)
-            via_jw = exact_sector_spectrum(mapped, n_f, method="lapack").eigenvalues
+            via_jw = exact_sector_spectrum(mapped, n_f).eigenvalues
             worst = max(worst, float(np.abs(direct - via_jw).max()))
             assert np.abs(direct - via_jw).max() <= 1e-10
     report(7, f"anticommutators exact at N=4; sector spectra match to {worst:.2e}")
@@ -279,8 +279,8 @@ def test_criterion_8_mitigation_benefit():
         fixed = build_effective_hamiltonian(
             hamiltonian, basis, Backend.sampled(mitigation=True, **common)
         )
-        raw_errors.append(abs(eigendecompose(raw, method="lapack").eigenvalues[0] - exact_ground))
-        fixed_errors.append(abs(eigendecompose(fixed, method="lapack").eigenvalues[0] - exact_ground))
+        raw_errors.append(abs(eigendecompose(raw).eigenvalues[0] - exact_ground))
+        fixed_errors.append(abs(eigendecompose(fixed).eigenvalues[0] - exact_ground))
     wins = sum(f < r for f, r in zip(fixed_errors, raw_errors))
     assert wins >= 90
     assert np.median(fixed_errors) < np.median(raw_errors)

@@ -3,12 +3,14 @@
 import importlib.util
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import heffsolve
 import heffsolve.cli
 import heffsolve.spectra
 from heffsolve.cli import main
@@ -251,8 +253,9 @@ class TestInputValidation:
             (("--backend", "exact", "--noise", "0.1,0.1"), "sampled backend only"),
             (("--backend", "exact", "--noise", "0.1,0.1", "--mitigate"), "sampled backend only"),
             (("--backend", "oracle", "--mitigate"), "noise model"),
+            (("--backend", "oracle", "--diagonals", "circuit"), "circuit backend"),
         ],
-        ids=["exact-noise", "exact-noise-mitigate", "oracle-mitigate"],
+        ids=["exact-noise", "exact-noise-mitigate", "oracle-mitigate", "oracle-circuit-diagonals"],
     )
     def test_readout_settings_the_backend_would_drop(
         self, tmp_path, capsys, h2_path, flags, message
@@ -279,6 +282,20 @@ class TestImports:
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
         assert done.stdout.splitlines()[-1] == "0 []"
+
+    def test_every_exported_name_is_bound(self):
+        modules = [heffsolve] + [
+            importlib.import_module(f"heffsolve.{info.name}")
+            for info in pkgutil.iter_modules(heffsolve.__path__)
+        ]
+        stale = [
+            f"{module.__name__}.{name}"
+            for module in modules
+            for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        ]
+        assert len(modules) > 1
+        assert stale == []
 
     def test_every_name_the_benchmark_tracer_wraps_is_bound(self):
         # perfbench/spans.py replaces these names for a traced solve; one that

@@ -1,5 +1,7 @@
 """Eigendecomposition, exact sector spectra, and density of states."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,19 +9,20 @@ from heffsolve.estimator import Backend, build_effective_hamiltonian
 from heffsolve.pauli import BasisState, PauliSum
 from heffsolve.spectra import (
     CapacityError,
+    _block_labels,
+    _check_hermitian,
     Spectrum,
     dos,
     dos_to_csv,
     eigendecompose,
     exact_sector_spectrum,
-    jacobi_eigh,
     sector_basis,
     sector_matrix,
     spectrum_to_csv,
 )
 from heffsolve.subspace import SubspaceSpec, basis_from_states, build_subspace
 
-from conftest import dense_projection, random_conserving_hamiltonian
+from conftest import dense_projection, jacobi_eigh, random_conserving_hamiltonian
 
 
 def random_hermitian(rng, n):
@@ -69,24 +72,24 @@ class TestEigendecompose:
 
     def test_methods_agree(self, rng):
         matrix = random_hermitian(rng, 10)
-        jac = eigendecompose(matrix, method="jacobi").eigenvalues
-        lap = eigendecompose(matrix, method="lapack").eigenvalues
+        jac, _ = jacobi_eigh(matrix)
+        lap = eigendecompose(matrix).eigenvalues
         assert np.allclose(jac, lap, atol=1e-9)
 
     def test_real_valued_input_takes_the_real_routine(self, rng):
         a = rng.normal(size=(30, 30))
         matrix = ((a + a.T) / 2).astype(complex)
-        spectrum = eigendecompose(matrix, method="lapack")
+        spectrum = eigendecompose(matrix)
         assert np.abs(spectrum.eigenvalues - np.linalg.eigvalsh(matrix)).max() <= 1e-12
         vectors = spectrum.eigenvectors
         assert vectors.dtype == np.float64
         assert np.abs(vectors.T @ matrix @ vectors - np.diag(spectrum.eigenvalues)).max() <= 1e-12
-        values_only = eigendecompose(matrix, compute_vectors=False, method="lapack")
+        values_only = eigendecompose(matrix, compute_vectors=False)
         assert np.array_equal(values_only.eigenvalues, np.linalg.eigvalsh(matrix.real))
 
     def test_complex_input_keeps_its_complex_spectrum(self, rng):
         matrix = random_hermitian(rng, 30)
-        spectrum = eigendecompose(matrix, method="lapack")
+        spectrum = eigendecompose(matrix)
         assert np.abs(spectrum.eigenvalues - np.linalg.eigvalsh(matrix)).max() <= 1e-12
         assert np.abs(spectrum.eigenvalues - np.linalg.eigvalsh(matrix.real)).max() > 1e-3
         vectors = spectrum.eigenvectors
@@ -95,13 +98,66 @@ class TestEigendecompose:
         assert np.abs(diagonalized - np.diag(spectrum.eigenvalues)).max() <= 1e-12
 
     def test_vectors_optional(self, rng):
-        spectrum = eigendecompose(random_hermitian(rng, 5), compute_vectors=False, method="lapack")
+        spectrum = eigendecompose(random_hermitian(rng, 5), compute_vectors=False)
         assert spectrum.eigenvectors is None
 
-    def test_constant_shift_applied(self):
-        spectrum = eigendecompose(np.diag([1.0, 2.0]).astype(complex), constant_shift=0.5)
-        assert np.allclose(spectrum.eigenvalues, [1.5, 2.5])
-        assert spectrum.constant_shift == 0.5
+    def test_an_uncoupled_state_leaves_the_other_eigenvalues_bit_identical(self, rng):
+        matrix = random_hermitian(rng, 12)
+        padded = np.zeros((13, 13), dtype=complex)
+        padded[1:, 1:] = matrix
+        padded[0, 0] = 0.25
+        spectrum = eigendecompose(padded)
+        alone = eigendecompose(matrix).eigenvalues
+        assert np.array_equal(spectrum.eigenvalues, np.sort(np.append(alone, 0.25)))
+        vectors = spectrum.eigenvectors
+        diagonalized = vectors.conj().T @ padded @ vectors
+        assert np.abs(diagonalized - np.diag(spectrum.eigenvalues)).max() <= 1e-12
+        values_only = eigendecompose(padded, compute_vectors=False).eigenvalues
+        assert np.array_equal(values_only, np.sort(np.append(np.linalg.eigvalsh(matrix), 0.25)))
+
+    def test_interleaved_blocks_are_found(self, rng):
+        sizes = (3, 1, 4)
+        matrix = np.zeros((8, 8), dtype=complex)
+        start = 0
+        for size in sizes:
+            matrix[start:start + size, start:start + size] = random_hermitian(rng, size)
+            start += size
+        perm = rng.permutation(8)
+        shuffled = matrix[np.ix_(perm, perm)]
+        block_of = np.repeat(np.arange(len(sizes)), sizes)[perm]
+        labels = _block_labels(shuffled)
+        expected = [np.flatnonzero(block_of == block_of[i])[0] for i in range(8)]
+        assert labels.tolist() == expected
+        spectrum = eigendecompose(shuffled)
+        assert np.abs(spectrum.eigenvalues - np.linalg.eigvalsh(matrix)).max() <= 1e-12
+        vectors = spectrum.eigenvectors
+        diagonalized = vectors.conj().T @ shuffled @ vectors
+        assert np.abs(diagonalized - np.diag(spectrum.eigenvalues)).max() <= 1e-12
+
+    def test_real_heff_of_every_size_takes_lapack(self, rng):
+        while True:
+            hamiltonian = random_conserving_hamiltonian(rng, 8)
+            basis = build_subspace(hamiltonian, SubspaceSpec(4, 2, 20))
+            matrix = build_effective_hamiltonian(hamiltonian, basis, Backend.exact()).matrix
+            if np.any(matrix - np.diag(matrix.diagonal())):
+                break
+        assert matrix.shape == (20, 20) and not matrix.imag.any()
+        values = eigendecompose(matrix).eigenvalues
+        assert np.array_equal(values, np.linalg.eigh(matrix.real)[0])
+
+    def test_hermiticity_check_keeps_its_tolerance_in_little_memory(self, rng):
+        matrix = random_hermitian(rng, 924)
+        matrix[923, 0] += 0.99e-9
+        tracemalloc.start()
+        try:
+            _check_hermitian(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= matrix.nbytes / 4
+        matrix[923, 0] += 0.02e-9
+        with pytest.raises(ValueError, match=r"max deviation 1\.010e-09"):
+            eigendecompose(matrix)
 
 
 class TestSectorSpectrum:
@@ -127,11 +183,10 @@ class TestSectorSpectrum:
 
     def test_lapack_baseline_matches_jacobi(self, rng):
         hamiltonian = random_conserving_hamiltonian(rng, 8)
-        lapack = exact_sector_spectrum(hamiltonian, 4, method="lapack").eigenvalues
-        jacobi = exact_sector_spectrum(hamiltonian, 4, method="jacobi").eigenvalues
+        lapack = exact_sector_spectrum(hamiltonian, 4).eigenvalues
+        jacobi, _ = jacobi_eigh(sector_matrix(hamiltonian, 4)[1])
         assert lapack.shape == (70,)
         assert np.abs(lapack - jacobi).max() <= 1e-12
-        assert np.array_equal(exact_sector_spectrum(hamiltonian, 4).eigenvalues, lapack)
 
     def test_z_field_levels_analytic(self):
         # eps * n_0 within the 1-particle sector of 3 modes: levels {eps, 0, 0}
