@@ -1,4 +1,4 @@
-"""Measurement circuits and their exact statevector simulation.
+"""Measurement circuits and their exact simulation.
 
 The circuits built here are the interference circuits that extract matrix
 elements ``<n|H|n'>`` between computational basis states: a single-ancilla
@@ -7,12 +7,18 @@ two-ancilla variant that reads one Pauli string at a time through controlled
 applications.  The register layout is target qubits ``0..N-1`` followed by
 the ancilla(s) at the highest indices.
 
-Simulation is a dense statevector.  :func:`sample_outcome_counts` is the one
-finite-shot sampler: a multinomial histogram over the measured wires, then
-optional flips through an asymmetric per-qubit readout channel, drawn from a
-counter-based Philox generator so every result is reproducible from its
-recorded seed.  :func:`apply_per_qubit` applies any per-qubit 2x2 map (the
-channel, its inverse or its inverse transpose) to an outcome vector.
+Two simulators run the same gate lists.  :func:`run_sparse` keeps only the
+nonzero amplitudes: the circuits built here reach at most 16 of them, and
+a direct circuit followed by the basis rotations of a string with ``k``
+X/Y sites at most ``2^(2+k)``, so its cost does not depend on the register
+size.  :func:`run_statevector` is a dense statevector of ``2^wires``
+amplitudes, from which the sampler draws.  :func:`sample_outcome_counts`
+is the one finite-shot sampler: a multinomial histogram over the measured
+wires, then optional flips through an asymmetric per-qubit readout channel,
+drawn from a counter-based Philox generator so every result is
+reproducible from its recorded seed.  :func:`apply_per_qubit` applies any
+per-qubit 2x2 map (the channel, its inverse or its inverse transpose) to an
+outcome vector.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import spectra
 from .pauli import BasisState, PauliOp, PauliString
 
 __all__ = [
@@ -35,6 +42,8 @@ __all__ = [
     "measure_ancilla_index",
     "run_statevector",
     "apply_circuit",
+    "run_sparse",
+    "sparse_expectation",
     "outcome_distribution",
     "apply_per_qubit",
     "measurement_rotations",
@@ -342,7 +351,7 @@ def run_statevector(circuit: Circuit) -> np.ndarray:
     state[0] = 1.0
     state = apply_circuit(state, circuit)
     norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
         raise RuntimeError(f"statevector norm drifted to {norm!r}")
     return state
 
@@ -375,6 +384,74 @@ def apply_pauli_to_state(state: np.ndarray, string: PauliString) -> np.ndarray:
 
 def state_expectation(state: np.ndarray, observable: PauliString) -> float:
     return float(np.vdot(state, apply_pauli_to_state(state, observable)).real)
+
+
+# ---------------------------------------------------------------------------
+# Sparse-state simulation
+# ---------------------------------------------------------------------------
+
+# 2x2 gate matrices as Python complex pairs ((m00, m01), (m10, m11)), which
+# the per-entry loop below multiplies faster than numpy scalars.
+def _entries(matrix: np.ndarray) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    return tuple(tuple(complex(v) for v in row) for row in matrix)
+
+
+_ENTRIES_1Q = {kind: _entries(m) for kind, m in _MAT_1Q.items()}
+
+
+def run_sparse(circuit: Circuit) -> dict[int, complex]:
+    """Simulate from ``|0...0>`` on the nonzero amplitudes only.
+
+    The state maps each basis index (bit ``i`` is qubit ``i``) to its
+    amplitude; entries that become exactly zero are dropped.  A gate that
+    splits entries in two is refused with :class:`CapacityError` when the
+    support could outgrow ``MAX_DENSE_DIMENSION**2`` entries, the size of the
+    largest dense matrix the program admits.  The norm is checked as in
+    :func:`run_statevector`.
+    """
+    limit = spectra.MAX_DENSE_DIMENSION ** 2
+    state: dict[int, complex] = {0: 1 + 0j}
+    for gate in circuit.gates:
+        if gate.angle is None:
+            (m00, m01), (m10, m11) = _ENTRIES_1Q[_CONTROLLED.get(gate.kind, gate.kind)]
+        else:
+            (m00, m01), (m10, m11) = _entries(gate.matrix_1q())
+        if (m00 and m10 or m01 and m11) and 2 * len(state) > limit:
+            raise spectra.CapacityError(
+                f"sparse state of {len(state)} entries could exceed {limit} at gate {gate.kind}"
+            )
+        control = 1 << gate.qubits[0] if gate.is_controlled else 0
+        bit = 1 << gate.qubits[-1]
+        out: dict[int, complex] = {}
+        for index, amp in state.items():
+            if index & control != control:
+                out[index] = amp
+                continue
+            to_zero, to_one = (m01, m11) if index & bit else (m00, m10)
+            if to_zero:
+                out[index & ~bit] = out.get(index & ~bit, 0) + to_zero * amp
+            if to_one:
+                out[index | bit] = out.get(index | bit, 0) + to_one * amp
+        state = {index: amp for index, amp in out.items() if amp != 0}
+    norm = math.sqrt(sum(abs(amp) ** 2 for amp in state.values()))
+    if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
+        raise RuntimeError(f"statevector norm drifted to {norm!r}")
+    return state
+
+
+def sparse_expectation(state: dict[int, complex], observable: PauliString) -> float:
+    """``<psi|P|psi>`` over the stored entries, with the phases of :func:`apply_pauli_to_state`.
+
+    Wires beyond the string's length are read as identity.
+    """
+    x_mask, z_mask = observable.x_mask, observable.z_mask
+    total = 0j
+    for index, amp in state.items():
+        partner = state.get(index ^ x_mask)
+        if partner is not None:
+            term = partner.conjugate() * amp
+            total += -term if (index & z_mask).bit_count() & 1 else term
+    return ((1j ** (observable.y_count % 4)) * total).real
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,15 @@ def _run_solve(config: RunConfig) -> tuple[dict, list[dict]]:
     """Solve one configuration; returns the manifest and the per-run records."""
     started = time.perf_counter()
     hamiltonian = _load_hamiltonian(config.input_path, config.fmt)
+    if config.backend.kind == "sampled":
+        # The sampler draws from a dense state over the target and ancilla wires.
+        ancillas = 1 if config.backend.measurement_style == "direct" else 2
+        wires = hamiltonian.qubit_count + ancillas
+        if 1 << wires > MAX_DENSE_DIMENSION ** 2:
+            raise CapacityError(
+                f"the sampled backend needs a dense state of 2^{wires} amplitudes, "
+                f"over the limit of {MAX_DENSE_DIMENSION ** 2}"
+            )
     basis = _select_basis(hamiltonian, config)
     if basis.size > MAX_DENSE_DIMENSION:
         raise CapacityError(

@@ -20,9 +20,12 @@ direct style still runs and counts its two circuits (real and imaginary) for
 every pair, so its circuit count stays ``2 C(Ns, 2)``; ``string_executions``
 and shots count only the connecting strings.
 
-Backends: ``oracle`` (combinatorial, no circuits), ``exact`` (statevector
-expectations), ``sampled`` (finite shots, optional readout noise and
-calibration-matrix mitigation).
+For a pair that no string connects, no circuit is simulated.
+
+Backends: ``oracle`` (combinatorial, no circuits), ``exact`` (expectations
+on the sparse state of :func:`heffsolve.circuits.run_sparse`, at any
+register size), ``sampled`` (finite shots drawn from a dense statevector,
+optional readout noise and calibration-matrix mitigation).
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# ``state_expectation`` is not called here; it stays bound because
+# perfbench/spans.py wraps it.
 from .circuits import (
     Circuit,
     ReadoutNoise,
@@ -45,8 +50,10 @@ from .circuits import (
     parity_values,
     prepare_basis_circuit,
     rng_from_seed,
+    run_sparse,
     run_statevector,
     sample_outcome_counts,
+    sparse_expectation,
     state_expectation,
 )
 from .pauli import (
@@ -87,10 +94,11 @@ class Backend:
     """How matrix elements are evaluated.
 
     ``oracle`` computes them combinatorially; ``exact`` runs the measurement
-    circuits with deterministic statevector expectations; ``sampled`` draws
-    finite shots, optionally through a readout-noise channel with
-    calibration-matrix mitigation.  Diagonal entries default to the
-    classical path even for circuit backends (they are classically trivial);
+    circuits on their nonzero amplitudes and reads deterministic
+    expectations; ``sampled`` draws finite shots, optionally through a
+    readout-noise channel with calibration-matrix mitigation.  Diagonal
+    entries default to the classical path even for circuit backends (they
+    are classically trivial);
     ``measure_diagonals_with_circuits`` (circuit backends) forces the all-hardware mode.
     """
 
@@ -220,6 +228,13 @@ class CircuitCounts:
     @property
     def offdiagonal(self) -> int:
         return self.offdiagonal_real + self.offdiagonal_imag
+
+    def add(self, other: "CircuitCounts") -> None:
+        self.diagonal += other.diagonal
+        self.offdiagonal_real += other.offdiagonal_real
+        self.offdiagonal_imag += other.offdiagonal_imag
+        self.string_executions += other.string_executions
+        self.total_shots += other.total_shots
 
     def as_dict(self) -> dict:
         return {
@@ -408,9 +423,9 @@ def measure_diagonal(
     num = n.num_qubits
     circuit = prepare_basis_circuit(n)
     if backend.kind == "exact":
-        state = run_statevector(circuit)
+        state = run_sparse(circuit)
         value = sum(
-            w.real * state_expectation(state, s) for w, s in diagonal_part
+            w.real * sparse_expectation(state, s) for w, s in diagonal_part
         )
         return MeasurementEstimate(complex(value), circuits=1, executions=diagonal_part.num_terms)
     # sampled: one Z-basis histogram serves every diagonal string
@@ -430,6 +445,21 @@ def measure_diagonal(
     )
 
 
+def _strings_by_flip(hamiltonian: PauliSum) -> dict[int, list[tuple[int, float, PauliString]]]:
+    """Off-diagonal strings grouped by the bits they flip.
+
+    Each entry is ``(k, weight, string)``, ``k`` being the string's index in
+    the full off-diagonal list: it is the string's seed key, so its shot
+    stream does not depend on which other strings exist.  The dict is empty
+    when the Hamiltonian has no off-diagonal string.
+    """
+    _, offdiag = classify_terms(hamiltonian)
+    groups: dict[int, list[tuple[int, float, PauliString]]] = {}
+    for k, (w, s) in enumerate(offdiag.terms):
+        groups.setdefault(s.x_mask, []).append((k, w.real, s))
+    return groups
+
+
 def _offdiagonal_direct(
     connecting: list[tuple[int, float, PauliString]],
     n: BasisState,
@@ -440,34 +470,39 @@ def _offdiagonal_direct(
     """Recovered ``<n|H_offdiag|n'>`` from the single-ancilla circuits.
 
     Per part the circuit expectation is ``m = sum_s lambda_s q_s`` with
-    ``q_s = (<I (x) h_s> + <Z_anc (x) h_s>)/2``, read from the rotated
-    histogram as the string-support parity gated on the ancilla reading 0;
-    the recovery is ``Re = 2 m_re`` and ``Im = -2 m_im``.  ``connecting``
-    holds ``(seed key, weight, string)`` of the strings that flip ``n XOR n'``.
+    ``q_s = (<I (x) h_s> + <Z_anc (x) h_s>)/2``: ``exact`` reads it from the
+    sparse state, ``sampled`` from the rotated histogram as the
+    string-support parity gated on the ancilla reading 0.  The recovery is
+    ``Re = 2 m_re`` and ``Im = -2 m_im``.  ``connecting`` holds
+    ``(seed key, weight, string)`` of the strings that flip ``n XOR n'``;
+    when it is empty no circuit is built or simulated, but both are still
+    counted.
     """
     num = n.num_qubits
     anc_bit = 1 << num
     counts = CircuitCounts()
-    m_part: dict[str, float] = {}
-    var_part: dict[str, float] = {}
+    m_part = {"real": 0.0, "imag": 0.0}
+    var_part = {"real": 0.0, "imag": 0.0}
     for part in ("real", "imag"):
-        circuit = build_offdiagonal_circuit(n, nprime, part)
-        base_state = run_statevector(circuit)
         if part == "real":
             counts.offdiagonal_real += 1
         else:
             counts.offdiagonal_imag += 1
-        m_total = 0.0
-        var_total = 0.0
-        for s_index, w, s in connecting:
-            counts.string_executions += 1
-            if backend.kind == "exact":
+        if not connecting:
+            continue
+        circuit = build_offdiagonal_circuit(n, nprime, part)
+        counts.string_executions += len(connecting)
+        if backend.kind == "exact":
+            state = run_sparse(circuit)
+            for _, w, s in connecting:
                 q = 0.5 * (
-                    state_expectation(base_state, PauliString(s.label + "I"))
-                    + state_expectation(base_state, PauliString(s.label + "Z"))
+                    sparse_expectation(state, PauliString(s.label + "I"))
+                    + sparse_expectation(state, PauliString(s.label + "Z"))
                 )
-                m_total += w * q
-                continue
+                m_part[part] += w * q
+            continue
+        base_state = run_statevector(circuit)
+        for s_index, w, s in connecting:
             rotated = apply_circuit(
                 base_state, Circuit(num + 1, measurement_rotations(s))
             )
@@ -483,11 +518,9 @@ def _offdiagonal_direct(
             q_mean, q_var = _sampled_estimate(
                 probs, values, backend, seed, circuit.measured, calibration
             )
-            m_total += w * q_mean
-            var_total += (w ** 2) * q_var
+            m_part[part] += w * q_mean
+            var_part[part] += (w ** 2) * q_var
             counts.total_shots += backend.shots
-        m_part[part] = m_total
-        var_part[part] = var_total
     value = complex(2.0 * m_part["real"], -2.0 * m_part["imag"])
     return value, 4.0 * var_part["real"], 4.0 * var_part["imag"], counts
 
@@ -519,14 +552,19 @@ def _offdiagonal_indirect(
             else:
                 counts.offdiagonal_imag += 1
             counts.string_executions += 1
-            probs = marginal_probabilities(
-                run_statevector(circuit), num + 2, circuit.measured
-            )
-            idx = np.arange(probs.shape[0])
-            values = ((idx & ancilla_bits) == 0).astype(float)
             if backend.kind == "exact":
-                m_s, v_s = float(probs @ values), 0.0
+                m_s = sum(
+                    abs(amp) ** 2
+                    for index, amp in run_sparse(circuit).items()
+                    if not index & ancilla_bits
+                )
+                v_s = 0.0
             else:
+                probs = marginal_probabilities(
+                    run_statevector(circuit), num + 2, circuit.measured
+                )
+                idx = np.arange(probs.shape[0])
+                values = ((idx & ancilla_bits) == 0).astype(float)
                 seed = derive_seed(
                     backend.seed, _TAG_OFFDIAGONAL, n.mask, nprime.mask,
                     2 if part == "real" else 3, s_index,
@@ -550,16 +588,21 @@ def measure_offdiagonal(
     diag_n: MeasurementEstimate | float | None = None,
     diag_nprime: MeasurementEstimate | float | None = None,
     calibration: CalibrationMatrix | None = None,
+    strings_by_flip: dict[int, list[tuple[int, float, PauliString]]] | None = None,
+    totals: CircuitCounts | None = None,
 ) -> MeasurementEstimate:
     """Estimate the complex element ``<n|H|n'>`` for ``n != n'``.
 
     Only the off-diagonal strings that flip exactly ``n XOR n'`` are
     measured; each keeps its index in the full off-diagonal list as its seed
     key, so its shot stream does not depend on which other strings exist.
-    Substituting the (identically zero) diagonal elements of that operator
-    into the recovery leaves ``Re = 2 m_re`` and ``Im = -2 m_im``, so the
-    diagonal estimates that circuit backends require enter neither the value
-    nor its standard errors, which propagate the circuit variances alone.
+    ``strings_by_flip`` is that grouping of ``hamiltonian``'s strings, built
+    here when not given.  Substituting the (identically zero) diagonal
+    elements of that operator into the recovery leaves ``Re = 2 m_re`` and
+    ``Im = -2 m_im``, so the diagonal estimates that circuit backends
+    require enter neither the value nor its standard errors, which propagate
+    the circuit variances alone.  When ``totals`` is given, this
+    measurement's circuits, settings and shots are added to it.
     """
     if n == nprime:
         raise ValueError("off-diagonal measurement needs two distinct states")
@@ -567,13 +610,11 @@ def measure_offdiagonal(
         return MeasurementEstimate(sum_matrix_element(n, hamiltonian, nprime))
     if backend.uses_circuits and (diag_n is None or diag_nprime is None):
         raise ValueError("circuit backends need both diagonal estimates")
-    _, offdiag = classify_terms(hamiltonian)
-    if offdiag.num_terms == 0:
+    if strings_by_flip is None:
+        strings_by_flip = _strings_by_flip(hamiltonian)
+    if not strings_by_flip:
         return MeasurementEstimate(0j)
-    flip = n.mask ^ nprime.mask
-    connecting = [
-        (k, w.real, s) for k, (w, s) in enumerate(offdiag.terms) if s.x_mask == flip
-    ]
+    connecting = strings_by_flip.get(n.mask ^ nprime.mask, [])
     if backend.measurement_style == "direct":
         value, var_re, var_im, counts = _offdiagonal_direct(
             connecting, n, nprime, backend, calibration
@@ -582,6 +623,8 @@ def measure_offdiagonal(
         value, var_re, var_im, counts = _offdiagonal_indirect(
             connecting, n, nprime, backend, calibration
         )
+    if totals is not None:
+        totals.add(counts)
     return MeasurementEstimate(
         value,
         stderr_re=math.sqrt(var_re),
@@ -636,19 +679,16 @@ def build_effective_hamiltonian(
         totals.diagonal += est.circuits
         totals.string_executions += est.executions
         totals.total_shots += est.shots
+    strings_by_flip = _strings_by_flip(hamiltonian)
     for i in range(size):
         for j in range(i + 1, size):
             est = measure_offdiagonal(
                 hamiltonian, states[i], states[j], backend,
-                diagonals[i], diagonals[j], calibration,
+                diagonals[i], diagonals[j], calibration, strings_by_flip, totals,
             )
             estimates[(i, j)] = est
             matrix[i, j] = est.value
             matrix[j, i] = est.value.conjugate()
-            totals.offdiagonal_real += est.circuits // 2
-            totals.offdiagonal_imag += est.circuits - est.circuits // 2
-            totals.string_executions += est.executions
-            totals.total_shots += est.shots
     matrix = 0.5 * (matrix + matrix.conj().T)
     return EffectiveHamiltonian(basis, matrix, estimates, backend, totals)
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import heffsolve.spectra
 from heffsolve.circuits import (
     Circuit,
     Gate,
@@ -22,12 +23,15 @@ from heffsolve.circuits import (
     parity_values,
     prepare_basis_circuit,
     rng_from_seed,
+    run_sparse,
     run_statevector,
     sample_outcome_counts,
+    sparse_expectation,
     state_expectation,
 )
 from heffsolve.estimator import Backend, _sampled_estimate
 from heffsolve.pauli import BasisState, PauliString, string_matrix_element, sum_matrix_element
+from heffsolve.spectra import CapacityError
 
 from conftest import dense_sum, random_hermitian_sum
 
@@ -281,6 +285,69 @@ class TestExactExpectation:
     def test_observable_size_checked(self):
         with pytest.raises(ValueError):
             state_expectation(run_statevector(Circuit(2)), PauliString("Z"))
+
+
+def random_gate_circuit(rng, total, gate_count):
+    """Gates of every kind on random wires, rotations at random angles."""
+    circuit = Circuit(total)
+    for _ in range(gate_count):
+        kind = str(rng.choice(["h", "s", "sdg", "x", "rx", "ry", "cx", "cy", "cz"]))
+        if kind.startswith("c"):
+            c, t = (int(v) for v in rng.choice(total, 2, replace=False))
+            circuit.add(Gate(kind, (c, t)))
+        elif kind in ("rx", "ry"):
+            circuit.add(Gate(kind, (int(rng.integers(total)),), float(rng.uniform(-7, 7))))
+        else:
+            circuit.add(Gate(kind, (int(rng.integers(total)),)))
+    return circuit
+
+
+class TestSparseState:
+    def test_matches_dense_on_random_gate_lists(self, rng):
+        kinds = set()
+        for _ in range(60):
+            total = int(rng.integers(2, 11))
+            circuit = random_gate_circuit(rng, total, int(rng.integers(1, 40)))
+            kinds.update(g.kind for g in circuit.gates)
+            dense = run_statevector(circuit)
+            sparse = run_sparse(circuit)
+            assert all(amp != 0 for amp in sparse.values())
+            scattered = np.zeros_like(dense)
+            scattered[list(sparse)] = list(sparse.values())
+            assert np.abs(scattered - dense).max() <= 1e-12
+            for _ in range(3):
+                string = PauliString("".join(rng.choice(list("IXYZ"), size=total)))
+                assert sparse_expectation(sparse, string) == pytest.approx(
+                    state_expectation(dense, string), abs=1e-12
+                )
+        assert kinds == {"h", "s", "sdg", "x", "rx", "ry", "cx", "cy", "cz"}
+
+    def test_measurement_circuits_stay_on_a_few_entries(self):
+        n = BasisState.from_occupied((0, 9, 20, 39), 40)
+        nprime = BasisState.from_occupied((3, 9, 27, 39), 40)
+        string = PauliString("".join("X" if i in (0, 3, 20, 27) else "I" for i in range(40)))
+        assert len(run_sparse(prepare_basis_circuit(n))) == 1
+        assert len(run_sparse(build_offdiagonal_circuit(n, nprime, "imag"))) == 4
+        assert len(run_sparse(build_indirect_circuit(n, nprime, string, "real"))) <= 16
+
+    def test_support_over_the_dense_bound_is_a_capacity_error(self, monkeypatch):
+        # After the basis rotations of a string with k = 4 X/Y sites, the
+        # direct circuit holds 2^(k+2) = 64 entries.
+        n, nprime = BasisState("110100"), BasisState("011001")
+        string = PauliString("XYIXYI")
+        circuit = build_offdiagonal_circuit(n, nprime, "real")
+        circuit.extend(measurement_rotations(string))
+        monkeypatch.setattr(heffsolve.spectra, "MAX_DENSE_DIMENSION", 8)
+        assert len(run_sparse(circuit)) == 64
+        monkeypatch.setattr(heffsolve.spectra, "MAX_DENSE_DIMENSION", 7)
+        with pytest.raises(CapacityError):
+            run_sparse(circuit)
+
+    def test_a_nan_amplitude_fails_the_norm_check(self):
+        circuit = Circuit(1, [Gate.h(0), Gate.rx(0, float("nan"))])
+        for simulate in (run_sparse, run_statevector):
+            with pytest.raises(RuntimeError, match="norm"):
+                simulate(circuit)
 
 
 class TestMarginals:

@@ -85,6 +85,27 @@ def wide_pauli_file(directory: Path, num_qubits: int) -> Path:
     return path
 
 
+WIDE_FERMION = """modes 40
+-1.0 0.0 0^ 0
+-0.8 0.0 13^ 13
+-0.6 0.0 26^ 26
+-0.4 0.0 39^ 39
+0.3 0.1 0^ 13
+0.3 -0.1 13^ 0
+0.2 0.0 13^ 26
+0.2 0.0 26^ 13
+0.25 -0.05 26^ 39
+0.25 0.05 39^ 26
+0.15 0.0 0^ 13^ 26 39
+0.15 0.0 39^ 26^ 13 0
+"""
+
+
+def heff_matrix(out: Path):
+    payload = json.loads((out / "heff.json").read_text())
+    return [[complex(re, im) for re, im in row] for row in payload["matrix"]]
+
+
 class TestSolve:
     def test_oracle_complete_basis_matches_exact(self, tmp_path, h2_path):
         out = tmp_path / "run"
@@ -187,6 +208,43 @@ class TestSolve:
         out = tmp_path / "toobig"
         assert main(["solve", h2_path, "--out", str(out), "--nf", "2"]) == 3
         assert not out.exists()
+
+    @pytest.mark.parametrize("style", ["direct", "indirect"])
+    def test_exact_solves_forty_modes(self, tmp_path, style):
+        path = tmp_path / "wide40.ferm"
+        path.write_text(WIDE_FERMION)
+        flags = ["--nf", "2", "--ns", "6"]
+        assert main(["solve", str(path), "--out", str(tmp_path / "oracle"), *flags]) == 0
+        assert main(
+            ["solve", str(path), "--out", str(tmp_path / "exact"), *flags,
+             "--backend", "exact", "--style", style, "--diagonals", "circuit"]
+        ) == 0
+        oracle, exact = heff_matrix(tmp_path / "oracle"), heff_matrix(tmp_path / "exact")
+        assert len(exact) == 6
+        assert max(abs(a - b) for ra, rb in zip(exact, oracle) for a, b in zip(ra, rb)) <= 1e-12
+        assert max(abs(v.imag) for row in oracle for v in row) > 0.05
+
+    def test_sampled_dense_state_over_the_limit_exits_3_before_any_file(self, tmp_path, capsys):
+        path = tmp_path / "wide40.ferm"
+        path.write_text(WIDE_FERMION)
+        out = tmp_path / "sampled"
+        assert main(
+            ["solve", str(path), "--out", str(out), "--nf", "2", "--ns", "6", "--backend", "sampled"]
+        ) == 3
+        assert capsys.readouterr().err.startswith("capacity error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("style, code", [("direct", 0), ("indirect", 3)])
+    def test_sampled_dense_state_bound(self, tmp_path, h2_path, monkeypatch, style, code):
+        # 4 qubits: the direct style needs 2^5 amplitudes, the indirect 2^6,
+        # and the bound is 6^2 = 36.
+        monkeypatch.setattr(heffsolve.cli, "MAX_DENSE_DIMENSION", 6)
+        out = tmp_path / style
+        assert main(
+            ["solve", h2_path, "--out", str(out), "--nf", "2", "--backend", "sampled",
+             "--shots", "200", "--style", style]
+        ) == code
+        assert out.exists() == (code == 0)
 
     def test_63_qubits_solve(self, tmp_path):
         out = tmp_path / "wide"

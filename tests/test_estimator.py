@@ -7,6 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
+import heffsolve.estimator
 from heffsolve.circuits import ReadoutNoise
 from heffsolve.estimator import (
     Backend,
@@ -21,6 +22,7 @@ from heffsolve.estimator import (
     _mitigate_probabilities,
     _sampled_estimate,
 )
+from heffsolve.fermion import FermionHamiltonian, FermionTerm, jw_transform
 from heffsolve.pauli import (
     BasisState,
     PauliSum,
@@ -68,10 +70,46 @@ def closed_sum(rng, num_qubits, sites, terms):
     return hamiltonian, [states[k] for k in rng.permutation(len(states))]
 
 
+def wide_sector(rng, num_modes=40, modes=(0, 6, 19, 31, 39), particles=2):
+    """A conserving Hamiltonian on a wide register whose terms touch only
+    ``modes`` (number terms, complex hoppings along the chain of ``modes``
+    and one double excitation on its first four), and every
+    ``particles``-state on those modes, shuffled.  Some pairs of states
+    connect and some do not."""
+    terms = [FermionTerm(float(rng.normal()), ((i, True), (i, False))) for i in modes]
+    for i, j in zip(modes, modes[1:]):
+        t = complex(rng.normal(), rng.normal())
+        terms += [
+            FermionTerm(t, ((i, True), (j, False))),
+            FermionTerm(t.conjugate(), ((j, True), (i, False))),
+        ]
+    i, j, k, l = modes[:4]
+    v = float(rng.normal())
+    terms += [
+        FermionTerm(v, ((i, True), (j, True), (k, False), (l, False))),
+        FermionTerm(v, ((l, True), (k, True), (j, False), (i, False))),
+    ]
+    hamiltonian = jw_transform(FermionHamiltonian(tuple(terms), num_modes))
+    states = [
+        BasisState.from_occupied(occupied, num_modes)
+        for occupied in itertools.combinations(modes, particles)
+    ]
+    shuffled = [states[k] for k in rng.permutation(len(states))]
+    return hamiltonian, basis_from_states(hamiltonian, shuffled)
+
+
 def connecting_count(hamiltonian, n, nprime):
     """Off-diagonal strings that flip exactly ``n XOR n'``."""
     _, offdiag = classify_terms(hamiltonian)
     return sum(1 for _, s in offdiag if s.x_mask == n.mask ^ nprime.mask)
+
+
+def connected_pairs(hamiltonian, states):
+    """Unordered pairs that at least one string connects."""
+    return sum(
+        connecting_count(hamiltonian, n, nprime) > 0
+        for n, nprime in itertools.combinations(states, 2)
+    )
 
 
 def connecting_settings(hamiltonian, states):
@@ -301,6 +339,52 @@ class TestBuildEffectiveHamiltonian:
             build_effective_hamiltonian(lopsided, basis, Backend.oracle())
 
 
+class TestSparseExactBackend:
+    """The exact backend reads every expectation from the sparse state."""
+
+    @pytest.mark.parametrize("circuit_diagonals", [False, True])
+    @pytest.mark.parametrize("style", ["direct", "indirect"])
+    def test_forty_qubit_sector_equals_oracle(self, rng, style, circuit_diagonals):
+        hamiltonian, basis = wide_sector(rng)
+        assert hamiltonian.qubit_count == 40
+        assert 0 < connected_pairs(hamiltonian, basis.states) < comb(basis.size, 2)
+        oracle = build_effective_hamiltonian(hamiltonian, basis, Backend.oracle())
+        backend = Backend.exact(style, measure_diagonals_with_circuits=circuit_diagonals)
+        exact = build_effective_hamiltonian(hamiltonian, basis, backend)
+        assert np.abs(oracle.matrix.imag).max() > 0.1
+        assert np.abs(exact.matrix - oracle.matrix).max() <= 1e-12
+
+    @pytest.mark.parametrize("style", ["direct", "indirect"])
+    def test_only_connected_pairs_simulate_circuits(self, rng, style, monkeypatch):
+        hamiltonian, basis = wide_sector(rng, num_modes=8, modes=(0, 2, 5, 7))
+        simulated = []
+        real_run_sparse = heffsolve.estimator.run_sparse
+
+        def counting(circuit):
+            simulated.append(circuit)
+            return real_run_sparse(circuit)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the exact backend built a dense state")
+
+        monkeypatch.setattr(heffsolve.estimator, "run_sparse", counting)
+        monkeypatch.setattr(heffsolve.estimator, "run_statevector", refused)
+        monkeypatch.setattr(heffsolve.estimator, "state_expectation", refused)
+        backend = Backend.exact(style, measure_diagonals_with_circuits=True)
+        counts = build_effective_hamiltonian(hamiltonian, basis, backend).circuit_counts
+        pairs = comb(basis.size, 2)
+        connected = connected_pairs(hamiltonian, basis.states)
+        settings = connecting_settings(hamiltonian, basis.states)
+        assert 0 < connected < pairs
+        offdiagonal = 2 * connected if style == "direct" else 2 * settings
+        assert len(simulated) == basis.size + offdiagonal
+        assert counts.diagonal == basis.size
+        if style == "direct":
+            assert counts.offdiagonal_real == counts.offdiagonal_imag == pairs
+        else:
+            assert counts.offdiagonal_real == counts.offdiagonal_imag == settings
+
+
 class TestCalibration:
     def test_exact_matrices(self):
         noise = ReadoutNoise(0.03, 0.08)
@@ -483,10 +567,16 @@ class TestScreening:
                     else:
                         assert counts.offdiagonal == 2 * settings
 
-    def test_unconnected_pair_is_exact_zero(self):
+    def test_unconnected_pair_is_exact_zero(self, monkeypatch):
         hamiltonian = PauliSum.from_label_weights([(0.5, "ZIII"), (1.0, "YXXY")])
         n, nprime = BasisState("1100"), BasisState("1010")
         assert connecting_count(hamiltonian, n, nprime) == 0
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a circuit was simulated for an unconnected pair")
+
+        for name in ("run_sparse", "run_statevector"):
+            monkeypatch.setattr(heffsolve.estimator, name, refused)
         noise = ReadoutNoise(0.03, 0.03)
         calibration = build_calibration(noise, None, 0, 6)
         diagonal = MeasurementEstimate(0.5 + 0j, stderr_re=0.02, shots=1000, circuits=1)
