@@ -28,6 +28,7 @@ from .estimator import (
     build_calibration,
     build_effective_hamiltonian,
     heff_to_dict,
+    heff_to_json,
 )
 from .fermion import FermionFormatError, load_fermion_hamiltonian, jw_transform
 from .pauli import PauliFormatError, PauliSum, load_pauli_sum, save_pauli_sum
@@ -222,7 +223,7 @@ def _solve_one(
         backend = replace(backend, seed=derive_seed(config.seed, 4, run_index))
     heff = build_effective_hamiltonian(hamiltonian, basis, backend)
     spectrum = eigendecompose(heff)
-    _write_json(out_dir / "heff.json", heff_to_dict(heff))
+    _write_text(out_dir / "heff.json", heff_to_json(heff_to_dict(heff)) + "\n")
     _write_text(out_dir / "spectrum.csv", spectrum_to_csv(spectrum))
     _write_text(out_dir / "dos.csv", dos_to_csv(dos(spectrum, bin_count=config.dos_bins)))
     with open(out_dir / "basis.txt.tmp", "w", encoding="utf-8") as fh:
@@ -360,8 +361,8 @@ def _cmd_scan(args) -> int:
     if not files:
         raise ValueError(f"no Hamiltonian files found in {args.input!r}")
     points = sorted((_distance_from_name(p.stem), p) for p in files)
+    # _run_solve creates the directory once a point passes its checks
     out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
     qubit_counts = set()
     rows = []
     point_manifests = []

@@ -30,6 +30,7 @@ optional readout noise and calibration-matrix mitigation).
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -77,6 +78,7 @@ __all__ = [
     "build_effective_hamiltonian",
     "build_calibration",
     "heff_to_dict",
+    "heff_to_json",
     "heff_matrix_from_dict",
 ]
 
@@ -698,11 +700,12 @@ def build_effective_hamiltonian(
 # ---------------------------------------------------------------------------
 
 def heff_to_dict(heff: EffectiveHamiltonian) -> dict:
-    """JSON-ready description (format ``heffsolve-heff-v2``).
+    """Description of ``heff`` in format ``heffsolve-heff-v2``; write it with
+    :func:`heff_to_json`.
 
-    The basis, the matrix as ``[re, im]`` pairs, the backend and its circuit
-    counts; a backend that measures also gets ``entries``, the per-entry
-    statistics of the upper triangle.
+    The basis, the matrix (kept as the complex array; written as ``[re, im]``
+    pairs), the backend and its circuit counts; a backend that measures also
+    gets ``entries``, the per-entry statistics of the upper triangle.
     """
     payload = {
         "format": "heffsolve-heff-v2",
@@ -710,7 +713,7 @@ def heff_to_dict(heff: EffectiveHamiltonian) -> dict:
         "reference": heff.basis.reference.bits,
         "basis": [s.bits for s in heff.basis.states],
         "diagonal_energies": list(heff.basis.diagonal_energies),
-        "matrix": np.stack([heff.matrix.real, heff.matrix.imag], -1).tolist(),
+        "matrix": heff.matrix,
         "backend": heff.backend.describe(),
         "circuit_counts": heff.circuit_counts.as_dict(),
     }
@@ -729,10 +732,40 @@ def heff_to_dict(heff: EffectiveHamiltonian) -> dict:
     return payload
 
 
+def _matrix_json(matrix: np.ndarray) -> str:
+    """``json.dumps(np.stack([matrix.real, matrix.imag], -1).tolist())``, at a
+    cost that grows with the cells that are not ``+0.0`` in both parts."""
+    rows, cols = matrix.shape
+    re, im = matrix.real, matrix.imag
+    # -0.0 == 0, so the sign bit tells a signed zero from the constant cell
+    kept = (re != 0) | (im != 0) | np.signbit(re) | np.signbit(im)
+    zero_cells = ["[0.0, 0.0]"] * cols
+    row_cells: dict[int, list[str]] = {}
+    values = np.stack([re[kept], im[kept]], -1).tolist()
+    for i, j, value in zip(*(index.tolist() for index in np.nonzero(kept)), values):
+        row_cells.setdefault(i, zero_cells.copy())[j] = json.dumps(value)
+    zero_row = "[" + ", ".join(zero_cells) + "]"
+    return "[" + ", ".join(
+        "[" + ", ".join(row_cells[i]) + "]" if i in row_cells else zero_row for i in range(rows)
+    ) + "]"
+
+
+def heff_to_json(payload: dict) -> str:
+    """The text of ``json.dumps(payload, sort_keys=True)`` for a
+    :func:`heff_to_dict` payload, with its ``matrix`` array as ``[re, im]``
+    pairs."""
+    return "{" + ", ".join(
+        f"{json.dumps(key)}: "
+        + (_matrix_json(value) if key == "matrix" else json.dumps(value, sort_keys=True))
+        for key, value in sorted(payload.items())
+    ) + "}"
+
+
 def heff_matrix_from_dict(payload: dict) -> tuple[list[BasisState], np.ndarray]:
     """Recover (basis states, complex matrix) from the JSON form."""
     states = [BasisState(bits) for bits in payload["basis"]]
-    matrix = np.array(
-        [[complex(re, im) for re, im in row] for row in payload["matrix"]], dtype=complex
-    )
+    pairs = np.array(payload["matrix"], dtype=float).reshape(len(states), len(states), 2)
+    matrix = np.empty(pairs.shape[:2], dtype=complex)
+    matrix.real = pairs[..., 0]
+    matrix.imag = pairs[..., 1]
     return states, matrix

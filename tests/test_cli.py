@@ -14,6 +14,7 @@ import heffsolve
 import heffsolve.cli
 import heffsolve.spectra
 from heffsolve.cli import main
+from heffsolve.estimator import heff_matrix_from_dict
 from heffsolve.pauli import load_pauli_sum
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -102,8 +103,7 @@ WIDE_FERMION = """modes 40
 
 
 def heff_matrix(out: Path):
-    payload = json.loads((out / "heff.json").read_text())
-    return [[complex(re, im) for re, im in row] for row in payload["matrix"]]
+    return heff_matrix_from_dict(json.loads((out / "heff.json").read_text()))[1]
 
 
 class TestSolve:
@@ -421,6 +421,17 @@ class TestScan:
         empty.mkdir()
         assert main(["scan", str(empty), "--out", str(tmp_path / "o"), "--nf", "2"]) == 2
         assert "no Hamiltonian files" in capsys.readouterr().err
+
+    def test_capacity_error_leaves_no_output_directory(self, tmp_path, capsys):
+        src = tmp_path / "wide"
+        src.mkdir()
+        (src / "point_0.7.ferm").write_text(WIDE_FERMION)
+        out = tmp_path / "pes"
+        assert main(
+            ["scan", str(src), "--out", str(out), "--nf", "2", "--ns", "6", "--backend", "sampled"]
+        ) == 3
+        assert capsys.readouterr().err.startswith("capacity error:")
+        assert not out.exists()
 
     def test_unparseable_name_is_input_error(self, tmp_path, h2_path):
         src = tmp_path / "names"

@@ -17,6 +17,7 @@ from heffsolve.estimator import (
     build_effective_hamiltonian,
     heff_matrix_from_dict,
     heff_to_dict,
+    heff_to_json,
     measure_diagonal,
     measure_offdiagonal,
     _mitigate_probabilities,
@@ -504,7 +505,7 @@ class TestHeffJson:
         hamiltonian = random_conserving_hamiltonian(rng, 4)
         basis = two_particle_basis(hamiltonian)
         heff = build_effective_hamiltonian(hamiltonian, basis, Backend.sampled(seed=2))
-        payload = json.loads(json.dumps(heff_to_dict(heff)))
+        payload = json.loads(heff_to_json(heff_to_dict(heff)))
         assert payload["format"] == "heffsolve-heff-v2"
         states, matrix = heff_matrix_from_dict(payload)
         assert [s.bits for s in states] == [s.bits for s in basis.states]
@@ -527,7 +528,7 @@ class TestHeffJson:
         hamiltonian, basis = random_sector(rng, 6, 3)
         heff = build_effective_hamiltonian(hamiltonian, basis, Backend.oracle())
         assert heff.estimates == {}
-        payload = json.loads(json.dumps(heff_to_dict(heff)))
+        payload = json.loads(heff_to_json(heff_to_dict(heff)))
         assert payload["format"] == "heffsolve-heff-v2"
         assert "entries" not in payload
         states, matrix = heff_matrix_from_dict(payload)
@@ -535,6 +536,40 @@ class TestHeffJson:
         # bit for bit, signed zeros included
         assert matrix.dtype == heff.matrix.dtype
         assert np.array_equal(matrix.view(np.uint64), heff.matrix.view(np.uint64))
+
+    def test_writer_prints_the_tolist_text(self, rng):
+        nan = float("nan")
+        sparse = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
+        sparse[rng.random((30, 30)) < 0.8] = 0.0
+        sparse[3] = 0.0
+        sparse[7, 2] = complex(0.0, -0.0)
+        matrices = [
+            # signed zeros only, in either part
+            np.array([[complex(0.0, 0.0), complex(-0.0, 0.0)],
+                      [complex(0.0, -0.0), complex(-0.0, -0.0)]]),
+            # a real-only and an imaginary-only cell, and an all-zero row
+            np.array([[1.5, 0.0, 0.0], [0.0, 2.0j, 0.0], [0.0, 0.0, 0.0]]),
+            # signed zeros beside nonzero parts
+            np.array([[0.0, complex(1e-300, -0.0)], [complex(-0.0, 3.25), 0.0]]),
+            np.array([[complex(nan, 0.0), complex(0.0, nan)], [complex(-1 / 3, 0.0), 7.0]]),
+            np.zeros((4, 4), dtype=complex),
+            np.full((1, 1), complex(0.1, -0.2)),
+            sparse,
+            sparse.real.copy(),
+        ]
+        for matrix in matrices:
+            payload = {
+                "basis": ["1"] * len(matrix), "format": "f", "matrix": matrix,
+                "zeta": {"b": 1, "a": -0.0},
+            }
+            listed = np.stack([matrix.real, matrix.imag], -1).tolist()
+            text = heff_to_json(payload)
+            assert text == json.dumps({**payload, "matrix": listed}, sort_keys=True)
+            assert heff_to_json({"matrix": matrix}) == '{"matrix": ' + json.dumps(listed) + "}"
+            # and the reader gives back every bit
+            _, back = heff_matrix_from_dict(json.loads(text))
+            assert back.dtype == np.complex128
+            assert np.array_equal(back.view(np.uint64), matrix.astype(complex).view(np.uint64))
 
 
 class TestScreening:
