@@ -44,6 +44,7 @@ from .spectra import (
 from .subspace import (
     ExhaustiveSearch,
     MonteCarloSearch,
+    SubspaceBasis,
     SubspaceSpec,
     basis_from_states,
     build_subspace,
@@ -263,9 +264,9 @@ def _exact_reference(hamiltonian: PauliSum, particle_number: int) -> np.ndarray 
     return exact_sector_spectrum(hamiltonian, particle_number).eigenvalues
 
 
-def _run_solve(config: RunConfig) -> tuple[dict, list[dict]]:
-    """Solve one configuration; returns the manifest and the per-run records."""
-    started = time.perf_counter()
+def _prepare(config: RunConfig) -> tuple[PauliSum, SubspaceBasis, np.ndarray | None]:
+    """Load and check the input, select the basis and compute the exact
+    reference; raises on a bad input or capacity before any file exists."""
     hamiltonian = _load_hamiltonian(config.input_path, config.fmt)
     if config.backend.kind == "sampled":
         # The sampler draws from a dense state over the target and ancilla wires.
@@ -281,7 +282,16 @@ def _run_solve(config: RunConfig) -> tuple[dict, list[dict]]:
         raise CapacityError(
             f"subspace size {basis.size} exceeds the dense limit {MAX_DENSE_DIMENSION}"
         )
-    exact_values = _exact_reference(hamiltonian, config.particle_number)
+    return hamiltonian, basis, _exact_reference(hamiltonian, config.particle_number)
+
+
+def _run_solve(
+    config: RunConfig, prepared: tuple[PauliSum, SubspaceBasis, np.ndarray | None] | None = None
+) -> tuple[dict, list[dict]]:
+    """Solve one configuration, prepared by :func:`_prepare` unless
+    ``prepared`` is given; returns the manifest and the per-run records."""
+    started = time.perf_counter()
+    hamiltonian, basis, exact_values = prepared if prepared is not None else _prepare(config)
     out_root = Path(config.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     records = []
@@ -361,17 +371,19 @@ def _cmd_scan(args) -> int:
     if not files:
         raise ValueError(f"no Hamiltonian files found in {args.input!r}")
     points = sorted((_distance_from_name(p.stem), p) for p in files)
-    # _run_solve creates the directory once a point passes its checks
     out_root = Path(args.out)
-    qubit_counts = set()
+    # Every point passes its checks before any is solved, so a bad point
+    # leaves no directory behind.
+    configs = [
+        replace(base, input_path=str(path), out_dir=str(out_root / path.stem)) for _, path in points
+    ]
+    prepared = [_prepare(config) for config in configs]
+    if len({hamiltonian.qubit_count for hamiltonian, _, _ in prepared}) > 1:
+        raise ValueError("inconsistent qubit counts across scan files")
     rows = []
     point_manifests = []
-    for distance, path in points:
-        config = replace(base, input_path=str(path), out_dir=str(out_root / path.stem))
-        manifest, records = _run_solve(config)
-        qubit_counts.add(manifest["qubit_count"])
-        if len(qubit_counts) > 1:
-            raise ValueError("inconsistent qubit counts across scan files")
+    for (distance, path), config, point in zip(points, configs, prepared):
+        _, records = _run_solve(config, point)
         # the first run's spectrum: spectrum.csv, or run_000/spectrum.csv with --repeats
         rows.append((distance, records[0]["eigenvalues"][: config.levels]))
         point_manifests.append({"distance": distance, "file": path.name, "directory": path.stem})

@@ -1,31 +1,41 @@
 """Assembly of the effective Hamiltonian from measured matrix elements.
 
-Diagonal entries come from plain basis preparation and Z-basis readout;
-off-diagonal entries come from the interference circuits in
-:mod:`heffsolve.circuits`.  Only strings containing X or Y are ever measured
-for off-diagonal entries (I/Z-only strings cannot connect two different
-basis states), and their own diagonal elements vanish identically, so the
-recovery reduces to
+Every measured entry is read the same way: a circuit from
+:mod:`heffsolve.circuits` plus the observable it reads, a list
+``[(coefficient, PauliString)]`` over the circuit's wires whose strings
+share one measurement basis.  There are three kinds:
+
+- diagonal ``<n|H|n>``: ``|n>`` prepared, reading ``sum_s w_s s`` over the
+  I/Z-only strings;
+- direct off-diagonal: one single-ancilla circuit per part (real,
+  imaginary), reading ``0.5 (s (x) I) + 0.5 (s (x) Z)`` per string;
+- indirect off-diagonal: one two-ancilla circuit per part and string,
+  reading ``0.25 (II + ZI + IZ + ZZ)`` on the ancillas.
+
+One routine, :func:`_read`, evaluates them; the backends differ only there.
+``exact`` takes the expectations from the sparse state of
+:func:`heffsolve.circuits.run_sparse`, at any register size; ``sampled``
+draws finite shots from a dense statevector in the shared basis, with
+optional readout noise and calibration-matrix mitigation.  ``oracle``
+measures nothing and evaluates every entry combinatorially.
+
+Only strings containing X or Y are ever measured for off-diagonal entries
+(I/Z-only strings cannot connect two different basis states), and their own
+diagonal elements vanish identically, so the recovery reduces to
 
     Re <n|H|n'> = 2 m_re            Im <n|H|n'> = -2 m_im      (direct)
     Re <n|h|n'> = 4 m_re - 1        Im <n|h|n'> = 1 - 4 m_im   (indirect, per string)
 
-where ``m`` is the measured ancilla-projector expectation of each circuit.
+where ``m`` is the measured expectation of each readout.
 
 A string ``h`` can contribute to ``<n|H|n'>`` only when it flips exactly
 ``n XOR n'`` (``h.x_mask == n.mask ^ n'.mask``), which is known classically.
 Each pair therefore measures only its connecting strings: the others would
 give exact zeros (``exact``) or zero-mean shot noise (``sampled``).  The
-direct style still runs and counts its two circuits (real and imaginary) for
-every pair, so its circuit count stays ``2 C(Ns, 2)``; ``string_executions``
-and shots count only the connecting strings.
-
-For a pair that no string connects, no circuit is simulated.
-
-Backends: ``oracle`` (combinatorial, no circuits), ``exact`` (expectations
-on the sparse state of :func:`heffsolve.circuits.run_sparse`, at any
-register size), ``sampled`` (finite shots drawn from a dense statevector,
-optional readout noise and calibration-matrix mitigation).
+direct style still counts its two circuits (real and imaginary) for every
+pair, so its circuit count stays ``2 C(Ns, 2)``; ``string_executions`` and
+shots count only the connecting strings.  For a pair that no string
+connects, no circuit is simulated.
 """
 
 from __future__ import annotations
@@ -174,14 +184,6 @@ class MeasurementEstimate:
     shots: int = 0
     circuits: int = 0
     executions: int = 0
-
-    @property
-    def variance_re(self) -> float:
-        return self.stderr_re * self.stderr_re
-
-    @property
-    def variance_im(self) -> float:
-        return self.stderr_im * self.stderr_im
 
 
 @dataclass(frozen=True, slots=True)
@@ -404,44 +406,70 @@ def _sampled_estimate(
     return _mean_and_variance(weights, pulled_back, backend.shots)
 
 
+def _read(
+    readouts: list[tuple[Circuit, list[tuple[float, PauliString]], tuple[int, ...]]],
+    backend: Backend,
+    calibration: CalibrationMatrix | None,
+) -> list[tuple[float, float]]:
+    """Mean and variance of each readout ``(circuit, observable, seed key)``.
+
+    The observable ``[(coefficient, string)]`` is over the circuit's wires,
+    all of them measured, and its strings share the X/Y sites of the first,
+    so one measurement basis reads them all.  Consecutive readouts of one
+    circuit object share its simulation.  ``exact`` takes ``sum c <P>`` from
+    the sparse state, with variance 0.  ``sampled`` rotates the dense state
+    into the shared basis and reduces one histogram, drawn from the seed the
+    key derives, over the values ``sum c (-1)**popcount(outcome & support)``.
+    """
+    results = []
+    circuit = state = None
+    for readout_circuit, observable, key in readouts:
+        if readout_circuit is not circuit:
+            circuit = readout_circuit
+            state = run_sparse(circuit) if backend.kind == "exact" else run_statevector(circuit)
+        if backend.kind == "exact":
+            results.append((sum(c * sparse_expectation(state, s) for c, s in observable), 0.0))
+            continue
+        wires = circuit.total_qubits
+        rotations = measurement_rotations(observable[0][1]) if observable else []
+        rotated = apply_circuit(state, Circuit(wires, rotations)) if rotations else state
+        probs = marginal_probabilities(rotated, wires, circuit.measured)
+        values = sum(
+            (c * parity_values(wires, s.x_mask | s.z_mask) for c, s in observable),
+            np.zeros(probs.shape[0]),
+        )
+        seed = derive_seed(backend.seed, *key)
+        results.append(
+            _sampled_estimate(probs, values, backend, seed, circuit.measured, calibration)
+        )
+    return results
+
+
 def measure_diagonal(
     hamiltonian: PauliSum,
     n: BasisState,
     backend: Backend,
     calibration: CalibrationMatrix | None = None,
-    seed: int | None = None,
 ) -> MeasurementEstimate:
     """Estimate ``<n|H|n>``.
 
     The classical path evaluates the sum combinatorially.  The circuit path
-    prepares ``|n>`` with X gates and reads every I/Z-only string from the
-    Z-basis histogram; strings containing X or Y have identically zero
-    diagonal elements and are skipped.
+    prepares ``|n>`` with X gates and reads the observable ``sum_s w_s s``
+    over the I/Z-only strings; strings containing X or Y have identically
+    zero diagonal elements and are skipped.
     """
     if not backend.measure_diagonals_with_circuits:
         value = sum_matrix_element(n, hamiltonian, n).real
         return MeasurementEstimate(complex(value))
     diagonal_part, _ = classify_terms(hamiltonian)
-    num = n.num_qubits
-    circuit = prepare_basis_circuit(n)
-    if backend.kind == "exact":
-        state = run_sparse(circuit)
-        value = sum(
-            w.real * sparse_expectation(state, s) for w, s in diagonal_part
-        )
-        return MeasurementEstimate(complex(value), circuits=1, executions=diagonal_part.num_terms)
-    # sampled: one Z-basis histogram serves every diagonal string
-    probs = marginal_probabilities(run_statevector(circuit), num, circuit.measured)
-    if seed is None:
-        seed = derive_seed(backend.seed, _TAG_DIAGONAL, n.mask)
-    values = np.zeros(probs.shape[0])
-    for w, s in diagonal_part:
-        values += w.real * parity_values(num, s.z_mask)
-    mean, var = _sampled_estimate(probs, values, backend, seed, circuit.measured, calibration)
+    observable = [(w.real, s) for w, s in diagonal_part]
+    [(mean, var)] = _read(
+        [(prepare_basis_circuit(n), observable, (_TAG_DIAGONAL, n.mask))], backend, calibration
+    )
     return MeasurementEstimate(
         complex(mean),
         stderr_re=math.sqrt(var),
-        shots=backend.shots,
+        shots=backend.shots if backend.kind == "sampled" else 0,
         circuits=1,
         executions=diagonal_part.num_terms,
     )
@@ -462,133 +490,11 @@ def _strings_by_flip(hamiltonian: PauliSum) -> dict[int, list[tuple[int, float, 
     return groups
 
 
-def _offdiagonal_direct(
-    connecting: list[tuple[int, float, PauliString]],
-    n: BasisState,
-    nprime: BasisState,
-    backend: Backend,
-    calibration: CalibrationMatrix | None,
-) -> tuple[complex, float, float, CircuitCounts]:
-    """Recovered ``<n|H_offdiag|n'>`` from the single-ancilla circuits.
-
-    Per part the circuit expectation is ``m = sum_s lambda_s q_s`` with
-    ``q_s = (<I (x) h_s> + <Z_anc (x) h_s>)/2``: ``exact`` reads it from the
-    sparse state, ``sampled`` from the rotated histogram as the
-    string-support parity gated on the ancilla reading 0.  The recovery is
-    ``Re = 2 m_re`` and ``Im = -2 m_im``.  ``connecting`` holds
-    ``(seed key, weight, string)`` of the strings that flip ``n XOR n'``;
-    when it is empty no circuit is built or simulated, but both are still
-    counted.
-    """
-    num = n.num_qubits
-    anc_bit = 1 << num
-    counts = CircuitCounts()
-    m_part = {"real": 0.0, "imag": 0.0}
-    var_part = {"real": 0.0, "imag": 0.0}
-    for part in ("real", "imag"):
-        if part == "real":
-            counts.offdiagonal_real += 1
-        else:
-            counts.offdiagonal_imag += 1
-        if not connecting:
-            continue
-        circuit = build_offdiagonal_circuit(n, nprime, part)
-        counts.string_executions += len(connecting)
-        if backend.kind == "exact":
-            state = run_sparse(circuit)
-            for _, w, s in connecting:
-                q = 0.5 * (
-                    sparse_expectation(state, PauliString(s.label + "I"))
-                    + sparse_expectation(state, PauliString(s.label + "Z"))
-                )
-                m_part[part] += w * q
-            continue
-        base_state = run_statevector(circuit)
-        for s_index, w, s in connecting:
-            rotated = apply_circuit(
-                base_state, Circuit(num + 1, measurement_rotations(s))
-            )
-            probs = marginal_probabilities(rotated, num + 1, circuit.measured)
-            seed = derive_seed(
-                backend.seed, _TAG_OFFDIAGONAL, n.mask, nprime.mask,
-                0 if part == "real" else 1, s_index,
-            )
-            support = sum(1 << q_idx for q_idx in s.support())
-            values = parity_values(num + 1, support)
-            idx = np.arange(values.shape[0])
-            values = values * ((idx & anc_bit) == 0)
-            q_mean, q_var = _sampled_estimate(
-                probs, values, backend, seed, circuit.measured, calibration
-            )
-            m_part[part] += w * q_mean
-            var_part[part] += (w ** 2) * q_var
-            counts.total_shots += backend.shots
-    value = complex(2.0 * m_part["real"], -2.0 * m_part["imag"])
-    return value, 4.0 * var_part["real"], 4.0 * var_part["imag"], counts
-
-
-def _offdiagonal_indirect(
-    connecting: list[tuple[int, float, PauliString]],
-    n: BasisState,
-    nprime: BasisState,
-    backend: Backend,
-    calibration: CalibrationMatrix | None,
-) -> tuple[complex, float, float, CircuitCounts]:
-    """Recovered ``<n|H_offdiag|n'>`` from the two-ancilla per-string circuits.
-
-    ``m_s`` is the probability that both ancillas read 0; since every
-    measured string flips bits its own diagonal elements vanish, leaving
-    ``Re_s = 4 m_s - 1`` on the real circuit and ``Im_s = 1 - 4 m_s`` on the
-    imaginary one.  Only the ``connecting`` strings get circuits.
-    """
-    num = n.num_qubits
-    ancilla_bits = (1 << num) | (1 << (num + 1))
-    counts = CircuitCounts()
-    totals = {"real": 0.0, "imag": 0.0}
-    variances = {"real": 0.0, "imag": 0.0}
-    for part in ("real", "imag"):
-        for s_index, w, s in connecting:
-            circuit = build_indirect_circuit(n, nprime, s, part)
-            if part == "real":
-                counts.offdiagonal_real += 1
-            else:
-                counts.offdiagonal_imag += 1
-            counts.string_executions += 1
-            if backend.kind == "exact":
-                m_s = sum(
-                    abs(amp) ** 2
-                    for index, amp in run_sparse(circuit).items()
-                    if not index & ancilla_bits
-                )
-                v_s = 0.0
-            else:
-                probs = marginal_probabilities(
-                    run_statevector(circuit), num + 2, circuit.measured
-                )
-                idx = np.arange(probs.shape[0])
-                values = ((idx & ancilla_bits) == 0).astype(float)
-                seed = derive_seed(
-                    backend.seed, _TAG_OFFDIAGONAL, n.mask, nprime.mask,
-                    2 if part == "real" else 3, s_index,
-                )
-                m_s, v_s = _sampled_estimate(
-                    probs, values, backend, seed, circuit.measured, calibration
-                )
-                counts.total_shots += backend.shots
-            recovered = 4.0 * m_s - 1.0
-            totals[part] += w * (recovered if part == "real" else -recovered)
-            variances[part] += (w ** 2) * 16.0 * v_s
-    value = complex(totals["real"], totals["imag"])
-    return value, variances["real"], variances["imag"], counts
-
-
 def measure_offdiagonal(
     hamiltonian: PauliSum,
     n: BasisState,
     nprime: BasisState,
     backend: Backend,
-    diag_n: MeasurementEstimate | float | None = None,
-    diag_nprime: MeasurementEstimate | float | None = None,
     calibration: CalibrationMatrix | None = None,
     strings_by_flip: dict[int, list[tuple[int, float, PauliString]]] | None = None,
     totals: CircuitCounts | None = None,
@@ -599,36 +505,69 @@ def measure_offdiagonal(
     measured; each keeps its index in the full off-diagonal list as its seed
     key, so its shot stream does not depend on which other strings exist.
     ``strings_by_flip`` is that grouping of ``hamiltonian``'s strings, built
-    here when not given.  Substituting the (identically zero) diagonal
-    elements of that operator into the recovery leaves ``Re = 2 m_re`` and
-    ``Im = -2 m_im``, so the diagonal estimates that circuit backends
-    require enter neither the value nor its standard errors, which propagate
-    the circuit variances alone.  When ``totals`` is given, this
-    measurement's circuits, settings and shots are added to it.
+    here when not given.  Per part (real, imaginary) and connecting string
+    ``s`` with weight ``w`` the readout ``m_s`` is:
+
+    - direct: ``<0.5 (s (x) I) + 0.5 (s (x) Z)>`` on the part's one
+      single-ancilla circuit; ``Re = 2 sum w m_s``, ``Im = -2 sum w m_s``;
+    - indirect: ``<0.25 (II + ZI + IZ + ZZ)>`` on the two ancillas of the
+      string's own circuit, the probability that both read 0;
+      ``Re = sum w (4 m_s - 1)``, ``Im = sum w (1 - 4 m_s)``.
+
+    The standard errors propagate the readout variances alone.  When
+    ``totals`` is given, this measurement's circuits, settings and shots
+    are added to it.
     """
     if n == nprime:
         raise ValueError("off-diagonal measurement needs two distinct states")
     if backend.kind == "oracle":
         return MeasurementEstimate(sum_matrix_element(n, hamiltonian, nprime))
-    if backend.uses_circuits and (diag_n is None or diag_nprime is None):
-        raise ValueError("circuit backends need both diagonal estimates")
     if strings_by_flip is None:
         strings_by_flip = _strings_by_flip(hamiltonian)
     if not strings_by_flip:
         return MeasurementEstimate(0j)
     connecting = strings_by_flip.get(n.mask ^ nprime.mask, [])
-    if backend.measurement_style == "direct":
-        value, var_re, var_im, counts = _offdiagonal_direct(
-            connecting, n, nprime, backend, calibration
-        )
-    else:
-        value, var_re, var_im, counts = _offdiagonal_indirect(
-            connecting, n, nprime, backend, calibration
-        )
+    direct = backend.measurement_style == "direct"
+    # the direct style runs one circuit per part, counted even when no string connects
+    circuits = 1 if direct else len(connecting)
+    counts = CircuitCounts(
+        offdiagonal_real=circuits,
+        offdiagonal_imag=circuits,
+        string_executions=2 * len(connecting),
+        total_shots=2 * len(connecting) * backend.shots if backend.kind == "sampled" else 0,
+    )
+    recovered = []
+    for index, (part, sign) in enumerate((("real", 1.0), ("imag", -1.0))):
+        if direct:
+            circuit = build_offdiagonal_circuit(n, nprime, part) if connecting else None
+            readouts = [
+                (circuit, [(0.5, PauliString(s.label + "I")), (0.5, PauliString(s.label + "Z"))],
+                 (_TAG_OFFDIAGONAL, n.mask, nprime.mask, index, k))
+                for k, _, s in connecting
+            ]
+        else:
+            ancillas_zero = [
+                (0.25, PauliString("I" * n.num_qubits + a)) for a in ("II", "ZI", "IZ", "ZZ")
+            ]
+            readouts = [
+                (build_indirect_circuit(n, nprime, s, part), ancillas_zero,
+                 (_TAG_OFFDIAGONAL, n.mask, nprime.mask, 2 + index, k))
+                for k, _, s in connecting
+            ]
+        total = var = 0.0
+        for (_, w, _), (m_s, v_s) in zip(connecting, _read(readouts, backend, calibration)):
+            if direct:
+                total += w * m_s
+                var += (w ** 2) * v_s
+            else:
+                total += w * (sign * (4.0 * m_s - 1.0))
+                var += (w ** 2) * 16.0 * v_s
+        recovered.append((2.0 * sign * total, 4.0 * var) if direct else (total, var))
+    (re, var_re), (im, var_im) = recovered
     if totals is not None:
         totals.add(counts)
     return MeasurementEstimate(
-        value,
+        complex(re, im),
         stderr_re=math.sqrt(var_re),
         stderr_im=math.sqrt(var_im),
         shots=counts.total_shots,
@@ -672,10 +611,8 @@ def build_effective_hamiltonian(
     matrix = np.zeros((size, size), dtype=complex)
     estimates: dict[tuple[int, int], MeasurementEstimate] = {}
     totals = CircuitCounts()
-    diagonals: list[MeasurementEstimate] = []
     for i, state in enumerate(states):
         est = measure_diagonal(hamiltonian, state, backend, calibration)
-        diagonals.append(est)
         estimates[(i, i)] = est
         matrix[i, i] = est.value.real
         totals.diagonal += est.circuits
@@ -685,8 +622,7 @@ def build_effective_hamiltonian(
     for i in range(size):
         for j in range(i + 1, size):
             est = measure_offdiagonal(
-                hamiltonian, states[i], states[j], backend,
-                diagonals[i], diagonals[j], calibration, strings_by_flip, totals,
+                hamiltonian, states[i], states[j], backend, calibration, strings_by_flip, totals
             )
             estimates[(i, j)] = est
             matrix[i, j] = est.value

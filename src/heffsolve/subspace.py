@@ -16,7 +16,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .pauli import BasisState, PauliSum, classify_terms, sum_matrix_element
+from .pauli import BasisState, PauliSum, classify_terms
 
 __all__ = [
     "ExhaustiveSearch",
@@ -99,15 +99,21 @@ class SubspaceBasis:
 
 
 def diagonal_energy(hamiltonian: PauliSum, state: BasisState) -> float:
-    return sum_matrix_element(state, hamiltonian, state).real
+    return _diagonal_energies(hamiltonian, [state])[0]
 
 
-def _diagonal_energies_batch(hamiltonian: PauliSum, masks: np.ndarray) -> np.ndarray:
+def _diagonal_energies(hamiltonian: PauliSum, states: Sequence[BasisState]) -> list[float]:
+    masks = np.fromiter((s.mask for s in states), dtype=np.int64, count=len(states))
+    return _diagonal_energies_batch(classify_terms(hamiltonian)[0], masks).tolist()
+
+
+def _diagonal_energies_batch(diagonal_part: PauliSum, masks: np.ndarray) -> np.ndarray:
     """Vectorized ``<n|H|n>`` over an array of occupation masks.
 
-    Only I/Z-only strings contribute; each adds ``w * (-1)**popcount(n & z)``.
+    ``diagonal_part`` holds the I/Z-only strings of ``H`` (the first part of
+    :func:`classify_terms`), the only ones with diagonal elements; each adds
+    ``w * (-1)**popcount(n & z)``.
     """
-    diagonal_part, _ = classify_terms(hamiltonian)
     masks = masks.astype(np.uint64)
     energies = np.zeros(masks.shape[0])
     for w, s in diagonal_part:
@@ -137,7 +143,7 @@ def find_reference(
         raise ValueError(f"particle number {particle_number} must be strictly between 0 and {num}")
     if isinstance(strategy, ExhaustiveSearch):
         masks = np.fromiter(_sector_masks(num, particle_number), dtype=np.int64)
-        energies = _diagonal_energies_batch(hamiltonian, masks)
+        energies = _diagonal_energies_batch(classify_terms(hamiltonian)[0], masks)
         tied = masks[energies == energies.min()]
         return min((BasisState.from_mask(int(m), num) for m in tied), key=lambda s: s.bits)
     return _anneal_reference(hamiltonian, particle_number, strategy)
@@ -147,6 +153,7 @@ def _anneal_reference(
     hamiltonian: PauliSum, particle_number: int, strategy: MonteCarloSearch
 ) -> BasisState:
     num = hamiltonian.qubit_count
+    diagonal_part, _ = classify_terms(hamiltonian)
     rng = np.random.Generator(np.random.Philox(strategy.seed))
     occupied = list(rng.choice(num, size=particle_number, replace=False))
     unoccupied = [i for i in range(num) if i not in occupied]
@@ -159,18 +166,18 @@ def _anneal_reference(
         probe = np.empty(100, dtype=np.int64)
         for k in range(100):
             probe[k] = mask_of(rng.choice(num, size=particle_number, replace=False))
-        temperature = float(np.std(_diagonal_energies_batch(hamiltonian, probe)))
+        temperature = float(np.std(_diagonal_energies_batch(diagonal_part, probe)))
     if temperature <= 0.0:
         temperature = 1.0
 
     current_mask = mask_of(occupied)
-    current = float(_diagonal_energies_batch(hamiltonian, np.array([current_mask]))[0])
+    current = float(_diagonal_energies_batch(diagonal_part, np.array([current_mask]))[0])
     best_state, best = BasisState.from_mask(current_mask, num), current
     for _ in range(strategy.steps):
         i = int(rng.integers(len(occupied)))
         j = int(rng.integers(len(unoccupied)))
         proposal_mask = current_mask ^ (1 << occupied[i]) ^ (1 << unoccupied[j])
-        proposal = float(_diagonal_energies_batch(hamiltonian, np.array([proposal_mask]))[0])
+        proposal = float(_diagonal_energies_batch(diagonal_part, np.array([proposal_mask]))[0])
         delta = proposal - current
         if delta <= 0.0 or (temperature > 0.0 and rng.random() < np.exp(-delta / temperature)):
             occupied[i], unoccupied[j] = unoccupied[j], occupied[i]
@@ -221,8 +228,7 @@ def build_subspace(hamiltonian: PauliSum, spec: SubspaceSpec) -> SubspaceBasis:
     candidates: list[BasisState] = []
     for order in range(spec.max_excitation_order + 1):
         candidates.extend(enumerate_excitations(reference, order))
-    masks = np.fromiter((s.mask for s in candidates), dtype=np.int64)
-    energies = _diagonal_energies_batch(hamiltonian, masks)
+    energies = _diagonal_energies(hamiltonian, candidates)
     order_keys = sorted(
         range(1, len(candidates)),
         key=lambda k: (energies[k], candidates[k].bits),
@@ -239,7 +245,7 @@ def build_subspace(hamiltonian: PauliSum, spec: SubspaceSpec) -> SubspaceBasis:
     return SubspaceBasis(
         reference,
         tuple(candidates[k] for k in ordered),
-        tuple(float(energies[k]) for k in ordered),
+        tuple(energies[k] for k in ordered),
     )
 
 
@@ -279,5 +285,4 @@ def load_states(path_or_file: str | TextIO) -> list[BasisState]:
 
 def basis_from_states(hamiltonian: PauliSum, states: Sequence[BasisState]) -> SubspaceBasis:
     """Rebuild a SubspaceBasis (reference = first line) with fresh energies."""
-    energies = tuple(diagonal_energy(hamiltonian, s) for s in states)
-    return SubspaceBasis(states[0], tuple(states), energies)
+    return SubspaceBasis(states[0], tuple(states), tuple(_diagonal_energies(hamiltonian, states)))

@@ -15,7 +15,6 @@ from heffsolve.circuits import ReadoutNoise, outcome_distribution, prepare_basis
 from heffsolve.cli import main
 from heffsolve.estimator import (
     Backend,
-    MeasurementEstimate,
     _mitigate_probabilities,
     build_calibration,
     build_effective_hamiltonian,
@@ -158,11 +157,10 @@ def test_criterion_5_shot_statistics():
         sum(w * string_matrix_element(n, s, nprime) for w, s in hamiltonian)
     )
     assert abs(oracle.imag) > 0.05  # the study exercises both components
-    zero = MeasurementEstimate(0j)
 
     def estimate(seed: int, shots: int):
         backend = Backend.sampled(shots=shots, seed=seed)
-        return measure_offdiagonal(hamiltonian, n, nprime, backend, zero, zero)
+        return measure_offdiagonal(hamiltonian, n, nprime, backend)
 
     trials = 1000
     within = 0

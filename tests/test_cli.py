@@ -433,6 +433,19 @@ class TestScan:
         assert capsys.readouterr().err.startswith("capacity error:")
         assert not out.exists()
 
+    def test_failing_later_point_leaves_no_output_directory(self, tmp_path, h2_path, capsys):
+        src = tmp_path / "points"
+        src.mkdir()
+        (src / "p_0.5.ferm").write_text(Path(h2_path).read_text())
+        (src / "p_0.9.ferm").write_text(WIDE_FERMION)
+        out = tmp_path / "out"
+        assert main(
+            ["scan", str(src), "--out", str(out), "--nf", "2", "--backend", "sampled",
+             "--shots", "200"]
+        ) == 3
+        assert capsys.readouterr().err.startswith("capacity error:")
+        assert not out.exists()
+
     def test_unparseable_name_is_input_error(self, tmp_path, h2_path):
         src = tmp_path / "names"
         src.mkdir()

@@ -12,7 +12,6 @@ from heffsolve.circuits import ReadoutNoise
 from heffsolve.estimator import (
     Backend,
     CalibrationMatrix,
-    MeasurementEstimate,
     build_calibration,
     build_effective_hamiltonian,
     heff_matrix_from_dict,
@@ -188,17 +187,12 @@ class TestMeasureDiagonal:
 class TestMeasureOffdiagonal:
     def test_matches_oracle_on_all_pairs(self, rng):
         hamiltonian = random_conserving_hamiltonian(rng, 4)
-        diag = {
-            s.bits: measure_diagonal(hamiltonian, s, Backend.oracle()) for s in SECTOR_BASES
-        }
         for style in ("direct", "indirect"):
             backend = Backend.exact(style=style)
             for i in range(6):
                 for j in range(i + 1, 6):
                     n, nprime = SECTOR_BASES[i], SECTOR_BASES[j]
-                    estimate = measure_offdiagonal(
-                        hamiltonian, n, nprime, backend, diag[n.bits], diag[nprime.bits]
-                    )
+                    estimate = measure_offdiagonal(hamiltonian, n, nprime, backend)
                     oracle = sum_matrix_element(n, hamiltonian, nprime)
                     assert estimate.value == pytest.approx(oracle, abs=1e-10)
 
@@ -206,15 +200,13 @@ class TestMeasureOffdiagonal:
         hamiltonian = random_conserving_hamiltonian(rng, 4)
         n, nprime = BasisState("1100"), BasisState("1110")
         backend = Backend.exact()
-        zero = MeasurementEstimate(0j)
-        estimate = measure_offdiagonal(hamiltonian, n, nprime, backend, zero, zero)
+        estimate = measure_offdiagonal(hamiltonian, n, nprime, backend)
         assert abs(estimate.value) < 1e-10
 
     def test_lone_string_pair(self):
         hamiltonian = PauliSum.from_label_weights([(1.0, "YXXY")])
-        zero = MeasurementEstimate(0j)
         estimate = measure_offdiagonal(
-            hamiltonian, BasisState("0110"), BasisState("1001"), Backend.exact(), zero, zero
+            hamiltonian, BasisState("0110"), BasisState("1001"), Backend.exact()
         )
         assert estimate.value == pytest.approx(-1.0 + 0j, abs=1e-12)
 
@@ -225,26 +217,52 @@ class TestMeasureOffdiagonal:
                 hamiltonian, BasisState("0110"), BasisState("0110"), Backend.oracle()
             )
 
-    def test_requires_diagonals_for_circuits(self):
-        hamiltonian = PauliSum.from_label_weights([(1.0, "YXXY")])
-        with pytest.raises(ValueError, match="diagonal"):
-            measure_offdiagonal(
-                hamiltonian, BasisState("0110"), BasisState("1001"), Backend.exact()
-            )
-
     def test_diagonal_variances_do_not_enter(self):
         # Re = 2 m_re and Im = -2 m_im use no diagonal estimate, so neither
         # does their standard error.
         hamiltonian = PauliSum.from_label_weights([(1.0, "YXXY")])
         n, nprime = BasisState("0110"), BasisState("1001")
-        noisy_diag = MeasurementEstimate(0j, stderr_re=0.1)
-        zero = MeasurementEstimate(0j)
-        exact = measure_offdiagonal(hamiltonian, n, nprime, Backend.exact(), noisy_diag, noisy_diag)
+        exact = measure_offdiagonal(hamiltonian, n, nprime, Backend.exact())
         assert exact.stderr_re == 0.0 and exact.stderr_im == 0.0
-        backend = Backend.sampled(shots=500, seed=4)
-        noisy = measure_offdiagonal(hamiltonian, n, nprime, backend, noisy_diag, noisy_diag)
-        clean = measure_offdiagonal(hamiltonian, n, nprime, backend, zero, zero)
-        assert noisy == clean
+
+
+class TestReadouts:
+    """``exact`` and ``sampled`` evaluate the same observable of each readout."""
+
+    HAMILTONIAN = PauliSum.from_label_weights([
+        (0.4, "IIII"), (-0.7, "ZIII"), (0.3, "IZZI"), (0.5, "ZIIZ"),
+        (0.6, "XYII"), (-0.45, "YXZI"), (0.25, "XXII"), (0.35, "YYZZ"),
+    ])
+
+    @pytest.mark.parametrize("kind", ["diagonal", "direct", "indirect"])
+    def test_sampled_infinite_shot_mean_equals_exact(self, monkeypatch, kind):
+        # The sampler's histogram is replaced by its infinite-shot mean, the
+        # outcome distribution dotted with the per-outcome values.
+        read = heffsolve.estimator._read
+        means = {"exact": [], "sampled": []}
+
+        def recording(readouts, backend, calibration):
+            results = read(readouts, backend, calibration)
+            means[backend.kind].extend(mean for mean, _ in results)
+            return results
+
+        monkeypatch.setattr(heffsolve.estimator, "_read", recording)
+        monkeypatch.setattr(
+            heffsolve.estimator, "_sampled_estimate",
+            lambda probs, values, *args: (float(probs @ values), 0.0),
+        )
+        n, nprime = BasisState("1101"), BasisState("0001")
+        for backend in (Backend.exact, Backend.sampled):
+            if kind == "diagonal":
+                measure_diagonal(
+                    self.HAMILTONIAN, n, backend(measure_diagonals_with_circuits=True)
+                )
+            else:
+                measure_offdiagonal(self.HAMILTONIAN, n, nprime, backend(style=kind))
+        # one readout per diagonal, one per part and connecting string otherwise
+        assert len(means["exact"]) == (1 if kind == "diagonal" else 8)
+        assert np.allclose(means["sampled"], means["exact"], rtol=0.0, atol=1e-12)
+        assert any(abs(m) > 0.1 for m in means["exact"])
 
 
 class TestBuildEffectiveHamiltonian:
@@ -486,13 +504,10 @@ class TestMitigatedCoverage:
         exact = sum_matrix_element(n, hamiltonian, nprime)
         noise = ReadoutNoise(0.03, 0.03)
         calibration = build_calibration(noise, None, 0, hamiltonian.qubit_count + 2)
-        unused = MeasurementEstimate(0j)  # diagonal estimates do not enter the recovery
         z_re, z_im = [], []
         for seed in range(200):
             backend = Backend.sampled(2000, seed, style, noise=noise, mitigation=True)
-            est = measure_offdiagonal(
-                hamiltonian, n, nprime, backend, unused, unused, calibration
-            )
+            est = measure_offdiagonal(hamiltonian, n, nprime, backend, calibration)
             z_re.append((est.value.real - exact.real) / est.stderr_re)
             z_im.append((est.value.imag - exact.imag) / est.stderr_im)
         for z in (z_re, z_im):
@@ -614,7 +629,6 @@ class TestScreening:
             monkeypatch.setattr(heffsolve.estimator, name, refused)
         noise = ReadoutNoise(0.03, 0.03)
         calibration = build_calibration(noise, None, 0, 6)
-        diagonal = MeasurementEstimate(0.5 + 0j, stderr_re=0.02, shots=1000, circuits=1)
         for style, circuits in (("direct", 2), ("indirect", 0)):
             for backend in (
                 Backend.exact(style),
@@ -623,9 +637,7 @@ class TestScreening:
                     measure_diagonals_with_circuits=True,
                 ),
             ):
-                estimate = measure_offdiagonal(
-                    hamiltonian, n, nprime, backend, diagonal, diagonal, calibration
-                )
+                estimate = measure_offdiagonal(hamiltonian, n, nprime, backend, calibration)
                 assert estimate.value == 0
                 assert (estimate.shots, estimate.stderr_re, estimate.stderr_im) == (0, 0.0, 0.0)
                 assert estimate.circuits == circuits
@@ -649,12 +661,11 @@ class TestScreening:
         padded = PauliSum(hamiltonian.terms + tuple(extra), hamiltonian.qubit_count)
         noise = ReadoutNoise(0.02, 0.02)
         calibration = build_calibration(noise, 2000, 5, 6)
-        zero = MeasurementEstimate(0j)
         for style in ("direct", "indirect"):
             for extra_kw in ({}, {"noise": noise, "mitigation": True}):
                 backend = Backend.sampled(shots=2000, seed=5, style=style, **extra_kw)
                 before, after = (
-                    measure_offdiagonal(h, n, nprime, backend, zero, zero, calibration)
+                    measure_offdiagonal(h, n, nprime, backend, calibration)
                     for h in (hamiltonian, padded)
                 )
                 assert before == after
