@@ -72,6 +72,7 @@ from .pauli import (
     PauliString,
     PauliSum,
     classify_terms,
+    flip_groups,
     project,
     sum_matrix_element,
 )
@@ -475,28 +476,13 @@ def measure_diagonal(
     )
 
 
-def _strings_by_flip(hamiltonian: PauliSum) -> dict[int, list[tuple[int, float, PauliString]]]:
-    """Off-diagonal strings grouped by the bits they flip.
-
-    Each entry is ``(k, weight, string)``, ``k`` being the string's index in
-    the full off-diagonal list: it is the string's seed key, so its shot
-    stream does not depend on which other strings exist.  The dict is empty
-    when the Hamiltonian has no off-diagonal string.
-    """
-    _, offdiag = classify_terms(hamiltonian)
-    groups: dict[int, list[tuple[int, float, PauliString]]] = {}
-    for k, (w, s) in enumerate(offdiag.terms):
-        groups.setdefault(s.x_mask, []).append((k, w.real, s))
-    return groups
-
-
 def measure_offdiagonal(
     hamiltonian: PauliSum,
     n: BasisState,
     nprime: BasisState,
     backend: Backend,
     calibration: CalibrationMatrix | None = None,
-    strings_by_flip: dict[int, list[tuple[int, float, PauliString]]] | None = None,
+    strings_by_flip: dict[int, list[tuple[int, complex, PauliString]]] | None = None,
     totals: CircuitCounts | None = None,
 ) -> MeasurementEstimate:
     """Estimate the complex element ``<n|H|n'>`` for ``n != n'``.
@@ -504,9 +490,10 @@ def measure_offdiagonal(
     Only the off-diagonal strings that flip exactly ``n XOR n'`` are
     measured; each keeps its index in the full off-diagonal list as its seed
     key, so its shot stream does not depend on which other strings exist.
-    ``strings_by_flip`` is that grouping of ``hamiltonian``'s strings, built
-    here when not given.  Per part (real, imaginary) and connecting string
-    ``s`` with weight ``w`` the readout ``m_s`` is:
+    ``strings_by_flip`` is that grouping, :func:`~heffsolve.pauli.flip_groups`
+    of ``hamiltonian``'s off-diagonal part, built here when not given.  Per
+    part (real, imaginary) and connecting string ``s`` with weight ``w`` the
+    readout ``m_s`` is:
 
     - direct: ``<0.5 (s (x) I) + 0.5 (s (x) Z)>`` on the part's one
       single-ancilla circuit; ``Re = 2 sum w m_s``, ``Im = -2 sum w m_s``;
@@ -523,9 +510,7 @@ def measure_offdiagonal(
     if backend.kind == "oracle":
         return MeasurementEstimate(sum_matrix_element(n, hamiltonian, nprime))
     if strings_by_flip is None:
-        strings_by_flip = _strings_by_flip(hamiltonian)
-    if not strings_by_flip:
-        return MeasurementEstimate(0j)
+        strings_by_flip = flip_groups(classify_terms(hamiltonian)[1])
     connecting = strings_by_flip.get(n.mask ^ nprime.mask, [])
     direct = backend.measurement_style == "direct"
     # the direct style runs one circuit per part, counted even when no string connects
@@ -556,6 +541,7 @@ def measure_offdiagonal(
             ]
         total = var = 0.0
         for (_, w, _), (m_s, v_s) in zip(connecting, _read(readouts, backend, calibration)):
+            w = w.real
             if direct:
                 total += w * m_s
                 var += (w ** 2) * v_s
@@ -593,9 +579,9 @@ def build_effective_hamiltonian(
     states = basis.states
     size = len(states)
     if not backend.uses_circuits:
-        matrix = project(hamiltonian, states)
-        # Mirror the upper triangle as the measured path does, so that even
+        # Complex before the mirror, as on the measured path, so that even
         # the signs of zeros match it.
+        matrix = project(hamiltonian, states).astype(complex, copy=False)
         lower = np.tril_indices(size, -1)
         matrix[lower] = matrix.T[lower].conj()
         matrix = 0.5 * (matrix + matrix.conj().T)
@@ -618,7 +604,7 @@ def build_effective_hamiltonian(
         totals.diagonal += est.circuits
         totals.string_executions += est.executions
         totals.total_shots += est.shots
-    strings_by_flip = _strings_by_flip(hamiltonian)
+    strings_by_flip = flip_groups(classify_terms(hamiltonian)[1])
     for i in range(size):
         for j in range(i + 1, size):
             est = measure_offdiagonal(
@@ -670,16 +656,19 @@ def heff_to_dict(heff: EffectiveHamiltonian) -> dict:
 
 def _matrix_json(matrix: np.ndarray) -> str:
     """``json.dumps(np.stack([matrix.real, matrix.imag], -1).tolist())``, at a
-    cost that grows with the cells that are not ``+0.0`` in both parts."""
+    cost that grows with the cells that are not ``+0.0`` in both parts: a
+    finite cell prints with ``float.__repr__``, as ``json`` does."""
     rows, cols = matrix.shape
     re, im = matrix.real, matrix.imag
     # -0.0 == 0, so the sign bit tells a signed zero from the constant cell
     kept = (re != 0) | (im != 0) | np.signbit(re) | np.signbit(im)
     zero_cells = ["[0.0, 0.0]"] * cols
     row_cells: dict[int, list[str]] = {}
-    values = np.stack([re[kept], im[kept]], -1).tolist()
-    for i, j, value in zip(*(index.tolist() for index in np.nonzero(kept)), values):
-        row_cells.setdefault(i, zero_cells.copy())[j] = json.dumps(value)
+    values = re[kept], im[kept]
+    finite = np.isfinite(values[0]) & np.isfinite(values[1])
+    for i, j, x, y, plain in zip(*(a.tolist() for a in (*np.nonzero(kept), *values, finite))):
+        cell = f"[{x!r}, {y!r}]" if plain else json.dumps([x, y])
+        row_cells.setdefault(i, zero_cells.copy())[j] = cell
     zero_row = "[" + ", ".join(zero_cells) + "]"
     return "[" + ", ".join(
         "[" + ", ".join(row_cells[i]) + "]" if i in row_cells else zero_row for i in range(rows)

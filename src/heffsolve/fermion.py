@@ -19,7 +19,7 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from .pauli import BasisState, PauliString, PauliSum, apply_string
+from .pauli import WEIGHT_TOLERANCE, PauliString, PauliSum, flip_groups, multiply_masks
 
 __all__ = [
     "FermionTerm",
@@ -95,21 +95,41 @@ def jw_ladder(mode: int, dagger: bool, qubit_count: int) -> PauliSum:
 def jw_transform(hamiltonian: FermionHamiltonian, hermitian_tol: float = 1e-10) -> PauliSum:
     """Map a fermionic Hamiltonian to a Pauli sum via Jordan-Wigner.
 
-    Each term is mapped factor-by-factor and multiplied out exactly; duplicate
-    strings merge and near-zero weights are pruned.  The constant becomes the
-    identity-string weight.  For a Hermitian input the resulting weights are
-    real; residual imaginary parts above ``hermitian_tol`` raise ValueError.
+    Each term is mapped factor-by-factor and multiplied out exactly on the
+    strings' bit masks; duplicate strings merge and near-zero weights are
+    pruned after every factor.  The terms accumulate into one sum in order
+    of first appearance, dropping after each term the strings it brought to
+    ``WEIGHT_TOLERANCE`` or below (one that reappears goes last).  The
+    constant becomes the identity-string weight.  For a Hermitian input the
+    resulting weights are real; residual imaginary parts above
+    ``hermitian_tol`` raise ValueError.
     """
     n = hamiltonian.mode_count
-    total = PauliSum.zero(n)
-    for term in hamiltonian.terms:
-        mapped = PauliSum([(term.coefficient, PauliString.identity(n))], n)
-        for mode, dagger in term.factors:
-            mapped = mapped * jw_ladder(mode, dagger, n)
-        total = total + mapped
-    if hamiltonian.constant:
-        total = total + PauliSum([(hamiltonian.constant, PauliString.identity(n))], n)
-    return total.real_weights(tol=hermitian_tol)
+    ladders: dict[tuple[int, bool], list[tuple[complex, int, int]]] = {}
+    total: dict[tuple[int, int], complex] = {}
+    constant = [(hamiltonian.constant, ())] if hamiltonian.constant else []
+    for coefficient, factors in [(t.coefficient, t.factors) for t in hamiltonian.terms] + constant:
+        mapped = _pruned({(0, 0): 0 + complex(coefficient)})
+        for factor in factors:
+            if factor not in ladders:
+                ladders[factor] = [(w, s.x_mask, s.z_mask) for w, s in jw_ladder(*factor, n)]
+            products: dict[tuple[int, int], complex] = {}
+            for (xa, za), wa in mapped.items():
+                for wb, xb, zb in ladders[factor]:
+                    phase, x, z = multiply_masks(xa, za, xb, zb)
+                    products[x, z] = products.get((x, z), 0) + wa * wb * phase
+            mapped = _pruned(products)
+        for key, w in mapped.items():
+            total[key] = total.get(key, 0) + w
+        for key in mapped:
+            if abs(total[key]) <= WEIGHT_TOLERANCE:
+                del total[key]
+    terms = [(w, PauliString.from_masks(x, z, n)) for (x, z), w in total.items()]
+    return PauliSum(terms, n, normalize=False).real_weights(tol=hermitian_tol)
+
+
+def _pruned(weights: dict[tuple[int, int], complex]) -> dict[tuple[int, int], complex]:
+    return {key: w for key, w in weights.items() if abs(w) > WEIGHT_TOLERANCE}
 
 
 def check_particle_conservation(
@@ -117,25 +137,22 @@ def check_particle_conservation(
 ) -> bool:
     """Check that ``<m|H|n> = 0`` whenever m and n have different popcounts.
 
-    For each sampled basis state the full column ``H|n>`` is accumulated term
-    by term, so any string that changes the particle number and survives
-    cancellation is caught exactly.
+    For each sampled basis state ``n``, every flip group that changes its
+    popcount gives one entry of ``H|n>``, summed over the group's strings, so
+    any string that changes the particle number and survives cancellation is
+    caught exactly.
     """
     n_qubits = hamiltonian.qubit_count
-    if not hamiltonian.terms:
-        return True
     rng = np.random.default_rng(seed)
     samples = {0, (1 << n_qubits) - 1}
     samples.update(int(v) for v in rng.integers(0, 1 << n_qubits, size=trials))
+    groups = flip_groups(hamiltonian)
     for mask in samples:
-        state = BasisState.from_mask(mask, n_qubits)
-        column: dict[int, complex] = {}
-        for weight, string in hamiltonian.terms:
-            phase, image = apply_string(string, state)
-            column[image.mask] = column.get(image.mask, 0) + weight * phase
-        popcount = state.particle_number
-        for image_mask, amplitude in column.items():
-            if bin(image_mask).count("1") != popcount and abs(amplitude) > tol:
+        for x_mask, group in groups.items():
+            if (mask ^ x_mask).bit_count() != mask.bit_count() and abs(sum(
+                w * (-1) ** (mask & s.z_mask).bit_count() * 1j ** (s.y_count % 4)
+                for _, w, s in group
+            )) > tol:
                 return False
     return True
 

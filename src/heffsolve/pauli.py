@@ -24,11 +24,14 @@ __all__ = [
     "PauliSum",
     "BasisState",
     "multiply_ops",
+    "multiply_masks",
     "multiply_strings",
     "apply_string",
     "string_matrix_element",
     "sum_matrix_element",
+    "flip_groups",
     "project",
+    "project_masks",
     "classify_terms",
     "load_pauli_sum",
     "save_pauli_sum",
@@ -52,19 +55,23 @@ class PauliOp(enum.Enum):
         return self.value
 
 
-# Single-qubit products a*b -> (phase, result); closed up to {1, -1, i, -i}.
-_OP_PRODUCT: dict[tuple[str, str], tuple[complex, str]] = {
-    ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
-    ("X", "I"): (1, "X"), ("X", "X"): (1, "I"), ("X", "Y"): (1j, "Z"), ("X", "Z"): (-1j, "Y"),
-    ("Y", "I"): (1, "Y"), ("Y", "X"): (-1j, "Z"), ("Y", "Y"): (1, "I"), ("Y", "Z"): (1j, "X"),
-    ("Z", "I"): (1, "Z"), ("Z", "X"): (1j, "Y"), ("Z", "Y"): (-1j, "X"), ("Z", "Z"): (1, "I"),
-}
+# i**k for k mod 4, the phase of a product of strings.
+_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
+
+
+def multiply_masks(xa: int, za: int, xb: int, zb: int) -> tuple[complex, int, int]:
+    """``(phase, x_mask, z_mask)`` of the product of strings ``(xa, za)`` and
+    ``(xb, zb)``.  A string is ``i**popcount(x & z) X^x Z^z`` (``Y = iXZ``),
+    and moving ``Z^za`` past ``X^xb`` costs ``(-1)**popcount(za & xb)``."""
+    x, z = xa ^ xb, za ^ zb
+    k = (xa & za).bit_count() + (xb & zb).bit_count() - (x & z).bit_count()
+    return _PHASES[(k + 2 * (za & xb).bit_count()) % 4], x, z
 
 
 def multiply_ops(a: PauliOp, b: PauliOp) -> tuple[complex, PauliOp]:
     """Multiply two single-qubit Paulis, returning (phase, product)."""
-    phase, op = _OP_PRODUCT[(a.value, b.value)]
-    return phase, PauliOp(op)
+    phase, product = multiply_strings(PauliString(a.value), PauliString(b.value))
+    return phase, PauliOp(product.label)
 
 
 class PauliString:
@@ -81,23 +88,19 @@ class PauliString:
         bad = set(label) - set("IXYZ")
         if bad:
             raise ValueError(f"invalid Pauli characters {sorted(bad)} in {label!r}")
-        x = z = 0
-        y_count = 0
-        for i, c in enumerate(label):
-            if c in "XY":
-                x |= 1 << i
-            if c in "ZY":
-                z |= 1 << i
-            if c == "Y":
-                y_count += 1
         self.label = label
-        self.x_mask = x
-        self.z_mask = z
-        self.y_count = y_count
+        self.x_mask = sum(1 << i for i, c in enumerate(label) if c in "XY")
+        self.z_mask = sum(1 << i for i, c in enumerate(label) if c in "ZY")
+        self.y_count = label.count("Y")
 
     @classmethod
     def from_ops(cls, ops: Sequence[PauliOp]) -> "PauliString":
         return cls("".join(op.value for op in ops))
+
+    @classmethod
+    def from_masks(cls, x_mask: int, z_mask: int, num_qubits: int) -> "PauliString":
+        chars = ("IXZY"[(x_mask >> i & 1) | (z_mask >> i & 1) << 1] for i in range(num_qubits))
+        return cls("".join(chars))
 
     @classmethod
     def identity(cls, num_qubits: int) -> "PauliString":
@@ -312,13 +315,8 @@ def multiply_strings(a: PauliString, b: PauliString) -> tuple[complex, PauliStri
     The phase is always one of {1, -1, i, -i}.
     """
     _require_equal_length(a.num_qubits, b.num_qubits)
-    phase: complex = 1
-    chars = []
-    for ca, cb in zip(a.label, b.label):
-        p, c = _OP_PRODUCT[(ca, cb)]
-        phase *= p
-        chars.append(c)
-    return phase, PauliString("".join(chars))
+    phase, x, z = multiply_masks(a.x_mask, a.z_mask, b.x_mask, b.z_mask)
+    return phase, PauliString.from_masks(x, z, a.num_qubits)
 
 
 def apply_string(h: PauliString, n: BasisState) -> tuple[complex, BasisState]:
@@ -361,34 +359,57 @@ def sum_matrix_element(m: BasisState, hamiltonian: PauliSum, n: BasisState) -> c
     return total
 
 
-def project(hamiltonian: PauliSum, states: Sequence[BasisState]) -> np.ndarray:
-    """Dense projection ``M[r, c] = <states[r]|H|states[c]>``, string by string.
+def flip_groups(hamiltonian: PauliSum) -> dict[int, list[tuple[int, complex, PauliString]]]:
+    """The terms grouped by the bits their strings flip: ``x_mask -> [(k,
+    weight, string)]``, ``k`` being the term's index, in term order."""
+    groups: dict[int, list[tuple[int, complex, PauliString]]] = {}
+    for k, (w, s) in enumerate(hamiltonian.terms):
+        groups.setdefault(s.x_mask, []).append((k, w, s))
+    return groups
 
-    Each Pauli string maps a basis state to exactly one image state, so one
-    vectorized pass per string over the ``uint64`` mask array of the
-    (distinct) states does the work: the images are ``masks ^ x_mask``, a
-    ``searchsorted`` over the sorted masks finds their rows, and the signs are
-    the parities of ``masks & z_mask``.  The assembly is O(terms * len(states))
-    rather than the O(terms * len(states)**2) of one
-    :func:`sum_matrix_element` per pair, and accumulates each entry in the
-    same term order, so both give the same bits.
-    """
+
+def project(hamiltonian: PauliSum, states: Sequence[BasisState]) -> np.ndarray:
+    """:func:`project_masks` on the masks of ``states``."""
     for state in states:
         _require_equal_length(hamiltonian.qubit_count, state.num_qubits)
-    size = len(states)
-    masks = np.array([s.mask for s in states], dtype=np.uint64)
+    return project_masks(hamiltonian, np.array([s.mask for s in states], dtype=np.uint64))
+
+
+def project_masks(hamiltonian: PauliSum, masks: np.ndarray) -> np.ndarray:
+    """Dense projection ``M[r, c] = <masks[r]|H|masks[c]>`` over distinct
+    ``uint64`` occupation masks, one flip group (:func:`flip_groups`) at a time.
+
+    A group's strings all map ``masks`` to ``masks ^ x_mask``, so one
+    ``searchsorted`` over the sorted masks finds the cells it reaches, which
+    no other group reaches.  Each string adds ``w * i**y_count`` times the
+    parity sign of ``masks & z_mask`` there, real and imaginary parts apart,
+    in term order from ``+0.0``: the bits of one :func:`sum_matrix_element`
+    per pair.  The result is complex only if some ``w * i**y_count`` is.
+    """
+    size = len(masks)
     order = np.argsort(masks)
     sorted_masks = masks[order]
     if np.any(sorted_masks[1:] == sorted_masks[:-1]):
         raise ValueError("project needs distinct states")
-    matrix = np.zeros((size, size), dtype=complex)
-    for w, s in hamiltonian:
-        images = masks ^ np.uint64(s.x_mask)
+    is_complex = any((w * 1j ** (s.y_count % 4)).imag for w, s in hamiltonian)
+    matrix = np.zeros((size, size), dtype=complex if is_complex else float)
+    cells_of = matrix.reshape(-1)
+    for x_mask, group in flip_groups(hamiltonian).items():
+        images = masks ^ np.uint64(x_mask)
         slots = np.minimum(np.searchsorted(sorted_masks, images), size - 1)
-        hit = sorted_masks[slots] == images
-        cols = np.flatnonzero(hit)
-        parity = np.bitwise_count(masks[cols] & np.uint64(s.z_mask)) & np.uint8(1)
-        matrix[order[slots[hit]], cols] += (w * 1j ** (s.y_count % 4)) * (1.0 - 2.0 * parity)
+        cols = np.flatnonzero(sorted_masks[slots] == images)
+        hit_masks = masks[cols]
+        re_sum, im_sum = np.zeros(cols.size), np.zeros(cols.size)
+        for _, w, s in group:
+            phased = w * 1j ** (s.y_count % 4)
+            sign = 1.0 - 2.0 * (np.bitwise_count(hit_masks & np.uint64(s.z_mask)) & np.uint8(1))
+            re_sum += phased.real * sign
+            if is_complex:
+                im_sum += phased.imag * sign
+        cells = order[slots[cols]] * size + cols
+        cells_of.real[cells] = re_sum
+        if is_complex:
+            cells_of.imag[cells] = im_sum
     return matrix
 
 

@@ -2,9 +2,11 @@
 
 Every spectrum, of an effective Hamiltonian or of a whole particle sector,
 comes from the platform LAPACK routine via numpy, one connected block of the
-matrix at a time.  A matrix whose imaginary part is exactly zero is
-diagonalized in real arithmetic.  Exact sector spectra come from assembling
-the full fixed-particle-number matrix combinatorially.
+matrix at a time.  A real matrix, or one whose imaginary part is exactly
+zero, is diagonalized in real arithmetic.  Exact sector spectra project the
+Hamiltonian onto the occupation masks of the whole fixed-particle-number
+sector, one flip group at a time; for a real particle-conserving
+Hamiltonian that matrix is real and never copied to complex.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .pauli import BasisState, PauliSum, project
+from .pauli import BasisState, PauliSum, project, project_masks
 from .subspace import _sector_masks
 
 __all__ = [
@@ -69,7 +71,7 @@ class DosHistogram:
 
 
 def _check_hermitian(matrix: np.ndarray) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=complex)
+    matrix = np.asarray(matrix, dtype=complex if np.iscomplexobj(matrix) else float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
     n = matrix.shape[0]
@@ -78,7 +80,8 @@ def _check_hermitian(matrix: np.ndarray) -> np.ndarray:
     # max |M - M^dagger| over strips of rows, so no temporary is matrix-sized
     for start in range(0, n, step):
         strip = slice(start, start + step)
-        diff = matrix[:, strip].conj().T
+        # np.conjugate copies; a real array's .conj() is the array itself
+        diff = np.conjugate(matrix[:, strip]).T
         np.subtract(matrix[strip], diff, out=diff)
         deviation = max(deviation, float(np.abs(diff).max()))
     if deviation > _HERMITICITY_TOL:
@@ -109,16 +112,16 @@ def eigendecompose(heff_or_matrix, compute_vectors: bool = True) -> Spectrum:
 
     LAPACK diagonalizes every matrix, one connected block at a time, so the
     eigenvalues of a block do not depend on states it does not couple to.
-    A matrix whose imaginary part is exactly zero goes to the real symmetric
-    routine and then has real eigenvectors.  Non-Hermitian input beyond 1e-9
-    is rejected.
+    A real matrix, or one whose imaginary part is exactly zero, goes to the
+    real symmetric routine and then has real eigenvectors.  Non-Hermitian
+    input beyond 1e-9 is rejected.
     """
     matrix = getattr(heff_or_matrix, "matrix", heff_or_matrix)
     matrix = _check_hermitian(matrix)
     n = matrix.shape[0]
     if n > MAX_DENSE_DIMENSION:
         raise CapacityError(f"dense decomposition limited to {MAX_DENSE_DIMENSION}, got {n}")
-    if not matrix.imag.any():
+    if np.iscomplexobj(matrix) and not matrix.imag.any():
         # a real symmetric matrix: the real routine, several times faster
         matrix = matrix.real
     labels = _block_labels(matrix)
@@ -161,8 +164,8 @@ def exact_sector_spectrum(
         raise CapacityError(
             f"sector dimension C({num},{particle_number}) = {dim} exceeds {MAX_DENSE_DIMENSION}"
         )
-    _, matrix = sector_matrix(hamiltonian, particle_number)
-    return eigendecompose(matrix, compute_vectors=compute_vectors)
+    masks = np.fromiter(_sector_masks(num, particle_number), dtype=np.uint64, count=dim)
+    return eigendecompose(project_masks(hamiltonian, masks), compute_vectors=compute_vectors)
 
 
 def dos(

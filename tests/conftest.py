@@ -1,5 +1,5 @@
-"""Shared oracles: dense Kronecker-product matrices, fermionic ladder algebra
-and a Jacobi eigensolver.
+"""Shared oracles: dense Kronecker-product matrices, fermionic ladder algebra,
+a Jacobi eigensolver and a Jordan-Wigner map by repeated addition.
 
 Everything here is deliberately independent of the package's combinatorial
 paths: Pauli matrices are built by explicit tensor products, fermionic
@@ -12,8 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from heffsolve.fermion import FermionHamiltonian, FermionTerm, jw_transform
-from heffsolve.pauli import BasisState, PauliSum
+from heffsolve.fermion import FermionHamiltonian, FermionTerm, jw_ladder, jw_transform
+from heffsolve.pauli import BasisState, PauliString, PauliSum
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -82,6 +82,24 @@ def dense_fermion(hamiltonian: FermionHamiltonian) -> np.ndarray:
             product = product @ ladder_matrix(mode, dagger, hamiltonian.mode_count)
         out += term.coefficient * product
     return out
+
+
+# --- Jordan-Wigner by repeated addition --------------------------------------
+
+def jw_transform_by_addition(hamiltonian: FermionHamiltonian, hermitian_tol: float = 1e-10) -> PauliSum:
+    """Jordan-Wigner as ``total = total + mapped`` per term, renormalizing the
+    whole sum each time (quadratic in the string count).  The reference for
+    the terms, their order and their weight bits."""
+    n = hamiltonian.mode_count
+    total = PauliSum.zero(n)
+    for term in hamiltonian.terms:
+        mapped = PauliSum([(term.coefficient, PauliString.identity(n))], n)
+        for mode, dagger in term.factors:
+            mapped = mapped * jw_ladder(mode, dagger, n)
+        total = total + mapped
+    if hamiltonian.constant:
+        total = total + PauliSum([(hamiltonian.constant, PauliString.identity(n))], n)
+    return total.real_weights(tol=hermitian_tol)
 
 
 # --- independent eigensolver ------------------------------------------------

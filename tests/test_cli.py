@@ -161,6 +161,20 @@ class TestSolve:
         _, rows = read_csv(out / "error_vs_exact.csv")
         assert max(float(r[3]) for r in rows) <= 1e-10
 
+    def test_diagonal_only_hamiltonian_counts_every_direct_circuit(self, tmp_path):
+        pauli = tmp_path / "diagonal.pauli"
+        pauli.write_text("1.0 0.0 ZIII\n0.5 0.0 IZZI\n-0.25 0.0 IIIZ\n")
+        out = tmp_path / "diagonal"
+        assert main(
+            ["solve", str(pauli), "--out", str(out), "--nf", "2", "--ns", "6", "--backend", "exact"]
+        ) == 0
+        payload = json.loads((out / "heff.json").read_text())
+        assert len(payload["basis"]) == 6
+        # two circuits per pair, as the direct style counts them, though none connects
+        assert payload["circuit_counts"]["offdiagonal_total"] == 30
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["runs"][0]["circuit_counts"]["offdiagonal_total"] == 30
+
     def test_basis_file_reused(self, tmp_path, h2_path):
         basis = tmp_path / "basis.txt"
         basis.write_text("1100\n0011\n")

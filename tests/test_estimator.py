@@ -553,11 +553,12 @@ class TestHeffJson:
         assert np.array_equal(matrix.view(np.uint64), heff.matrix.view(np.uint64))
 
     def test_writer_prints_the_tolist_text(self, rng):
-        nan = float("nan")
+        nan, inf = float("nan"), float("inf")
         sparse = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
         sparse[rng.random((30, 30)) < 0.8] = 0.0
         sparse[3] = 0.0
         sparse[7, 2] = complex(0.0, -0.0)
+        sparse[9, 4], sparse[11, 5] = complex(inf, 2.5), complex(-0.5, -inf)
         matrices = [
             # signed zeros only, in either part
             np.array([[complex(0.0, 0.0), complex(-0.0, 0.0)],
@@ -567,6 +568,7 @@ class TestHeffJson:
             # signed zeros beside nonzero parts
             np.array([[0.0, complex(1e-300, -0.0)], [complex(-0.0, 3.25), 0.0]]),
             np.array([[complex(nan, 0.0), complex(0.0, nan)], [complex(-1 / 3, 0.0), 7.0]]),
+            np.array([[complex(inf, -0.0), complex(1.0, -inf)], [complex(-inf, nan), -inf]]),
             np.zeros((4, 4), dtype=complex),
             np.full((1, 1), complex(0.1, -0.2)),
             sparse,
@@ -696,7 +698,7 @@ class TestScreening:
         assert [s.mask for s in states] == [s.mask for s in sector_basis(6, 3)]
         # reference: the string-by-string sector assembly, written out here
         index = {s.mask: k for k, s in enumerate(states)}
-        expected = np.zeros_like(matrix)
+        expected = np.zeros(matrix.shape, dtype=complex)
         for w, s in hamiltonian:
             for col, state in enumerate(states):
                 row = index.get(state.mask ^ s.x_mask)
@@ -704,6 +706,16 @@ class TestScreening:
                     sign = -1.0 if (state.mask & s.z_mask).bit_count() & 1 else 1.0
                     expected[row, col] += w * sign * 1j ** (s.y_count % 4)
         assert np.array_equal(matrix, expected)
+
+    def test_project_is_complex_only_for_odd_y(self, rng):
+        odd_y, states = closed_sum(rng, 7, (0, 2, 3, 6), 40)
+        assert any(s.y_count % 2 for _, s in odd_y)
+        matrix = project(odd_y, states)
+        assert matrix.dtype == np.complex128 and np.abs(matrix.imag).max() > 0
+        expected = np.array([[sum_matrix_element(m, odd_y, n) for n in states] for m in states])
+        assert np.array_equal(matrix.view(np.uint64), expected.view(np.uint64))
+        real = random_conserving_hamiltonian(rng, 6, max_strings=60)
+        assert project(real, sector_basis(6, 3)).dtype == np.float64
 
     def test_project_rejects_mismatched_states(self):
         hamiltonian = PauliSum.from_label_weights([(1.0, "ZIII")])

@@ -17,7 +17,13 @@ from heffsolve.fermion import (
 )
 from heffsolve.pauli import PauliSum
 
-from conftest import dense_fermion, dense_sum, ladder_matrix, random_fermion_terms
+from conftest import (
+    dense_fermion,
+    dense_sum,
+    jw_transform_by_addition,
+    ladder_matrix,
+    random_fermion_terms,
+)
 
 
 def jw_ladder_dense(mode, dagger, n):
@@ -140,6 +146,44 @@ class TestJwTransform:
         )
         mapped = jw_transform(hamiltonian)
         assert mapped.weight_of("II") == pytest.approx(0.75)
+
+    @staticmethod
+    def _terms_and_bits(mapped):
+        weights = np.array([w for w, _ in mapped], dtype=complex)
+        return [s.label for _, s in mapped], weights.view(np.uint64).tolist()
+
+    def test_string_that_cancels_reappears_last(self):
+        number = lambda mode, c: FermionTerm(c, ((mode, True), (mode, False)))
+        hamiltonian = FermionHamiltonian(
+            (number(0, 1.0), number(1, 0.3), number(0, -1.0), number(0, 0.5)), 2
+        )
+        mapped = jw_transform(hamiltonian)
+        assert [s.label for _, s in mapped] == ["II", "IZ", "ZI"]
+        assert self._terms_and_bits(mapped) == self._terms_and_bits(
+            jw_transform_by_addition(hamiltonian)
+        )
+
+    @pytest.mark.parametrize("num_modes", [2, 4, 6])
+    def test_matches_repeated_addition_bit_for_bit(self, rng, num_modes):
+        cancelled = 0
+        for _ in range(10):
+            # Hermitian blocks: a number term, or a term with its conjugate
+            blocks = [random_fermion_terms(rng, num_modes, 1) for _ in range(5)]
+            i, j = (int(v) for v in rng.choice(num_modes, 2, replace=False))
+            c = complex(rng.normal(), rng.normal())
+            blocks.append([FermionTerm(c, ((i, True), (j, False))),
+                           FermionTerm(c.conjugate(), ((j, True), (i, False)))])
+            # exact and near cancellations, then some of the same blocks again
+            undo = [[FermionTerm(-t.coefficient * (1 - 1e-14 * int(rng.integers(2))), t.factors)
+                     for t in block] for block in blocks if rng.random() < 0.5]
+            again = [block for block in blocks if rng.random() < 0.3]
+            terms = [t for block in blocks + undo + again for t in block]
+            hamiltonian = FermionHamiltonian(tuple(terms), num_modes, constant=float(rng.normal()))
+            mapped = jw_transform(hamiltonian)
+            reference = jw_transform_by_addition(hamiltonian)
+            assert self._terms_and_bits(mapped) == self._terms_and_bits(reference)
+            cancelled += len(undo) > len(again)
+        assert cancelled
 
 
 class TestParticleConservation:

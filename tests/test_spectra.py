@@ -160,6 +160,19 @@ class TestEigendecompose:
             eigendecompose(matrix)
 
 
+    def test_hermiticity_check_leaves_a_real_matrix_alone(self, rng):
+        matrix = random_hermitian(rng, 300).real.copy()
+        matrix[299, 0] += 0.99e-9
+        before = matrix.copy()
+        checked = _check_hermitian(matrix)
+        assert checked.dtype == np.float64
+        assert np.array_equal(matrix.view(np.uint64), before.view(np.uint64))
+        matrix[299, 0] += 0.02e-9
+        with pytest.raises(ValueError, match=r"max deviation 1\.010e-09"):
+            _check_hermitian(matrix)
+        assert np.array_equal(matrix[:299], before[:299])
+
+
 class TestSectorSpectrum:
     def test_basis_order_matches_bit_strings(self):
         assert [s.bits for s in sector_basis(4, 2)] == [
