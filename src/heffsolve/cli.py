@@ -223,7 +223,7 @@ def _solve_one(
     if backend.kind == "sampled":
         backend = replace(backend, seed=derive_seed(config.seed, 4, run_index))
     heff = build_effective_hamiltonian(hamiltonian, basis, backend)
-    spectrum = eigendecompose(heff)
+    spectrum = eigendecompose(heff, compute_vectors=False)
     _write_text(out_dir / "heff.json", heff_to_json(heff_to_dict(heff)) + "\n")
     _write_text(out_dir / "spectrum.csv", spectrum_to_csv(spectrum))
     _write_text(out_dir / "dos.csv", dos_to_csv(dos(spectrum, bin_count=config.dos_bins)))
