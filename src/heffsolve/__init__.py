@@ -11,14 +11,11 @@ from .pauli import (
     PauliOp,
     PauliString,
     PauliSum,
-    apply_string,
     classify_terms,
     load_pauli_sum,
     multiply_strings,
     project,
     save_pauli_sum,
-    string_matrix_element,
-    sum_matrix_element,
 )
 from .fermion import (
     FermionHamiltonian,
@@ -71,8 +68,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "BasisState", "PauliOp", "PauliString", "PauliSum",
-    "apply_string", "classify_terms", "multiply_strings",
-    "string_matrix_element", "sum_matrix_element", "project",
+    "classify_terms", "multiply_strings", "project",
     "load_pauli_sum", "save_pauli_sum",
     "FermionHamiltonian", "FermionTerm", "check_particle_conservation",
     "jw_ladder", "jw_transform", "load_fermion_hamiltonian", "save_fermion_hamiltonian",

@@ -174,36 +174,6 @@ class Circuit:
             return tuple(range(self.total_qubits))
         return self.measured_qubits
 
-    # -- netlist text form ---------------------------------------------------
-
-    def to_netlist(self) -> str:
-        lines = [f"qubits {self.total_qubits}"]
-        for g in self.gates:
-            parts = [g.kind.upper(), *map(str, g.qubits)]
-            if g.angle is not None:
-                parts.append(f"{g.angle:.17g}")
-            lines.append(" ".join(parts))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_netlist(cls, text: str) -> "Circuit":
-        lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln]
-        if not lines or not lines[0].startswith("qubits"):
-            raise ValueError("netlist must start with 'qubits N'")
-        total = int(lines[0].split()[1])
-        circuit = cls(total)
-        for ln in lines[1:]:
-            fields = ln.split()
-            kind = fields[0].lower()
-            if kind in ("rx", "ry"):
-                circuit.add(Gate(kind, (int(fields[1]),), float(fields[2])))
-            elif kind in _CONTROLLED:
-                circuit.add(Gate(kind, (int(fields[1]), int(fields[2]))))
-            else:
-                circuit.add(Gate(kind, (int(fields[1]),)))
-        return circuit
-
 
 # ---------------------------------------------------------------------------
 # Circuit builders

@@ -30,7 +30,12 @@ from .estimator import (
     heff_to_dict,
     heff_to_json,
 )
-from .fermion import FermionFormatError, load_fermion_hamiltonian, jw_transform
+from .fermion import (
+    FermionFormatError,
+    check_particle_conservation,
+    jw_transform,
+    load_fermion_hamiltonian,
+)
 from .pauli import PauliFormatError, PauliSum, load_pauli_sum, save_pauli_sum
 from .spectra import (
     MAX_DENSE_DIMENSION,
@@ -102,6 +107,9 @@ def _load_hamiltonian(path: str, fmt: str = "auto") -> PauliSum:
             f"{path}: {hamiltonian.qubit_count} qubits exceed the {MAX_QUBITS}-qubit limit "
             "of the integer occupation masks"
         )
+    # the sector projections would silently drop particle-changing strings
+    if fmt != "fermion" and not check_particle_conservation(hamiltonian):
+        raise ValueError(f"{path}: the Pauli sum does not conserve particle number")
     return hamiltonian
 
 

@@ -17,7 +17,7 @@ One routine, :func:`_read`, evaluates them; the backends differ only there.
 :func:`heffsolve.circuits.run_sparse`, at any register size; ``sampled``
 draws finite shots from a dense statevector in the shared basis, with
 optional readout noise and calibration-matrix mitigation.  ``oracle``
-measures nothing and evaluates every entry combinatorially.
+measures nothing: its matrix is :func:`heffsolve.pauli.project` of the basis.
 
 Only strings containing X or Y are ever measured for off-diagonal entries
 (I/Z-only strings cannot connect two different basis states), and their own
@@ -74,9 +74,8 @@ from .pauli import (
     classify_terms,
     flip_groups,
     project,
-    sum_matrix_element,
 )
-from .subspace import SubspaceBasis
+from .subspace import SubspaceBasis, diagonal_energy
 
 __all__ = [
     "Backend",
@@ -256,9 +255,11 @@ class CircuitCounts:
 class EffectiveHamiltonian:
     """The projected Hamiltonian over a subspace basis, exactly Hermitian.
 
-    ``estimates`` maps each upper-triangle entry ``(i, j)`` to its
-    measurement statistics; it is empty for a backend that measures nothing
-    (``oracle``), whose entries are exact.
+    A measuring backend gives a complex ``matrix`` and ``estimates``, the
+    statistics of each upper-triangle entry ``(i, j)``.  The ``oracle``
+    ``matrix`` is :func:`~heffsolve.pauli.project`'s array, exact and
+    float64 unless the Hamiltonian has odd-Y strings, and ``estimates`` is
+    empty.
     """
 
     basis: SubspaceBasis
@@ -454,14 +455,15 @@ def measure_diagonal(
 ) -> MeasurementEstimate:
     """Estimate ``<n|H|n>``.
 
-    The classical path evaluates the sum combinatorially.  The circuit path
+    The classical path is :func:`heffsolve.subspace.diagonal_energy`, exact
+    with no statistics; :func:`build_effective_hamiltonian` reads the same
+    values from its basis instead of calling this.  The circuit path
     prepares ``|n>`` with X gates and reads the observable ``sum_s w_s s``
     over the I/Z-only strings; strings containing X or Y have identically
     zero diagonal elements and are skipped.
     """
     if not backend.measure_diagonals_with_circuits:
-        value = sum_matrix_element(n, hamiltonian, n).real
-        return MeasurementEstimate(complex(value))
+        return MeasurementEstimate(complex(diagonal_energy(hamiltonian, n)))
     diagonal_part, _ = classify_terms(hamiltonian)
     observable = [(w.real, s) for w, s in diagonal_part]
     [(mean, var)] = _read(
@@ -503,12 +505,13 @@ def measure_offdiagonal(
 
     The standard errors propagate the readout variances alone.  When
     ``totals`` is given, this measurement's circuits, settings and shots
-    are added to it.
+    are added to it.  A backend that measures nothing (``oracle``) is a
+    ValueError: its entries come from :func:`~heffsolve.pauli.project`.
     """
     if n == nprime:
         raise ValueError("off-diagonal measurement needs two distinct states")
-    if backend.kind == "oracle":
-        return MeasurementEstimate(sum_matrix_element(n, hamiltonian, nprime))
+    if not backend.uses_circuits:
+        raise ValueError(f"the {backend.kind} backend measures nothing; use pauli.project")
     if strings_by_flip is None:
         strings_by_flip = flip_groups(classify_terms(hamiltonian)[1])
     connecting = strings_by_flip.get(n.mask ^ nprime.mask, [])
@@ -571,21 +574,19 @@ def build_effective_hamiltonian(
 
     ``size`` diagonal entries plus one complex estimate per unordered pair
     fill the upper triangle; the lower triangle is the conjugate transpose
-    and a final ``(M + M^dagger)/2`` pass makes Hermiticity exact.  The
-    oracle backend takes every entry from one :func:`project` call and keeps
-    no per-entry estimates.
+    and a final ``(M + M^dagger)/2`` pass makes Hermiticity exact.  Classical
+    diagonals are ``basis.diagonal_energies``, so ``basis`` must come from
+    this Hamiltonian.  The oracle backend's matrix is :func:`project`'s
+    array as returned, exactly Hermitian already, with no per-entry
+    estimates.
     """
     hamiltonian = hamiltonian.real_weights()
     states = basis.states
     size = len(states)
     if not backend.uses_circuits:
-        # Complex before the mirror, as on the measured path, so that even
-        # the signs of zeros match it.
-        matrix = project(hamiltonian, states).astype(complex, copy=False)
-        lower = np.tril_indices(size, -1)
-        matrix[lower] = matrix.T[lower].conj()
-        matrix = 0.5 * (matrix + matrix.conj().T)
-        return EffectiveHamiltonian(basis, matrix, {}, backend, CircuitCounts())
+        return EffectiveHamiltonian(
+            basis, project(hamiltonian, states), {}, backend, CircuitCounts()
+        )
     calibration = None
     if backend.mitigation:
         calibration = build_calibration(
@@ -597,8 +598,11 @@ def build_effective_hamiltonian(
     matrix = np.zeros((size, size), dtype=complex)
     estimates: dict[tuple[int, int], MeasurementEstimate] = {}
     totals = CircuitCounts()
-    for i, state in enumerate(states):
-        est = measure_diagonal(hamiltonian, state, backend, calibration)
+    for i, (state, energy) in enumerate(zip(states, basis.diagonal_energies)):
+        if backend.measure_diagonals_with_circuits:
+            est = measure_diagonal(hamiltonian, state, backend, calibration)
+        else:
+            est = MeasurementEstimate(complex(energy))
         estimates[(i, i)] = est
         matrix[i, i] = est.value.real
         totals.diagonal += est.circuits

@@ -19,7 +19,14 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from .pauli import WEIGHT_TOLERANCE, PauliString, PauliSum, flip_groups, multiply_masks
+from .pauli import (
+    WEIGHT_TOLERANCE,
+    PauliString,
+    PauliSum,
+    _flip_amplitudes,
+    flip_groups,
+    multiply_masks,
+)
 
 __all__ = [
     "FermionTerm",
@@ -137,23 +144,24 @@ def check_particle_conservation(
 ) -> bool:
     """Check that ``<m|H|n> = 0`` whenever m and n have different popcounts.
 
-    For each sampled basis state ``n``, every flip group that changes its
-    popcount gives one entry of ``H|n>``, summed over the group's strings, so
-    any string that changes the particle number and survives cancellation is
-    caught exactly.
+    At each sampled basis state ``n`` (the empty and the full one among
+    them), every flip group that changes ``n``'s popcount gives one entry of
+    ``H|n>``, summed over the group's strings, so any string that changes the
+    particle number and survives cancellation is caught exactly.  Works for
+    every qubit count a ``uint64`` occupation mask holds.
     """
     n_qubits = hamiltonian.qubit_count
     rng = np.random.default_rng(seed)
-    samples = {0, (1 << n_qubits) - 1}
-    samples.update(int(v) for v in rng.integers(0, 1 << n_qubits, size=trials))
-    groups = flip_groups(hamiltonian)
-    for mask in samples:
-        for x_mask, group in groups.items():
-            if (mask ^ x_mask).bit_count() != mask.bit_count() and abs(sum(
-                w * (-1) ** (mask & s.z_mask).bit_count() * 1j ** (s.y_count % 4)
-                for _, w, s in group
-            )) > tol:
-                return False
+    samples = np.concatenate([
+        np.array([0, (1 << n_qubits) - 1], dtype=np.uint64),
+        rng.integers(0, 1 << n_qubits, size=trials, dtype=np.uint64),
+    ])
+    popcounts = np.bitwise_count(samples)
+    for x_mask, group in flip_groups(hamiltonian).items():
+        moved = samples[np.bitwise_count(samples ^ np.uint64(x_mask)) != popcounts]
+        re_sum, im_sum = _flip_amplitudes(group, moved)
+        if np.any(np.hypot(re_sum, 0.0 if im_sum is None else im_sum) > tol):
+            return False
     return True
 
 

@@ -26,9 +26,6 @@ __all__ = [
     "multiply_ops",
     "multiply_masks",
     "multiply_strings",
-    "apply_string",
-    "string_matrix_element",
-    "sum_matrix_element",
     "flip_groups",
     "project",
     "project_masks",
@@ -319,46 +316,6 @@ def multiply_strings(a: PauliString, b: PauliString) -> tuple[complex, PauliStri
     return phase, PauliString.from_masks(x, z, a.num_qubits)
 
 
-def apply_string(h: PauliString, n: BasisState) -> tuple[complex, BasisState]:
-    """Apply a Pauli string to a basis state: ``h|n> == phase * |m>``.
-
-    X and Y flip their bit; Y contributes ``i`` on ``|0>`` and ``-i`` on
-    ``|1>``; Z contributes ``-1`` on ``|1>``.  Collecting factors, the phase
-    is ``i**y_count * (-1)**popcount(n & z_mask)`` and ``m = n XOR x_mask``.
-    """
-    _require_equal_length(h.num_qubits, n.num_qubits)
-    sign = -1 if (n.mask & h.z_mask).bit_count() & 1 else 1
-    phase = sign * (1j ** (h.y_count % 4))
-    m = BasisState.from_mask(n.mask ^ h.x_mask, n.num_qubits)
-    return phase, m
-
-
-def string_matrix_element(m: BasisState, h: PauliString, n: BasisState) -> complex:
-    """Exact ``<m|h|n>``; always one of {0, +1, -1, +i, -i}."""
-    _require_equal_length(h.num_qubits, n.num_qubits)
-    _require_equal_length(m.num_qubits, n.num_qubits)
-    if m.mask != n.mask ^ h.x_mask:
-        return 0j
-    phase, _ = apply_string(h, n)
-    return phase
-
-
-def sum_matrix_element(m: BasisState, hamiltonian: PauliSum, n: BasisState) -> complex:
-    """``<m|H|n>`` summed over the terms of a Pauli sum.
-
-    This is the classical brute-force route to every effective-Hamiltonian
-    entry; the circuit estimators are tested against it.
-    """
-    _require_equal_length(hamiltonian.qubit_count, n.num_qubits)
-    total = 0j
-    target = m.mask
-    for weight, string in hamiltonian.terms:
-        if target == n.mask ^ string.x_mask:
-            sign = -1 if (n.mask & string.z_mask).bit_count() & 1 else 1
-            total += weight * sign * (1j ** (string.y_count % 4))
-    return total
-
-
 def flip_groups(hamiltonian: PauliSum) -> dict[int, list[tuple[int, complex, PauliString]]]:
     """The terms grouped by the bits their strings flip: ``x_mask -> [(k,
     weight, string)]``, ``k`` being the term's index, in term order."""
@@ -381,10 +338,9 @@ def project_masks(hamiltonian: PauliSum, masks: np.ndarray) -> np.ndarray:
 
     A group's strings all map ``masks`` to ``masks ^ x_mask``, so one
     ``searchsorted`` over the sorted masks finds the cells it reaches, which
-    no other group reaches.  Each string adds ``w * i**y_count`` times the
-    parity sign of ``masks & z_mask`` there, real and imaginary parts apart,
-    in term order from ``+0.0``: the bits of one :func:`sum_matrix_element`
-    per pair.  The result is complex only if some ``w * i**y_count`` is.
+    no other group reaches, and :func:`_flip_amplitudes` of the columns'
+    masks fills them.  The result is complex only if some ``w * i**y_count``
+    is; for real weights it is exactly Hermitian, bit for bit.
     """
     size = len(masks)
     order = np.argsort(masks)
@@ -398,19 +354,34 @@ def project_masks(hamiltonian: PauliSum, masks: np.ndarray) -> np.ndarray:
         images = masks ^ np.uint64(x_mask)
         slots = np.minimum(np.searchsorted(sorted_masks, images), size - 1)
         cols = np.flatnonzero(sorted_masks[slots] == images)
-        hit_masks = masks[cols]
-        re_sum, im_sum = np.zeros(cols.size), np.zeros(cols.size)
-        for _, w, s in group:
-            phased = w * 1j ** (s.y_count % 4)
-            sign = 1.0 - 2.0 * (np.bitwise_count(hit_masks & np.uint64(s.z_mask)) & np.uint8(1))
-            re_sum += phased.real * sign
-            if is_complex:
-                im_sum += phased.imag * sign
+        re_sum, im_sum = _flip_amplitudes(group, masks[cols])
         cells = order[slots[cols]] * size + cols
         cells_of.real[cells] = re_sum
-        if is_complex:
+        if im_sum is not None:
             cells_of.imag[cells] = im_sum
     return matrix
+
+
+def _flip_amplitudes(
+    group: list[tuple[int, complex, PauliString]], masks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``<n ^ x_mask|H|n>`` at each ``uint64`` mask ``n``: the sum over one
+    flip group's strings of ``w * i**y_count * (-1)**popcount(n & z_mask)``.
+
+    This is the one evaluator of exact matrix elements.  Real and imaginary
+    parts accumulate apart, in term order from ``+0.0``; the imaginary part
+    is None when no string's ``w * i**y_count`` has one (it would be all
+    ``+0.0``).
+    """
+    phased = [(w * 1j ** (s.y_count % 4), np.uint64(s.z_mask)) for _, w, s in group]
+    re_sum = np.zeros(masks.size)
+    im_sum = np.zeros(masks.size) if any(p.imag for p, _ in phased) else None
+    for p, z_mask in phased:
+        sign = 1.0 - 2.0 * (np.bitwise_count(masks & z_mask) & np.uint8(1))
+        re_sum += p.real * sign
+        if im_sum is not None:
+            im_sum += p.imag * sign
+    return re_sum, im_sum
 
 
 def classify_terms(hamiltonian: PauliSum) -> tuple[PauliSum, PauliSum]:

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .pauli import BasisState, PauliSum, classify_terms
+from .pauli import BasisState, PauliSum, _flip_amplitudes, flip_groups
 
 __all__ = [
     "ExhaustiveSearch",
@@ -103,23 +103,14 @@ def diagonal_energy(hamiltonian: PauliSum, state: BasisState) -> float:
 
 
 def _diagonal_energies(hamiltonian: PauliSum, states: Sequence[BasisState]) -> list[float]:
-    masks = np.fromiter((s.mask for s in states), dtype=np.int64, count=len(states))
-    return _diagonal_energies_batch(classify_terms(hamiltonian)[0], masks).tolist()
+    masks = np.fromiter((s.mask for s in states), dtype=np.uint64, count=len(states))
+    return _flip_amplitudes(_diagonal_group(hamiltonian), masks)[0].tolist()
 
 
-def _diagonal_energies_batch(diagonal_part: PauliSum, masks: np.ndarray) -> np.ndarray:
-    """Vectorized ``<n|H|n>`` over an array of occupation masks.
-
-    ``diagonal_part`` holds the I/Z-only strings of ``H`` (the first part of
-    :func:`classify_terms`), the only ones with diagonal elements; each adds
-    ``w * (-1)**popcount(n & z)``.
-    """
-    masks = masks.astype(np.uint64)
-    energies = np.zeros(masks.shape[0])
-    for w, s in diagonal_part:
-        parity = (np.bitwise_count(masks & np.uint64(s.z_mask)) & np.uint64(1)).astype(np.int64)
-        energies += w.real * (1.0 - 2.0 * parity)
-    return energies
+def _diagonal_group(hamiltonian: PauliSum) -> list:
+    """The flip group of the I/Z-only strings, whose amplitude at a mask
+    ``n`` is ``<n|H|n>``; no other string has a diagonal element."""
+    return flip_groups(hamiltonian).get(0, [])
 
 
 def _sector_masks(num_qubits: int, particle_number: int) -> Iterable[int]:
@@ -142,8 +133,8 @@ def find_reference(
     if not 0 < particle_number < num:
         raise ValueError(f"particle number {particle_number} must be strictly between 0 and {num}")
     if isinstance(strategy, ExhaustiveSearch):
-        masks = np.fromiter(_sector_masks(num, particle_number), dtype=np.int64)
-        energies = _diagonal_energies_batch(classify_terms(hamiltonian)[0], masks)
+        masks = np.fromiter(_sector_masks(num, particle_number), dtype=np.uint64)
+        energies = _flip_amplitudes(_diagonal_group(hamiltonian), masks)[0]
         tied = masks[energies == energies.min()]
         return min((BasisState.from_mask(int(m), num) for m in tied), key=lambda s: s.bits)
     return _anneal_reference(hamiltonian, particle_number, strategy)
@@ -153,7 +144,7 @@ def _anneal_reference(
     hamiltonian: PauliSum, particle_number: int, strategy: MonteCarloSearch
 ) -> BasisState:
     num = hamiltonian.qubit_count
-    diagonal_part, _ = classify_terms(hamiltonian)
+    diagonal = _diagonal_group(hamiltonian)
     rng = np.random.Generator(np.random.Philox(strategy.seed))
     occupied = list(rng.choice(num, size=particle_number, replace=False))
     unoccupied = [i for i in range(num) if i not in occupied]
@@ -161,23 +152,26 @@ def _anneal_reference(
     def mask_of(occ: Sequence[int]) -> int:
         return sum(1 << i for i in occ)
 
+    def energy(mask: int) -> float:
+        return float(_flip_amplitudes(diagonal, np.array([mask], dtype=np.uint64))[0][0])
+
     temperature = strategy.initial_temperature
     if temperature is None:
-        probe = np.empty(100, dtype=np.int64)
+        probe = np.empty(100, dtype=np.uint64)
         for k in range(100):
             probe[k] = mask_of(rng.choice(num, size=particle_number, replace=False))
-        temperature = float(np.std(_diagonal_energies_batch(diagonal_part, probe)))
+        temperature = float(np.std(_flip_amplitudes(diagonal, probe)[0]))
     if temperature <= 0.0:
         temperature = 1.0
 
     current_mask = mask_of(occupied)
-    current = float(_diagonal_energies_batch(diagonal_part, np.array([current_mask]))[0])
+    current = energy(current_mask)
     best_state, best = BasisState.from_mask(current_mask, num), current
     for _ in range(strategy.steps):
         i = int(rng.integers(len(occupied)))
         j = int(rng.integers(len(unoccupied)))
         proposal_mask = current_mask ^ (1 << occupied[i]) ^ (1 << unoccupied[j])
-        proposal = float(_diagonal_energies_batch(diagonal_part, np.array([proposal_mask]))[0])
+        proposal = energy(proposal_mask)
         delta = proposal - current
         if delta <= 0.0 or (temperature > 0.0 and rng.random() < np.exp(-delta / temperature)):
             occupied[i], unoccupied[j] = unoccupied[j], occupied[i]

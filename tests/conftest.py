@@ -1,10 +1,12 @@
-"""Shared oracles: dense Kronecker-product matrices, fermionic ladder algebra,
-a Jacobi eigensolver and a Jordan-Wigner map by repeated addition.
+"""Shared oracles: dense Kronecker-product matrices, per-pair Pauli matrix
+elements, fermionic ladder algebra, a Jacobi eigensolver and a Jordan-Wigner
+map by repeated addition.
 
 Everything here is deliberately independent of the package's combinatorial
-paths: Pauli matrices are built by explicit tensor products, fermionic
-operators act on occupation tuples with explicit sign bookkeeping, and
-spectra come from a cyclic Jacobi iteration rather than LAPACK.
+paths: Pauli matrices are built by explicit tensor products, matrix elements
+one basis pair and one string at a time, fermionic operators act on
+occupation tuples with explicit sign bookkeeping, and spectra come from a
+cyclic Jacobi iteration rather than LAPACK.
 """
 
 import math
@@ -50,6 +52,51 @@ def dense_projection(hamiltonian: PauliSum, states) -> np.ndarray:
     matrix = dense_sum(hamiltonian)
     vectors = np.stack([basis_vector(s) for s in states], axis=1)
     return vectors.conj().T @ matrix @ vectors
+
+
+# --- per-pair Pauli matrix elements ----------------------------------------
+
+def _require_equal_length(a_len: int, b_len: int) -> None:
+    if a_len != b_len:
+        raise ValueError(f"length mismatch: {a_len} vs {b_len}")
+
+
+def apply_string(h: PauliString, n: BasisState) -> tuple[complex, BasisState]:
+    """Apply a Pauli string to a basis state: ``h|n> == phase * |m>``.
+
+    X and Y flip their bit; Y contributes ``i`` on ``|0>`` and ``-i`` on
+    ``|1>``; Z contributes ``-1`` on ``|1>``.  Collecting factors, the phase
+    is ``i**y_count * (-1)**popcount(n & z_mask)`` and ``m = n XOR x_mask``.
+    """
+    _require_equal_length(h.num_qubits, n.num_qubits)
+    sign = -1 if (n.mask & h.z_mask).bit_count() & 1 else 1
+    phase = sign * (1j ** (h.y_count % 4))
+    m = BasisState.from_mask(n.mask ^ h.x_mask, n.num_qubits)
+    return phase, m
+
+
+def string_matrix_element(m: BasisState, h: PauliString, n: BasisState) -> complex:
+    """Exact ``<m|h|n>``; always one of {0, +1, -1, +i, -i}."""
+    _require_equal_length(h.num_qubits, n.num_qubits)
+    _require_equal_length(m.num_qubits, n.num_qubits)
+    if m.mask != n.mask ^ h.x_mask:
+        return 0j
+    phase, _ = apply_string(h, n)
+    return phase
+
+
+def sum_matrix_element(m: BasisState, hamiltonian: PauliSum, n: BasisState) -> complex:
+    """``<m|H|n>`` summed over the terms of a Pauli sum, one pair at a time:
+    the reference that ``project`` and the circuit estimators are checked
+    against."""
+    _require_equal_length(hamiltonian.qubit_count, n.num_qubits)
+    total = 0j
+    target = m.mask
+    for weight, string in hamiltonian.terms:
+        if target == n.mask ^ string.x_mask:
+            sign = -1 if (n.mask & string.z_mask).bit_count() & 1 else 1
+            total += weight * sign * (1j ** (string.y_count % 4))
+    return total
 
 
 # --- independent fermionic oracle -----------------------------------------

@@ -27,7 +27,7 @@ from heffsolve.fermion import (
     jw_transform,
     load_fermion_hamiltonian,
 )
-from heffsolve.pauli import BasisState, PauliString, PauliSum, string_matrix_element
+from heffsolve.pauli import BasisState, PauliString, PauliSum
 from heffsolve.spectra import (
     eigendecompose,
     exact_sector_spectrum,
@@ -41,6 +41,7 @@ from conftest import (
     dense_projection,
     dense_sum,
     random_conserving_hamiltonian,
+    string_matrix_element,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"

@@ -30,10 +30,10 @@ from heffsolve.circuits import (
     state_expectation,
 )
 from heffsolve.estimator import Backend, _sampled_estimate
-from heffsolve.pauli import BasisState, PauliString, string_matrix_element, sum_matrix_element
+from heffsolve.pauli import BasisState, PauliString
 from heffsolve.spectra import CapacityError
 
-from conftest import dense_sum, random_hermitian_sum
+from conftest import dense_sum, random_hermitian_sum, string_matrix_element, sum_matrix_element
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -455,21 +455,3 @@ class TestNoiseChannel:
         dense = np.kron(matrices[2], np.kron(matrices[1], matrices[0]))
         assert np.allclose(apply_per_qubit(vec, matrices), dense @ vec, atol=1e-12)
 
-
-class TestNetlist:
-    def test_round_trip(self):
-        circuit = build_offdiagonal_circuit(BasisState("101"), BasisState("011"), "imag")
-        circuit.add(Gate.ry(1, 0.25))
-        text = circuit.to_netlist()
-        again = Circuit.from_netlist(text)
-        assert again.total_qubits == circuit.total_qubits
-        assert again.gates == circuit.gates
-        assert text.splitlines()[0] == "qubits 4"
-
-    def test_requires_header(self):
-        with pytest.raises(ValueError, match="qubits"):
-            Circuit.from_netlist("H 0\n")
-
-    def test_unknown_gate_rejected(self):
-        with pytest.raises(ValueError, match="unknown gate"):
-            Circuit.from_netlist("qubits 2\nFOO 1\n")

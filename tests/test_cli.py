@@ -175,6 +175,20 @@ class TestSolve:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["runs"][0]["circuit_counts"]["offdiagonal_total"] == 30
 
+    @pytest.mark.parametrize("command", ["solve", "scan"])
+    def test_particle_changing_pauli_input_is_rejected(self, tmp_path, capsys, command):
+        # its ground energy is -sqrt(1.25) - 0.3, which the 2-particle sector cannot see
+        src = tmp_path / "points"
+        src.mkdir()
+        pauli = src / "p_0.7.pauli"
+        pauli.write_text("1.0 0.0 XIII\n0.5 0.0 ZIII\n0.3 0.0 IIZZ\n")
+        out = tmp_path / "out"
+        source = src if command == "scan" else pauli
+        assert main([command, str(source), "--out", str(out), "--nf", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "conserve particle number" in err
+        assert not out.exists()
+
     def test_basis_file_reused(self, tmp_path, h2_path):
         basis = tmp_path / "basis.txt"
         basis.write_text("1100\n0011\n")

@@ -28,12 +28,16 @@ from heffsolve.pauli import (
     PauliSum,
     classify_terms,
     project,
-    sum_matrix_element,
 )
 from heffsolve.spectra import eigendecompose, sector_basis, sector_matrix
 from heffsolve.subspace import SubspaceSpec, basis_from_states, build_subspace
 
-from conftest import dense_projection, random_conserving_hamiltonian, random_hermitian_sum
+from conftest import (
+    dense_projection,
+    random_conserving_hamiltonian,
+    random_hermitian_sum,
+    sum_matrix_element,
+)
 from test_acceptance import h2_style_hamiltonian
 
 SECTOR_BASES = [BasisState(b) for b in ("1100", "1010", "1001", "0110", "0101", "0011")]
@@ -217,6 +221,13 @@ class TestMeasureOffdiagonal:
                 hamiltonian, BasisState("0110"), BasisState("0110"), Backend.oracle()
             )
 
+    def test_oracle_measures_nothing(self):
+        hamiltonian = PauliSum.from_label_weights([(1.0, "YXXY")])
+        with pytest.raises(ValueError, match="measures nothing"):
+            measure_offdiagonal(
+                hamiltonian, BasisState("0110"), BasisState("1001"), Backend.oracle()
+            )
+
     def test_diagonal_variances_do_not_enter(self):
         # Re = 2 m_re and Im = -2 m_im use no diagonal estimate, so neither
         # does their standard error.
@@ -279,6 +290,23 @@ class TestBuildEffectiveHamiltonian:
         basis = two_particle_basis(hamiltonian)
         heff = build_effective_hamiltonian(hamiltonian, basis, Backend.oracle())
         assert np.allclose(heff.matrix, dense_projection(hamiltonian, basis.states), atol=1e-12)
+
+    def test_oracle_is_project_as_returned(self, rng):
+        hamiltonian, basis = random_sector(rng, 6, 3)
+        heff = build_effective_hamiltonian(hamiltonian, basis, Backend.oracle())
+        assert heff.matrix.dtype == np.float64
+        assert np.array_equal(heff.matrix, heff.matrix.T)
+        assert np.array_equal(heff.matrix, project(hamiltonian, basis.states))
+        # real weights on odd-Y strings: complex, and still exactly Hermitian
+        odd_y, states = closed_sum(rng, 7, (0, 2, 3, 6), 40)
+        odd_y = PauliSum([(w.real, s) for w, s in odd_y], odd_y.qubit_count)
+        assert any(s.y_count % 2 for _, s in odd_y)
+        sector = [s for s in states if s.particle_number == 3]
+        heff = build_effective_hamiltonian(odd_y, basis_from_states(odd_y, sector), Backend.oracle())
+        assert heff.matrix.dtype == np.complex128 and np.abs(heff.matrix.imag).max() > 0
+        assert np.array_equal(heff.matrix, heff.matrix.conj().T)
+        expected = np.array([[sum_matrix_element(m, odd_y, n) for n in sector] for m in sector])
+        assert np.array_equal(heff.matrix.view(np.uint64), expected.view(np.uint64))
 
     def test_exact_circuit_equals_oracle_both_styles(self, rng):
         hamiltonian = random_conserving_hamiltonian(rng, 4)
@@ -548,9 +576,9 @@ class TestHeffJson:
         assert "entries" not in payload
         states, matrix = heff_matrix_from_dict(payload)
         assert [s.bits for s in states] == [s.bits for s in basis.states]
-        # bit for bit, signed zeros included
-        assert matrix.dtype == heff.matrix.dtype
-        assert np.array_equal(matrix.view(np.uint64), heff.matrix.view(np.uint64))
+        # bit for bit, signed zeros included; a real matrix reads back with +0.0 imaginary parts
+        assert heff.matrix.dtype == np.float64
+        assert np.array_equal(matrix.view(np.uint64), heff.matrix.astype(complex).view(np.uint64))
 
     def test_writer_prints_the_tolist_text(self, rng):
         nan, inf = float("nan"), float("inf")

@@ -197,6 +197,16 @@ class TestParticleConservation:
             PauliSum.from_label_weights([(1.0, "XIII")]), trials=5, seed=1
         )
 
+    @pytest.mark.parametrize("label", ["IIIY", "XXXI", "Y" + "I" * 62, "I" * 63 + "X"])
+    def test_lone_odd_flip_violates(self, label):
+        # up to the 64 qubits a uint64 occupation mask holds
+        assert not check_particle_conservation(PauliSum.from_label_weights([(0.5, label)]))
+
+    def test_64_qubit_hopping_conserves(self):
+        chain = "Z" * 62
+        hopping = PauliSum.from_label_weights([(-0.25, f"X{chain}X"), (-0.25, f"Y{chain}Y")])
+        assert check_particle_conservation(hopping)
+
     def test_empty_sum(self):
         assert check_particle_conservation(PauliSum.zero(4))
 

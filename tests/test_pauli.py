@@ -11,17 +11,22 @@ from heffsolve.pauli import (
     PauliOp,
     PauliString,
     PauliSum,
-    apply_string,
     classify_terms,
     format_pauli_sum,
     multiply_ops,
     multiply_strings,
     parse_pauli_sum,
+)
+
+from conftest import (
+    apply_string,
+    basis_vector,
+    dense_pauli,
+    dense_sum,
+    random_hermitian_sum,
     string_matrix_element,
     sum_matrix_element,
 )
-
-from conftest import basis_vector, dense_pauli, dense_sum, random_hermitian_sum
 
 G1_LABELS = [
     "IIII", "ZIII", "IZII", "IIZI", "IIIZ",
