@@ -419,6 +419,10 @@ def _cmd_calibrate(args) -> int:
     noise = _parse_noise(args.noise)
     if noise is None:
         raise ValueError("--noise is required for calibrate")
+    if args.qubits < 1:
+        raise ValueError(f"--qubits must be at least 1, got {args.qubits}")
+    if args.shots < 0:
+        raise ValueError(f"--shots must be nonnegative, got {args.shots}")
     shots = None if args.shots == 0 else args.shots
     calibration = build_calibration(noise, shots, args.seed, args.qubits)
     payload = {

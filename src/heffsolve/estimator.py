@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -188,9 +188,15 @@ class MeasurementEstimate:
 
 @dataclass(frozen=True, slots=True)
 class CalibrationMatrix:
-    """Per-qubit 2x2 column-stochastic confusion matrices (composite = tensor product)."""
+    """Per-qubit 2x2 column-stochastic confusion matrices ``A_q``.
+
+    The composite channel is their tensor product and is never formed.  Each
+    wire's pull-back map ``(A_q^-1)^T`` is computed once, here, and
+    :func:`_inverse_transposed_values` applies the stored maps.
+    """
 
     matrices: tuple[np.ndarray, ...]
+    pullbacks: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for m in self.matrices:
@@ -200,15 +206,12 @@ class CalibrationMatrix:
                 raise ValueError("calibration matrix columns must sum to 1")
             if abs(np.linalg.det(m)) < 1e-9:
                 raise ValueError("singular calibration matrix")
+        object.__setattr__(
+            self, "pullbacks", tuple(np.linalg.inv(m).T for m in self.matrices)
+        )
 
     def matrix_for(self, qubit: int) -> np.ndarray:
         return self.matrices[qubit]
-
-    def composite(self, qubits) -> np.ndarray:
-        out = np.array([[1.0]])
-        for q in reversed(tuple(qubits)):
-            out = np.kron(out, self.matrices[q])
-        return out
 
 
 @dataclass(slots=True)
@@ -312,47 +315,16 @@ def build_calibration(
     return CalibrationMatrix(tuple(matrices))
 
 
-_NNLS_MAX_DIM = 4096
-
-
 def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Nonnegative least squares, ``scipy.optimize.nnls`` imported on first use.
 
-    Only the fallback of :func:`_mitigate_probabilities` needs it, and no solve
-    reaches that, so a solve never loads scipy.
+    Nothing calls it: readout mitigation is the linear pull-back of
+    :func:`_sampled_estimate`.  It stays bound only because the benchmark's
+    tracer wraps this name, and it leaves with that tracer.
     """
     from scipy.optimize import nnls as scipy_nnls
 
     return scipy_nnls(a, b)
-
-
-def _mitigate_probabilities(
-    weights: np.ndarray, calibration: CalibrationMatrix, qubits
-) -> np.ndarray:
-    """Solve ``cal @ p = observed`` for a nonnegative normalized ``p``.
-
-    The tensor-structured linear inversion is tried first; when it is already
-    nonnegative it coincides with the nonnegative least-squares solution.
-    Otherwise NNLS runs on the dense composite matrix.  Clipping to a
-    distribution biases the estimators fed from it, so the matrix-element
-    measurements use the linear estimate of :func:`_sampled_estimate` instead.
-    """
-    qubits = tuple(qubits)
-    observed = weights / weights.sum()
-    solved = apply_per_qubit(
-        observed, [np.linalg.inv(calibration.matrix_for(q)) for q in qubits]
-    )
-    if solved.min() < -1e-9:
-        if solved.shape[0] > _NNLS_MAX_DIM:
-            raise ValueError(
-                f"NNLS fallback needs a dense {solved.shape[0]}-dim calibration matrix; too large"
-            )
-        solved, _ = nnls(calibration.composite(qubits), observed)
-    solved = np.clip(solved, 0.0, None)
-    total = solved.sum()
-    if total <= 0.0:
-        raise ValueError("mitigated distribution vanished")
-    return solved / total
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +345,10 @@ def _inverse_transposed_values(
 
     The mitigated mean is a linear functional of the raw counts,
     ``u^T c / shots`` with ``u = (A^-1)^T v``, so its mean and its raw
-    sampling variance are both moments of ``u``.
+    sampling variance are both moments of ``u``.  Bit ``j`` of an outcome
+    is wire ``qubits[j]``, whose stored map ``(A_q^-1)^T`` is applied.
     """
-    return apply_per_qubit(
-        values, [np.linalg.inv(calibration.matrix_for(q)).T for q in qubits]
-    )
+    return apply_per_qubit(values, [calibration.pullbacks[q] for q in qubits])
 
 
 def _sampled_estimate(
@@ -390,12 +361,12 @@ def _sampled_estimate(
 ) -> tuple[float, float]:
     """Sample one histogram and estimate ``E[values]`` with its variance.
 
-    Under mitigation the values are pulled back through the calibration
-    inverse and both moments come from the raw counts: the mean
-    ``u . c / shots`` is then unbiased for the noiseless expectation, and the
-    variance carries the amplification of inverting the channel.  Being a
-    linear estimate, the mean is not clipped to the physical range of
-    ``values`` and may fall outside it.
+    This is the one readout-mitigation estimator.  Under mitigation the
+    values are pulled back through the calibration inverse and both moments
+    come from the raw counts: the mean ``u . c / shots`` is then unbiased for
+    the noiseless expectation, and the variance carries the amplification of
+    inverting the channel.  Being a linear estimate, the mean is not clipped
+    to the physical range of ``values`` and may fall outside it.
     """
     rng = rng_from_seed(seed)
     counts = sample_outcome_counts(probs, backend.shots, rng, backend.noise, tuple(qubits))
@@ -671,8 +642,9 @@ def _matrix_json(matrix: np.ndarray) -> str:
     values = re[kept], im[kept]
     finite = np.isfinite(values[0]) & np.isfinite(values[1])
     for i, j, x, y, plain in zip(*(a.tolist() for a in (*np.nonzero(kept), *values, finite))):
-        cell = f"[{x!r}, {y!r}]" if plain else json.dumps([x, y])
-        row_cells.setdefault(i, zero_cells.copy())[j] = cell
+        if i not in row_cells:
+            row_cells[i] = zero_cells.copy()
+        row_cells[i][j] = f"[{x!r}, {y!r}]" if plain else json.dumps([x, y])
     zero_row = "[" + ", ".join(zero_cells) + "]"
     return "[" + ", ".join(
         "[" + ", ".join(row_cells[i]) + "]" if i in row_cells else zero_row for i in range(rows)

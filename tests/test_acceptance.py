@@ -15,7 +15,7 @@ from heffsolve.circuits import ReadoutNoise, outcome_distribution, prepare_basis
 from heffsolve.cli import main
 from heffsolve.estimator import (
     Backend,
-    _mitigate_probabilities,
+    _inverse_transposed_values,
     build_calibration,
     build_effective_hamiltonian,
     measure_offdiagonal,
@@ -254,13 +254,17 @@ def test_criterion_8_mitigation_benefit():
     noise = ReadoutNoise(0.02, 0.02)
     exact_ground = exact_sector_spectrum(hamiltonian, 2).eigenvalues[0]
 
-    # infinite-shot exactness: pushing the analytic noisy distribution back
-    # through the exact calibration recovers the noiseless distribution
+    # infinite-shot exactness: each outcome indicator, pulled back through the
+    # exact calibration and averaged over the analytic noisy distribution,
+    # recovers that outcome's noiseless probability
     calibration = build_calibration(noise, None, 0, 6)
     circuit = prepare_basis_circuit(BasisState("1100"))
     noisy = outcome_distribution(circuit, noise)
     clean = outcome_distribution(circuit)
-    recovered = _mitigate_probabilities(noisy, calibration, circuit.measured)
+    recovered = np.array([
+        _inverse_transposed_values(indicator, calibration, circuit.measured) @ noisy
+        for indicator in np.eye(noisy.size)
+    ])
     assert np.abs(recovered - clean).max() <= 1e-12
 
     trials = 100

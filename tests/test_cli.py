@@ -498,6 +498,24 @@ class TestCalibrate:
              "-o", str(tmp_path / "c.json")]
         ) == 2
 
+    @pytest.mark.parametrize(
+        "sizes", [["--qubits", "-1"], ["--qubits", "0"], ["--qubits", "0", "--shots", "-5"]]
+    )
+    def test_impossible_qubit_count_is_input_error(self, tmp_path, capsys, sizes):
+        out = tmp_path / "cal.json"
+        assert main(["calibrate", "--noise", "0.02,0.02", *sizes, "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("input error: --qubits must be at least 1")
+        assert not out.exists()
+
+    def test_negative_shots_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "cal.json"
+        assert main(
+            ["calibrate", "--noise", "0.02,0.02", "--qubits", "2", "--shots", "-5",
+             "-o", str(out)]
+        ) == 2
+        assert capsys.readouterr().err.startswith("input error: --shots must be nonnegative")
+        assert not out.exists()
+
 
 class TestEnvOverrides:
     def test_shots_from_environment(self, tmp_path, h2_path, monkeypatch):

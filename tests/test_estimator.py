@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import heffsolve.estimator
-from heffsolve.circuits import ReadoutNoise
+from heffsolve.circuits import ReadoutNoise, apply_per_qubit
 from heffsolve.estimator import (
     Backend,
     CalibrationMatrix,
@@ -19,7 +19,7 @@ from heffsolve.estimator import (
     heff_to_json,
     measure_diagonal,
     measure_offdiagonal,
-    _mitigate_probabilities,
+    _inverse_transposed_values,
     _sampled_estimate,
 )
 from heffsolve.fermion import FermionHamiltonian, FermionTerm, jw_transform
@@ -457,23 +457,39 @@ class TestCalibration:
         with pytest.raises(ValueError, match="sum to 1"):
             CalibrationMatrix((np.array([[0.9, 0.1], [0.2, 0.9]]),))
 
-    def test_composite_is_tensor_product(self):
-        noise = ReadoutNoise((0.1, 0.2), 0.0)
-        calibration = build_calibration(noise, None, 0, 2)
-        composite = calibration.composite((0, 1))
-        expected = np.kron(calibration.matrix_for(1), calibration.matrix_for(0))
-        assert np.allclose(composite, expected)
+    def test_each_calibrated_wire_is_inverted_once_per_build(self, monkeypatch):
+        hamiltonian = random_conserving_hamiltonian(np.random.default_rng(3), 4)
+        basis = build_subspace(hamiltonian, SubspaceSpec(2, 2))
+        wires = hamiltonian.qubit_count + 2
+        noise = ReadoutNoise(tuple(0.01 * (q + 1) for q in range(wires)), 0.03)
+        backend = Backend.sampled(
+            shots=300, seed=4, noise=noise, mitigation=True,
+            measure_diagonals_with_circuits=True,
+        )
+        expected = build_calibration(noise, backend.shots, backend.seed, wires).matrices
+        inverted = []
+        inv = np.linalg.inv
+
+        def counting_inv(a):
+            inverted.append(np.array(a))
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        heff = build_effective_hamiltonian(hamiltonian, basis, backend)
+        # many more mitigated readouts than wires, so a per-readout inversion shows
+        assert heff.circuit_counts.string_executions > wires
+        assert len(inverted) == wires
+        for got, want in zip(inverted, expected):
+            assert np.array_equal(got, want)
 
 
 class TestMitigation:
     def test_identity_calibration_is_noop(self):
         calibration = CalibrationMatrix((np.eye(2), np.eye(2)))
-        # 70 shots read "00" and 30 read "10" (qubit 0 set): outcome indices 0 and 1
-        counts = np.array([70.0, 30.0, 0.0, 0.0])
-        corrected = _mitigate_probabilities(counts, calibration, (0, 1))
-        assert corrected.tolist() == pytest.approx([0.7, 0.3, 0.0, 0.0])
+        values = np.array([1.0, -1.0, 0.5, 2.0])
+        assert _inverse_transposed_values(values, calibration, (0, 1)).tolist() == values.tolist()
         # the pipeline's mitigated estimate equals the raw one
-        probs, values = counts / 100, np.array([1.0, -1.0, 0.5, 2.0])
+        probs = np.array([0.7, 0.3, 0.0, 0.0])
         backend = Backend.sampled(shots=100, noise=ReadoutNoise())
         raw = _sampled_estimate(probs, values, backend, 5, (0, 1), None)
         mitigated = Backend.sampled(shots=100, noise=ReadoutNoise(), mitigation=True)
@@ -483,18 +499,52 @@ class TestMitigation:
         noise = ReadoutNoise(0.04, 0.07)
         calibration = build_calibration(noise, None, 0, 2)
         clean = np.array([0.5, 0.0, 0.25, 0.25])
-        channel = calibration.composite((0, 1))
+        channel = np.kron(calibration.matrix_for(1), calibration.matrix_for(0))
         observed = channel @ clean
-        recovered = _mitigate_probabilities(observed, calibration, (0, 1))
+        # pulling back each outcome indicator reads that outcome's clean probability
+        recovered = [
+            _inverse_transposed_values(indicator, calibration, (0, 1)) @ observed
+            for indicator in np.eye(4)
+        ]
         assert np.allclose(recovered, clean, atol=1e-12)
 
-    def test_nnls_fallback_on_infeasible_counts(self):
-        # a pure |0> histogram under symmetric noise makes plain inversion negative
+    def test_mitigated_mean_is_linear_and_unclipped(self):
+        # every shot reads 0 through a symmetric 30% channel: the pull-back
+        # of Z is (A^-1)^T [1, -1] = [2.5, -2.5], and the mean is not clipped
         calibration = CalibrationMatrix((np.array([[0.7, 0.3], [0.3, 0.7]]),))
-        recovered = _mitigate_probabilities(np.array([1.0, 0.0]), calibration, (0,))
-        assert recovered.min() >= 0.0
-        assert recovered.sum() == pytest.approx(1.0)
-        assert recovered[0] == pytest.approx(1.0)
+        backend = Backend.sampled(shots=100, noise=ReadoutNoise(), mitigation=True)
+        mean, _ = _sampled_estimate(
+            np.array([1.0, 0.0]), np.array([1.0, -1.0]), backend, 0, (0,), calibration
+        )
+        assert mean == 2.5
+
+    def test_pull_back_is_the_adjoint_of_the_channel(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        @st.composite
+        def cases(draw):
+            wires = draw(st.integers(1, 4))
+            flip = st.floats(0.0, 0.25)
+            channels = [
+                np.array([[1 - a, b], [a, 1 - b]])
+                for a, b in (draw(st.tuples(flip, flip)) for _ in range(wires))
+            ]
+            size = 2 ** wires
+            weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
+            weights[0] += 1.0  # keeps the total positive
+            values = draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size))
+            return channels, weights / weights.sum(), np.array(values)
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(cases())
+        def check(case):
+            channels, p, v = case
+            calibration = CalibrationMatrix(tuple(channels))
+            pulled_back = _inverse_transposed_values(v, calibration, range(len(channels)))
+            assert abs(pulled_back @ apply_per_qubit(p, channels) - v @ p) <= 1e-12
+
+        check()
 
     def test_mitigation_improves_noisy_diagonal(self, rng):
         hamiltonian = random_conserving_hamiltonian(rng, 4)
