@@ -1,4 +1,4 @@
-"""Measurement circuits and their exact simulation.
+"""Measurement circuits and their simulation.
 
 The circuits built here are the interference circuits that extract matrix
 elements ``<n|H|n'>`` between computational basis states: a single-ancilla
@@ -7,18 +7,21 @@ two-ancilla variant that reads one Pauli string at a time through controlled
 applications.  The register layout is target qubits ``0..N-1`` followed by
 the ancilla(s) at the highest indices.
 
-Two simulators run the same gate lists.  :func:`run_sparse` keeps only the
-nonzero amplitudes: the circuits built here reach at most 16 of them, and
+:func:`run_sparse` is the simulator of every solve: it keeps only the
+nonzero amplitudes.  The circuits built here reach at most 16 of them, and
 a direct circuit followed by the basis rotations of a string with ``k``
 X/Y sites at most ``2^(2+k)``, so its cost does not depend on the register
-size.  :func:`run_statevector` is a dense statevector of ``2^wires``
-amplitudes, from which the sampler draws.  :func:`sample_outcome_counts`
-is the one finite-shot sampler: a multinomial histogram over the measured
-wires, then optional flips through an asymmetric per-qubit readout channel,
-drawn from a counter-based Philox generator so every result is
-reproducible from its recorded seed.  :func:`apply_per_qubit` applies any
-per-qubit 2x2 map (the channel, its inverse or its inverse transpose) to an
-outcome vector.
+size.  :func:`sample_outcome_counts` is the one finite-shot sampler: it
+draws the shots over the sparse state's entries, then flips the shots on
+each read wire through an asymmetric per-qubit readout channel, from a
+counter-based Philox generator so every result is reproducible from its
+recorded seed.
+
+:func:`run_statevector` is a dense statevector of ``2^wires`` amplitudes.
+No solve calls it; it and :func:`outcome_distribution` are the reference the
+tests check the sparse path against.  :func:`apply_per_qubit` applies any
+per-qubit 2x2 map (the channel, its inverse or its inverse transpose) to a
+dense outcome vector.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ __all__ = [
     "outcome_distribution",
     "apply_per_qubit",
     "measurement_rotations",
-    "parity_values",
+    "sample_outcome_counts",
 ]
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
@@ -275,17 +278,6 @@ def prepare_basis_circuit(n: BasisState) -> Circuit:
 # Statevector simulation
 # ---------------------------------------------------------------------------
 
-_IDX_CACHE: dict[int, np.ndarray] = {}
-
-
-def _indices(dim: int) -> np.ndarray:
-    idx = _IDX_CACHE.get(dim)
-    if idx is None:
-        idx = np.arange(dim, dtype=np.int64)
-        _IDX_CACHE[dim] = idx
-    return idx
-
-
 def _apply_1q(state: np.ndarray, matrix: np.ndarray, qubit: int, total: int) -> None:
     view = np.moveaxis(state.reshape([2] * total), total - 1 - qubit, 0)
     block = view.reshape(2, -1)
@@ -326,26 +318,13 @@ def run_statevector(circuit: Circuit) -> np.ndarray:
     return state
 
 
-def _mask_parity(indices: np.ndarray, mask: int) -> np.ndarray:
-    """Parity (0/1) of ``popcount(indices & mask)``, vectorized."""
-    out = np.zeros(indices.shape, dtype=np.int64)
-    bit = 0
-    m = mask
-    while m:
-        if m & 1:
-            out ^= (indices >> bit) & 1
-        m >>= 1
-        bit += 1
-    return out
-
-
 def apply_pauli_to_state(state: np.ndarray, string: PauliString) -> np.ndarray:
     """Dense action of a Pauli string on a statevector (permutation * phase)."""
     dim = state.shape[0]
     if dim != 1 << string.num_qubits:
         raise ValueError("state size does not match the string length")
-    idx = _indices(dim)
-    sign = 1.0 - 2.0 * _mask_parity(idx, string.z_mask)
+    idx = np.arange(dim, dtype=np.int64)
+    sign = 1.0 - 2.0 * (np.bitwise_count(idx & string.z_mask) & 1)
     phase = (1j ** (string.y_count % 4)) * sign
     out = np.empty_like(state)
     out[idx ^ string.x_mask] = phase * state
@@ -369,18 +348,19 @@ def _entries(matrix: np.ndarray) -> tuple[tuple[complex, complex], tuple[complex
 _ENTRIES_1Q = {kind: _entries(m) for kind, m in _MAT_1Q.items()}
 
 
-def run_sparse(circuit: Circuit) -> dict[int, complex]:
-    """Simulate from ``|0...0>`` on the nonzero amplitudes only.
+def run_sparse(circuit: Circuit, state: dict[int, complex] | None = None) -> dict[int, complex]:
+    """Simulate from ``state`` (default ``|0...0>``) on the nonzero amplitudes only.
 
     The state maps each basis index (bit ``i`` is qubit ``i``) to its
-    amplitude; entries that become exactly zero are dropped.  A gate that
-    splits entries in two is refused with :class:`CapacityError` when the
-    support could outgrow ``MAX_DENSE_DIMENSION**2`` entries, the size of the
-    largest dense matrix the program admits.  The norm is checked as in
-    :func:`run_statevector`.
+    amplitude; entries that become exactly zero are dropped, and ``state``
+    itself is left as it is.  A gate that splits entries in two is refused
+    with :class:`CapacityError` when the support could outgrow
+    ``MAX_DENSE_DIMENSION**2`` entries, the size of the largest dense matrix
+    the program admits.  The norm is checked as in :func:`run_statevector`.
     """
     limit = spectra.MAX_DENSE_DIMENSION ** 2
-    state: dict[int, complex] = {0: 1 + 0j}
+    if state is None:
+        state = {0: 1 + 0j}
     for gate in circuit.gates:
         if gate.angle is None:
             (m00, m01), (m10, m11) = _ENTRIES_1Q[_CONTROLLED.get(gate.kind, gate.kind)]
@@ -507,45 +487,43 @@ def apply_noise_to_distribution(
 
 
 def sample_outcome_counts(
-    probs: np.ndarray,
+    state: dict[int, complex],
     shots: int,
     rng: np.random.Generator,
     noise: ReadoutNoise | None = None,
-    qubits: tuple[int, ...] | None = None,
-) -> np.ndarray:
-    """Multinomial counts over outcomes, then per-shot readout flips.
+    wires: tuple[int, ...] = (),
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``shots`` outcomes from a :func:`run_sparse` state and read ``wires``.
 
-    Flips are drawn binomially per qubit, which is statistically identical to
-    flipping each shot independently.  Zero-probability channels are skipped
-    entirely so a trivial noise model reproduces the noiseless stream.
+    Returns ``(bits, counts)``: column ``k`` of the boolean ``bits`` is what
+    ``wires`` read in outcome ``k``, and ``counts[k]`` how many shots gave it
+    (two columns may hold one outcome).  The shots are drawn multinomially
+    over the state's entries, so nothing of size ``2^wires`` is formed.  Each
+    read wire then flips through the channel: a binomial draw per column
+    moves its flipped shots to a new column.  Flips on other wires leave the
+    wire's row as drawn, so this is statistically the same as flipping each
+    shot independently.  A trivial channel draws nothing, so it reproduces
+    the noiseless stream.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
-    p = np.clip(probs, 0.0, None)
-    p = p / p.sum()
-    counts = rng.multinomial(shots, p).astype(np.int64)
-    if noise is None or qubits is None or noise.is_trivial(qubits):
-        return counts
-    dim = counts.shape[0]
-    idx = _indices(dim)
-    for j, q in enumerate(qubits):
-        p01, p10 = noise.for_qubit(q)
-        if p01 == 0.0 and p10 == 0.0:
+    probs = np.array([abs(amp) ** 2 for amp in state.values()])
+    counts = rng.multinomial(shots, probs / probs.sum())
+    drawn = np.flatnonzero(counts)
+    bits = np.array(
+        [[index >> q & 1 for index in state] for q in wires], dtype=bool
+    ).reshape(len(wires), len(state))[:, drawn]
+    counts = counts[drawn]
+    for j, q in enumerate(wires):
+        p01, p10 = noise.for_qubit(q) if noise is not None else (0.0, 0.0)
+        if p01 == p10 == 0.0:
             continue
-        bit = 1 << j
-        zero_side = idx[(idx & bit) == 0]
-        one_side = zero_side ^ bit
-        flips_up = rng.binomial(counts[zero_side], p01) if p01 > 0.0 else 0
-        flips_down = rng.binomial(counts[one_side], p10) if p10 > 0.0 else 0
-        counts[zero_side] += flips_down - flips_up
-        counts[one_side] += flips_up - flips_down
-    return counts
-
-
-def parity_values(num_bits: int, support_mask: int) -> np.ndarray:
-    """``(-1)**popcount(outcome & support)`` for every outcome index."""
-    idx = _indices(1 << num_bits)
-    return 1.0 - 2.0 * _mask_parity(idx, support_mask)
+        flipped = rng.binomial(counts, np.where(bits[j], p10, p01))
+        moved = bits[:, flipped > 0]
+        moved[j] ^= True
+        bits = np.concatenate([bits, moved], axis=1)
+        counts = np.concatenate([counts - flipped, flipped[flipped > 0]])
+    return bits[:, counts > 0], counts[counts > 0]
 
 
 def measurement_rotations(observable: PauliString, offset: int = 0) -> list[Gate]:

@@ -69,13 +69,28 @@ EXIT_CAPACITY = 3
 _ENV_PREFIX = "HEFFSOLVE_"
 
 
-def _env(name: str, fallback, cast=str):
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False, "": False}
+
+
+def _env(name: str, fallback, cast=str, choices=None):
+    """The flag default from ``HEFFSOLVE_<name>``, or ``fallback`` when unset;
+    a value that does not parse is a ValueError that names the variable."""
     raw = os.environ.get(_ENV_PREFIX + name)
     if raw is None:
         return fallback
-    if cast is bool:
-        return raw.strip().lower() in ("1", "true", "yes", "on")
-    return cast(raw)
+    try:
+        value = _BOOLEANS[raw.strip().lower()] if cast is bool else cast(raw)
+        if choices is not None and value not in choices:
+            raise ValueError
+    except (KeyError, ValueError):
+        raise ValueError(f"{_ENV_PREFIX}{name}={raw!r} is not a valid value") from None
+    return value
+
+
+def _add_choice(parser: argparse.ArgumentParser, flag: str, choices: tuple, env: str, **kw) -> None:
+    """A choice flag whose default is ``choices[0]`` or ``HEFFSOLVE_<env>``."""
+    parser.add_argument(flag, choices=choices, default=_env(env, choices[0], choices=choices), **kw)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -159,9 +174,9 @@ class RunConfig:
                 raise ValueError(f"{flag} must be at least 1, got {value}")
         if self.particle_number < 0:
             raise ValueError(f"--nf must be nonnegative, got {self.particle_number}")
-        if self.mc_steps < 0:
-            raise ValueError(f"--mc-steps must be nonnegative, got {self.mc_steps}")
-        # The subspace spec checks its own fields; the backend checked its own.
+        # The annealing schedule is checked whatever the strategy; the subspace
+        # spec and the backend check their own fields.
+        MonteCarloSearch(steps=self.mc_steps, initial_temperature=self.mc_t0, cooling=self.mc_cooling)
         self.subspace_spec()
 
     def describe(self) -> dict:
@@ -202,9 +217,17 @@ class RunConfig:
 
 
 def _select_basis(hamiltonian: PauliSum, config: RunConfig):
-    if config.basis_file:
-        return basis_from_states(hamiltonian, load_states(config.basis_file))
-    return build_subspace(hamiltonian, config.subspace_spec())
+    if not config.basis_file:
+        return build_subspace(hamiltonian, config.subspace_spec())
+    states = load_states(config.basis_file)
+    wanted = (hamiltonian.qubit_count, config.particle_number)
+    outside = [s.bits for s in states if (s.num_qubits, s.particle_number) != wanted]
+    if outside or not states:
+        raise ValueError(
+            f"{config.basis_file}: the basis must be {wanted[0]}-bit states in the "
+            f"--nf {wanted[1]} sector; found {outside[0] if outside else 'no state'}"
+        )
+    return basis_from_states(hamiltonian, states)
 
 
 def _error_rows(heff_values: np.ndarray, exact_values: np.ndarray) -> str:
@@ -276,15 +299,6 @@ def _prepare(config: RunConfig) -> tuple[PauliSum, SubspaceBasis, np.ndarray | N
     """Load and check the input, select the basis and compute the exact
     reference; raises on a bad input or capacity before any file exists."""
     hamiltonian = _load_hamiltonian(config.input_path, config.fmt)
-    if config.backend.kind == "sampled":
-        # The sampler draws from a dense state over the target and ancilla wires.
-        ancillas = 1 if config.backend.measurement_style == "direct" else 2
-        wires = hamiltonian.qubit_count + ancillas
-        if 1 << wires > MAX_DENSE_DIMENSION ** 2:
-            raise CapacityError(
-                f"the sampled backend needs a dense state of 2^{wires} amplitudes, "
-                f"over the limit of {MAX_DENSE_DIMENSION ** 2}"
-            )
     basis = _select_basis(hamiltonian, config)
     if basis.size > MAX_DENSE_DIMENSION:
         raise CapacityError(
@@ -446,9 +460,8 @@ def _add_common(parser: argparse.ArgumentParser, with_backend: bool = True) -> N
                         help="maximum excitation order (default 2 = singles+doubles)")
     parser.add_argument("--ns", default=_env("NS", "all"),
                         help="subspace size target, an integer or 'all'")
-    parser.add_argument("--strategy", choices=("exhaustive", "mc"),
-                        default=_env("STRATEGY", "exhaustive"),
-                        help="reference search strategy")
+    _add_choice(parser, "--strategy", ("exhaustive", "mc"), "STRATEGY",
+                help="reference search strategy")
     parser.add_argument("--mc-steps", type=int, default=_env("MC_STEPS", 2000, int))
     parser.add_argument("--mc-t0", type=float, default=None)
     parser.add_argument("--mc-cooling", type=float, default=0.95)
@@ -458,18 +471,15 @@ def _add_common(parser: argparse.ArgumentParser, with_backend: bool = True) -> N
                         dest="fmt", help="input format (default: sniff)")
     if with_backend:
         parser.add_argument("--basis", default=None, help="reuse a fixed basis file")
-        parser.add_argument("--backend", choices=("oracle", "exact", "sampled"),
-                            default=_env("BACKEND", "oracle"))
+        _add_choice(parser, "--backend", ("oracle", "exact", "sampled"), "BACKEND")
         parser.add_argument("--shots", type=int, default=_env("SHOTS", 8000, int))
         parser.add_argument("--noise", default=_env("NOISE", None),
                             help="readout flip probabilities 'p01,p10'")
         parser.add_argument("--mitigate", action="store_true",
                             default=_env("MITIGATE", False, bool))
-        parser.add_argument("--style", choices=("direct", "indirect"),
-                            default=_env("STYLE", "direct"))
-        parser.add_argument("--diagonals", choices=("classical", "circuit"),
-                            default=_env("DIAGONALS", "classical"),
-                            help="diagonal entries: classical evaluation or full circuits")
+        _add_choice(parser, "--style", ("direct", "indirect"), "STYLE")
+        _add_choice(parser, "--diagonals", ("classical", "circuit"), "DIAGONALS",
+                    help="diagonal entries: classical evaluation or full circuits")
         parser.add_argument("--repeats", type=int, default=_env("REPEATS", 1, int),
                             help="independent repetitions (min/max bands)")
         parser.add_argument("--levels", type=int, default=_env("LEVELS", 4, int),
@@ -551,8 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)

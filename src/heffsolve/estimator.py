@@ -13,11 +13,12 @@ share one measurement basis.  There are three kinds:
   reading ``0.25 (II + ZI + IZ + ZZ)`` on the ancillas.
 
 One routine, :func:`_read`, evaluates them; the backends differ only there.
-``exact`` takes the expectations from the sparse state of
-:func:`heffsolve.circuits.run_sparse`, at any register size; ``sampled``
-draws finite shots from a dense statevector in the shared basis, with
-optional readout noise and calibration-matrix mitigation.  ``oracle``
-measures nothing: its matrix is :func:`heffsolve.pauli.project` of the basis.
+Both circuit backends simulate with :func:`heffsolve.circuits.run_sparse`,
+at any register size.  ``exact`` takes the expectations from the sparse
+state; ``sampled`` rotates it into the shared basis and draws finite shots
+over its entries, with optional readout noise and calibration-matrix
+mitigation.  ``oracle`` measures nothing: its matrix is
+:func:`heffsolve.pauli.project` of the basis.
 
 Only strings containing X or Y are ever measured for off-diagonal entries
 (I/Z-only strings cannot connect two different basis states), and their own
@@ -46,19 +47,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# ``state_expectation`` is not called here; it stays bound because
-# perfbench/spans.py wraps it.
+# The dense simulator's names are not called here; they stay bound because
+# perfbench/spans.py wraps them, and leave with that tracer.
 from .circuits import (
     Circuit,
     ReadoutNoise,
     apply_circuit,
-    apply_per_qubit,
     build_indirect_circuit,
     build_offdiagonal_circuit,
     derive_seed,
     marginal_probabilities,
     measurement_rotations,
-    parity_values,
     prepare_basis_circuit,
     rng_from_seed,
     run_sparse,
@@ -173,9 +172,9 @@ class Backend:
 class MeasurementEstimate:
     """One estimated matrix element and its statistical pedigree.
 
-    Histograms are not kept: each is reduced to a mean and variance by
-    :func:`_sampled_estimate` as it is drawn, and the entry keeps the shot
-    and circuit totals with the propagated standard errors.
+    Shots are not kept: each readout's draw is reduced to a mean and
+    variance by :func:`_sampled_estimate`, and the entry keeps the shot and
+    circuit totals with the propagated standard errors.
     """
 
     value: complex
@@ -192,7 +191,7 @@ class CalibrationMatrix:
 
     The composite channel is their tensor product and is never formed.  Each
     wire's pull-back map ``(A_q^-1)^T`` is computed once, here, and
-    :func:`_inverse_transposed_values` applies the stored maps.
+    :func:`_outcome_values` reads each parity term through the stored maps.
     """
 
     matrices: tuple[np.ndarray, ...]
@@ -319,7 +318,7 @@ def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Nonnegative least squares, ``scipy.optimize.nnls`` imported on first use.
 
     Nothing calls it: readout mitigation is the linear pull-back of
-    :func:`_sampled_estimate`.  It stays bound only because the benchmark's
+    :func:`_outcome_values`.  It stays bound only because the benchmark's
     tracer wraps this name, and it leaves with that tracer.
     """
     from scipy.optimize import nnls as scipy_nnls
@@ -331,52 +330,70 @@ def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
 # Matrix-element measurement
 # ---------------------------------------------------------------------------
 
-def _mean_and_variance(weights: np.ndarray, values: np.ndarray, shots: int) -> tuple[float, float]:
-    freq = weights / weights.sum()
+def _mean_and_variance(counts: np.ndarray, values: np.ndarray, shots: int) -> tuple[float, float]:
+    freq = counts / counts.sum()
     mean = float(freq @ values)
     second = float(freq @ (values * values))
     return mean, max(second - mean * mean, 0.0) / shots
 
 
-def _inverse_transposed_values(
-    values: np.ndarray, calibration: CalibrationMatrix, qubits
+def _outcome_values(
+    bits: np.ndarray,
+    observable: list[tuple[float, PauliString]],
+    wires: list[int],
+    calibration: CalibrationMatrix | None,
 ) -> np.ndarray:
-    """Per-outcome values pulled back through the calibration inverse.
+    """``sum c (-1)**parity`` of each outcome, or its calibration pull-back.
 
-    The mitigated mean is a linear functional of the raw counts,
-    ``u^T c / shots`` with ``u = (A^-1)^T v``, so its mean and its raw
-    sampling variance are both moments of ``u``.  Bit ``j`` of an outcome
-    is wire ``qubits[j]``, whose stored map ``(A_q^-1)^T`` is applied.
+    Row ``j`` of ``bits`` is wire ``wires[j]``, which holds the support of
+    every string.  Each wire reads a factor ``g_q[bit]``: ``(1, -1)`` raw,
+    and ``g_q = (A_q^-1)^T (1, -1)`` under mitigation.  A column-stochastic
+    ``A_q`` has ``(A_q^-1)^T (1, 1) = (1, 1)``, so a wire outside a string's
+    support contributes a factor of 1, and each term's pull-back is the
+    product of its support's factors; no ``2^wires`` vector is formed.
     """
-    return apply_per_qubit(values, [calibration.pullbacks[q] for q in qubits])
+    factors = np.where(bits, -1.0, 1.0)
+    if calibration is not None:
+        g = np.array([calibration.pullbacks[q] @ (1.0, -1.0) for q in wires]).reshape(-1, 2)
+        factors = np.where(bits, g[:, 1:], g[:, :1])
+    row = {q: j for j, q in enumerate(wires)}
+    values = np.zeros(bits.shape[1])
+    for c, s in observable:
+        term = np.full(bits.shape[1], c)
+        for q in s.support():
+            term *= factors[row[q]]
+        values += term
+    return values
 
 
 def _sampled_estimate(
-    probs: np.ndarray,
-    values: np.ndarray,
+    state: dict[int, complex],
+    observable: list[tuple[float, PauliString]],
     backend: Backend,
     seed: int,
-    qubits,
     calibration: CalibrationMatrix | None,
 ) -> tuple[float, float]:
-    """Sample one histogram and estimate ``E[values]`` with its variance.
+    """Sample one readout of a :func:`run_sparse` state: its mean, and the
+    variance of that mean.
 
-    This is the one readout-mitigation estimator.  Under mitigation the
-    values are pulled back through the calibration inverse and both moments
-    come from the raw counts: the mean ``u . c / shots`` is then unbiased for
-    the noiseless expectation, and the variance carries the amplification of
-    inverting the channel.  Being a linear estimate, the mean is not clipped
-    to the physical range of ``values`` and may fall outside it.
+    The state is rotated into the observable's shared measurement basis and
+    the shots read only the wires its strings touch.  This is the one
+    readout-mitigation estimator: under mitigation the values are pulled
+    back through the calibration inverse and both moments come from the raw
+    shots, so the mean is unbiased for the noiseless expectation, and the
+    variance carries the amplification of inverting the channel.  The mean
+    is linear, so it is not clipped to the values' physical range.
     """
-    rng = rng_from_seed(seed)
-    counts = sample_outcome_counts(probs, backend.shots, rng, backend.noise, tuple(qubits))
-    weights = counts.astype(float)
-    if not backend.mitigation:
-        return _mean_and_variance(weights, values, backend.shots)
-    if calibration is None:
+    if backend.mitigation and calibration is None:
         raise ValueError("mitigation requested but no calibration supplied")
-    pulled_back = _inverse_transposed_values(values, calibration, qubits)
-    return _mean_and_variance(weights, pulled_back, backend.shots)
+    rotations = measurement_rotations(observable[0][1]) if observable else []
+    if rotations:
+        state = run_sparse(Circuit(observable[0][1].num_qubits, rotations), state)
+    wires = sorted({q for _, s in observable for q in s.support()})
+    rng = rng_from_seed(seed)
+    bits, counts = sample_outcome_counts(state, backend.shots, rng, backend.noise, tuple(wires))
+    values = _outcome_values(bits, observable, wires, calibration if backend.mitigation else None)
+    return _mean_and_variance(counts, values, backend.shots)
 
 
 def _read(
@@ -388,33 +405,23 @@ def _read(
 
     The observable ``[(coefficient, string)]`` is over the circuit's wires,
     all of them measured, and its strings share the X/Y sites of the first,
-    so one measurement basis reads them all.  Consecutive readouts of one
-    circuit object share its simulation.  ``exact`` takes ``sum c <P>`` from
-    the sparse state, with variance 0.  ``sampled`` rotates the dense state
-    into the shared basis and reduces one histogram, drawn from the seed the
-    key derives, over the values ``sum c (-1)**popcount(outcome & support)``.
+    so one measurement basis reads them all.  Every circuit runs on
+    :func:`run_sparse`, and consecutive readouts of one circuit object share
+    its simulation.  ``exact`` takes ``sum c <P>`` from the sparse state,
+    with variance 0.  ``sampled`` passes the state to
+    :func:`_sampled_estimate`, with the seed the key derives.
     """
     results = []
     circuit = state = None
     for readout_circuit, observable, key in readouts:
         if readout_circuit is not circuit:
             circuit = readout_circuit
-            state = run_sparse(circuit) if backend.kind == "exact" else run_statevector(circuit)
+            state = run_sparse(circuit)
         if backend.kind == "exact":
             results.append((sum(c * sparse_expectation(state, s) for c, s in observable), 0.0))
-            continue
-        wires = circuit.total_qubits
-        rotations = measurement_rotations(observable[0][1]) if observable else []
-        rotated = apply_circuit(state, Circuit(wires, rotations)) if rotations else state
-        probs = marginal_probabilities(rotated, wires, circuit.measured)
-        values = sum(
-            (c * parity_values(wires, s.x_mask | s.z_mask) for c, s in observable),
-            np.zeros(probs.shape[0]),
-        )
-        seed = derive_seed(backend.seed, *key)
-        results.append(
-            _sampled_estimate(probs, values, backend, seed, circuit.measured, calibration)
-        )
+        else:
+            seed = derive_seed(backend.seed, *key)
+            results.append(_sampled_estimate(state, observable, backend, seed, calibration))
     return results
 
 

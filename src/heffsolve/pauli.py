@@ -91,10 +91,6 @@ class PauliString:
         self.y_count = label.count("Y")
 
     @classmethod
-    def from_ops(cls, ops: Sequence[PauliOp]) -> "PauliString":
-        return cls("".join(op.value for op in ops))
-
-    @classmethod
     def from_masks(cls, x_mask: int, z_mask: int, num_qubits: int) -> "PauliString":
         chars = ("IXZY"[(x_mask >> i & 1) | (z_mask >> i & 1) << 1] for i in range(num_qubits))
         return cls("".join(chars))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
@@ -43,9 +44,10 @@ class ExhaustiveSearch:
 class MonteCarloSearch:
     """Simulated annealing over occupied/unoccupied swaps.
 
-    Geometric cooling ``T_k = T0 * cooling**k``; when ``initial_temperature``
-    is None, ``T0`` is the diagonal-energy standard deviation over 100 random
-    configurations of the sector.  The best configuration ever visited is
+    Geometric cooling ``T_k = T0 * cooling**k`` with ``0 < cooling <= 1``;
+    ``initial_temperature`` is finite and positive, or None: then ``T0`` is
+    the diagonal-energy standard deviation over 100 random configurations of
+    the sector, or 1 where that is 0.  The best configuration ever visited is
     returned, so the result never exceeds the starting energy.
     """
 
@@ -53,6 +55,15 @@ class MonteCarloSearch:
     seed: int = 0
     initial_temperature: float | None = None
     cooling: float = 0.95
+
+    def __post_init__(self) -> None:
+        if self.steps < 0:
+            raise ValueError(f"annealing steps must be nonnegative, got {self.steps}")
+        t0 = self.initial_temperature
+        if t0 is not None and not (math.isfinite(t0) and t0 > 0.0):
+            raise ValueError(f"annealing initial temperature must be finite and positive, got {t0}")
+        if not 0.0 < self.cooling <= 1.0:
+            raise ValueError(f"annealing cooling factor must lie in (0, 1], got {self.cooling}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,9 +171,7 @@ def _anneal_reference(
         probe = np.empty(100, dtype=np.uint64)
         for k in range(100):
             probe[k] = mask_of(rng.choice(num, size=particle_number, replace=False))
-        temperature = float(np.std(_flip_amplitudes(diagonal, probe)[0]))
-    if temperature <= 0.0:
-        temperature = 1.0
+        temperature = float(np.std(_flip_amplitudes(diagonal, probe)[0])) or 1.0
 
     current_mask = mask_of(occupied)
     current = energy(current_mask)

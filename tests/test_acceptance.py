@@ -11,11 +11,15 @@ from pathlib import Path
 
 import numpy as np
 
-from heffsolve.circuits import ReadoutNoise, outcome_distribution, prepare_basis_circuit
+from heffsolve.circuits import (
+    ReadoutNoise,
+    apply_per_qubit,
+    outcome_distribution,
+    prepare_basis_circuit,
+)
 from heffsolve.cli import main
 from heffsolve.estimator import (
     Backend,
-    _inverse_transposed_values,
     build_calibration,
     build_effective_hamiltonian,
     measure_offdiagonal,
@@ -255,16 +259,14 @@ def test_criterion_8_mitigation_benefit():
     exact_ground = exact_sector_spectrum(hamiltonian, 2).eigenvalues[0]
 
     # infinite-shot exactness: each outcome indicator, pulled back through the
-    # exact calibration and averaged over the analytic noisy distribution,
-    # recovers that outcome's noiseless probability
+    # exact calibration's stored maps and averaged over the analytic noisy
+    # distribution, recovers that outcome's noiseless probability
     calibration = build_calibration(noise, None, 0, 6)
     circuit = prepare_basis_circuit(BasisState("1100"))
     noisy = outcome_distribution(circuit, noise)
     clean = outcome_distribution(circuit)
-    recovered = np.array([
-        _inverse_transposed_values(indicator, calibration, circuit.measured) @ noisy
-        for indicator in np.eye(noisy.size)
-    ])
+    maps = [calibration.pullbacks[q] for q in circuit.measured]
+    recovered = np.array([apply_per_qubit(indicator, maps) @ noisy for indicator in np.eye(noisy.size)])
     assert np.abs(recovered - clean).max() <= 1e-12
 
     trials = 100

@@ -20,7 +20,6 @@ from heffsolve.circuits import (
     marginal_probabilities,
     measurement_rotations,
     outcome_distribution,
-    parity_values,
     prepare_basis_circuit,
     rng_from_seed,
     run_sparse,
@@ -232,27 +231,29 @@ class TestIndirectCircuit:
         assert all(g.qubits[0] == meas for g in controlled_paulis)
 
 
+def histogram(bits: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Dense counts over the read wires, outcome index bit ``j`` = row ``j``."""
+    index = sum(row.astype(np.int64) << j for j, row in enumerate(bits))
+    return np.bincount(index, weights=counts, minlength=1 << len(bits)).astype(np.int64)
+
+
 def sampled(circuit: Circuit, observable: PauliString, shots: int, seed: int, noise=None):
     """Counts and (mean, stderr) of ``observable`` the way the pipeline samples.
 
-    The observable is rotated to the Z basis, its support parity is read
-    from one histogram over the measured wires, and :func:`_sampled_estimate`
-    (the sampler of every sampled matrix element) reduces it.
+    :func:`_sampled_estimate` (the sampler of every sampled matrix element)
+    rotates the sparse state to the Z basis and reads the support parity
+    from one draw; the counts are the same seed's draw over the measured
+    wires of the rotated circuit, as a dense histogram.
     """
     rotated = Circuit(
         circuit.total_qubits,
         [*circuit.gates, *measurement_rotations(observable)],
         circuit.measured_qubits,
     )
-    measured = rotated.measured
-    probs = marginal_probabilities(run_statevector(rotated), rotated.total_qubits, measured)
-    values = parity_values(
-        len(measured), sum(1 << measured.index(q) for q in observable.support())
-    )
     backend = Backend.sampled(shots=shots, noise=noise)
-    mean, var = _sampled_estimate(probs, values, backend, seed, measured, None)
-    counts = sample_outcome_counts(probs, shots, rng_from_seed(seed), noise, measured)
-    return counts, mean, math.sqrt(var)
+    mean, var = _sampled_estimate(run_sparse(circuit), [(1.0, observable)], backend, seed, None)
+    draw = sample_outcome_counts(run_sparse(rotated), shots, rng_from_seed(seed), noise, rotated.measured)
+    return histogram(*draw), mean, math.sqrt(var)
 
 
 class TestExactExpectation:
@@ -443,9 +444,8 @@ class TestNoiseChannel:
         circuit = Circuit(2, [Gate.h(0), Gate.cx(0, 1)])
         noise = ReadoutNoise(0.05, 0.1)
         analytic = outcome_distribution(circuit, noise)
-        probs = outcome_distribution(circuit)
         rng = rng_from_seed(99)
-        counts = sample_outcome_counts(probs, 200000, rng, noise, (0, 1))
+        counts = histogram(*sample_outcome_counts(run_sparse(circuit), 200000, rng, noise, (0, 1)))
         assert np.allclose(counts / 200000, analytic, atol=5e-3)
 
     def test_per_qubit_map_is_the_tensor_product(self, rng):

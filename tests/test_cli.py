@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import heffsolve
@@ -252,27 +253,25 @@ class TestSolve:
         assert max(abs(a - b) for ra, rb in zip(exact, oracle) for a, b in zip(ra, rb)) <= 1e-12
         assert max(abs(v.imag) for row in oracle for v in row) > 0.05
 
-    def test_sampled_dense_state_over_the_limit_exits_3_before_any_file(self, tmp_path, capsys):
+    def test_sampled_solves_forty_modes_within_five_stderr_of_exact(self, tmp_path):
+        # 2^41 amplitudes could not be held; the sampler draws from the sparse state
         path = tmp_path / "wide40.ferm"
         path.write_text(WIDE_FERMION)
-        out = tmp_path / "sampled"
+        flags = ["--nf", "2", "--ns", "6"]
         assert main(
-            ["solve", str(path), "--out", str(out), "--nf", "2", "--ns", "6", "--backend", "sampled"]
-        ) == 3
-        assert capsys.readouterr().err.startswith("capacity error:")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("style, code", [("direct", 0), ("indirect", 3)])
-    def test_sampled_dense_state_bound(self, tmp_path, h2_path, monkeypatch, style, code):
-        # 4 qubits: the direct style needs 2^5 amplitudes, the indirect 2^6,
-        # and the bound is 6^2 = 36.
-        monkeypatch.setattr(heffsolve.cli, "MAX_DENSE_DIMENSION", 6)
-        out = tmp_path / style
+            ["solve", str(path), "--out", str(tmp_path / "sampled"), *flags, "--backend", "sampled"]
+        ) == 0
         assert main(
-            ["solve", h2_path, "--out", str(out), "--nf", "2", "--backend", "sampled",
-             "--shots", "200", "--style", style]
-        ) == code
-        assert out.exists() == (code == 0)
+            ["solve", str(path), "--out", str(tmp_path / "exact"), *flags, "--backend", "exact"]
+        ) == 0
+        sampled, exact = heff_matrix(tmp_path / "sampled"), heff_matrix(tmp_path / "exact")
+        assert np.all(np.isfinite(sampled)) and np.array_equal(sampled, sampled.conj().T)
+        entries = json.loads((tmp_path / "sampled" / "heff.json").read_text())["entries"]
+        assert len(entries) == 21 and any(e["stderr_re"] > 0 for e in entries)
+        for e in entries:
+            error = sampled[e["row"], e["col"]] - exact[e["row"], e["col"]]
+            assert abs(error.real) <= 5 * e["stderr_re"] + 1e-12
+            assert abs(error.imag) <= 5 * e["stderr_im"] + 1e-12
 
     def test_63_qubits_solve(self, tmp_path):
         out = tmp_path / "wide"
@@ -329,6 +328,44 @@ class TestInputValidation:
     def test_other_out_of_range_values(self, tmp_path, capsys, h2_path, flag, value):
         self.rejected(tmp_path, capsys, h2_path, "--strategy", "mc", flag, value, command="scan")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--strategy", "mc", "--mc-t0", "-1"),
+            ("--strategy", "mc", "--mc-t0", "nan"),
+            ("--strategy", "mc", "--mc-cooling", "1.5"),
+            ("--strategy", "mc", "--mc-cooling", "0"),
+            ("--strategy", "mc", "--mc-cooling", "-0.5"),
+            ("--mc-cooling", "1.5"),
+        ],
+        ids=["t0-negative", "t0-nan", "heating", "cooling-zero", "cooling-negative", "exhaustive"],
+    )
+    @pytest.mark.parametrize("command", ["solve", "scan"])
+    def test_bad_annealing_schedule(self, tmp_path, capsys, h2_path, flags, command):
+        # a schedule the manifest would record but the annealer would not run
+        assert "annealing" in self.rejected(tmp_path, capsys, h2_path, *flags, command=command)
+
+    @pytest.mark.parametrize(
+        "states, message",
+        [
+            ("1100\n1010\n", "found 1100"),
+            ("110\n101\n", "found 110"),
+            ("# nothing\n", "found no state"),
+        ],
+        ids=["two-particle", "short", "empty"],
+    )
+    @pytest.mark.parametrize("command", ["solve", "scan"])
+    def test_basis_file_outside_the_run(self, tmp_path, capsys, h2_path, states, message, command):
+        # the two-particle Heff would be compared with the three-particle spectrum
+        basis = tmp_path / "basis.txt"
+        basis.write_text(states)
+        out = tmp_path / "out"
+        source = str(DATA) if command == "scan" else h2_path
+        assert main([command, source, "--out", str(out), "--nf", "3", "--basis", str(basis)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "4-bit states in the --nf 3 sector" in err
+        assert message in err and not out.exists()
+
     def test_mitigation_without_noise(self, tmp_path, capsys, h2_path):
         err = self.rejected(tmp_path, capsys, h2_path, "--backend", "sampled", "--mitigate")
         assert "noise model" in err
@@ -350,24 +387,39 @@ class TestInputValidation:
 
 
 class TestImports:
-    def test_mitigated_sampled_solve_leaves_scipy_unloaded(self, tmp_path, h2_path):
+    @staticmethod
+    def loaded_by_solve(args, *packages):
+        """The modules of ``packages`` (dotted prefixes) a fresh interpreter
+        holds after ``main(args)``, with the exit code."""
         script = (
             "import sys\n"
             "from heffsolve.cli import main\n"
-            "code = main(sys.argv[1:])\n"
-            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "code = main(sys.argv[2:])\n"
+            "prefixes = [p.split('.') for p in sys.argv[1].split(',')]\n"
+            "print(code, sorted(m for m in sys.modules\n"
+            "    if any(m.split('.')[:len(p)] == p for p in prefixes)))\n"
         )
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        done = subprocess.run(
+            [sys.executable, "-c", script, ",".join(packages), *args],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        return done.stdout.splitlines()[-1]
+
+    def test_mitigated_sampled_solve_leaves_scipy_unloaded(self, tmp_path, h2_path):
+        # numpy.ma: np.unique imports it on first use, at about 1 MB of RSS
         args = [
             "solve", h2_path, "--out", str(tmp_path / "out"), "--nf", "2",
             "--backend", "sampled", "--shots", "500", "--noise", "0.02,0.02", "--mitigate",
         ]
-        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        done = subprocess.run(
-            [sys.executable, "-c", script, *args],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
-        )
-        assert done.stdout.splitlines()[-1] == "0 []"
+        assert self.loaded_by_solve(args, "scipy", "numpy.ma") == "0 []"
+
+    @pytest.mark.parametrize("backend", ["oracle", "exact"])
+    def test_exhaustive_solve_leaves_numpy_random_unloaded(self, tmp_path, h2_path, backend):
+        # numpy.random costs about 5 MB of RSS; only sampling and annealing need it
+        args = ["solve", h2_path, "--out", str(tmp_path / "out"), "--nf", "2", "--backend", backend]
+        assert self.loaded_by_solve(args, "numpy.random") == "0 []"
 
     def test_every_exported_name_is_bound(self):
         modules = [heffsolve] + [
@@ -450,28 +502,30 @@ class TestScan:
         assert main(["scan", str(empty), "--out", str(tmp_path / "o"), "--nf", "2"]) == 2
         assert "no Hamiltonian files" in capsys.readouterr().err
 
+    # Three particles in 40 modes up to triple excitations: all 9,880
+    # states of the sector, over the 4,096-state subspace limit.
+    OVERSIZED = ["--nf", "3", "--order", "3", "--backend", "sampled", "--shots", "200"]
+
     def test_capacity_error_leaves_no_output_directory(self, tmp_path, capsys):
         src = tmp_path / "wide"
         src.mkdir()
         (src / "point_0.7.ferm").write_text(WIDE_FERMION)
         out = tmp_path / "pes"
-        assert main(
-            ["scan", str(src), "--out", str(out), "--nf", "2", "--ns", "6", "--backend", "sampled"]
-        ) == 3
-        assert capsys.readouterr().err.startswith("capacity error:")
+        assert main(["scan", str(src), "--out", str(out), *self.OVERSIZED]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error:") and "subspace size 9880" in err
         assert not out.exists()
 
-    def test_failing_later_point_leaves_no_output_directory(self, tmp_path, h2_path, capsys):
+    def test_failing_later_point_leaves_no_output_directory(self, tmp_path, capsys):
         src = tmp_path / "points"
         src.mkdir()
-        (src / "p_0.5.ferm").write_text(Path(h2_path).read_text())
+        # six modes: the whole 20-state sector
+        (src / "p_0.5.ferm").write_text("modes 6\n-1.0 0.0 0^ 0\n0.5 0.0 1^ 4\n0.5 0.0 4^ 1\n")
         (src / "p_0.9.ferm").write_text(WIDE_FERMION)
         out = tmp_path / "out"
-        assert main(
-            ["scan", str(src), "--out", str(out), "--nf", "2", "--backend", "sampled",
-             "--shots", "200"]
-        ) == 3
-        assert capsys.readouterr().err.startswith("capacity error:")
+        assert main(["scan", str(src), "--out", str(out), *self.OVERSIZED]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error:") and "subspace size 9880" in err
         assert not out.exists()
 
     def test_unparseable_name_is_input_error(self, tmp_path, h2_path):
@@ -518,6 +572,25 @@ class TestCalibrate:
 
 
 class TestEnvOverrides:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("HEFFSOLVE_SHOTS", "abc"),
+            ("HEFFSOLVE_SEED", "1.5"),
+            ("HEFFSOLVE_STRATEGY", "annealing"),
+            ("HEFFSOLVE_BACKEND", "quantum"),
+            ("HEFFSOLVE_DIAGONALS", "circuits"),
+            ("HEFFSOLVE_MITIGATE", "maybe"),
+        ],
+    )
+    def test_bad_value_is_input_error(self, tmp_path, h2_path, monkeypatch, capsys, name, value):
+        monkeypatch.setenv(name, value)
+        out = tmp_path / "env"
+        assert main(["solve", h2_path, "--out", str(out), "--nf", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and name in err
+        assert not out.exists()
+
     def test_shots_from_environment(self, tmp_path, h2_path, monkeypatch):
         monkeypatch.setenv("HEFFSOLVE_SHOTS", "123")
         monkeypatch.setenv("HEFFSOLVE_BACKEND", "sampled")

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 from math import comb
 
 import numpy as np
@@ -19,12 +20,13 @@ from heffsolve.estimator import (
     heff_to_json,
     measure_diagonal,
     measure_offdiagonal,
-    _inverse_transposed_values,
+    _outcome_values,
     _sampled_estimate,
 )
 from heffsolve.fermion import FermionHamiltonian, FermionTerm, jw_transform
 from heffsolve.pauli import (
     BasisState,
+    PauliString,
     PauliSum,
     classify_terms,
     project,
@@ -247,9 +249,15 @@ class TestReadouts:
 
     @pytest.mark.parametrize("kind", ["diagonal", "direct", "indirect"])
     def test_sampled_infinite_shot_mean_equals_exact(self, monkeypatch, kind):
-        # The sampler's histogram is replaced by its infinite-shot mean, the
-        # outcome distribution dotted with the per-outcome values.
+        # The sampler's draw is replaced by its infinite-shot limit: every
+        # entry of the rotated sparse state once, counted by its probability,
+        # so the estimate is the distribution dotted with the outcome values.
         read = heffsolve.estimator._read
+
+        def every_entry_once(state, shots, rng, noise, wires):
+            bits = np.array([[index >> q & 1 for index in state] for q in wires], dtype=bool)
+            probs = np.array([abs(amp) ** 2 for amp in state.values()])
+            return bits.reshape(len(wires), len(state)), probs
         means = {"exact": [], "sampled": []}
 
         def recording(readouts, backend, calibration):
@@ -258,10 +266,7 @@ class TestReadouts:
             return results
 
         monkeypatch.setattr(heffsolve.estimator, "_read", recording)
-        monkeypatch.setattr(
-            heffsolve.estimator, "_sampled_estimate",
-            lambda probs, values, *args: (float(probs @ values), 0.0),
-        )
+        monkeypatch.setattr(heffsolve.estimator, "sample_outcome_counts", every_entry_once)
         n, nprime = BasisState("1101"), BasisState("0001")
         for backend in (Backend.exact, Backend.sampled):
             if kind == "diagonal":
@@ -432,6 +437,49 @@ class TestSparseExactBackend:
             assert counts.offdiagonal_real == counts.offdiagonal_imag == settings
 
 
+    @pytest.mark.parametrize("style", ["direct", "indirect"])
+    def test_sampled_only_connected_pairs_simulate_circuits(self, rng, style, monkeypatch):
+        # Mitigated, with circuit diagonals, on a 40-mode register: every
+        # circuit runs on the sparse state, and no draw outgrows its shots.
+        hamiltonian, basis = wide_sector(rng)
+        simulated, draws = [], []
+        real_run_sparse = heffsolve.estimator.run_sparse
+        real_sample = heffsolve.estimator.sample_outcome_counts
+
+        def counting(circuit, state=None):
+            if state is None:  # a circuit, not the basis rotations of a readout
+                simulated.append(circuit)
+            return real_run_sparse(circuit, state)
+
+        def recording(*args):
+            bits, counts = real_sample(*args)
+            draws.append((len(args[0]), bits.shape, counts.sum()))
+            return bits, counts
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the sampled backend built a dense state")
+
+        monkeypatch.setattr(heffsolve.estimator, "run_sparse", counting)
+        monkeypatch.setattr(heffsolve.estimator, "sample_outcome_counts", recording)
+        for name in ("run_statevector", "apply_circuit", "marginal_probabilities"):
+            monkeypatch.setattr(heffsolve.estimator, name, refused)
+        backend = Backend.sampled(
+            shots=200, seed=3, style=style, noise=ReadoutNoise(0.02, 0.03), mitigation=True,
+            measure_diagonals_with_circuits=True,
+        )
+        heff = build_effective_hamiltonian(hamiltonian, basis, backend)
+        counts = heff.circuit_counts
+        connected = connected_pairs(hamiltonian, basis.states)
+        settings = connecting_settings(hamiltonian, basis.states)
+        assert 0 < connected < comb(basis.size, 2)
+        offdiagonal = 2 * connected if style == "direct" else 2 * settings
+        assert len(simulated) == basis.size + offdiagonal
+        assert len(draws) == basis.size + 2 * settings
+        assert all(entries <= 64 and shape[1] <= 200 and total == 200 for entries, shape, total in draws)
+        assert counts.total_shots == 200 * len(draws)
+        assert np.all(np.isfinite(heff.matrix))
+
+
 class TestCalibration:
     def test_exact_matrices(self):
         noise = ReadoutNoise(0.03, 0.08)
@@ -486,14 +534,17 @@ class TestCalibration:
 class TestMitigation:
     def test_identity_calibration_is_noop(self):
         calibration = CalibrationMatrix((np.eye(2), np.eye(2)))
-        values = np.array([1.0, -1.0, 0.5, 2.0])
-        assert _inverse_transposed_values(values, calibration, (0, 1)).tolist() == values.tolist()
+        observable = [(1.0, PauliString("ZI")), (0.5, PauliString("IZ")), (2.0, PauliString("ZZ"))]
+        bits = np.array([[0, 1, 0, 1], [0, 0, 1, 1]], dtype=bool)
+        raw = _outcome_values(bits, observable, [0, 1], None)
+        assert raw.tolist() == [3.5, -2.5, -1.5, 0.5]
+        assert _outcome_values(bits, observable, [0, 1], calibration).tolist() == raw.tolist()
         # the pipeline's mitigated estimate equals the raw one
-        probs = np.array([0.7, 0.3, 0.0, 0.0])
+        state = {0: math.sqrt(0.7), 1: math.sqrt(0.3)}
         backend = Backend.sampled(shots=100, noise=ReadoutNoise())
-        raw = _sampled_estimate(probs, values, backend, 5, (0, 1), None)
+        raw = _sampled_estimate(state, observable, backend, 5, None)
         mitigated = Backend.sampled(shots=100, noise=ReadoutNoise(), mitigation=True)
-        assert _sampled_estimate(probs, values, mitigated, 5, (0, 1), calibration) == raw
+        assert _sampled_estimate(state, observable, mitigated, 5, calibration) == raw
 
     def test_exact_inversion_recovers_noiseless_distribution(self):
         noise = ReadoutNoise(0.04, 0.07)
@@ -502,10 +553,7 @@ class TestMitigation:
         channel = np.kron(calibration.matrix_for(1), calibration.matrix_for(0))
         observed = channel @ clean
         # pulling back each outcome indicator reads that outcome's clean probability
-        recovered = [
-            _inverse_transposed_values(indicator, calibration, (0, 1)) @ observed
-            for indicator in np.eye(4)
-        ]
+        recovered = [apply_per_qubit(indicator, calibration.pullbacks) @ observed for indicator in np.eye(4)]
         assert np.allclose(recovered, clean, atol=1e-12)
 
     def test_mitigated_mean_is_linear_and_unclipped(self):
@@ -513,9 +561,7 @@ class TestMitigation:
         # of Z is (A^-1)^T [1, -1] = [2.5, -2.5], and the mean is not clipped
         calibration = CalibrationMatrix((np.array([[0.7, 0.3], [0.3, 0.7]]),))
         backend = Backend.sampled(shots=100, noise=ReadoutNoise(), mitigation=True)
-        mean, _ = _sampled_estimate(
-            np.array([1.0, 0.0]), np.array([1.0, -1.0]), backend, 0, (0,), calibration
-        )
+        mean, _ = _sampled_estimate({0: 1.0}, [(1.0, PauliString("Z"))], backend, 0, calibration)
         assert mean == 2.5
 
     def test_pull_back_is_the_adjoint_of_the_channel(self):
@@ -541,8 +587,41 @@ class TestMitigation:
         def check(case):
             channels, p, v = case
             calibration = CalibrationMatrix(tuple(channels))
-            pulled_back = _inverse_transposed_values(v, calibration, range(len(channels)))
+            pulled_back = apply_per_qubit(v, calibration.pullbacks)
             assert abs(pulled_back @ apply_per_qubit(p, channels) - v @ p) <= 1e-12
+
+        check()
+
+    def test_per_term_pull_back_equals_the_stored_maps(self):
+        # At any outcome, the product of the support's factors g_q[x_q] is the
+        # dense pull-back (A^-1)^T of the term's parity vector over all wires.
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        @st.composite
+        def cases(draw):
+            wires = draw(st.integers(1, 5))
+            flip = st.floats(0.0, 0.25)
+            channels = [
+                np.array([[1 - a, b], [a, 1 - b]])
+                for a, b in (draw(st.tuples(flip, flip)) for _ in range(wires))
+            ]
+            label = "".join(draw(st.lists(st.sampled_from("IXYZ"), min_size=wires, max_size=wires)))
+            coefficient = draw(st.floats(-2.0, 2.0))
+            return channels, coefficient, PauliString(label), draw(st.integers(0, 2 ** wires - 1))
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(cases())
+        def check(case):
+            channels, c, string, outcome = case
+            calibration = CalibrationMatrix(tuple(channels))
+            wires = list(range(len(channels)))
+            bits = np.array([[outcome >> q & 1] for q in wires], dtype=bool)
+            per_term = _outcome_values(bits, [(c, string)], wires, calibration)[0]
+            support = string.x_mask | string.z_mask
+            parity = np.array([(-1.0) ** (k & support).bit_count() for k in range(2 ** len(wires))])
+            dense = apply_per_qubit(c * parity, calibration.pullbacks)[outcome]
+            assert abs(per_term - dense) <= 1e-12
 
         check()
 

@@ -73,6 +73,31 @@ class TestFindReference:
             )
             assert diagonal_energy(hamiltonian, result) <= diagonal_energy(hamiltonian, start) + 1e-12
 
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            {"initial_temperature": -1.0},
+            {"initial_temperature": 0.0},
+            {"initial_temperature": float("inf")},
+            {"initial_temperature": float("nan")},
+            {"cooling": 1.5},
+            {"cooling": 0.0},
+            {"cooling": -0.5},
+            {"cooling": float("nan")},
+            {"steps": -1},
+        ],
+    )
+    def test_monte_carlo_schedule_is_validated(self, schedule):
+        with pytest.raises(ValueError, match="annealing"):
+            MonteCarloSearch(**schedule)
+
+    def test_monte_carlo_flat_diagonal_anneals_at_unit_temperature(self):
+        # the measured T0 is 0 here; the annealer still runs and stays in the sector
+        hamiltonian = PauliSum.from_label_weights([(1.0, "IIII")])
+        for cooling in (1.0, 0.5):
+            reference = find_reference(hamiltonian, 2, MonteCarloSearch(steps=20, cooling=cooling))
+            assert reference.particle_number == 2
+
     def test_invalid_particle_number(self):
         hamiltonian = level_hamiltonian((-1.0, 1.0))
         with pytest.raises(ValueError):
