@@ -65,17 +65,7 @@ _MAT_1Q = {
 }
 
 _CONTROLLED = {"cx": "x", "cy": "y", "cz": "z"}
-_GATE_KINDS = frozenset(_MAT_1Q) - {"y", "z"} | frozenset(_CONTROLLED) | {"rx", "ry"}
-
-
-def _rx(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-
-def _ry(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+_GATE_KINDS = frozenset(_MAT_1Q) - {"y", "z"} | frozenset(_CONTROLLED)
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,7 +74,6 @@ class Gate:
 
     kind: str
     qubits: tuple[int, ...]
-    angle: float | None = None
 
     @classmethod
     def h(cls, q: int) -> "Gate":
@@ -103,14 +92,6 @@ class Gate:
         return cls("x", (q,))
 
     @classmethod
-    def rx(cls, q: int, angle: float) -> "Gate":
-        return cls("rx", (q,), angle)
-
-    @classmethod
-    def ry(cls, q: int, angle: float) -> "Gate":
-        return cls("ry", (q,), angle)
-
-    @classmethod
     def cx(cls, control: int, target: int) -> "Gate":
         return cls("cx", (control, target))
 
@@ -126,10 +107,6 @@ class Gate:
 
     def matrix_1q(self) -> np.ndarray:
         """The 2x2 matrix applied to the (last) target qubit."""
-        if self.kind == "rx":
-            return _rx(self.angle)
-        if self.kind == "ry":
-            return _ry(self.angle)
         return _MAT_1Q[_CONTROLLED.get(self.kind, self.kind)]
 
 
@@ -341,11 +318,7 @@ def state_expectation(state: np.ndarray, observable: PauliString) -> float:
 
 # 2x2 gate matrices as Python complex pairs ((m00, m01), (m10, m11)), which
 # the per-entry loop below multiplies faster than numpy scalars.
-def _entries(matrix: np.ndarray) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-    return tuple(tuple(complex(v) for v in row) for row in matrix)
-
-
-_ENTRIES_1Q = {kind: _entries(m) for kind, m in _MAT_1Q.items()}
+_ENTRIES_1Q = {kind: tuple(tuple(complex(v) for v in row) for row in m) for kind, m in _MAT_1Q.items()}
 
 
 def run_sparse(circuit: Circuit, state: dict[int, complex] | None = None) -> dict[int, complex]:
@@ -362,10 +335,7 @@ def run_sparse(circuit: Circuit, state: dict[int, complex] | None = None) -> dic
     if state is None:
         state = {0: 1 + 0j}
     for gate in circuit.gates:
-        if gate.angle is None:
-            (m00, m01), (m10, m11) = _ENTRIES_1Q[_CONTROLLED.get(gate.kind, gate.kind)]
-        else:
-            (m00, m01), (m10, m11) = _entries(gate.matrix_1q())
+        (m00, m01), (m10, m11) = _ENTRIES_1Q[_CONTROLLED.get(gate.kind, gate.kind)]
         if (m00 and m10 or m01 and m11) and 2 * len(state) > limit:
             raise spectra.CapacityError(
                 f"sparse state of {len(state)} entries could exceed {limit} at gate {gate.kind}"
@@ -431,9 +401,6 @@ class ReadoutNoise:
         p01 = self.p01[qubit] if isinstance(self.p01, tuple) else self.p01
         p10 = self.p10[qubit] if isinstance(self.p10, tuple) else self.p10
         return p01, p10
-
-    def is_trivial(self, qubits) -> bool:
-        return all(self.for_qubit(q) == (0.0, 0.0) for q in qubits)
 
     def channel_matrix(self, qubit: int) -> np.ndarray:
         """Column-stochastic 2x2 map from true to observed bit distribution."""

@@ -128,13 +128,29 @@ def _load_hamiltonian(path: str, fmt: str = "auto") -> PauliSum:
     return hamiltonian
 
 
-def _parse_noise(text: str | None) -> ReadoutNoise | None:
+def _parse_noise(text: str) -> ReadoutNoise | None:
     if not text:
         return None
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError(f"--noise expects 'p01,p10', got {text!r}")
+        raise ValueError("expected 'p01,p10'")
     return ReadoutNoise(float(parts[0]), float(parts[1]))
+
+
+def _parse_ns(text: str) -> int | None:
+    return None if text == "all" else int(text)
+
+
+def _flag(args, flag: str, parse):
+    """``args``' value of ``flag``, parsed if it is command-line text (:func:`_env`
+    parses a default); a value that does not parse is a ValueError naming the flag."""
+    value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
+    if not isinstance(value, str):
+        return value
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise ValueError(f"{flag} {value!r} is not a valid value: {exc}") from None
 
 
 @dataclass
@@ -430,7 +446,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    noise = _parse_noise(args.noise)
+    noise = _flag(args, "--noise", _parse_noise)
     if noise is None:
         raise ValueError("--noise is required for calibrate")
     if args.qubits < 1:
@@ -458,7 +474,7 @@ def _add_common(parser: argparse.ArgumentParser, with_backend: bool = True) -> N
     parser.add_argument("--nf", type=int, required=True, help="electron (particle) number")
     parser.add_argument("--order", type=int, default=_env("ORDER", 2, int),
                         help="maximum excitation order (default 2 = singles+doubles)")
-    parser.add_argument("--ns", default=_env("NS", "all"),
+    parser.add_argument("--ns", default=_env("NS", None, _parse_ns),
                         help="subspace size target, an integer or 'all'")
     _add_choice(parser, "--strategy", ("exhaustive", "mc"), "STRATEGY",
                 help="reference search strategy")
@@ -473,7 +489,7 @@ def _add_common(parser: argparse.ArgumentParser, with_backend: bool = True) -> N
         parser.add_argument("--basis", default=None, help="reuse a fixed basis file")
         _add_choice(parser, "--backend", ("oracle", "exact", "sampled"), "BACKEND")
         parser.add_argument("--shots", type=int, default=_env("SHOTS", 8000, int))
-        parser.add_argument("--noise", default=_env("NOISE", None),
+        parser.add_argument("--noise", default=_env("NOISE", None, _parse_noise),
                             help="readout flip probabilities 'p01,p10'")
         parser.add_argument("--mitigate", action="store_true",
                             default=_env("MITIGATE", False, bool))
@@ -488,15 +504,12 @@ def _add_common(parser: argparse.ArgumentParser, with_backend: bool = True) -> N
 
 
 def _config_from_args(args, needs_out: bool = True) -> RunConfig:
-    target = args.ns
-    if isinstance(target, str):
-        target = None if target == "all" else int(target)
     return RunConfig(
         input_path=args.input,
         out_dir=getattr(args, "out", "") if needs_out else "",
         particle_number=args.nf,
         order=args.order,
-        target_size=target,
+        target_size=_flag(args, "--ns", _parse_ns),
         basis_file=getattr(args, "basis", None),
         strategy=args.strategy,
         mc_steps=args.mc_steps,
@@ -505,7 +518,7 @@ def _config_from_args(args, needs_out: bool = True) -> RunConfig:
         backend=Backend(
             kind=getattr(args, "backend", "oracle"),
             shots=getattr(args, "shots", 8000),
-            noise=_parse_noise(getattr(args, "noise", None)),
+            noise=_flag(args, "--noise", _parse_noise),
             mitigation=getattr(args, "mitigate", False),
             measurement_style=getattr(args, "style", "direct"),
             measure_diagonals_with_circuits=getattr(args, "diagonals", "classical") == "circuit",

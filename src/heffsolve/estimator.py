@@ -32,11 +32,13 @@ where ``m`` is the measured expectation of each readout.
 A string ``h`` can contribute to ``<n|H|n'>`` only when it flips exactly
 ``n XOR n'`` (``h.x_mask == n.mask ^ n'.mask``), which is known classically.
 Each pair therefore measures only its connecting strings: the others would
-give exact zeros (``exact``) or zero-mean shot noise (``sampled``).  The
-direct style still counts its two circuits (real and imaginary) for every
-pair, so its circuit count stays ``2 C(Ns, 2)``; ``string_executions`` and
-shots count only the connecting strings.  For a pair that no string
-connects, no circuit is simulated.
+give exact zeros (``exact``) or zero-mean shot noise (``sampled``).  A build
+finds the connected pairs with :func:`heffsolve.pauli.flip_cells`, the pair
+finder of the oracle projection too, and measures only those; every other
+pair gets its closed form without a call: value 0, 0 shots, stderr 0, and
+the direct style's two counted circuits (real and imaginary), so that
+style's circuit count stays ``2 C(Ns, 2)``.  ``string_executions`` and shots
+count only the connecting strings.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ from .pauli import (
     PauliString,
     PauliSum,
     classify_terms,
+    flip_cells,
     flip_groups,
     project,
 )
@@ -213,9 +216,10 @@ class CalibrationMatrix:
         return self.matrices[qubit]
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class CircuitCounts:
-    """Execution accounting for one effective-Hamiltonian build.
+    """Execution accounting for one effective-Hamiltonian build, summed
+    over its :class:`EffectiveHamiltonian` entry arrays.
 
     ``diagonal``/``offdiagonal_*`` count circuits at per-(state) and
     per-(pair, part) granularity (direct style: ``2 C(Ns, 2)`` in all, even
@@ -235,13 +239,6 @@ class CircuitCounts:
     def offdiagonal(self) -> int:
         return self.offdiagonal_real + self.offdiagonal_imag
 
-    def add(self, other: "CircuitCounts") -> None:
-        self.diagonal += other.diagonal
-        self.offdiagonal_real += other.offdiagonal_real
-        self.offdiagonal_imag += other.offdiagonal_imag
-        self.string_executions += other.string_executions
-        self.total_shots += other.total_shots
-
     def as_dict(self) -> dict:
         return {
             "diagonal": self.diagonal,
@@ -257,22 +254,32 @@ class CircuitCounts:
 class EffectiveHamiltonian:
     """The projected Hamiltonian over a subspace basis, exactly Hermitian.
 
-    A measuring backend gives a complex ``matrix`` and ``estimates``, the
-    statistics of each upper-triangle entry ``(i, j)``.  The ``oracle``
-    ``matrix`` is :func:`~heffsolve.pauli.project`'s array, exact and
-    float64 unless the Hamiltonian has odd-Y strings, and ``estimates`` is
-    empty.
+    A measuring backend gives a complex ``matrix`` and the statistics of
+    each upper-triangle entry ``(i, j)``, ``i <= j``, in ``np.triu_indices``
+    order: ``entry_counts`` (int columns shots, circuits, string executions)
+    and ``entry_stderrs`` (float columns ``stderr_re``, ``stderr_im``).  The
+    ``oracle`` ``matrix`` is :func:`~heffsolve.pauli.project`'s array, exact
+    and float64 unless the Hamiltonian has odd-Y strings, and both arrays
+    have no rows.
     """
 
     basis: SubspaceBasis
     matrix: np.ndarray
-    estimates: dict[tuple[int, int], MeasurementEstimate]
+    entry_counts: np.ndarray
+    entry_stderrs: np.ndarray
     backend: Backend
-    circuit_counts: CircuitCounts
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def circuit_counts(self) -> CircuitCounts:
+        shots, circuits, executions = self.entry_counts.sum(axis=0).tolist()
+        # one circuit per measured diagonal; a pair's real and imaginary parts count alike
+        diagonal = self.size if self.backend.measure_diagonals_with_circuits else 0
+        part = (circuits - diagonal) // 2
+        return CircuitCounts(diagonal, part, part, executions, shots)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +470,6 @@ def measure_offdiagonal(
     backend: Backend,
     calibration: CalibrationMatrix | None = None,
     strings_by_flip: dict[int, list[tuple[int, complex, PauliString]]] | None = None,
-    totals: CircuitCounts | None = None,
 ) -> MeasurementEstimate:
     """Estimate the complex element ``<n|H|n'>`` for ``n != n'``.
 
@@ -481,10 +487,10 @@ def measure_offdiagonal(
       string's own circuit, the probability that both read 0;
       ``Re = sum w (4 m_s - 1)``, ``Im = sum w (1 - 4 m_s)``.
 
-    The standard errors propagate the readout variances alone.  When
-    ``totals`` is given, this measurement's circuits, settings and shots
-    are added to it.  A backend that measures nothing (``oracle``) is a
-    ValueError: its entries come from :func:`~heffsolve.pauli.project`.
+    The standard errors propagate the readout variances alone.  The direct
+    style counts its two circuits even when no string connects the pair.  A
+    backend that measures nothing (``oracle``) is a ValueError: its entries
+    come from :func:`~heffsolve.pauli.project`.
     """
     if n == nprime:
         raise ValueError("off-diagonal measurement needs two distinct states")
@@ -494,14 +500,6 @@ def measure_offdiagonal(
         strings_by_flip = flip_groups(classify_terms(hamiltonian)[1])
     connecting = strings_by_flip.get(n.mask ^ nprime.mask, [])
     direct = backend.measurement_style == "direct"
-    # the direct style runs one circuit per part, counted even when no string connects
-    circuits = 1 if direct else len(connecting)
-    counts = CircuitCounts(
-        offdiagonal_real=circuits,
-        offdiagonal_imag=circuits,
-        string_executions=2 * len(connecting),
-        total_shots=2 * len(connecting) * backend.shots if backend.kind == "sampled" else 0,
-    )
     recovered = []
     for index, (part, sign) in enumerate((("real", 1.0), ("imag", -1.0))):
         if direct:
@@ -531,15 +529,14 @@ def measure_offdiagonal(
                 var += (w ** 2) * 16.0 * v_s
         recovered.append((2.0 * sign * total, 4.0 * var) if direct else (total, var))
     (re, var_re), (im, var_im) = recovered
-    if totals is not None:
-        totals.add(counts)
+    executions = 2 * len(connecting)
     return MeasurementEstimate(
         complex(re, im),
         stderr_re=math.sqrt(var_re),
         stderr_im=math.sqrt(var_im),
-        shots=counts.total_shots,
-        circuits=counts.offdiagonal,
-        executions=counts.string_executions,
+        shots=executions * backend.shots if backend.kind == "sampled" else 0,
+        circuits=2 if direct else executions,
+        executions=executions,
     )
 
 
@@ -550,20 +547,24 @@ def build_effective_hamiltonian(
 ) -> EffectiveHamiltonian:
     """Measure all entries of the projection of ``H`` onto ``basis``.
 
-    ``size`` diagonal entries plus one complex estimate per unordered pair
-    fill the upper triangle; the lower triangle is the conjugate transpose
-    and a final ``(M + M^dagger)/2`` pass makes Hermiticity exact.  Classical
-    diagonals are ``basis.diagonal_energies``, so ``basis`` must come from
-    this Hamiltonian.  The oracle backend's matrix is :func:`project`'s
-    array as returned, exactly Hermitian already, with no per-entry
-    estimates.
+    The ``size`` diagonal entries are measured (or read classically), and
+    :func:`measure_offdiagonal` runs once for each pair ``i < j`` that
+    :func:`~heffsolve.pauli.flip_cells` finds connected; every other pair
+    keeps its closed form (value 0, 0 shots, stderr 0, two counted circuits
+    in the direct style and none in the indirect).  The lower triangle is
+    the conjugate transpose and a final ``(M + M^dagger)/2`` pass makes
+    Hermiticity exact.  Classical diagonals are ``basis.diagonal_energies``,
+    so ``basis`` must come from this Hamiltonian.  The oracle backend's
+    matrix is :func:`project`'s array as returned, exactly Hermitian
+    already, with empty entry arrays.
     """
     hamiltonian = hamiltonian.real_weights()
     states = basis.states
     size = len(states)
     if not backend.uses_circuits:
         return EffectiveHamiltonian(
-            basis, project(hamiltonian, states), {}, backend, CircuitCounts()
+            basis, project(hamiltonian, states), np.zeros((0, 3), dtype=np.int64),
+            np.zeros((0, 2)), backend,
         )
     calibration = None
     if backend.mitigation:
@@ -574,29 +575,36 @@ def build_effective_hamiltonian(
             qubit_count=hamiltonian.qubit_count + 2,
         )
     matrix = np.zeros((size, size), dtype=complex)
-    estimates: dict[tuple[int, int], MeasurementEstimate] = {}
-    totals = CircuitCounts()
+    counts = np.zeros((size * (size + 1) // 2, 3), dtype=np.int64)
+    stderrs = np.zeros((len(counts), 2))
+    # an unconnected pair's direct circuits; the diagonal rows are set below
+    counts[:, 1] = 2 if backend.measurement_style == "direct" else 0
+
+    def record(i: int, j: int, est: MeasurementEstimate) -> None:
+        at = i * (2 * size - i + 1) // 2 + j - i  # row-major upper triangle, i <= j
+        counts[at] = est.shots, est.circuits, est.executions
+        stderrs[at] = est.stderr_re, est.stderr_im
+
     for i, (state, energy) in enumerate(zip(states, basis.diagonal_energies)):
         if backend.measure_diagonals_with_circuits:
             est = measure_diagonal(hamiltonian, state, backend, calibration)
         else:
             est = MeasurementEstimate(complex(energy))
-        estimates[(i, i)] = est
+        record(i, i, est)
         matrix[i, i] = est.value.real
-        totals.diagonal += est.circuits
-        totals.string_executions += est.executions
-        totals.total_shots += est.shots
     strings_by_flip = flip_groups(classify_terms(hamiltonian)[1])
-    for i in range(size):
-        for j in range(i + 1, size):
+    masks = np.array([s.mask for s in states], dtype=np.uint64)
+    for _, rows, cols in flip_cells(strings_by_flip, masks):
+        upper = rows < cols
+        for i, j in zip(rows[upper].tolist(), cols[upper].tolist()):
             est = measure_offdiagonal(
-                hamiltonian, states[i], states[j], backend, calibration, strings_by_flip, totals
+                hamiltonian, states[i], states[j], backend, calibration, strings_by_flip
             )
-            estimates[(i, j)] = est
+            record(i, j, est)
             matrix[i, j] = est.value
             matrix[j, i] = est.value.conjugate()
     matrix = 0.5 * (matrix + matrix.conj().T)
-    return EffectiveHamiltonian(basis, matrix, estimates, backend, totals)
+    return EffectiveHamiltonian(basis, matrix, counts, stderrs, backend)
 
 
 # ---------------------------------------------------------------------------
@@ -622,16 +630,15 @@ def heff_to_dict(heff: EffectiveHamiltonian) -> dict:
         "circuit_counts": heff.circuit_counts.as_dict(),
     }
     if heff.backend.uses_circuits:
+        # tolist() gives Python ints and floats, which JSON prints as such
         payload["entries"] = [
-            {
-                "row": i,
-                "col": j,
-                "shots": est.shots,
-                "stderr_re": est.stderr_re,
-                "stderr_im": est.stderr_im,
-                "circuits": est.circuits,
-            }
-            for (i, j), est in sorted(heff.estimates.items())
+            {"row": i, "col": j, "shots": shots, "circuits": circuits,
+             "stderr_re": stderr_re, "stderr_im": stderr_im}
+            for i, j, (shots, circuits, _), (stderr_re, stderr_im) in zip(
+                *(a.tolist() for a in np.triu_indices(heff.size)),
+                heff.entry_counts.tolist(),
+                heff.entry_stderrs.tolist(),
+            )
         ]
     return payload
 

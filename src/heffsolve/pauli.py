@@ -27,6 +27,7 @@ __all__ = [
     "multiply_masks",
     "multiply_strings",
     "flip_groups",
+    "flip_cells",
     "project",
     "project_masks",
     "classify_terms",
@@ -102,10 +103,6 @@ class PauliString:
     @property
     def num_qubits(self) -> int:
         return len(self.label)
-
-    @property
-    def ops(self) -> tuple[PauliOp, ...]:
-        return tuple(PauliOp(c) for c in self.label)
 
     @property
     def locality(self) -> int:
@@ -328,30 +325,45 @@ def project(hamiltonian: PauliSum, states: Sequence[BasisState]) -> np.ndarray:
     return project_masks(hamiltonian, np.array([s.mask for s in states], dtype=np.uint64))
 
 
-def project_masks(hamiltonian: PauliSum, masks: np.ndarray) -> np.ndarray:
-    """Dense projection ``M[r, c] = <masks[r]|H|masks[c]>`` over distinct
-    ``uint64`` occupation masks, one flip group (:func:`flip_groups`) at a time.
+def flip_cells(
+    groups: dict[int, list[tuple[int, complex, PauliString]]], masks: np.ndarray
+) -> Iterator[tuple[list[tuple[int, complex, PauliString]], np.ndarray, np.ndarray]]:
+    """``(group, rows, cols)`` for each flip group of ``groups``
+    (:func:`flip_groups`), with ``masks[rows] == masks[cols] ^ x_mask``: the
+    cells of the projection over the ``uint64`` ``masks`` that the group
+    reaches, and no other group reaches.  Repeated masks are a ValueError.
 
     A group's strings all map ``masks`` to ``masks ^ x_mask``, so one
-    ``searchsorted`` over the sorted masks finds the cells it reaches, which
-    no other group reaches, and :func:`_flip_amplitudes` of the columns'
-    masks fills them.  The result is complex only if some ``w * i**y_count``
-    is; for real weights it is exactly Hermitian, bit for bit.
+    ``searchsorted`` over the sorted masks finds its cells.
     """
     size = len(masks)
     order = np.argsort(masks)
     sorted_masks = masks[order]
     if np.any(sorted_masks[1:] == sorted_masks[:-1]):
-        raise ValueError("project needs distinct states")
-    is_complex = any((w * 1j ** (s.y_count % 4)).imag for w, s in hamiltonian)
-    matrix = np.zeros((size, size), dtype=complex if is_complex else float)
-    cells_of = matrix.reshape(-1)
-    for x_mask, group in flip_groups(hamiltonian).items():
+        raise ValueError("the states must be distinct")
+    for x_mask, group in groups.items():
         images = masks ^ np.uint64(x_mask)
         slots = np.minimum(np.searchsorted(sorted_masks, images), size - 1)
         cols = np.flatnonzero(sorted_masks[slots] == images)
+        yield group, order[slots[cols]], cols
+
+
+def project_masks(hamiltonian: PauliSum, masks: np.ndarray) -> np.ndarray:
+    """Dense projection ``M[r, c] = <masks[r]|H|masks[c]>`` over distinct
+    ``uint64`` occupation masks, one flip group at a time.
+
+    :func:`flip_cells` finds each group's cells and :func:`_flip_amplitudes`
+    of the columns' masks fills them.  The result is complex only if some
+    ``w * i**y_count`` is; for real weights it is exactly Hermitian, bit for
+    bit.
+    """
+    size = len(masks)
+    is_complex = any((w * 1j ** (s.y_count % 4)).imag for w, s in hamiltonian)
+    matrix = np.zeros((size, size), dtype=complex if is_complex else float)
+    cells_of = matrix.reshape(-1)
+    for group, rows, cols in flip_cells(flip_groups(hamiltonian), masks):
         re_sum, im_sum = _flip_amplitudes(group, masks[cols])
-        cells = order[slots[cols]] * size + cols
+        cells = rows * size + cols
         cells_of.real[cells] = re_sum
         if im_sum is not None:
             cells_of.imag[cells] = im_sum

@@ -48,15 +48,12 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 class TestGates:
     @pytest.mark.parametrize(
         "gate",
-        [
-            Gate.h(0), Gate.s(0), Gate.sdg(0), Gate.x(0),
-            Gate.rx(0, 0.7), Gate.ry(0, -1.3),
-        ],
+        [Gate.h(0), Gate.s(0), Gate.sdg(0), Gate.x(0)],
     )
     def test_single_qubit_unitarity(self, gate):
         for total in (1, 2, 3):
             for q in range(total):
-                moved = Gate(gate.kind, (q,), gate.angle)
+                moved = Gate(gate.kind, (q,))
                 u = circuit_unitary(Circuit(total, [moved]))
                 assert np.allclose(u.conj().T @ u, np.eye(1 << total), atol=1e-12)
 
@@ -289,15 +286,13 @@ class TestExactExpectation:
 
 
 def random_gate_circuit(rng, total, gate_count):
-    """Gates of every kind on random wires, rotations at random angles."""
+    """Gates of every kind on random wires."""
     circuit = Circuit(total)
     for _ in range(gate_count):
-        kind = str(rng.choice(["h", "s", "sdg", "x", "rx", "ry", "cx", "cy", "cz"]))
+        kind = str(rng.choice(["h", "s", "sdg", "x", "cx", "cy", "cz"]))
         if kind.startswith("c"):
             c, t = (int(v) for v in rng.choice(total, 2, replace=False))
             circuit.add(Gate(kind, (c, t)))
-        elif kind in ("rx", "ry"):
-            circuit.add(Gate(kind, (int(rng.integers(total)),), float(rng.uniform(-7, 7))))
         else:
             circuit.add(Gate(kind, (int(rng.integers(total)),)))
     return circuit
@@ -321,7 +316,7 @@ class TestSparseState:
                 assert sparse_expectation(sparse, string) == pytest.approx(
                     state_expectation(dense, string), abs=1e-12
                 )
-        assert kinds == {"h", "s", "sdg", "x", "rx", "ry", "cx", "cy", "cz"}
+        assert kinds == {"h", "s", "sdg", "x", "cx", "cy", "cz"}
 
     def test_measurement_circuits_stay_on_a_few_entries(self):
         n = BasisState.from_occupied((0, 9, 20, 39), 40)
@@ -345,10 +340,8 @@ class TestSparseState:
             run_sparse(circuit)
 
     def test_a_nan_amplitude_fails_the_norm_check(self):
-        circuit = Circuit(1, [Gate.h(0), Gate.rx(0, float("nan"))])
-        for simulate in (run_sparse, run_statevector):
-            with pytest.raises(RuntimeError, match="norm"):
-                simulate(circuit)
+        with pytest.raises(RuntimeError, match="norm"):
+            run_sparse(Circuit(1, [Gate.h(0)]), {0: complex(float("nan"), 0.0)})
 
 
 class TestMarginals:
@@ -379,7 +372,8 @@ class TestSampling:
         assert first[0].tolist() == second[0].tolist() and first[1:] == second[1:]
 
     def test_estimate_near_exact_at_8000_shots(self, rng):
-        circuit = Circuit(2, [Gate.h(0), Gate.ry(1, 0.9), Gate.cx(0, 1)])
+        # <XY> = 0 on |++>, so every shot's Y reading is a fair coin
+        circuit = Circuit(2, [Gate.h(0), Gate.h(1), Gate.cx(0, 1)])
         observable = PauliString("XY")
         exact = state_expectation(run_statevector(circuit), observable)
         hits = 0

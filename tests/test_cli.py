@@ -591,6 +591,28 @@ class TestEnvOverrides:
         assert err.startswith("input error:") and name in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, env, name",
+        [
+            (("--ns", "abc"), {}, "--ns"),
+            ((), {"HEFFSOLVE_NS": "abc"}, "HEFFSOLVE_NS"),
+            (("--backend", "sampled", "--noise", "0.1,abc"), {}, "--noise"),
+            (("--backend", "sampled"), {"HEFFSOLVE_NOISE": "abc"}, "HEFFSOLVE_NOISE"),
+        ],
+        ids=["ns-flag", "ns-env", "noise-flag", "noise-env"],
+    )
+    def test_unparseable_value_names_its_source(
+        self, tmp_path, h2_path, monkeypatch, capsys, flags, env, name
+    ):
+        for variable, value in env.items():
+            monkeypatch.setenv(variable, value)
+        out = tmp_path / "env"
+        assert main(["solve", h2_path, "--out", str(out), "--nf", "2", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and name in err
+        assert not (env and "--" in err)  # a bad variable does not blame the flag
+        assert not out.exists()
+
     def test_shots_from_environment(self, tmp_path, h2_path, monkeypatch):
         monkeypatch.setenv("HEFFSOLVE_SHOTS", "123")
         monkeypatch.setenv("HEFFSOLVE_BACKEND", "sampled")

@@ -13,6 +13,7 @@ from heffsolve.circuits import ReadoutNoise, apply_per_qubit
 from heffsolve.estimator import (
     Backend,
     CalibrationMatrix,
+    CircuitCounts,
     build_calibration,
     build_effective_hamiltonian,
     heff_matrix_from_dict,
@@ -699,7 +700,8 @@ class TestHeffJson:
     def test_oracle_writes_no_entries(self, rng):
         hamiltonian, basis = random_sector(rng, 6, 3)
         heff = build_effective_hamiltonian(hamiltonian, basis, Backend.oracle())
-        assert heff.estimates == {}
+        assert heff.entry_counts.shape == (0, 3) and heff.entry_stderrs.shape == (0, 2)
+        assert heff.circuit_counts.as_dict() == CircuitCounts().as_dict()
         payload = json.loads(heff_to_json(heff_to_dict(heff)))
         assert payload["format"] == "heffsolve-heff-v2"
         assert "entries" not in payload
@@ -801,6 +803,55 @@ class TestScreening:
                 assert (estimate.shots, estimate.stderr_re, estimate.stderr_im) == (0, 0.0, 0.0)
                 assert estimate.circuits == circuits
                 assert estimate.executions == 0
+
+    def test_build_measures_only_connected_pairs(self, rng, monkeypatch):
+        hamiltonian, basis = random_sector(rng, 6, 3)
+        connected = connected_pairs(hamiltonian, basis.states)
+        assert 0 < connected < comb(basis.size, 2) // 2
+        measure = heffsolve.estimator.measure_offdiagonal
+        calls = []
+
+        def counting(h, n, nprime, *args):
+            calls.append((n.mask, nprime.mask))
+            return measure(h, n, nprime, *args)
+
+        monkeypatch.setattr(heffsolve.estimator, "measure_offdiagonal", counting)
+        index = {s.mask: k for k, s in enumerate(basis.states)}
+        for backend in (Backend.exact("indirect"), Backend.sampled(shots=100, seed=2)):
+            calls.clear()
+            build_effective_hamiltonian(hamiltonian, basis, backend)
+            assert len(calls) == len(set(calls)) == connected
+            for a, b in calls:
+                assert index[a] < index[b]
+                assert connecting_count(hamiltonian, *(basis.states[index[m]] for m in (a, b)))
+
+    def test_unconnected_entries_keep_their_closed_form(self, rng):
+        hamiltonian, basis = random_sector(rng, 6, 3)
+        states = basis.states
+        for style, unconnected_circuits in (("direct", 2), ("indirect", 0)):
+            for backend in (Backend.exact(style), Backend.sampled(shots=100, seed=2, style=style)):
+                heff = build_effective_hamiltonian(hamiltonian, basis, backend)
+                entries = json.loads(heff_to_json(heff_to_dict(heff)))["entries"]
+                assert len(entries) == comb(basis.size + 1, 2)
+                for entry in entries:
+                    i, j = entry["row"], entry["col"]
+                    assert type(entry["shots"]) is int and type(entry["circuits"]) is int
+                    assert type(entry["stderr_re"]) is float and type(entry["stderr_im"]) is float
+                    strings = connecting_count(hamiltonian, states[i], states[j])
+                    if i == j or strings:
+                        continue
+                    assert {k: v for k, v in entry.items() if k not in ("row", "col")} == {
+                        "shots": 0, "stderr_re": 0.0, "stderr_im": 0.0,
+                        "circuits": unconnected_circuits,
+                    }
+                counts = heff.circuit_counts
+                settings = connecting_settings(hamiltonian, states)
+                assert counts.diagonal == 0 and counts.string_executions == 2 * settings
+                assert counts.offdiagonal == (
+                    2 * comb(basis.size, 2) if style == "direct" else 2 * settings
+                )
+                assert counts.offdiagonal == sum(e["circuits"] for e in entries)
+                assert counts.total_shots == sum(e["shots"] for e in entries)
 
     def test_sampled_pair_ignores_appended_strings(self, rng):
         hamiltonian = random_conserving_hamiltonian(rng, 4, max_strings=40)
