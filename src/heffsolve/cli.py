@@ -5,6 +5,10 @@ master seed, and identical configurations produce byte-identical result
 bundles (wall-clock timings go to a separate ``timing.json`` that is
 excluded from that guarantee).  Exit codes: 0 success, 2 input error,
 3 capacity error.
+
+Flags collect text; :func:`_settings` gives each setting of the command being
+run its value, from its flag, else ``HEFFSOLVE_<NAME>``, else its default,
+through its one parser in ``_SETTINGS``.
 """
 
 from __future__ import annotations
@@ -66,32 +70,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
 
-_ENV_PREFIX = "HEFFSOLVE_"
-
-
-_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
-             "0": False, "false": False, "no": False, "off": False, "": False}
-
-
-def _env(name: str, fallback, cast=str, choices=None):
-    """The flag default from ``HEFFSOLVE_<name>``, or ``fallback`` when unset;
-    a value that does not parse is a ValueError that names the variable."""
-    raw = os.environ.get(_ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        value = _BOOLEANS[raw.strip().lower()] if cast is bool else cast(raw)
-        if choices is not None and value not in choices:
-            raise ValueError
-    except (KeyError, ValueError):
-        raise ValueError(f"{_ENV_PREFIX}{name}={raw!r} is not a valid value") from None
-    return value
-
-
-def _add_choice(parser: argparse.ArgumentParser, flag: str, choices: tuple, env: str, **kw) -> None:
-    """A choice flag whose default is ``choices[0]`` or ``HEFFSOLVE_<env>``."""
-    parser.add_argument(flag, choices=choices, default=_env(env, choices[0], choices=choices), **kw)
-
 
 def _write_text(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
@@ -103,7 +81,7 @@ def _write_json(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _load_hamiltonian(path: str, fmt: str = "auto") -> PauliSum:
+def _load_hamiltonian(path: str, fmt: str) -> PauliSum:
     if fmt == "auto":
         with open(path, "r", encoding="utf-8") as fh:
             for raw in fh:
@@ -128,85 +106,55 @@ def _load_hamiltonian(path: str, fmt: str = "auto") -> PauliSum:
     return hamiltonian
 
 
-def _parse_noise(text: str) -> ReadoutNoise | None:
-    if not text:
-        return None
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError("expected 'p01,p10'")
-    return ReadoutNoise(float(parts[0]), float(parts[1]))
-
-
-def _parse_ns(text: str) -> int | None:
-    return None if text == "all" else int(text)
-
-
-def _flag(args, flag: str, parse):
-    """``args``' value of ``flag``, parsed if it is command-line text (:func:`_env`
-    parses a default); a value that does not parse is a ValueError naming the flag."""
-    value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
-    if not isinstance(value, str):
-        return value
-    try:
-        return parse(value)
-    except ValueError as exc:
-        raise ValueError(f"{flag} {value!r} is not a valid value: {exc}") from None
-
-
 @dataclass
 class RunConfig:
-    """Everything a solve/scan run depends on; echoed into the manifest.
-
-    A configuration is validated whole when it is built, so a bad one is
-    rejected before any work is done or any file is written.  ``backend``
-    is the one for run 0; a sampled run ``r`` reseeds it from ``seed``.
+    """Everything a solve/scan run depends on; :meth:`describe` echoes it into
+    the manifest.  It holds the objects that check its settings: ``subspace``,
+    the ``annealing`` schedule (checked and recorded whatever the strategy) and
+    ``backend``, the one for run 0 (a sampled run ``r`` reseeds it from
+    ``seed``), so a bad configuration is rejected before any file is written.
     """
 
     input_path: str
     out_dir: str
-    particle_number: int
-    order: int
-    target_size: int | None
-    basis_file: str | None
-    strategy: str
-    mc_steps: int
-    mc_t0: float | None
-    mc_cooling: float
+    subspace: SubspaceSpec
+    annealing: MonteCarloSearch
     backend: Backend
+    basis_file: str | None
     seed: int
     repeats: int
     levels: int
     dos_bins: int
-    fmt: str = "auto"
+    format: str
 
     def __post_init__(self) -> None:
-        for flag, value in (
-            ("--shots", self.backend.shots),
-            ("--repeats", self.repeats),
-            ("--levels", self.levels),
-            ("--dos-bins", self.dos_bins),
-        ):
+        values = self.backend.shots, self.repeats, self.levels, self.dos_bins
+        for flag, value in zip(("--shots", "--repeats", "--levels", "--dos-bins"), values):
             if value < 1:
                 raise ValueError(f"{flag} must be at least 1, got {value}")
-        if self.particle_number < 0:
-            raise ValueError(f"--nf must be nonnegative, got {self.particle_number}")
-        # The annealing schedule is checked whatever the strategy; the subspace
-        # spec and the backend check their own fields.
-        MonteCarloSearch(steps=self.mc_steps, initial_temperature=self.mc_t0, cooling=self.mc_cooling)
-        self.subspace_spec()
+
+    @classmethod
+    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
+        values = _settings(args)
+        subspace, annealing = _selection(values)
+        return cls(
+            input_path=args.input, out_dir=args.out, subspace=subspace, annealing=annealing,
+            backend=Backend(**_keywords(values, _BACKEND_FIELDS)), basis_file=args.basis,
+            **{name: values[name] for name in ("seed", "repeats", "levels", "dos_bins", "format")},
+        )
 
     def describe(self) -> dict:
-        backend = self.backend
+        subspace, annealing, backend = self.subspace, self.annealing, self.backend
         return {
             "input": self.input_path,
-            "particle_number": self.particle_number,
-            "order": self.order,
-            "target_size": self.target_size if self.target_size is not None else "all",
+            "particle_number": subspace.particle_number,
+            "order": subspace.max_excitation_order,
+            "target_size": subspace.target_size if subspace.target_size is not None else "all",
             "basis_file": self.basis_file,
-            "strategy": self.strategy,
-            "mc_steps": self.mc_steps,
-            "mc_t0": self.mc_t0,
-            "mc_cooling": self.mc_cooling,
+            "strategy": "mc" if subspace.search_strategy == annealing else "exhaustive",
+            "mc_steps": annealing.steps,
+            "mc_t0": annealing.initial_temperature,
+            "mc_cooling": annealing.cooling,
             "backend": backend.kind,
             "shots": backend.shots,
             "seed": self.seed,
@@ -219,24 +167,12 @@ class RunConfig:
             "dos_bins": self.dos_bins,
         }
 
-    def subspace_spec(self) -> SubspaceSpec:
-        if self.strategy == "exhaustive":
-            strategy = ExhaustiveSearch()
-        else:
-            strategy = MonteCarloSearch(
-                steps=self.mc_steps,
-                seed=derive_seed(self.seed, 5),
-                initial_temperature=self.mc_t0,
-                cooling=self.mc_cooling,
-            )
-        return SubspaceSpec(self.particle_number, self.order, self.target_size, strategy)
-
 
 def _select_basis(hamiltonian: PauliSum, config: RunConfig):
     if not config.basis_file:
-        return build_subspace(hamiltonian, config.subspace_spec())
+        return build_subspace(hamiltonian, config.subspace)
     states = load_states(config.basis_file)
-    wanted = (hamiltonian.qubit_count, config.particle_number)
+    wanted = (hamiltonian.qubit_count, config.subspace.particle_number)
     outside = [s.bits for s in states if (s.num_qubits, s.particle_number) != wanted]
     if outside or not states:
         raise ValueError(
@@ -256,15 +192,8 @@ def _error_rows(heff_values: np.ndarray, exact_values: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _solve_one(
-    hamiltonian: PauliSum,
-    basis,
-    config: RunConfig,
-    run_index: int,
-    out_dir: Path,
-    exact_values: np.ndarray | None,
-    dir_label: str | None = None,
-) -> dict:
+def _solve_one(hamiltonian: PauliSum, basis: SubspaceBasis, config: RunConfig, run_index: int,
+               out_dir: Path, exact_values: np.ndarray | None) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     backend = config.backend
     if backend.kind == "sampled":
@@ -282,7 +211,7 @@ def _solve_one(
     return {
         "run": run_index,
         "seed": backend.seed,
-        "directory": dir_label if dir_label is not None else out_dir.name,
+        "directory": out_dir.name if config.repeats > 1 else ".",
         "circuit_counts": heff.circuit_counts.as_dict(),
         "eigenvalues": [float(v) for v in spectrum.eigenvalues],
         "ground_energy": spectrum.ground_energy,
@@ -314,13 +243,11 @@ def _exact_reference(hamiltonian: PauliSum, particle_number: int) -> np.ndarray 
 def _prepare(config: RunConfig) -> tuple[PauliSum, SubspaceBasis, np.ndarray | None]:
     """Load and check the input, select the basis and compute the exact
     reference; raises on a bad input or capacity before any file exists."""
-    hamiltonian = _load_hamiltonian(config.input_path, config.fmt)
+    hamiltonian = _load_hamiltonian(config.input_path, config.format)
     basis = _select_basis(hamiltonian, config)
     if basis.size > MAX_DENSE_DIMENSION:
-        raise CapacityError(
-            f"subspace size {basis.size} exceeds the dense limit {MAX_DENSE_DIMENSION}"
-        )
-    return hamiltonian, basis, _exact_reference(hamiltonian, config.particle_number)
+        raise CapacityError(f"subspace size {basis.size} exceeds the dense limit {MAX_DENSE_DIMENSION}")
+    return hamiltonian, basis, _exact_reference(hamiltonian, config.subspace.particle_number)
 
 
 def _run_solve(
@@ -332,16 +259,11 @@ def _run_solve(
     hamiltonian, basis, exact_values = prepared if prepared is not None else _prepare(config)
     out_root = Path(config.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-    records = []
-    if config.repeats == 1:
-        records.append(
-            _solve_one(hamiltonian, basis, config, 0, out_root, exact_values, dir_label=".")
-        )
-    else:
-        for r in range(config.repeats):
-            records.append(
-                _solve_one(hamiltonian, basis, config, r, out_root / f"run_{r:03d}", exact_values)
-            )
+    several = config.repeats > 1
+    run_dirs = [out_root / f"run_{r:03d}" for r in range(config.repeats)] if several else [out_root]
+    records = [_solve_one(hamiltonian, basis, config, r, run_dir, exact_values)
+               for r, run_dir in enumerate(run_dirs)]
+    if several:
         _write_text(out_root / "aggregate.csv", _aggregate_csv(records, exact_values))
     manifest = {
         "command": "solve",
@@ -374,9 +296,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_subspace(args) -> int:
-    config = _config_from_args(args, needs_out=False)
-    hamiltonian = _load_hamiltonian(config.input_path, config.fmt)
-    basis = build_subspace(hamiltonian, config.subspace_spec())
+    values = _settings(args)
+    basis = build_subspace(_load_hamiltonian(args.input, values["format"]), _selection(values)[0])
     with open(args.output + ".tmp", "w", encoding="utf-8") as fh:
         save_states(basis.states, fh)
     os.replace(args.output + ".tmp", args.output)
@@ -385,7 +306,7 @@ def _cmd_subspace(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    manifest, _ = _run_solve(_config_from_args(args))
+    manifest, _ = _run_solve(RunConfig.from_args(args))
     ground = manifest["runs"][0]["ground_energy"]
     print(f"subspace size {manifest['subspace_size']}, ground energy {ground:.10g}")
     print(f"results in {args.out}")
@@ -403,7 +324,7 @@ def _distance_from_name(stem: str) -> float:
 
 
 def _cmd_scan(args) -> int:
-    base = _config_from_args(args)
+    base = RunConfig.from_args(args)
     directory = Path(args.input)
     files = sorted(p for p in directory.iterdir() if p.is_file()) if directory.is_dir() else []
     if not files:
@@ -418,51 +339,41 @@ def _cmd_scan(args) -> int:
     prepared = [_prepare(config) for config in configs]
     if len({hamiltonian.qubit_count for hamiltonian, _, _ in prepared}) > 1:
         raise ValueError("inconsistent qubit counts across scan files")
-    rows = []
-    point_manifests = []
+    rows, point_manifests = [], []
     for (distance, path), config, point in zip(points, configs, prepared):
         _, records = _run_solve(config, point)
         # the first run's spectrum: spectrum.csv, or run_000/spectrum.csv with --repeats
         rows.append((distance, records[0]["eigenvalues"][: config.levels]))
         point_manifests.append({"distance": distance, "file": path.name, "directory": path.stem})
     levels = max(len(e) for _, e in rows)
-    header = "R," + ",".join(f"E{k}" for k in range(levels))
-    lines = [header]
+    lines = ["R," + ",".join(f"E{k}" for k in range(levels))]
     for distance, eigs in rows:
         values = ",".join(f"{v:.17g}" for v in eigs)
         lines.append(f"{distance:.17g},{values}")
     _write_text(out_root / "pes.csv", "\n".join(lines) + "\n")
-    _write_json(
-        out_root / "manifest.json",
-        {
-            "command": "scan",
-            "version": __version__,
-            "config": base.describe(),
-            "points": point_manifests,
-        },
-    )
+    manifest = {"command": "scan", "version": __version__, "config": base.describe(),
+                "points": point_manifests}
+    _write_json(out_root / "manifest.json", manifest)
     print(f"scanned {len(rows)} points -> {out_root / 'pes.csv'}")
     return EXIT_OK
 
 
 def _cmd_calibrate(args) -> int:
-    noise = _flag(args, "--noise", _parse_noise)
+    values = _settings(args)
+    noise, qubits, seed = values["noise"], values["qubits"], values["seed"]
     if noise is None:
         raise ValueError("--noise is required for calibrate")
-    if args.qubits < 1:
-        raise ValueError(f"--qubits must be at least 1, got {args.qubits}")
-    if args.shots < 0:
-        raise ValueError(f"--shots must be nonnegative, got {args.shots}")
-    shots = None if args.shots == 0 else args.shots
-    calibration = build_calibration(noise, shots, args.seed, args.qubits)
-    payload = {
-        "qubits": args.qubits,
-        "shots": shots,
-        "seed": args.seed,
-        "matrices": [[[float(x) for x in row] for row in m] for m in calibration.matrices],
-    }
+    if qubits < 1:
+        raise ValueError(f"--qubits must be at least 1, got {qubits}")
+    shots = 8000 if values["shots"] is None else values["shots"]
+    if shots < 0:
+        raise ValueError(f"--shots must be nonnegative, got {shots}")
+    shots = None if shots == 0 else shots
+    calibration = build_calibration(noise, shots, seed, qubits)
+    matrices = [[[float(x) for x in row] for row in m] for m in calibration.matrices]
+    payload = {"qubits": qubits, "shots": shots, "seed": seed, "matrices": matrices}
     _write_json(Path(args.output), payload)
-    print(f"wrote calibration for {args.qubits} qubits -> {args.output}")
+    print(f"wrote calibration for {qubits} qubits -> {args.output}")
     return EXIT_OK
 
 
@@ -470,65 +381,138 @@ def _cmd_calibrate(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+def _parse_noise(text: str) -> ReadoutNoise | None:
+    if not text:
+        return None
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError("expected 'p01,p10'")
+    return ReadoutNoise(float(parts[0]), float(parts[1]))
+
+
+def _parse_ns(text: str) -> int | None:
+    return None if text == "all" else int(text)
+
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False, "": False}
+
+
+def _parse_boolean(text: str) -> bool:
+    word = text.strip().lower()
+    if word not in _BOOLEANS:
+        raise ValueError("expected 1, true, yes, on, 0, false, no or off")
+    return _BOOLEANS[word]
+
+
+def _words(*words: str) -> dict[str, str]:
+    return {word: word for word in words}
+
+
+# Every setting, by its argparse dest: its one parser (a function of the text,
+# or a dict from each accepted word to its value), whether HEFFSOLVE_<DEST>
+# gives the text when the flag is absent, and its default; None leaves the
+# default to the class that takes the setting (Backend, MonteCarloSearch,
+# SubspaceSpec).
+_SETTINGS = {
+    "nf": (int, False, None),
+    "order": (int, True, 2),
+    "ns": (_parse_ns, True, None),
+    "strategy": (_words("exhaustive", "mc"), True, None),
+    "mc_steps": (int, True, None),
+    "mc_t0": (float, False, None),
+    "mc_cooling": (float, False, None),
+    "seed": (int, True, 0),
+    "format": (_words("auto", "fermion", "pauli"), False, "auto"),
+    "backend": (_words("oracle", "exact", "sampled"), True, None),
+    "shots": (int, True, None),
+    "noise": (_parse_noise, True, None),
+    "mitigate": (_parse_boolean, True, None),
+    "style": (_words("direct", "indirect"), True, None),
+    "diagonals": ({"classical": False, "circuit": True}, True, None),
+    "repeats": (int, True, 1),
+    "levels": (int, True, 4),
+    "dos_bins": (int, True, 20),
+    "qubits": (int, False, None),
+}
+_BACKEND_FIELDS = {"backend": "kind", "shots": "shots", "noise": "noise", "mitigate": "mitigation",
+                   "style": "measurement_style", "diagonals": "measure_diagonals_with_circuits"}
+_ANNEALING_FIELDS = {"mc_steps": "steps", "mc_t0": "initial_temperature", "mc_cooling": "cooling"}
+
+
+def _settings(args: argparse.Namespace) -> dict:
+    """The value of each setting of the command being run (``args`` holds its
+    flags only): the flag's text if given, else ``HEFFSOLVE_<NAME>`` where the
+    setting has one, through the setting's parser; else its default.  A text
+    that does not parse is a ValueError naming its flag or variable."""
+    values = {}
+    for name, text in vars(args).items():
+        if name not in _SETTINGS:
+            continue
+        parse, variable, default = _SETTINGS[name]
+        source = "--" + name.replace("_", "-")
+        if text is None and variable:
+            source = "HEFFSOLVE_" + name.upper()
+            text = os.environ.get(source)
+        if text is None:
+            values[name] = default
+            continue
+        try:
+            if isinstance(parse, dict) and text not in parse:
+                raise ValueError("expected one of " + ", ".join(parse))
+            values[name] = parse[text] if isinstance(parse, dict) else parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{source}={text!r} is not a valid value: {exc}") from None
+    return values
+
+
+def _keywords(values: dict, fields: dict[str, str]) -> dict:
+    """The settings of ``values`` named in ``fields`` and not None, keyed by their
+    field names; the class they are passed to has the default of the others."""
+    return {field: values[name] for name, field in fields.items() if values[name] is not None}
+
+
+def _selection(values: dict) -> tuple[SubspaceSpec, MonteCarloSearch]:
+    """The basis selection, and the annealing schedule that ``mc`` seeds and searches with."""
+    if values["nf"] < 0:
+        raise ValueError(f"--nf must be nonnegative, got {values['nf']}")
+    annealing = _keywords(values, _ANNEALING_FIELDS)
+    mc = values["strategy"] == "mc"
+    if mc:  # derive_seed loads numpy.random, which an exhaustive solve never needs
+        annealing["seed"] = derive_seed(values["seed"], 5)
+    annealing = MonteCarloSearch(**annealing)
+    strategy = annealing if mc else ExhaustiveSearch()
+    return SubspaceSpec(values["nf"], values["order"], values["ns"], strategy), annealing
+
+
+def _add(parser: argparse.ArgumentParser, name: str, **kw) -> None:
+    """The flag of setting ``name``; it collects text, which :func:`_settings` parses."""
+    parse = _SETTINGS[name][0]
+    if isinstance(parse, dict):
+        kw["metavar"] = "{" + ",".join(parse) + "}"
+    parser.add_argument("--" + name.replace("_", "-"), **kw)
+
+
 def _add_common(parser: argparse.ArgumentParser, with_backend: bool = True) -> None:
-    parser.add_argument("--nf", type=int, required=True, help="electron (particle) number")
-    parser.add_argument("--order", type=int, default=_env("ORDER", 2, int),
-                        help="maximum excitation order (default 2 = singles+doubles)")
-    parser.add_argument("--ns", default=_env("NS", None, _parse_ns),
-                        help="subspace size target, an integer or 'all'")
-    _add_choice(parser, "--strategy", ("exhaustive", "mc"), "STRATEGY",
-                help="reference search strategy")
-    parser.add_argument("--mc-steps", type=int, default=_env("MC_STEPS", 2000, int))
-    parser.add_argument("--mc-t0", type=float, default=None)
-    parser.add_argument("--mc-cooling", type=float, default=0.95)
-    parser.add_argument("--seed", type=int, default=_env("SEED", 0, int),
-                        help="master seed; all streams derive from it")
-    parser.add_argument("--format", choices=("auto", "fermion", "pauli"), default="auto",
-                        dest="fmt", help="input format (default: sniff)")
+    _add(parser, "nf", required=True, help="electron (particle) number")
+    _add(parser, "order", help="maximum excitation order (2 = singles+doubles)")
+    _add(parser, "ns", help="subspace size target, an integer or 'all'")
+    _add(parser, "strategy", help="reference search strategy")
+    for name in ("mc_steps", "mc_t0", "mc_cooling"):
+        _add(parser, name)
+    _add(parser, "seed", help="master seed; all streams derive from it")
+    _add(parser, "format", help="input format (default: sniff)")
     if with_backend:
-        parser.add_argument("--basis", default=None, help="reuse a fixed basis file")
-        _add_choice(parser, "--backend", ("oracle", "exact", "sampled"), "BACKEND")
-        parser.add_argument("--shots", type=int, default=_env("SHOTS", 8000, int))
-        parser.add_argument("--noise", default=_env("NOISE", None, _parse_noise),
-                            help="readout flip probabilities 'p01,p10'")
-        parser.add_argument("--mitigate", action="store_true",
-                            default=_env("MITIGATE", False, bool))
-        _add_choice(parser, "--style", ("direct", "indirect"), "STYLE")
-        _add_choice(parser, "--diagonals", ("classical", "circuit"), "DIAGONALS",
-                    help="diagonal entries: classical evaluation or full circuits")
-        parser.add_argument("--repeats", type=int, default=_env("REPEATS", 1, int),
-                            help="independent repetitions (min/max bands)")
-        parser.add_argument("--levels", type=int, default=_env("LEVELS", 4, int),
-                            help="energies per scan point")
-        parser.add_argument("--dos-bins", type=int, default=_env("DOS_BINS", 20, int))
-
-
-def _config_from_args(args, needs_out: bool = True) -> RunConfig:
-    return RunConfig(
-        input_path=args.input,
-        out_dir=getattr(args, "out", "") if needs_out else "",
-        particle_number=args.nf,
-        order=args.order,
-        target_size=_flag(args, "--ns", _parse_ns),
-        basis_file=getattr(args, "basis", None),
-        strategy=args.strategy,
-        mc_steps=args.mc_steps,
-        mc_t0=args.mc_t0,
-        mc_cooling=args.mc_cooling,
-        backend=Backend(
-            kind=getattr(args, "backend", "oracle"),
-            shots=getattr(args, "shots", 8000),
-            noise=_flag(args, "--noise", _parse_noise),
-            mitigation=getattr(args, "mitigate", False),
-            measurement_style=getattr(args, "style", "direct"),
-            measure_diagonals_with_circuits=getattr(args, "diagonals", "classical") == "circuit",
-        ),
-        seed=args.seed,
-        repeats=getattr(args, "repeats", 1),
-        levels=getattr(args, "levels", 4),
-        dos_bins=getattr(args, "dos_bins", 20),
-        fmt=args.fmt,
-    )
+        parser.add_argument("--basis", help="reuse a fixed basis file")
+        _add(parser, "backend")
+        _add(parser, "shots")
+        _add(parser, "noise", help="readout flip probabilities 'p01,p10'")
+        _add(parser, "mitigate", action="store_const", const="on")
+        _add(parser, "style")
+        _add(parser, "diagonals", help="diagonal entries: classical evaluation or full circuits")
+        _add(parser, "repeats", help="independent repetitions (min/max bands)")
+        _add(parser, "levels", help="energies per scan point")
+        _add(parser, "dos_bins")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -563,11 +547,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("calibrate", help="estimate readout confusion matrices")
-    p.add_argument("--noise", required=True, help="'p01,p10'")
-    p.add_argument("--qubits", type=int, required=True)
-    p.add_argument("--shots", type=int, default=_env("SHOTS", 8000, int),
-                   help="calibration shots; 0 = exact matrices")
-    p.add_argument("--seed", type=int, default=_env("SEED", 0, int))
+    _add(p, "noise", required=True, help="'p01,p10'")
+    _add(p, "qubits", required=True)
+    _add(p, "shots", help="calibration shots; 0 = exact matrices")
+    _add(p, "seed")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_calibrate)
     return parser

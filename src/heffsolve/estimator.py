@@ -617,7 +617,9 @@ def heff_to_dict(heff: EffectiveHamiltonian) -> dict:
 
     The basis, the matrix (kept as the complex array; written as ``[re, im]``
     pairs), the backend and its circuit counts; a backend that measures also
-    gets ``entries``, the per-entry statistics of the upper triangle.
+    gets ``entries``, the per-entry statistics of the upper triangle (kept as
+    the arrays ``(rows, cols, entry_counts, entry_stderrs)``; written as one
+    record per entry).
     """
     payload = {
         "format": "heffsolve-heff-v2",
@@ -630,16 +632,7 @@ def heff_to_dict(heff: EffectiveHamiltonian) -> dict:
         "circuit_counts": heff.circuit_counts.as_dict(),
     }
     if heff.backend.uses_circuits:
-        # tolist() gives Python ints and floats, which JSON prints as such
-        payload["entries"] = [
-            {"row": i, "col": j, "shots": shots, "circuits": circuits,
-             "stderr_re": stderr_re, "stderr_im": stderr_im}
-            for i, j, (shots, circuits, _), (stderr_re, stderr_im) in zip(
-                *(a.tolist() for a in np.triu_indices(heff.size)),
-                heff.entry_counts.tolist(),
-                heff.entry_stderrs.tolist(),
-            )
-        ]
+        payload["entries"] = (*np.triu_indices(heff.size), heff.entry_counts, heff.entry_stderrs)
     return payload
 
 
@@ -665,13 +658,36 @@ def _matrix_json(matrix: np.ndarray) -> str:
     ) + "]"
 
 
+# the record of an entry with no shots and both standard errors +0.0
+_CLOSED_ENTRY = '{"circuits": %d, "col": %d, "row": %d, "shots": 0, "stderr_im": 0.0, "stderr_re": 0.0}'
+
+
+def _entries_json(entries: tuple[np.ndarray, ...]) -> str:
+    """``json.dumps`` of the ``entries`` arrays as sorted-key records: a record
+    with 0 shots and both stderrs ``+0.0`` prints from one template, any other
+    with ``float.__repr__`` for each finite stderr, as ``json`` does."""
+    rows, cols, counts, stderrs = entries
+    cells = zip(counts[:, 1].tolist(), cols.tolist(), rows.tolist())
+    records = [_CLOSED_ENTRY % cell for cell in cells]
+    closed = (counts[:, 0] == 0) & ((stderrs == 0) & ~np.signbit(stderrs)).all(axis=1)
+    kept = np.flatnonzero(~closed)
+    for k, i, j, (shots, circuits, _), errors in zip(
+        kept.tolist(), *(a[kept].tolist() for a in (rows, cols, counts, stderrs))
+    ):
+        re, im = (repr(x) if math.isfinite(x) else json.dumps(x) for x in errors)
+        records[k] = (f'{{"circuits": {circuits}, "col": {j}, "row": {i}, "shots": {shots}, '
+                      f'"stderr_im": {im}, "stderr_re": {re}}}')
+    return "[" + ", ".join(records) + "]"
+
+
 def heff_to_json(payload: dict) -> str:
     """The text of ``json.dumps(payload, sort_keys=True)`` for a
     :func:`heff_to_dict` payload, with its ``matrix`` array as ``[re, im]``
-    pairs."""
+    pairs and its ``entries`` arrays as one record per entry."""
+    writers = {"matrix": _matrix_json, "entries": _entries_json}
     return "{" + ", ".join(
         f"{json.dumps(key)}: "
-        + (_matrix_json(value) if key == "matrix" else json.dumps(value, sort_keys=True))
+        + (writers[key](value) if key in writers else json.dumps(value, sort_keys=True))
         for key, value in sorted(payload.items())
     ) + "}"
 

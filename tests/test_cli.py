@@ -621,3 +621,157 @@ class TestEnvOverrides:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["shots"] == 123
         assert manifest["config"]["backend"] == "sampled"
+
+    # Every setting a command parses, with a text its parser rejects; a setting
+    # without a variable, or whose flag carries no text, has only one source.
+    PARSED = [
+        ("solve", "nf", "abc", False), ("solve", "order", "1.5", True),
+        ("solve", "ns", "abc", True), ("solve", "strategy", "annealing", True),
+        ("solve", "mc_steps", "abc", True), ("solve", "mc_t0", "warm", False),
+        ("solve", "mc_cooling", "abc", False), ("solve", "seed", "1.5", True),
+        ("solve", "format", "json", False), ("solve", "backend", "quantum", True),
+        ("solve", "shots", "abc", True), ("solve", "noise", "0.1,abc", True),
+        ("solve", "style", "sideways", True), ("solve", "diagonals", "circuits", True),
+        ("solve", "repeats", "two", True), ("solve", "levels", "abc", True),
+        ("solve", "dos_bins", "abc", True), ("calibrate", "qubits", "abc", False),
+        ("calibrate", "noise", "abc", False), ("calibrate", "shots", "abc", True),
+        ("calibrate", "seed", "abc", True),
+    ]
+    CASES = [
+        (command, f"--{name.replace('_', '-')}", text) for command, name, text, _ in PARSED
+    ] + [
+        (command, f"HEFFSOLVE_{name.upper()}", text)
+        for command, name, text, variable in PARSED if variable
+    ] + [("solve", "HEFFSOLVE_MITIGATE", "maybe")]
+
+    @pytest.mark.parametrize("command, source, text", CASES, ids=[f"{c}:{s}" for c, s, _ in CASES])
+    def test_every_parsed_setting_names_its_source(
+        self, tmp_path, h2_path, monkeypatch, capsys, command, source, text
+    ):
+        out = tmp_path / "out"
+        if command == "solve":
+            argv = ["solve", h2_path, "--out", str(out), "--nf", "2"]
+        else:
+            argv = ["calibrate", "--noise", "0.02,0.02", "--qubits", "2", "-o", str(out)]
+        if source.startswith("HEFFSOLVE_"):
+            monkeypatch.setenv(source, text)
+        elif source in argv:
+            argv[argv.index(source) + 1] = text
+        else:
+            argv += [source, text]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {source}={text!r} is not a valid value: ")
+        assert not out.exists()
+
+    VARIABLES = ["ORDER", "NS", "STRATEGY", "MC_STEPS", "SEED", "BACKEND", "SHOTS", "NOISE",
+                 "MITIGATE", "STYLE", "DIAGONALS", "REPEATS", "LEVELS", "DOS_BINS"]
+
+    @pytest.mark.parametrize(
+        "command, read",
+        [
+            ("transform", ()),
+            ("subspace", ("ORDER", "NS", "STRATEGY", "MC_STEPS", "SEED")),
+            ("calibrate", ("SHOTS", "SEED")),
+        ],
+    )
+    def test_a_command_reads_only_the_variables_of_its_settings(
+        self, tmp_path, h2_path, monkeypatch, command, read
+    ):
+        # each variable the command does not read holds a value no parser accepts
+        for name in self.VARIABLES:
+            if name not in read:
+                monkeypatch.setenv(f"HEFFSOLVE_{name}", "abc")
+        out = tmp_path / "out"
+        argv = {
+            "transform": ["transform", h2_path],
+            "subspace": ["subspace", h2_path, "--nf", "2"],
+            "calibrate": ["calibrate", "--noise", "0.02,0.02", "--qubits", "2"],
+        }[command]
+        assert main([*argv, "-o", str(out)]) == 0
+        assert out.read_text()
+
+    def test_help_reads_no_variable(self, monkeypatch, capsys):
+        for name in self.VARIABLES:
+            monkeypatch.setenv(f"HEFFSOLVE_{name}", "abc")
+        for argv in (["--help"], ["solve", "--help"]):
+            with pytest.raises(SystemExit) as done:
+                main(argv)
+            assert done.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: heffsolve")
+
+
+class TestManifestConfig:
+    """``manifest.json``'s ``config`` of a solve, as the release before the
+    single settings path wrote it."""
+
+    DEFAULTS = {
+        "backend": "oracle", "basis_file": None, "diagonals": "classical", "dos_bins": 20,
+        "levels": 4, "mc_cooling": 0.95, "mc_steps": 2000, "mc_t0": None, "mitigation": False,
+        "noise": None, "order": 2, "particle_number": 2, "repeats": 1, "seed": 0, "shots": 8000,
+        "strategy": "exhaustive", "style": "direct", "target_size": "all",
+    }
+    FLAGS = {
+        "backend": "sampled", "basis_file": "basis.txt", "diagonals": "circuit", "dos_bins": 7,
+        "levels": 3, "mc_cooling": 0.9, "mc_steps": 40, "mc_t0": 0.5, "mitigation": True,
+        "noise": {"p01": 0.01, "p10": 0.02}, "order": 1, "particle_number": 2, "repeats": 2,
+        "seed": 3, "shots": 300, "strategy": "mc", "style": "indirect", "target_size": 4,
+    }
+    VARIABLES = {
+        "backend": "sampled", "basis_file": None, "diagonals": "circuit", "dos_bins": 7,
+        "levels": 3, "mc_cooling": 0.95, "mc_steps": 40, "mc_t0": None, "mitigation": True,
+        "noise": {"p01": 0.01, "p10": 0.02}, "order": 1, "particle_number": 2, "repeats": 2,
+        "seed": 3, "shots": 300, "strategy": "mc", "style": "indirect", "target_size": 4,
+    }
+    FLAGS_OVER_VARIABLES = {
+        "backend": "sampled", "basis_file": None, "diagonals": "classical", "dos_bins": 5,
+        "levels": 4, "mc_cooling": 0.95, "mc_steps": 10, "mc_t0": None, "mitigation": True,
+        "noise": {"p01": 0.03, "p10": 0.04}, "order": 2, "particle_number": 2, "repeats": 1,
+        "seed": 5, "shots": 100, "strategy": "exhaustive", "style": "direct",
+        "target_size": "all",
+    }
+    ENVIRONMENT = {
+        "ORDER": "1", "NS": "4", "STRATEGY": "mc", "MC_STEPS": "40", "SEED": "3",
+        "BACKEND": "sampled", "SHOTS": "300", "NOISE": "0.01,0.02", "MITIGATE": "yes",
+        "STYLE": "indirect", "DIAGONALS": "circuit", "REPEATS": "2", "LEVELS": "3",
+        "DOS_BINS": "7",
+    }
+
+    def config(self, tmp_path, monkeypatch, h2_path, flags=(), env=None):
+        for name, value in (env or {}).items():
+            monkeypatch.setenv(f"HEFFSOLVE_{name}", value)
+        out = tmp_path / "out"
+        assert main(["solve", h2_path, "--out", str(out), "--nf", "2", *flags]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config.pop("input") == h2_path
+        return config
+
+    def test_defaults(self, tmp_path, monkeypatch, h2_path):
+        assert self.config(tmp_path, monkeypatch, h2_path) == self.DEFAULTS
+
+    def test_every_flag(self, tmp_path, monkeypatch, h2_path):
+        monkeypatch.chdir(tmp_path)
+        Path("basis.txt").write_text("1100\n1010\n0101\n0011\n")
+        flags = [
+            "--order", "1", "--ns", "4", "--strategy", "mc", "--mc-steps", "40",
+            "--mc-t0", "0.5", "--mc-cooling", "0.9", "--seed", "3", "--format", "fermion",
+            "--basis", "basis.txt", "--backend", "sampled", "--shots", "300",
+            "--noise", "0.01,0.02", "--mitigate", "--style", "indirect", "--diagonals", "circuit",
+            "--repeats", "2", "--levels", "3", "--dos-bins", "7",
+        ]
+        assert self.config(tmp_path, monkeypatch, h2_path, flags) == self.FLAGS
+
+    def test_every_variable(self, tmp_path, monkeypatch, h2_path):
+        config = self.config(tmp_path, monkeypatch, h2_path, env=self.ENVIRONMENT)
+        assert config == self.VARIABLES
+
+    def test_a_flag_beats_its_variable(self, tmp_path, monkeypatch, h2_path):
+        env = {**self.ENVIRONMENT, "BACKEND": "exact", "MITIGATE": "off"}
+        flags = [
+            "--order", "2", "--ns", "all", "--strategy", "exhaustive", "--mc-steps", "10",
+            "--seed", "5", "--backend", "sampled", "--shots", "100", "--noise", "0.03,0.04",
+            "--mitigate", "--style", "direct", "--diagonals", "classical", "--repeats", "1",
+            "--levels", "4", "--dos-bins", "5",
+        ]
+        config = self.config(tmp_path, monkeypatch, h2_path, flags, env)
+        assert config == self.FLAGS_OVER_VARIABLES

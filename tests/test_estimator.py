@@ -748,6 +748,29 @@ class TestHeffJson:
             assert np.array_equal(back.view(np.uint64), matrix.astype(complex).view(np.uint64))
 
 
+    def test_writer_prints_the_entry_records(self, rng):
+        nan, inf = float("nan"), float("inf")
+        rows, cols = np.triu_indices(6)
+        counts = np.zeros((len(rows), 3), dtype=np.int64)
+        counts[:, 1] = rng.integers(0, 3, len(rows))
+        counts[::4, 0] = rng.integers(1, 1000, len(counts[::4]))
+        stderrs = np.where(counts[:, :1] > 0, rng.random((len(rows), 2)), 0.0)
+        # signed zeros, non-finite errors and zero-shot records with an error
+        for k, errors in zip((1, 2, 3, 5, 6, 7), ((-0.0, 0.0), (0.0, -0.0), (1e-3, 0.0),
+                                                  (nan, 0.0), (inf, -inf), (0.0, 2.5))):
+            stderrs[k] = errors
+        records = [
+            {"row": i, "col": j, "shots": shots, "circuits": circuits,
+             "stderr_re": stderr_re, "stderr_im": stderr_im}
+            for i, j, (shots, circuits, _), (stderr_re, stderr_im) in zip(
+                rows.tolist(), cols.tolist(), counts.tolist(), stderrs.tolist()
+            )
+        ]
+        payload = {"entries": (rows, cols, counts, stderrs), "format": "f"}
+        expected = json.dumps({**payload, "entries": records}, sort_keys=True)
+        assert heff_to_json(payload) == expected
+
+
 class TestScreening:
     """Only strings with ``x_mask == n XOR n'`` are measured for a pair."""
 
