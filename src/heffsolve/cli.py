@@ -8,7 +8,8 @@ excluded from that guarantee).  Exit codes: 0 success, 2 input error,
 
 Flags collect text; :func:`_settings` gives each setting of the command being
 run its value, from its flag, else ``HEFFSOLVE_<NAME>``, else its default,
-through its one parser in ``_SETTINGS``.
+through its one parser in ``_SETTINGS``.  A value that its parser, or the
+class that takes it, refuses is an input error naming its flag or variable.
 """
 
 from __future__ import annotations
@@ -127,19 +128,13 @@ class RunConfig:
     dos_bins: int
     format: str
 
-    def __post_init__(self) -> None:
-        values = self.backend.shots, self.repeats, self.levels, self.dos_bins
-        for flag, value in zip(("--shots", "--repeats", "--levels", "--dos-bins"), values):
-            if value < 1:
-                raise ValueError(f"{flag} must be at least 1, got {value}")
-
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        values = _settings(args)
-        subspace, annealing = _selection(values)
+        values, given = _settings(args)
+        subspace, annealing = _selection(values, given)
         return cls(
             input_path=args.input, out_dir=args.out, subspace=subspace, annealing=annealing,
-            backend=Backend(**_keywords(values, _BACKEND_FIELDS)), basis_file=args.basis,
+            backend=_build(Backend, _BACKEND_FIELDS, values, given), basis_file=args.basis,
             **{name: values[name] for name in ("seed", "repeats", "levels", "dos_bins", "format")},
         )
 
@@ -296,8 +291,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_subspace(args) -> int:
-    values = _settings(args)
-    basis = build_subspace(_load_hamiltonian(args.input, values["format"]), _selection(values)[0])
+    values, given = _settings(args)
+    basis = build_subspace(_load_hamiltonian(args.input, values["format"]), _selection(values, given)[0])
     with open(args.output + ".tmp", "w", encoding="utf-8") as fh:
         save_states(basis.states, fh)
     os.replace(args.output + ".tmp", args.output)
@@ -359,15 +354,11 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    values = _settings(args)
+    values, _ = _settings(args)
     noise, qubits, seed = values["noise"], values["qubits"], values["seed"]
     if noise is None:
         raise ValueError("--noise is required for calibrate")
-    if qubits < 1:
-        raise ValueError(f"--qubits must be at least 1, got {qubits}")
     shots = 8000 if values["shots"] is None else values["shots"]
-    if shots < 0:
-        raise ValueError(f"--shots must be nonnegative, got {shots}")
     shots = None if shots == 0 else shots
     calibration = build_calibration(noise, shots, seed, qubits)
     matrices = [[[float(x) for x in row] for row in m] for m in calibration.matrices]
@@ -413,7 +404,7 @@ def _words(*words: str) -> dict[str, str]:
 # or a dict from each accepted word to its value), whether HEFFSOLVE_<DEST>
 # gives the text when the flag is absent, and its default; None leaves the
 # default to the class that takes the setting (Backend, MonteCarloSearch,
-# SubspaceSpec).
+# SubspaceSpec), which checks its range.  ``_LEAST`` bounds the other counts.
 _SETTINGS = {
     "nf": (int, False, None),
     "order": (int, True, 2),
@@ -435,17 +426,19 @@ _SETTINGS = {
     "dos_bins": (int, True, 20),
     "qubits": (int, False, None),
 }
+_LEAST = {"nf": 0, "shots": 0, "repeats": 1, "levels": 1, "dos_bins": 1, "qubits": 1}
 _BACKEND_FIELDS = {"backend": "kind", "shots": "shots", "noise": "noise", "mitigate": "mitigation",
                    "style": "measurement_style", "diagonals": "measure_diagonals_with_circuits"}
 _ANNEALING_FIELDS = {"mc_steps": "steps", "mc_t0": "initial_temperature", "mc_cooling": "cooling"}
+_SUBSPACE_FIELDS = {"order": "max_excitation_order", "ns": "target_size"}
 
 
-def _settings(args: argparse.Namespace) -> dict:
+def _settings(args: argparse.Namespace) -> tuple[dict, dict]:
     """The value of each setting of the command being run (``args`` holds its
     flags only): the flag's text if given, else ``HEFFSOLVE_<NAME>`` where the
-    setting has one, through the setting's parser; else its default.  A text
-    that does not parse is a ValueError naming its flag or variable."""
-    values = {}
+    setting has one, through the setting's parser; else its default.  Also each
+    given text's source, ``--flag='text'`` or ``HEFFSOLVE_<NAME>='text'``."""
+    values, given = {}, {}
     for name, text in vars(args).items():
         if name not in _SETTINGS:
             continue
@@ -457,32 +450,37 @@ def _settings(args: argparse.Namespace) -> dict:
         if text is None:
             values[name] = default
             continue
+        given[name] = f"{source}={text!r}"
         try:
             if isinstance(parse, dict) and text not in parse:
                 raise ValueError("expected one of " + ", ".join(parse))
             values[name] = parse[text] if isinstance(parse, dict) else parse(text)
+            if name in _LEAST and values[name] < _LEAST[name]:
+                raise ValueError(f"must be at least {_LEAST[name]}, got {values[name]}")
         except ValueError as exc:
-            raise ValueError(f"{source}={text!r} is not a valid value: {exc}") from None
-    return values
+            raise ValueError(f"{given[name]} is not a valid value: {exc}") from None
+    return values, given
 
 
-def _keywords(values: dict, fields: dict[str, str]) -> dict:
-    """The settings of ``values`` named in ``fields`` and not None, keyed by their
-    field names; the class they are passed to has the default of the others."""
-    return {field: values[name] for name, field in fields.items() if values[name] is not None}
+def _build(cls, fields: dict[str, str], values: dict, given: dict, *args, **keywords):
+    """``cls(*args, **keywords)`` plus the set settings of ``fields``; its ValueError names their sources."""
+    keywords.update({field: values[name] for name, field in fields.items() if values[name] is not None})
+    try:
+        return cls(*args, **keywords)
+    except ValueError as exc:
+        sources = " or ".join(given[name] for name in fields if name in given)
+        raise ValueError(f"{sources} is not a valid value: {exc}") from None
 
 
-def _selection(values: dict) -> tuple[SubspaceSpec, MonteCarloSearch]:
+def _selection(values: dict, given: dict) -> tuple[SubspaceSpec, MonteCarloSearch]:
     """The basis selection, and the annealing schedule that ``mc`` seeds and searches with."""
-    if values["nf"] < 0:
-        raise ValueError(f"--nf must be nonnegative, got {values['nf']}")
-    annealing = _keywords(values, _ANNEALING_FIELDS)
     mc = values["strategy"] == "mc"
-    if mc:  # derive_seed loads numpy.random, which an exhaustive solve never needs
-        annealing["seed"] = derive_seed(values["seed"], 5)
-    annealing = MonteCarloSearch(**annealing)
+    # derive_seed loads numpy.random, which an exhaustive solve never needs
+    seed = {"seed": derive_seed(values["seed"], 5)} if mc else {}
+    annealing = _build(MonteCarloSearch, _ANNEALING_FIELDS, values, given, **seed)
     strategy = annealing if mc else ExhaustiveSearch()
-    return SubspaceSpec(values["nf"], values["order"], values["ns"], strategy), annealing
+    spec = _build(SubspaceSpec, _SUBSPACE_FIELDS, values, given, values["nf"], search_strategy=strategy)
+    return spec, annealing
 
 
 def _add(parser: argparse.ArgumentParser, name: str, **kw) -> None:
@@ -563,7 +561,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (PauliFormatError, FermionFormatError, FileNotFoundError, ValueError) as exc:
+    except (PauliFormatError, FermionFormatError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -18,7 +18,7 @@ from math import comb
 import numpy as np
 
 from .pauli import BasisState, PauliSum, project, project_masks
-from .subspace import _sector_masks
+from .subspace import _subset_masks
 
 __all__ = [
     "CapacityError",
@@ -140,8 +140,9 @@ def eigendecompose(heff_or_matrix, compute_vectors: bool = True) -> Spectrum:
 
 
 def sector_basis(num_qubits: int, particle_number: int) -> list[BasisState]:
-    """Every configuration of the particle sector, in bit-string order."""
-    return [BasisState.from_mask(m, num_qubits) for m in _sector_masks(num_qubits, particle_number)]
+    """Every configuration of the particle sector, in descending bit-string order."""
+    masks = _subset_masks(range(num_qubits), particle_number)
+    return [BasisState.from_mask(int(m), num_qubits) for m in masks]
 
 
 def sector_matrix(hamiltonian: PauliSum, particle_number: int) -> tuple[list[BasisState], np.ndarray]:
@@ -164,7 +165,7 @@ def exact_sector_spectrum(
         raise CapacityError(
             f"sector dimension C({num},{particle_number}) = {dim} exceeds {MAX_DENSE_DIMENSION}"
         )
-    masks = np.fromiter(_sector_masks(num, particle_number), dtype=np.uint64, count=dim)
+    masks = _subset_masks(range(num), particle_number)
     return eigendecompose(project_masks(hamiltonian, masks), compute_vectors=compute_vectors)
 
 

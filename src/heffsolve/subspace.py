@@ -4,16 +4,16 @@ The subspace anchors on a reference configuration of minimal diagonal energy
 (found exhaustively or by simulated annealing), grows it with all
 single/double/... excitations up to a chosen order, and keeps the lowest-
 energy configurations.  Every candidate shares the reference's particle
-number, so the projected Hamiltonian stays inside one symmetry sector.
+number, so the projected Hamiltonian stays inside one symmetry sector.  One
+enumerator of ``uint64`` occupation masks gives the sector and the excitations.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -124,9 +124,18 @@ def _diagonal_group(hamiltonian: PauliSum) -> list:
     return flip_groups(hamiltonian).get(0, [])
 
 
-def _sector_masks(num_qubits: int, particle_number: int) -> Iterable[int]:
-    for occupied in itertools.combinations(range(num_qubits), particle_number):
-        yield sum(1 << i for i in occupied)
+def _subset_masks(bits: Sequence[int], k: int) -> np.ndarray:
+    """The ``uint64`` masks that set ``k`` of ``bits``, in ``itertools.combinations``
+    order.  Walking the bits from the last, it keeps each size's masks over the
+    bits walked (those with the new bit first) while that size can reach ``k``."""
+    by_size = {0: np.zeros(1, dtype=np.uint64)}
+    none = np.zeros(0, dtype=np.uint64)
+    for walked, bit in enumerate(reversed(bits), start=1):
+        by_size = {
+            j: np.concatenate((by_size.get(j - 1, none) | np.uint64(1 << bit), by_size.get(j, none)))
+            for j in range(max(0, k - (len(bits) - walked)), min(k, walked) + 1)
+        }
+    return by_size.get(k, none)
 
 
 def find_reference(
@@ -136,18 +145,19 @@ def find_reference(
 ) -> BasisState:
     """Configuration minimizing the diagonal energy within the particle sector.
 
-    Exhaustive search returns the exact argmin; Monte Carlo anneals swap
-    proposals and returns the best configuration visited.  Ties break toward
-    the lexicographically smallest bit string.
+    Exhaustive search scores the sector as one ``uint64`` array for the exact
+    argmin; Monte Carlo anneals swap proposals and returns the best one visited.
+    Ties break toward the lexicographically smallest bit string.
     """
     num = hamiltonian.qubit_count
     if not 0 < particle_number < num:
         raise ValueError(f"particle number {particle_number} must be strictly between 0 and {num}")
     if isinstance(strategy, ExhaustiveSearch):
-        masks = np.fromiter(_sector_masks(num, particle_number), dtype=np.uint64)
+        masks = _subset_masks(range(num), particle_number)
         energies = _flip_amplitudes(_diagonal_group(hamiltonian), masks)[0]
-        tied = masks[energies == energies.min()]
-        return min((BasisState.from_mask(int(m), num) for m in tied), key=lambda s: s.bits)
+        # masks descend in bit-string order: the last tie is the smallest string
+        tied = np.flatnonzero(energies == energies.min())
+        return BasisState.from_mask(int(masks[tied[-1]]), num)
     return _anneal_reference(hamiltonian, particle_number, strategy)
 
 
@@ -160,9 +170,6 @@ def _anneal_reference(
     occupied = list(rng.choice(num, size=particle_number, replace=False))
     unoccupied = [i for i in range(num) if i not in occupied]
 
-    def mask_of(occ: Sequence[int]) -> int:
-        return sum(1 << i for i in occ)
-
     def energy(mask: int) -> float:
         return float(_flip_amplitudes(diagonal, np.array([mask], dtype=np.uint64))[0][0])
 
@@ -170,12 +177,13 @@ def _anneal_reference(
     if temperature is None:
         probe = np.empty(100, dtype=np.uint64)
         for k in range(100):
-            probe[k] = mask_of(rng.choice(num, size=particle_number, replace=False))
+            occ = rng.choice(num, size=particle_number, replace=False)
+            probe[k] = BasisState.from_occupied(occ, num).mask
         temperature = float(np.std(_flip_amplitudes(diagonal, probe)[0])) or 1.0
 
-    current_mask = mask_of(occupied)
-    current = energy(current_mask)
-    best_state, best = BasisState.from_mask(current_mask, num), current
+    best_state = BasisState.from_occupied(occupied, num)
+    current_mask, current = best_state.mask, energy(best_state.mask)
+    best = current
     for _ in range(strategy.steps):
         i = int(rng.integers(len(occupied)))
         j = int(rng.integers(len(unoccupied)))
@@ -195,23 +203,15 @@ def _anneal_reference(
 def enumerate_excitations(reference: BasisState, order: int) -> list[BasisState]:
     """All configurations moving exactly ``order`` particles off the reference.
 
-    Exactly ``C(N_F, order) * C(N - N_F, order)`` states; an order exceeding
-    ``min(N_F, N - N_F)`` yields an empty list.
+    Exactly ``C(N_F, order) * C(N - N_F, order)`` states, vacated sets outer and
+    filled sets inner; an order exceeding ``min(N_F, N - N_F)`` yields none.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if order == 0:
-        return [reference]
-    occupied = reference.occupied()
-    unoccupied = reference.unoccupied()
-    if order > min(len(occupied), len(unoccupied)):
-        return []
-    states = []
-    for vacate in itertools.combinations(occupied, order):
-        removed = reference.mask ^ sum(1 << i for i in vacate)
-        for fill in itertools.combinations(unoccupied, order):
-            states.append(BasisState.from_mask(removed | sum(1 << i for i in fill), reference.num_qubits))
-    return states
+    vacated = reference.mask ^ _subset_masks(reference.occupied(), order)
+    filled = _subset_masks(reference.unoccupied(), order)
+    masks = np.bitwise_or.outer(vacated, filled).ravel()
+    return [BasisState.from_mask(int(m), reference.num_qubits) for m in masks]
 
 
 def build_subspace(hamiltonian: PauliSum, spec: SubspaceSpec) -> SubspaceBasis:

@@ -366,6 +366,22 @@ class TestInputValidation:
         assert err.startswith("input error:") and "4-bit states in the --nf 3 sector" in err
         assert message in err and not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "subspace", "transform", "basis"])
+    def test_a_directory_for_a_file_is_an_input_error(self, tmp_path, capsys, h2_path, command):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        out = tmp_path / "out"
+        argv = {
+            "solve": ["solve", str(folder), "--out", str(out), "--nf", "2"],
+            "subspace": ["subspace", str(folder), "-o", str(out), "--nf", "2"],
+            "transform": ["transform", str(folder), "-o", str(out)],
+            "basis": ["solve", h2_path, "--out", str(out), "--nf", "2", "--basis", str(folder)],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and str(folder) in err
+        assert not out.exists()
+
     def test_mitigation_without_noise(self, tmp_path, capsys, h2_path):
         err = self.rejected(tmp_path, capsys, h2_path, "--backend", "sampled", "--mitigate")
         assert "noise model" in err
@@ -558,7 +574,8 @@ class TestCalibrate:
     def test_impossible_qubit_count_is_input_error(self, tmp_path, capsys, sizes):
         out = tmp_path / "cal.json"
         assert main(["calibrate", "--noise", "0.02,0.02", *sizes, "-o", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("input error: --qubits must be at least 1")
+        err = capsys.readouterr().err
+        assert err.startswith("input error: --qubits=") and "must be at least 1" in err
         assert not out.exists()
 
     def test_negative_shots_is_input_error(self, tmp_path, capsys):
@@ -567,7 +584,9 @@ class TestCalibrate:
             ["calibrate", "--noise", "0.02,0.02", "--qubits", "2", "--shots", "-5",
              "-o", str(out)]
         ) == 2
-        assert capsys.readouterr().err.startswith("input error: --shots must be nonnegative")
+        assert capsys.readouterr().err.startswith(
+            "input error: --shots='-5' is not a valid value: must be at least 0"
+        )
         assert not out.exists()
 
 
@@ -662,6 +681,41 @@ class TestEnvOverrides:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {source}={text!r} is not a valid value: ")
+        assert not out.exists()
+
+    # A value out of range, for its parser or for the class that takes it,
+    # names its flag or variable as an unparseable text does.
+    OUT_OF_RANGE = [
+        ("solve", "HEFFSOLVE_REPEATS", "0", ()), ("solve", "HEFFSOLVE_LEVELS", "0", ()),
+        ("solve", "HEFFSOLVE_DOS_BINS", "0", ()), ("calibrate", "HEFFSOLVE_SHOTS", "-1", ()),
+        ("solve", "--ns", "0", ()), ("solve", "HEFFSOLVE_NS", "0", ()),
+        ("solve", "HEFFSOLVE_ORDER", "-1", ()), ("solve", "HEFFSOLVE_MC_STEPS", "-1", ()),
+        ("solve", "--mc-t0", "-1", ()), ("solve", "--mc-cooling", "2", ()),
+        ("solve", "HEFFSOLVE_SHOTS", "0", ("--backend", "sampled")),
+    ]
+
+    @pytest.mark.parametrize(
+        "command, source, text, flags", OUT_OF_RANGE,
+        ids=[f"{c}:{s}={t}" for c, s, t, _ in OUT_OF_RANGE],
+    )
+    def test_a_value_out_of_range_names_its_source(
+        self, tmp_path, h2_path, monkeypatch, capsys, command, source, text, flags
+    ):
+        out = tmp_path / "out"
+        if command == "solve":
+            argv = ["solve", h2_path, "--out", str(out), "--nf", "2", *flags]
+        else:
+            argv = ["calibrate", "--noise", "0.02,0.02", "--qubits", "2", "-o", str(out)]
+        if source.startswith("HEFFSOLVE_"):
+            monkeypatch.setenv(source, text)
+            flag = "--" + source.removeprefix("HEFFSOLVE_").lower().replace("_", "-")
+        else:
+            argv += [source, text]
+            flag = source
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and f"{source}={text!r}" in err
+        assert err.count(flag) == (flag == source)  # a bad variable does not blame the flag
         assert not out.exists()
 
     VARIABLES = ["ORDER", "NS", "STRATEGY", "MC_STEPS", "SEED", "BACKEND", "SHOTS", "NOISE",

@@ -1,5 +1,6 @@
 """Eigendecomposition, exact sector spectra, and density of states."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -178,6 +179,13 @@ class TestSectorSpectrum:
         assert [s.bits for s in sector_basis(4, 2)] == [
             "1100", "1010", "1001", "0110", "0101", "0011",
         ]
+
+    @pytest.mark.parametrize("num", range(11))
+    def test_basis_order_matches_combinations(self, num):
+        for particles in range(num + 1):
+            expected = [BasisState.from_occupied(occ, num)
+                        for occ in itertools.combinations(range(num), particles)]
+            assert sector_basis(num, particles) == expected
 
     def test_matrix_matches_dense_projection(self, rng):
         hamiltonian = random_conserving_hamiltonian(rng, 6)

@@ -1,6 +1,7 @@
 """Reference search, excitation enumeration, and basis selection."""
 
 import io
+import itertools
 from math import comb
 
 import numpy as np
@@ -98,6 +99,24 @@ class TestFindReference:
             reference = find_reference(hamiltonian, 2, MonteCarloSearch(steps=20, cooling=cooling))
             assert reference.particle_number == 2
 
+    def test_flat_diagonal_returns_the_smallest_bit_string(self):
+        hamiltonian = PauliSum.from_label_weights([(1.0, "I" * 10)])
+        assert find_reference(hamiltonian, 5).bits == "0000011111"
+
+    @pytest.mark.parametrize("num", [8, 10, 12])
+    @pytest.mark.parametrize("kind", ["random", "degenerate"])
+    def test_exhaustive_matches_brute_force(self, rng, num, kind):
+        # degenerate: occupation energies from {-1, 0, 1}, so the minimum is tied
+        for _ in range(3):
+            if kind == "random":
+                hamiltonian = random_conserving_hamiltonian(rng, num, fermionic_terms=6)
+            else:
+                hamiltonian = level_hamiltonian(rng.integers(-1, 2, size=num).astype(float))
+            sector = [BasisState.from_occupied(occ, num)
+                      for occ in itertools.combinations(range(num), num // 2)]
+            best = min(sector, key=lambda s: (diagonal_energy(hamiltonian, s), s.bits))
+            assert find_reference(hamiltonian, num // 2) == best
+
     def test_invalid_particle_number(self):
         hamiltonian = level_hamiltonian((-1.0, 1.0))
         with pytest.raises(ValueError):
@@ -130,6 +149,25 @@ class TestEnumerateExcitations:
                 assert len(states) == comb(n_f, order) * comb(n - n_f, order)
                 assert len({s.bits for s in states}) == len(states)
                 assert all(s.particle_number == n_f for s in states)
+
+    @pytest.mark.parametrize(
+        "bits, order",
+        [
+            ("1100", 0), ("1100", 1), ("1100", 2), ("1100", 3),
+            ("0110100110", 2), ("1011001110", 3), ("0010110001", 4),
+            ("1" + "0" * 62 + "1", 1), ("11" + "0" * 61 + "1", 2), ("01" * 32, 1),
+            ("1" * 63 + "0", 1),
+        ],
+    )
+    def test_order_matches_nested_combinations(self, bits, order):
+        # vacated sets outer, filled sets inner, each in itertools.combinations order
+        reference = BasisState(bits)
+        expected = []
+        for vacate in itertools.combinations(reference.occupied(), order):
+            for fill in itertools.combinations(reference.unoccupied(), order):
+                occupied = (set(reference.occupied()) - set(vacate)) | set(fill)
+                expected.append(BasisState.from_occupied(occupied, len(bits)))
+        assert enumerate_excitations(reference, order) == expected
 
     def test_lih_scale_total(self):
         ref = BasisState.from_occupied(range(4), 12)
