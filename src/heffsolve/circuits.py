@@ -9,10 +9,10 @@ the ancilla(s) at the highest indices.
 
 :func:`run_sparse` is the simulator of every solve: it keeps only the
 nonzero amplitudes.  The circuits built here reach at most 16 of them, and
-a direct circuit followed by the basis rotations of a string with ``k``
-X/Y sites at most ``2^(2+k)``, so its cost does not depend on the register
-size.  :func:`sample_outcome_counts` is the one finite-shot sampler: it
-draws the shots over the sparse state's entries, then flips the shots on
+a direct circuit followed by a :func:`class_basis_change` (one Hadamard) at
+most 8, so its cost does not depend on the register size.
+:func:`sample_outcome_counts` is the one finite-shot sampler: it draws the
+shots over the sparse state's entries, then flips the shots on
 each read wire through an asymmetric per-qubit readout channel, from a
 counter-based Philox generator so every result is reproducible from its
 recorded seed.
@@ -49,7 +49,7 @@ __all__ = [
     "sparse_expectation",
     "outcome_distribution",
     "apply_per_qubit",
-    "measurement_rotations",
+    "class_basis_change",
     "sample_outcome_counts",
 ]
 
@@ -493,16 +493,40 @@ def sample_outcome_counts(
     return bits[:, counts > 0], counts[counts > 0]
 
 
-def measurement_rotations(observable: PauliString, offset: int = 0) -> list[Gate]:
-    """Basis changes making the observable Z-diagonal: H for X, S-dagger + H for Y."""
-    gates: list[Gate] = []
-    for i, c in enumerate(observable.label):
-        if c == "X":
-            gates.append(Gate.h(offset + i))
-        elif c == "Y":
-            gates.append(Gate.sdg(offset + i))
-            gates.append(Gate.h(offset + i))
-    return gates
+def class_basis_change(
+    strings: list[PauliString],
+) -> tuple[list[Gate], list[tuple[int, PauliString]]]:
+    """Clifford gates ``U`` that make one commuting class Z-diagonal, and the
+    image ``U s U^dagger = sign * Z^a`` of each string ``s``, in order.
+
+    The strings must flip the same sites ``F`` (one ``x_mask``) and hold Y
+    counts of one parity; then any two of them commute, since their
+    symplectic product is the parity of the Y sites they differ in.  With
+    the pivot ``p`` the lowest site of ``F``, ``CX(p -> q)`` for every other
+    ``q`` in ``F`` maps ``X^F`` to ``X_p`` and ``Z_q`` to ``Z_p Z_q``, which
+    leaves ``X_p`` (even Y count) or ``X_p Z_p`` (odd) on the pivot; then H,
+    or S-dagger and H, turns that into ``Z_p``.  So ``s`` maps to
+    ``(-1)**(y_count // 2) Z^(z_mask | p)``, read off the masks.  Strings
+    that flip nothing are Z-strings already and need no gates.
+    """
+    if not strings:
+        return [], []
+    x_mask, odd = strings[0].x_mask, strings[0].y_count & 1
+    if any(s.x_mask != x_mask or s.y_count & 1 != odd for s in strings):
+        raise ValueError("the strings must share their X/Y sites and the parity of their Y count")
+    pivot = x_mask & -x_mask
+    images = [
+        (-1 if s.y_count & 2 else 1, PauliString.from_masks(0, s.z_mask | pivot, s.num_qubits))
+        for s in strings
+    ]
+    if not x_mask:
+        return [], images
+    p = pivot.bit_length() - 1
+    gates = [Gate.cx(p, q) for q in range(p + 1, x_mask.bit_length()) if x_mask >> q & 1]
+    if odd:
+        gates.append(Gate.sdg(p))
+    gates.append(Gate.h(p))
+    return gates, images
 
 
 def outcome_distribution(circuit: Circuit, noise: ReadoutNoise | None = None) -> np.ndarray:

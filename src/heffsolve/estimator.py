@@ -3,19 +3,25 @@
 Every measured entry is read the same way: a circuit from
 :mod:`heffsolve.circuits` plus the observable it reads, a list
 ``[(coefficient, PauliString)]`` over the circuit's wires whose strings
-share one measurement basis.  There are three kinds:
+form one commuting class: they share their X/Y sites and the parity of
+their Y count, so one Clifford basis change
+(:func:`heffsolve.circuits.class_basis_change`) makes them all Z-strings
+and one histogram reads them all.  Each readout is one measurement
+setting.  There are three kinds:
 
 - diagonal ``<n|H|n>``: ``|n>`` prepared, reading ``sum_s w_s s`` over the
   I/Z-only strings;
 - direct off-diagonal: one single-ancilla circuit per part (real,
-  imaginary), reading ``0.5 (s (x) I) + 0.5 (s (x) Z)`` per string;
+  imaginary), read once per commuting class of the pair's connecting
+  strings, as ``sum_s 0.5 w_s (s (x) I) + 0.5 w_s (s (x) Z)`` over the
+  class;
 - indirect off-diagonal: one two-ancilla circuit per part and string,
   reading ``0.25 (II + ZI + IZ + ZZ)`` on the ancillas.
 
 One routine, :func:`_read`, evaluates them; the backends differ only there.
 Both circuit backends simulate with :func:`heffsolve.circuits.run_sparse`,
 at any register size.  ``exact`` takes the expectations from the sparse
-state; ``sampled`` rotates it into the shared basis and draws finite shots
+state; ``sampled`` rotates it by the class's basis change and draws finite shots
 over its entries, with optional readout noise and calibration-matrix
 mitigation.  ``oracle`` measures nothing: its matrix is
 :func:`heffsolve.pauli.project` of the basis.
@@ -24,10 +30,12 @@ Only strings containing X or Y are ever measured for off-diagonal entries
 (I/Z-only strings cannot connect two different basis states), and their own
 diagonal elements vanish identically, so the recovery reduces to
 
-    Re <n|H|n'> = 2 m_re            Im <n|H|n'> = -2 m_im      (direct)
+    Re <n|H|n'> = 2 sum m_re        Im <n|H|n'> = -2 sum m_im  (direct, over the classes)
     Re <n|h|n'> = 4 m_re - 1        Im <n|h|n'> = 1 - 4 m_im   (indirect, per string)
 
-where ``m`` is the measured expectation of each readout.
+where ``m`` is the measured expectation of each readout.  A real-weight
+fermionic Hamiltonian has only even-Y strings, so the direct style reads
+each connected pair with one setting per part.
 
 A string ``h`` can contribute to ``<n|H|n'>`` only when it flips exactly
 ``n XOR n'`` (``h.x_mask == n.mask ^ n'.mask``), which is known classically.
@@ -37,8 +45,8 @@ finds the connected pairs with :func:`heffsolve.pauli.flip_cells`, the pair
 finder of the oracle projection too, and measures only those; every other
 pair gets its closed form without a call: value 0, 0 shots, stderr 0, and
 the direct style's two counted circuits (real and imaginary), so that
-style's circuit count stays ``2 C(Ns, 2)``.  ``string_executions`` and shots
-count only the connecting strings.
+style's circuit count stays ``2 C(Ns, 2)``.  ``string_executions``,
+``settings`` and shots count only the connecting strings.
 """
 
 from __future__ import annotations
@@ -57,9 +65,9 @@ from .circuits import (
     apply_circuit,
     build_indirect_circuit,
     build_offdiagonal_circuit,
+    class_basis_change,
     derive_seed,
     marginal_probabilities,
-    measurement_rotations,
     prepare_basis_circuit,
     rng_from_seed,
     run_sparse,
@@ -109,7 +117,8 @@ class Backend:
 
     ``oracle`` computes them combinatorially; ``exact`` runs the measurement
     circuits on their nonzero amplitudes and reads deterministic
-    expectations; ``sampled`` draws finite shots, optionally through a
+    expectations; ``sampled`` draws ``shots`` per measurement setting (one
+    histogram per commuting class of strings read), optionally through a
     readout-noise channel with calibration-matrix mitigation.  Diagonal
     entries default to the classical path even for circuit backends (they
     are classically trivial);
@@ -176,8 +185,9 @@ class MeasurementEstimate:
     """One estimated matrix element and its statistical pedigree.
 
     Shots are not kept: each readout's draw is reduced to a mean and
-    variance by :func:`_sampled_estimate`, and the entry keeps the shot and
-    circuit totals with the propagated standard errors.
+    variance by :func:`_sampled_estimate`, and the entry keeps the totals of
+    shots, circuits, string executions and measurement settings (readouts)
+    with the propagated standard errors.
     """
 
     value: complex
@@ -186,6 +196,7 @@ class MeasurementEstimate:
     shots: int = 0
     circuits: int = 0
     executions: int = 0
+    settings: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,9 +235,14 @@ class CircuitCounts:
     ``diagonal``/``offdiagonal_*`` count circuits at per-(state) and
     per-(pair, part) granularity (direct style: ``2 C(Ns, 2)`` in all, even
     for pairs no string connects; indirect style: one per (pair, part,
-    connecting string)).  ``string_executions`` counts the string-level
-    measurement settings within them and ``total_shots`` their shots; both
-    cover only the strings that connect their pair.
+    connecting string)).  ``string_executions`` counts the (string, part)
+    terms read within them, one per diagonal string of a circuit diagonal.
+    ``settings`` counts the readouts, each one basis change and, under
+    ``sampled``, one histogram: one per circuit diagonal, and per connected
+    (pair, part) one per commuting class of its connecting strings (direct)
+    or one per connecting string (indirect).  ``total_shots`` is
+    ``settings`` times the shots per setting.  All cover only the strings
+    that connect their pair.
     """
 
     diagonal: int = 0
@@ -234,6 +250,7 @@ class CircuitCounts:
     offdiagonal_imag: int = 0
     string_executions: int = 0
     total_shots: int = 0
+    settings: int = 0
 
     @property
     def offdiagonal(self) -> int:
@@ -246,6 +263,7 @@ class CircuitCounts:
             "offdiagonal_imag": self.offdiagonal_imag,
             "offdiagonal_total": self.offdiagonal,
             "string_executions": self.string_executions,
+            "settings": self.settings,
             "total_shots": self.total_shots,
         }
 
@@ -256,7 +274,8 @@ class EffectiveHamiltonian:
 
     A measuring backend gives a complex ``matrix`` and the statistics of
     each upper-triangle entry ``(i, j)``, ``i <= j``, in ``np.triu_indices``
-    order: ``entry_counts`` (int columns shots, circuits, string executions)
+    order: ``entry_counts`` (int columns shots, circuits, string executions,
+    settings)
     and ``entry_stderrs`` (float columns ``stderr_re``, ``stderr_im``).  The
     ``oracle`` ``matrix`` is :func:`~heffsolve.pauli.project`'s array, exact
     and float64 unless the Hamiltonian has odd-Y strings, and both arrays
@@ -275,11 +294,11 @@ class EffectiveHamiltonian:
 
     @property
     def circuit_counts(self) -> CircuitCounts:
-        shots, circuits, executions = self.entry_counts.sum(axis=0).tolist()
+        shots, circuits, executions, settings = self.entry_counts.sum(axis=0).tolist()
         # one circuit per measured diagonal; a pair's real and imaginary parts count alike
         diagonal = self.size if self.backend.measure_diagonals_with_circuits else 0
         part = (circuits - diagonal) // 2
-        return CircuitCounts(diagonal, part, part, executions, shots)
+        return CircuitCounts(diagonal, part, part, executions, shots, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +402,9 @@ def _sampled_estimate(
     """Sample one readout of a :func:`run_sparse` state: its mean, and the
     variance of that mean.
 
-    The state is rotated into the observable's shared measurement basis and
-    the shots read only the wires its strings touch.  This is the one
+    The state is rotated by the observable's :func:`class_basis_change`,
+    each string is read as the sign times the parity of its Z-string image,
+    and the shots read only the wires the images touch.  This is the one
     readout-mitigation estimator: under mitigation the values are pulled
     back through the calibration inverse and both moments come from the raw
     shots, so the mean is unbiased for the noiseless expectation, and the
@@ -393,9 +413,10 @@ def _sampled_estimate(
     """
     if backend.mitigation and calibration is None:
         raise ValueError("mitigation requested but no calibration supplied")
-    rotations = measurement_rotations(observable[0][1]) if observable else []
-    if rotations:
-        state = run_sparse(Circuit(observable[0][1].num_qubits, rotations), state)
+    gates, images = class_basis_change([s for _, s in observable])
+    if gates:
+        state = run_sparse(Circuit(observable[0][1].num_qubits, gates), state)
+    observable = [(c * sign, z) for (c, _), (sign, z) in zip(observable, images)]
     wires = sorted({q for _, s in observable for q in s.support()})
     rng = rng_from_seed(seed)
     bits, counts = sample_outcome_counts(state, backend.shots, rng, backend.noise, tuple(wires))
@@ -411,8 +432,9 @@ def _read(
     """Mean and variance of each readout ``(circuit, observable, seed key)``.
 
     The observable ``[(coefficient, string)]`` is over the circuit's wires,
-    all of them measured, and its strings share the X/Y sites of the first,
-    so one measurement basis reads them all.  Every circuit runs on
+    all of them measured, and its strings form one commuting class (one
+    ``x_mask``, one Y-count parity), so one basis change and one histogram
+    read them all.  Every circuit runs on
     :func:`run_sparse`, and consecutive readouts of one circuit object share
     its simulation.  ``exact`` takes ``sum c <P>`` from the sparse state,
     with variance 0.  ``sampled`` passes the state to
@@ -460,6 +482,7 @@ def measure_diagonal(
         shots=backend.shots if backend.kind == "sampled" else 0,
         circuits=1,
         executions=diagonal_part.num_terms,
+        settings=1,
     )
 
 
@@ -474,23 +497,28 @@ def measure_offdiagonal(
     """Estimate the complex element ``<n|H|n'>`` for ``n != n'``.
 
     Only the off-diagonal strings that flip exactly ``n XOR n'`` are
-    measured; each keeps its index in the full off-diagonal list as its seed
-    key, so its shot stream does not depend on which other strings exist.
-    ``strings_by_flip`` is that grouping, :func:`~heffsolve.pauli.flip_groups`
-    of ``hamiltonian``'s off-diagonal part, built here when not given.  Per
-    part (real, imaginary) and connecting string ``s`` with weight ``w`` the
-    readout ``m_s`` is:
+    measured.  ``strings_by_flip`` is that grouping,
+    :func:`~heffsolve.pauli.flip_groups` of ``hamiltonian``'s off-diagonal
+    part, built here when not given.  Per part (real, imaginary) there is one
+    readout per measurement setting, and the settings are:
 
-    - direct: ``<0.5 (s (x) I) + 0.5 (s (x) Z)>`` on the part's one
-      single-ancilla circuit; ``Re = 2 sum w m_s``, ``Im = -2 sum w m_s``;
-    - indirect: ``<0.25 (II + ZI + IZ + ZZ)>`` on the two ancillas of the
+    - direct: one per commuting class of the connecting strings, those of
+      even and those of odd Y count (at most two; one for real-weight
+      fermionic inputs).  The class is read from one histogram of the
+      part's one single-ancilla circuit, as
+      ``m = <sum_s 0.5 w_s (s (x) I) + 0.5 w_s (s (x) Z)>``;
+      ``Re = 2 sum m``, ``Im = -2 sum m`` over the classes;
+    - indirect: one per connecting string ``s`` with weight ``w``,
+      ``m_s = <0.25 (II + ZI + IZ + ZZ)>`` on the two ancillas of the
       string's own circuit, the probability that both read 0;
       ``Re = sum w (4 m_s - 1)``, ``Im = sum w (1 - 4 m_s)``.
 
-    The standard errors propagate the readout variances alone.  The direct
-    style counts its two circuits even when no string connects the pair.  A
-    backend that measures nothing (``oracle``) is a ValueError: its entries
-    come from :func:`~heffsolve.pauli.project`.
+    A setting's seed key holds the index of its first string in the full
+    off-diagonal list, so its shot stream does not depend on which other
+    strings exist.  The standard errors propagate the readout variances
+    alone.  The direct style counts its two circuits even when no string
+    connects the pair.  A backend that measures nothing (``oracle``) is a
+    ValueError: its entries come from :func:`~heffsolve.pauli.project`.
     """
     if n == nprime:
         raise ValueError("off-diagonal measurement needs two distinct states")
@@ -500,33 +528,42 @@ def measure_offdiagonal(
         strings_by_flip = flip_groups(classify_terms(hamiltonian)[1])
     connecting = strings_by_flip.get(n.mask ^ nprime.mask, [])
     direct = backend.measurement_style == "direct"
+    # the connecting strings of each setting: a commuting class (direct) or one string
+    settings: dict[int, list[tuple[int, complex, PauliString]]] = {}
+    for term in connecting:
+        settings.setdefault(term[2].y_count & 1 if direct else term[0], []).append(term)
+    if direct:
+        observables = [
+            [(0.5 * w.real, PauliString(s.label + a)) for _, w, s in terms for a in "IZ"]
+            for terms in settings.values()
+        ]
+    else:
+        ancillas_zero = [
+            (0.25, PauliString("I" * n.num_qubits + a)) for a in ("II", "ZI", "IZ", "ZZ")
+        ]
     recovered = []
     for index, (part, sign) in enumerate((("real", 1.0), ("imag", -1.0))):
         if direct:
             circuit = build_offdiagonal_circuit(n, nprime, part) if connecting else None
             readouts = [
-                (circuit, [(0.5, PauliString(s.label + "I")), (0.5, PauliString(s.label + "Z"))],
-                 (_TAG_OFFDIAGONAL, n.mask, nprime.mask, index, k))
-                for k, _, s in connecting
+                (circuit, observable, (_TAG_OFFDIAGONAL, n.mask, nprime.mask, index, terms[0][0]))
+                for terms, observable in zip(settings.values(), observables)
             ]
         else:
-            ancillas_zero = [
-                (0.25, PauliString("I" * n.num_qubits + a)) for a in ("II", "ZI", "IZ", "ZZ")
-            ]
             readouts = [
                 (build_indirect_circuit(n, nprime, s, part), ancillas_zero,
                  (_TAG_OFFDIAGONAL, n.mask, nprime.mask, 2 + index, k))
-                for k, _, s in connecting
+                for [(k, _, s)] in settings.values()
             ]
         total = var = 0.0
-        for (_, w, _), (m_s, v_s) in zip(connecting, _read(readouts, backend, calibration)):
-            w = w.real
+        for terms, (m, v) in zip(settings.values(), _read(readouts, backend, calibration)):
             if direct:
-                total += w * m_s
-                var += (w ** 2) * v_s
+                total += m
+                var += v
             else:
-                total += w * (sign * (4.0 * m_s - 1.0))
-                var += (w ** 2) * 16.0 * v_s
+                w = terms[0][1].real
+                total += w * (sign * (4.0 * m - 1.0))
+                var += (w ** 2) * 16.0 * v
         recovered.append((2.0 * sign * total, 4.0 * var) if direct else (total, var))
     (re, var_re), (im, var_im) = recovered
     executions = 2 * len(connecting)
@@ -534,9 +571,10 @@ def measure_offdiagonal(
         complex(re, im),
         stderr_re=math.sqrt(var_re),
         stderr_im=math.sqrt(var_im),
-        shots=executions * backend.shots if backend.kind == "sampled" else 0,
+        shots=2 * len(settings) * backend.shots if backend.kind == "sampled" else 0,
         circuits=2 if direct else executions,
         executions=executions,
+        settings=2 * len(settings),
     )
 
 
@@ -563,7 +601,7 @@ def build_effective_hamiltonian(
     size = len(states)
     if not backend.uses_circuits:
         return EffectiveHamiltonian(
-            basis, project(hamiltonian, states), np.zeros((0, 3), dtype=np.int64),
+            basis, project(hamiltonian, states), np.zeros((0, 4), dtype=np.int64),
             np.zeros((0, 2)), backend,
         )
     calibration = None
@@ -575,14 +613,14 @@ def build_effective_hamiltonian(
             qubit_count=hamiltonian.qubit_count + 2,
         )
     matrix = np.zeros((size, size), dtype=complex)
-    counts = np.zeros((size * (size + 1) // 2, 3), dtype=np.int64)
+    counts = np.zeros((size * (size + 1) // 2, 4), dtype=np.int64)
     stderrs = np.zeros((len(counts), 2))
     # an unconnected pair's direct circuits; the diagonal rows are set below
     counts[:, 1] = 2 if backend.measurement_style == "direct" else 0
 
     def record(i: int, j: int, est: MeasurementEstimate) -> None:
         at = i * (2 * size - i + 1) // 2 + j - i  # row-major upper triangle, i <= j
-        counts[at] = est.shots, est.circuits, est.executions
+        counts[at] = est.shots, est.circuits, est.executions, est.settings
         stderrs[at] = est.stderr_re, est.stderr_im
 
     for i, (state, energy) in enumerate(zip(states, basis.diagonal_energies)):
@@ -671,7 +709,7 @@ def _entries_json(entries: tuple[np.ndarray, ...]) -> str:
     records = [_CLOSED_ENTRY % cell for cell in cells]
     closed = (counts[:, 0] == 0) & ((stderrs == 0) & ~np.signbit(stderrs)).all(axis=1)
     kept = np.flatnonzero(~closed)
-    for k, i, j, (shots, circuits, _), errors in zip(
+    for k, i, j, (shots, circuits, *_), errors in zip(
         kept.tolist(), *(a[kept].tolist() for a in (rows, cols, counts, stderrs))
     ):
         re, im = (repr(x) if math.isfinite(x) else json.dumps(x) for x in errors)

@@ -24,6 +24,7 @@ from .pauli import (
     PauliString,
     PauliSum,
     _flip_amplitudes,
+    _phased,
     flip_groups,
     multiply_masks,
 )
@@ -159,7 +160,7 @@ def check_particle_conservation(
     popcounts = np.bitwise_count(samples)
     for x_mask, group in flip_groups(hamiltonian).items():
         moved = samples[np.bitwise_count(samples ^ np.uint64(x_mask)) != popcounts]
-        re_sum, im_sum = _flip_amplitudes(group, moved)
+        re_sum, im_sum = _flip_amplitudes(_phased(group), moved)
         if np.any(np.hypot(re_sum, 0.0 if im_sum is None else im_sum) > tol):
             return False
     return True

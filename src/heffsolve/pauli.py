@@ -56,6 +56,9 @@ class PauliOp(enum.Enum):
 # i**k for k mod 4, the phase of a product of strings.
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
+# the parity bit of a popcount, as the uint8 np.bitwise_count returns
+_ONE = np.uint8(1)
+
 
 def multiply_masks(xa: int, za: int, xb: int, zb: int) -> tuple[complex, int, int]:
     """``(phase, x_mask, z_mask)`` of the product of strings ``(xa, za)`` and
@@ -362,7 +365,7 @@ def project_masks(hamiltonian: PauliSum, masks: np.ndarray) -> np.ndarray:
     matrix = np.zeros((size, size), dtype=complex if is_complex else float)
     cells_of = matrix.reshape(-1)
     for group, rows, cols in flip_cells(flip_groups(hamiltonian), masks):
-        re_sum, im_sum = _flip_amplitudes(group, masks[cols])
+        re_sum, im_sum = _flip_amplitudes(_phased(group), masks[cols])
         cells = rows * size + cols
         cells_of.real[cells] = re_sum
         if im_sum is not None:
@@ -370,25 +373,40 @@ def project_masks(hamiltonian: PauliSum, masks: np.ndarray) -> np.ndarray:
     return matrix
 
 
+def _phased(
+    group: list[tuple[int, complex, PauliString]]
+) -> tuple[list[tuple[float, float, np.uint64]], bool]:
+    """One flip group (:func:`flip_groups`) in the form :func:`_flip_amplitudes`
+    evaluates: ``(re, im, z_mask)`` of each string's ``w * i**y_count``, and
+    whether any ``im`` is nonzero.  A caller that evaluates one group many
+    times builds this once."""
+    phased = []
+    for _, w, s in group:
+        p = w * 1j ** (s.y_count % 4)
+        phased.append((p.real, p.imag, np.uint64(s.z_mask)))
+    return phased, any(im for _, im, _ in phased)
+
+
 def _flip_amplitudes(
-    group: list[tuple[int, complex, PauliString]], masks: np.ndarray
+    phased: tuple[list[tuple[float, float, np.uint64]], bool], masks: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """``<n ^ x_mask|H|n>`` at each ``uint64`` mask ``n``: the sum over one
-    flip group's strings of ``w * i**y_count * (-1)**popcount(n & z_mask)``.
+    """``<n ^ x_mask|H|n>`` at each ``uint64`` mask ``n``, from a flip group's
+    :func:`_phased` form: the sum over its strings of
+    ``w * i**y_count * (-1)**popcount(n & z_mask)``.
 
     This is the one evaluator of exact matrix elements.  Real and imaginary
     parts accumulate apart, in term order from ``+0.0``; the imaginary part
     is None when no string's ``w * i**y_count`` has one (it would be all
     ``+0.0``).
     """
-    phased = [(w * 1j ** (s.y_count % 4), np.uint64(s.z_mask)) for _, w, s in group]
+    terms, has_imag = phased
     re_sum = np.zeros(masks.size)
-    im_sum = np.zeros(masks.size) if any(p.imag for p, _ in phased) else None
-    for p, z_mask in phased:
-        sign = 1.0 - 2.0 * (np.bitwise_count(masks & z_mask) & np.uint8(1))
-        re_sum += p.real * sign
+    im_sum = np.zeros(masks.size) if has_imag else None
+    for re, im, z_mask in terms:
+        sign = 1.0 - 2.0 * (np.bitwise_count(masks & z_mask) & _ONE)
+        re_sum += re * sign
         if im_sum is not None:
-            im_sum += p.imag * sign
+            im_sum += im * sign
     return re_sum, im_sum
 
 

@@ -17,7 +17,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .pauli import BasisState, PauliSum, _flip_amplitudes, flip_groups
+from .pauli import BasisState, PauliSum, _flip_amplitudes, _phased, flip_groups
 
 __all__ = [
     "ExhaustiveSearch",
@@ -118,10 +118,11 @@ def _diagonal_energies(hamiltonian: PauliSum, states: Sequence[BasisState]) -> l
     return _flip_amplitudes(_diagonal_group(hamiltonian), masks)[0].tolist()
 
 
-def _diagonal_group(hamiltonian: PauliSum) -> list:
-    """The flip group of the I/Z-only strings, whose amplitude at a mask
-    ``n`` is ``<n|H|n>``; no other string has a diagonal element."""
-    return flip_groups(hamiltonian).get(0, [])
+def _diagonal_group(hamiltonian: PauliSum) -> tuple:
+    """The :func:`~heffsolve.pauli._phased` flip group of the I/Z-only strings,
+    whose amplitude at a mask ``n`` is ``<n|H|n>``; no other string has a
+    diagonal element."""
+    return _phased(flip_groups(hamiltonian).get(0, []))
 
 
 def _subset_masks(bits: Sequence[int], k: int) -> np.ndarray:

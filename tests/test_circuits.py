@@ -16,9 +16,9 @@ from heffsolve.circuits import (
     apply_per_qubit,
     build_indirect_circuit,
     build_offdiagonal_circuit,
+    class_basis_change,
     controlled_prepare,
     marginal_probabilities,
-    measurement_rotations,
     outcome_distribution,
     prepare_basis_circuit,
     rng_from_seed,
@@ -29,10 +29,17 @@ from heffsolve.circuits import (
     state_expectation,
 )
 from heffsolve.estimator import Backend, _sampled_estimate
-from heffsolve.pauli import BasisState, PauliString
+from heffsolve.fermion import FermionHamiltonian, FermionTerm, jw_transform
+from heffsolve.pauli import BasisState, PauliString, PauliSum, classify_terms, flip_groups
 from heffsolve.spectra import CapacityError
 
-from conftest import dense_sum, random_hermitian_sum, string_matrix_element, sum_matrix_element
+from conftest import (
+    dense_pauli,
+    dense_sum,
+    random_hermitian_sum,
+    string_matrix_element,
+    sum_matrix_element,
+)
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -238,13 +245,14 @@ def sampled(circuit: Circuit, observable: PauliString, shots: int, seed: int, no
     """Counts and (mean, stderr) of ``observable`` the way the pipeline samples.
 
     :func:`_sampled_estimate` (the sampler of every sampled matrix element)
-    rotates the sparse state to the Z basis and reads the support parity
-    from one draw; the counts are the same seed's draw over the measured
-    wires of the rotated circuit, as a dense histogram.
+    rotates the sparse state by the string's basis change and reads the
+    parity of its Z-string image from one draw; the counts are the same
+    seed's draw over the measured wires of the rotated circuit, as a dense
+    histogram.
     """
     rotated = Circuit(
         circuit.total_qubits,
-        [*circuit.gates, *measurement_rotations(observable)],
+        [*circuit.gates, *class_basis_change([observable])[0]],
         circuit.measured_qubits,
     )
     backend = Backend.sampled(shots=shots, noise=noise)
@@ -325,14 +333,19 @@ class TestSparseState:
         assert len(run_sparse(prepare_basis_circuit(n))) == 1
         assert len(run_sparse(build_offdiagonal_circuit(n, nprime, "imag"))) == 4
         assert len(run_sparse(build_indirect_circuit(n, nprime, string, "real"))) <= 16
+        # a class basis change adds one Hadamard, whatever the class's sites
+        direct = build_offdiagonal_circuit(n, nprime, "imag")
+        direct.extend(class_basis_change([PauliString(string.label + "Z")])[0])
+        assert len(run_sparse(direct)) <= 8
 
     def test_support_over_the_dense_bound_is_a_capacity_error(self, monkeypatch):
-        # After the basis rotations of a string with k = 4 X/Y sites, the
-        # direct circuit holds 2^(k+2) = 64 entries.
+        # After a Hadamard on each of the k = 4 flipped sites (S-dagger first
+        # on the Ys), the direct circuit holds 2^(k+2) = 64 entries.
         n, nprime = BasisState("110100"), BasisState("011001")
         string = PauliString("XYIXYI")
         circuit = build_offdiagonal_circuit(n, nprime, "real")
-        circuit.extend(measurement_rotations(string))
+        for site in string.support():
+            circuit.extend([Gate.sdg(site), Gate.h(site)] if string.label[site] == "Y" else [Gate.h(site)])
         monkeypatch.setattr(heffsolve.spectra, "MAX_DENSE_DIMENSION", 8)
         assert len(run_sparse(circuit)) == 64
         monkeypatch.setattr(heffsolve.spectra, "MAX_DENSE_DIMENSION", 7)
@@ -342,6 +355,74 @@ class TestSparseState:
     def test_a_nan_amplitude_fails_the_norm_check(self):
         with pytest.raises(RuntimeError, match="norm"):
             run_sparse(Circuit(1, [Gate.h(0)]), {0: complex(float("nan"), 0.0)})
+
+
+def commuting_classes():
+    """The commuting classes of the flip groups of a 6-mode JW Hamiltonian,
+    as ``(group size, [(weight, string)])``: hoppings with real, imaginary
+    and complex amplitudes (2, 2 and 4 strings per group), a double
+    excitation with a real amplitude (8), and two complex doubles on one
+    site set, which merge into a 16-string group.  The groups with complex
+    amplitudes split by Y parity."""
+    rng = np.random.default_rng(5)
+
+    def hermitian(c, ops):
+        adjoint = tuple((mode, not dagger) for mode, dagger in reversed(ops))
+        return [FermionTerm(c, ops), FermionTerm(np.conj(c), adjoint)]
+
+    terms = []
+    for (i, j), c in zip(((0, 3), (1, 2), (2, 5), (0, 4)), (0.7, 0.4 - 0.3j, -1.1j, 0.5)):
+        terms += hermitian(c, ((i, True), (j, False)))
+    terms += hermitian(0.9, ((0, True), (2, True), (3, False), (5, False)))
+    terms += hermitian(0.6 + 0.8j, ((1, True), (2, True), (3, False), (4, False)))
+    terms += hermitian(-0.5 + 0.2j, ((1, True), (3, True), (2, False), (4, False)))
+    hamiltonian = jw_transform(FermionHamiltonian(tuple(terms), 6))
+    classes = []
+    for group in flip_groups(classify_terms(hamiltonian)[1]).values():
+        for odd in (0, 1):
+            members = [(w, s) for _, w, s in group if s.y_count % 2 == odd]
+            if members:
+                classes.append((len(group), [members[k] for k in rng.permutation(len(members))]))
+    return classes
+
+
+class TestClassBasisChange:
+    def test_each_string_maps_to_a_signed_z_string(self):
+        # U s U^dagger = sign Z^a as dense matrices, for every string of every class
+        classes = commuting_classes()
+        # (group size, class size, Y parity); a complex hop's group splits 2 + 2
+        sizes = {(size, len(members), members[0][1].y_count % 2) for size, members in classes}
+        assert {(2, 2, 0), (2, 2, 1), (4, 2, 1), (8, 8, 0), (16, 8, 0), (16, 8, 1)} <= sizes
+        for _, members in classes:
+            strings = [s for _, s in members]
+            gates, images = class_basis_change(strings)
+            u = circuit_unitary(Circuit(strings[0].num_qubits, gates))
+            assert {g.kind for g in gates} <= {"cx", "sdg", "h"}
+            for s, (sign, image) in zip(strings, images):
+                assert sign in (1, -1) and image.is_diagonal()
+                rotated = u @ dense_pauli(s.label) @ u.conj().T
+                assert np.abs(rotated - sign * dense_pauli(image.label)).max() <= 1e-12
+
+    def test_weighted_class_sum_is_diagonal(self):
+        # sum_s w s of one class, real or complex w, becomes sum_s w sign Z^a
+        for _, members in commuting_classes():
+            gates, images = class_basis_change([s for _, s in members])
+            u = circuit_unitary(Circuit(members[0][1].num_qubits, gates))
+            weighted = sum(w * dense_pauli(s.label) for w, s in members)
+            images_sum = sum(w * sign * dense_pauli(z.label) for (w, _), (sign, z) in zip(members, images))
+            rotated = u @ weighted @ u.conj().T
+            assert np.abs(rotated - np.diag(np.diag(rotated))).max() <= 1e-12
+            assert np.abs(rotated - images_sum).max() <= 1e-12
+
+    def test_z_strings_need_no_gates(self):
+        strings = [PauliString("ZIZ"), PauliString("IZI"), PauliString("III")]
+        assert class_basis_change(strings) == ([], [(1, s) for s in strings])
+        assert class_basis_change([]) == ([], [])
+
+    def test_strings_outside_one_class_are_refused(self):
+        for strings in (["XXI", "XYI"], ["XXI", "IXX"]):
+            with pytest.raises(ValueError, match="parity"):
+                class_basis_change([PauliString(label) for label in strings])
 
 
 class TestMarginals:

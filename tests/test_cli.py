@@ -1,5 +1,6 @@
 """Command-line pipeline: subcommands, files, exit codes, reproducibility."""
 
+import gc
 import importlib.util
 import json
 import os
@@ -121,6 +122,42 @@ class TestSolve:
         assert all(r[4] == "1" for r in rows)
         for name in ("heff.json", "spectrum.csv", "dos.csv", "basis.txt", "manifest.json"):
             assert (out / name).exists()
+
+    def test_main_leaves_the_collector_unfrozen(self, tmp_path, h2_path):
+        # only the program entry freezes the import-time heap
+        frozen = gc.get_freeze_count()
+        args = ["solve", h2_path, "--out", str(tmp_path / "run"), "--nf", "2", "--backend", "exact"]
+        assert main(args) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_program_entry_writes_the_full_bundle(self, tmp_path, h2_path):
+        # python -m heffsolve.cli freezes the heap, then solves as main() does
+        args = ["solve", h2_path, "--nf", "2", "--backend", "sampled", "--shots", "500",
+                "--noise", "0.02,0.02", "--mitigate", "--diagonals", "circuit"]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "heffsolve.cli", *args, "--out", str(tmp_path / "entry")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert main([*args, "--out", str(tmp_path / "main")]) == 0
+        names = sorted(p.name for p in (tmp_path / "main").iterdir())
+        assert sorted(p.name for p in (tmp_path / "entry").iterdir()) == names
+        assert {"heff.json", "spectrum.csv", "dos.csv", "basis.txt", "manifest.json"} <= set(names)
+        for name in names:
+            if name != "timing.json":
+                assert (tmp_path / "entry" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+        probe = (
+            "import gc, sys, heffsolve.cli as cli\n"
+            "cli.main = lambda: print(gc.get_freeze_count() > 0) or 0\n"
+            "sys.exit(cli.run())\n"
+        )
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "True"
+        scripts = (ROOT / "pyproject.toml").read_text()
+        assert 'heffsolve = "heffsolve.cli:run"' in scripts
 
     def test_sampled_run_reports_stderr(self, tmp_path, h2_path):
         out = tmp_path / "sampled"

@@ -128,6 +128,16 @@ def connecting_settings(hamiltonian, states):
     )
 
 
+def connecting_classes(hamiltonian, states):
+    """Sum over unordered pairs of the commuting classes of the strings that
+    connect the pair: the distinct Y-count parities among them."""
+    _, offdiag = classify_terms(hamiltonian)
+    return sum(
+        len({s.y_count % 2 for _, s in offdiag if s.x_mask == n.mask ^ nprime.mask})
+        for n, nprime in itertools.combinations(states, 2)
+    )
+
+
 class TestBackendType:
     def test_default_shot_budget(self):
         assert Backend.sampled().shots == 8000
@@ -276,8 +286,9 @@ class TestReadouts:
                 )
             else:
                 measure_offdiagonal(self.HAMILTONIAN, n, nprime, backend(style=kind))
-        # one readout per diagonal, one per part and connecting string otherwise
-        assert len(means["exact"]) == (1 if kind == "diagonal" else 8)
+        # one readout per diagonal; per part, one per commuting class (direct:
+        # the even-Y and the odd-Y strings) or per connecting string (indirect)
+        assert len(means["exact"]) == {"diagonal": 1, "direct": 4, "indirect": 8}[kind]
         assert np.allclose(means["sampled"], means["exact"], rtol=0.0, atol=1e-12)
         assert any(abs(m) > 0.1 for m in means["exact"])
 
@@ -472,11 +483,14 @@ class TestSparseExactBackend:
         counts = heff.circuit_counts
         connected = connected_pairs(hamiltonian, basis.states)
         settings = connecting_settings(hamiltonian, basis.states)
+        classes = connecting_classes(hamiltonian, basis.states)
         assert 0 < connected < comb(basis.size, 2)
+        assert connected < classes < settings
         offdiagonal = 2 * connected if style == "direct" else 2 * settings
         assert len(simulated) == basis.size + offdiagonal
-        assert len(draws) == basis.size + 2 * settings
+        assert len(draws) == basis.size + 2 * (classes if style == "direct" else settings)
         assert all(entries <= 64 and shape[1] <= 200 and total == 200 for entries, shape, total in draws)
+        assert counts.settings == len(draws)
         assert counts.total_shots == 200 * len(draws)
         assert np.all(np.isfinite(heff.matrix))
 
@@ -692,7 +706,12 @@ class TestHeffJson:
             stats = (entry["shots"], entry["stderr_re"], entry["stderr_im"])
             if connecting_count(hamiltonian, states[i], states[j]):
                 connected += 1
-                assert min(stats) > 0, (i, j)
+                assert stats[0] > 0, (i, j)
+                if min(stats) == 0:
+                    # the connecting strings' sum annihilates both states, so
+                    # the one histogram of each part reads 0 on every shot
+                    assert sum_matrix_element(states[i], hamiltonian, states[j]) == 0
+                    assert matrix[i, j] == 0 and stats[1:] == (0.0, 0.0), (i, j)
             else:
                 assert stats == (0, 0.0, 0.0), (i, j)
         assert 0 < connected < comb(basis.size, 2)
@@ -700,7 +719,7 @@ class TestHeffJson:
     def test_oracle_writes_no_entries(self, rng):
         hamiltonian, basis = random_sector(rng, 6, 3)
         heff = build_effective_hamiltonian(hamiltonian, basis, Backend.oracle())
-        assert heff.entry_counts.shape == (0, 3) and heff.entry_stderrs.shape == (0, 2)
+        assert heff.entry_counts.shape == (0, 4) and heff.entry_stderrs.shape == (0, 2)
         assert heff.circuit_counts.as_dict() == CircuitCounts().as_dict()
         payload = json.loads(heff_to_json(heff_to_dict(heff)))
         assert payload["format"] == "heffsolve-heff-v2"
@@ -775,31 +794,40 @@ class TestScreening:
     """Only strings with ``x_mask == n XOR n'`` are measured for a pair."""
 
     def test_string_executions_closed_form(self, rng):
-        hamiltonian, basis = random_sector(rng, 5, 2)
-        settings = connecting_settings(hamiltonian, basis.states)
-        diagonal_strings = classify_terms(hamiltonian)[0].num_terms
-        assert settings > 0
-        for style in ("direct", "indirect"):
-            for circuit_diagonals in (False, True):
-                for backend in (
-                    Backend.exact(style, measure_diagonals_with_circuits=circuit_diagonals),
-                    Backend.sampled(
-                        shots=100, seed=1, style=style,
-                        measure_diagonals_with_circuits=circuit_diagonals,
-                    ),
-                ):
-                    counts = build_effective_hamiltonian(hamiltonian, basis, backend).circuit_counts
-                    diagonal = basis.size * diagonal_strings if circuit_diagonals else 0
-                    assert counts.string_executions == 2 * settings + diagonal
-                    if backend.kind == "sampled":
-                        diagonal_shots = basis.size * 100 if circuit_diagonals else 0
-                        assert counts.total_shots == 2 * settings * 100 + diagonal_shots
-                    else:
-                        assert counts.total_shots == 0
-                    if style == "direct":
-                        assert counts.offdiagonal == 2 * comb(basis.size, 2)
-                    else:
-                        assert counts.offdiagonal == 2 * settings
+        # real weights (one class per connected pair) and complex hoppings
+        # (pairs whose strings split into an even-Y and an odd-Y class)
+        for hamiltonian, basis in (
+            random_sector(rng, 5, 2), wide_sector(rng, num_modes=8, modes=(0, 2, 5, 7)),
+        ):
+            settings = connecting_settings(hamiltonian, basis.states)
+            classes = connecting_classes(hamiltonian, basis.states)
+            diagonal_strings = classify_terms(hamiltonian)[0].num_terms
+            assert 0 < classes < settings
+            for style in ("direct", "indirect"):
+                readouts = classes if style == "direct" else settings
+                for circuit_diagonals in (False, True):
+                    for backend in (
+                        Backend.exact(style, measure_diagonals_with_circuits=circuit_diagonals),
+                        Backend.sampled(
+                            shots=100, seed=1, style=style,
+                            measure_diagonals_with_circuits=circuit_diagonals,
+                        ),
+                    ):
+                        heff = build_effective_hamiltonian(hamiltonian, basis, backend)
+                        counts = heff.circuit_counts
+                        diagonal = basis.size * diagonal_strings if circuit_diagonals else 0
+                        diagonals = basis.size if circuit_diagonals else 0
+                        assert counts.string_executions == 2 * settings + diagonal
+                        assert counts.settings == 2 * readouts + diagonals
+                        assert counts.as_dict()["settings"] == counts.settings
+                        if backend.kind == "sampled":
+                            assert counts.total_shots == (2 * readouts + diagonals) * 100
+                        else:
+                            assert counts.total_shots == 0
+                        if style == "direct":
+                            assert counts.offdiagonal == 2 * comb(basis.size, 2)
+                        else:
+                            assert counts.offdiagonal == 2 * settings
 
     def test_unconnected_pair_is_exact_zero(self, monkeypatch):
         hamiltonian = PauliSum.from_label_weights([(0.5, "ZIII"), (1.0, "YXXY")])

@@ -7,6 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
+import heffsolve.subspace
 from heffsolve.pauli import BasisState, PauliSum
 from heffsolve.subspace import (
     MonteCarloSearch,
@@ -73,6 +74,29 @@ class TestFindReference:
                 (int(v) for v in start_rng.choice(8, size=4, replace=False)), 8
             )
             assert diagonal_energy(hamiltonian, result) <= diagonal_energy(hamiltonian, start) + 1e-12
+
+    def test_monte_carlo_phases_the_diagonal_once(self, rng, monkeypatch):
+        # one phased form per search; every step's energy is the diagonal energy, bit for bit
+        hamiltonian = random_conserving_hamiltonian(rng, 8, fermionic_terms=5)
+        phased, evaluated = [], []
+        phase, amplitudes = heffsolve.subspace._phased, heffsolve.subspace._flip_amplitudes
+
+        def counting(group):
+            phased.append(group)
+            return phase(group)
+
+        def recording(form, masks):
+            re_sum, im_sum = amplitudes(form, masks)
+            evaluated.extend(zip(masks.tolist(), re_sum.tolist()))
+            return re_sum, im_sum
+
+        monkeypatch.setattr(heffsolve.subspace, "_phased", counting)
+        monkeypatch.setattr(heffsolve.subspace, "_flip_amplitudes", recording)
+        find_reference(hamiltonian, 4, MonteCarloSearch(steps=200, seed=3))
+        monkeypatch.undo()
+        assert len(phased) == 1 and len(evaluated) == 100 + 1 + 200
+        for mask, energy in evaluated:
+            assert energy == diagonal_energy(hamiltonian, BasisState.from_mask(mask, 8))
 
     @pytest.mark.parametrize(
         "schedule",
