@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectra
-from .pauli import BasisState, PauliOp, PauliString
+from .pauli import BasisState, PauliOp, PauliString, sites
 
 __all__ = [
     "Gate",
@@ -211,32 +211,34 @@ def build_offdiagonal_circuit(n: BasisState, nprime: BasisState, part: str) -> C
 
 
 def build_indirect_circuit(
-    n: BasisState, nprime: BasisState, h: PauliString, part: str
+    n: BasisState, nprime: BasisState, x_mask: int, z_mask: int, part: str
 ) -> Circuit:
-    """Two-ancilla circuit reading one Pauli string through controlled gates.
+    """Two-ancilla circuit reading the Pauli string of masks ``x_mask``,
+    ``z_mask`` through controlled gates.
 
     The preparation ancilla entangles ``|n'>``/``|n>`` as in the direct
     circuit; the measurement ancilla controls one single-qubit Pauli per
-    non-identity site of ``h``.  Both ancillas are Hadamard-framed and read
-    in the Z basis.  Sampled like any other circuit, so reaching precision
-    ``eps`` still costs O(1/eps^2) shots; amplitude-estimation-style
-    readout is out of scope.
+    site of the string.  Both ancillas are Hadamard-framed and read in the
+    Z basis.  Sampled like any other circuit, so reaching precision ``eps``
+    still costs O(1/eps^2) shots; amplitude-estimation-style readout is out
+    of scope.
     """
     if part not in ("real", "imag"):
         raise ValueError(f"part must be 'real' or 'imag', got {part!r}")
-    if n.num_qubits != nprime.num_qubits or h.num_qubits != n.num_qubits:
+    num = n.num_qubits
+    if nprime.num_qubits != num or (x_mask | z_mask) >> num:
         raise ValueError("basis states and string must share one register size")
     if n == nprime:
         raise ValueError("n == n'; diagonal elements use plain basis preparation")
-    num = n.num_qubits
     prep, meas = prep_ancilla_index(num), measure_ancilla_index(num)
     circuit = Circuit(num + 2)
     circuit.add(Gate.h(prep))
     circuit.add(Gate.h(meas))
     circuit.extend(controlled_prepare(nprime, prep, 0))
     circuit.extend(controlled_prepare(n, prep, 1))
-    for site in h.support():
-        circuit.add(Gate.controlled_pauli(meas, site, h[site]))
+    for site in sites(x_mask | z_mask):
+        op = PauliOp("IXZY"[x_mask >> site & 1 | (z_mask >> site & 1) << 1])
+        circuit.add(Gate.controlled_pauli(meas, site, op))
     if part == "imag":
         circuit.add(Gate.sdg(prep))
     circuit.add(Gate.h(prep))
@@ -359,19 +361,16 @@ def run_sparse(circuit: Circuit, state: dict[int, complex] | None = None) -> dic
     return state
 
 
-def sparse_expectation(state: dict[int, complex], observable: PauliString) -> float:
-    """``<psi|P|psi>`` over the stored entries, with the phases of :func:`apply_pauli_to_state`.
-
-    Wires beyond the string's length are read as identity.
-    """
-    x_mask, z_mask = observable.x_mask, observable.z_mask
+def sparse_expectation(state: dict[int, complex], x_mask: int, z_mask: int) -> float:
+    """``<psi|P|psi>`` over the stored entries, ``P`` the string of masks
+    ``x_mask``, ``z_mask``, with the phases of :func:`apply_pauli_to_state`."""
     total = 0j
     for index, amp in state.items():
         partner = state.get(index ^ x_mask)
         if partner is not None:
             term = partner.conjugate() * amp
             total += -term if (index & z_mask).bit_count() & 1 else term
-    return ((1j ** (observable.y_count % 4)) * total).real
+    return ((1j ** ((x_mask & z_mask).bit_count() % 4)) * total).real
 
 
 # ---------------------------------------------------------------------------
@@ -494,36 +493,35 @@ def sample_outcome_counts(
 
 
 def class_basis_change(
-    strings: list[PauliString],
-) -> tuple[list[Gate], list[tuple[int, PauliString]]]:
+    strings: list[tuple[int, int]],
+) -> tuple[list[Gate], list[tuple[int, int]]]:
     """Clifford gates ``U`` that make one commuting class Z-diagonal, and the
-    image ``U s U^dagger = sign * Z^a`` of each string ``s``, in order.
+    image ``U s U^dagger = sign * Z^a`` of each string ``s = (x_mask,
+    z_mask)``, in order, as ``(sign, a)``.
 
     The strings must flip the same sites ``F`` (one ``x_mask``) and hold Y
-    counts of one parity; then any two of them commute, since their
-    symplectic product is the parity of the Y sites they differ in.  With
-    the pivot ``p`` the lowest site of ``F``, ``CX(p -> q)`` for every other
-    ``q`` in ``F`` maps ``X^F`` to ``X_p`` and ``Z_q`` to ``Z_p Z_q``, which
-    leaves ``X_p`` (even Y count) or ``X_p Z_p`` (odd) on the pivot; then H,
-    or S-dagger and H, turns that into ``Z_p``.  So ``s`` maps to
+    counts ``popcount(x_mask & z_mask)`` of one parity; then any two commute,
+    since their symplectic product is the parity of the Y sites they differ in.  With the pivot
+    ``p`` the lowest site of ``F``, ``CX(p -> q)`` for every other ``q`` in
+    ``F`` maps ``X^F`` to ``X_p`` and ``Z_q`` to ``Z_p Z_q``, which leaves
+    ``X_p`` (even Y count) or ``X_p Z_p`` (odd) on the pivot; then H, or
+    S-dagger and H, turns that into ``Z_p``.  So ``s`` maps to
     ``(-1)**(y_count // 2) Z^(z_mask | p)``, read off the masks.  Strings
     that flip nothing are Z-strings already and need no gates.
     """
     if not strings:
         return [], []
-    x_mask, odd = strings[0].x_mask, strings[0].y_count & 1
-    if any(s.x_mask != x_mask or s.y_count & 1 != odd for s in strings):
+    x_mask = strings[0][0]
+    y_counts = [(x & z).bit_count() for x, z in strings]
+    if any(x != x_mask for x, _ in strings) or len({y & 1 for y in y_counts}) > 1:
         raise ValueError("the strings must share their X/Y sites and the parity of their Y count")
     pivot = x_mask & -x_mask
-    images = [
-        (-1 if s.y_count & 2 else 1, PauliString.from_masks(0, s.z_mask | pivot, s.num_qubits))
-        for s in strings
-    ]
+    images = [(-1 if y & 2 else 1, z | pivot) for (_, z), y in zip(strings, y_counts)]
     if not x_mask:
         return [], images
     p = pivot.bit_length() - 1
-    gates = [Gate.cx(p, q) for q in range(p + 1, x_mask.bit_length()) if x_mask >> q & 1]
-    if odd:
+    gates = [Gate.cx(p, q) for q in sites(x_mask ^ pivot)]
+    if y_counts[0] & 1:
         gates.append(Gate.sdg(p))
     gates.append(Gate.h(p))
     return gates, images

@@ -65,7 +65,8 @@ from .subspace import (
 
 CHEMICAL_ACCURACY = 5e-3  # Hartree
 
-# Occupation masks travel through numpy int64 arrays, whose bit 63 is the sign.
+# Term and occupation masks are uint64 arrays, one bit per qubit, but the
+# annealer's shifts by numpy int64 site indices overflow at bit 63.
 MAX_QUBITS = 63
 
 EXIT_OK = 0

@@ -2,51 +2,37 @@
 
 Every measured entry is read the same way: a circuit from
 :mod:`heffsolve.circuits` plus the observable it reads, a list
-``[(coefficient, PauliString)]`` over the circuit's wires whose strings
-form one commuting class: they share their X/Y sites and the parity of
-their Y count, so one Clifford basis change
+``[(coefficient, x_mask, z_mask)]`` of Pauli strings over the circuit's
+wires that form one commuting class: they share their X/Y sites and the
+parity of their Y count, so one Clifford basis change
 (:func:`heffsolve.circuits.class_basis_change`) makes them all Z-strings
 and one histogram reads them all.  Each readout is one measurement
-setting.  There are three kinds:
+setting: a diagonal ``<n|H|n>`` reads ``sum_s w_s s`` over the I/Z-only
+strings on ``|n>``; an off-diagonal entry reads its connecting strings
+through single-ancilla (direct) or two-ancilla (indirect) circuits, as
+:func:`measure_offdiagonal` sets out.  The ancilla factor of an observable
+is a bit of its ``z_mask``, and the strings come from the mask arrays of
+the :class:`~heffsolve.pauli.PauliSum` and its flip groups: no label is
+built.
 
-- diagonal ``<n|H|n>``: ``|n>`` prepared, reading ``sum_s w_s s`` over the
-  I/Z-only strings;
-- direct off-diagonal: one single-ancilla circuit per part (real,
-  imaginary), read once per commuting class of the pair's connecting
-  strings, as ``sum_s 0.5 w_s (s (x) I) + 0.5 w_s (s (x) Z)`` over the
-  class;
-- indirect off-diagonal: one two-ancilla circuit per part and string,
-  reading ``0.25 (II + ZI + IZ + ZZ)`` on the ancillas.
-
-One routine, :func:`_read`, evaluates them; the backends differ only there.
-Both circuit backends simulate with :func:`heffsolve.circuits.run_sparse`,
-at any register size.  ``exact`` takes the expectations from the sparse
-state; ``sampled`` rotates it by the class's basis change and draws finite shots
-over its entries, with optional readout noise and calibration-matrix
-mitigation.  ``oracle`` measures nothing: its matrix is
-:func:`heffsolve.pauli.project` of the basis.
-
-Only strings containing X or Y are ever measured for off-diagonal entries
-(I/Z-only strings cannot connect two different basis states), and their own
-diagonal elements vanish identically, so the recovery reduces to
-
-    Re <n|H|n'> = 2 sum m_re        Im <n|H|n'> = -2 sum m_im  (direct, over the classes)
-    Re <n|h|n'> = 4 m_re - 1        Im <n|h|n'> = 1 - 4 m_im   (indirect, per string)
-
-where ``m`` is the measured expectation of each readout.  A real-weight
-fermionic Hamiltonian has only even-Y strings, so the direct style reads
-each connected pair with one setting per part.
+One routine, :func:`_read`, evaluates the readouts; the backends differ
+only there.  Both circuit backends simulate with
+:func:`heffsolve.circuits.run_sparse`, at any register size.  ``exact``
+takes the expectations from the sparse state; ``sampled`` rotates it by the
+class's basis change and draws finite shots over its entries, with optional
+readout noise and calibration-matrix mitigation.  ``oracle`` measures
+nothing: its matrix is :func:`heffsolve.pauli.project` of the basis.
 
 A string ``h`` can contribute to ``<n|H|n'>`` only when it flips exactly
-``n XOR n'`` (``h.x_mask == n.mask ^ n'.mask``), which is known classically.
-Each pair therefore measures only its connecting strings: the others would
-give exact zeros (``exact``) or zero-mean shot noise (``sampled``).  A build
-finds the connected pairs with :func:`heffsolve.pauli.flip_cells`, the pair
-finder of the oracle projection too, and measures only those; every other
-pair gets its closed form without a call: value 0, 0 shots, stderr 0, and
-the direct style's two counted circuits (real and imaginary), so that
-style's circuit count stays ``2 C(Ns, 2)``.  ``string_executions``,
-``settings`` and shots count only the connecting strings.
+``n XOR n'``, which is known classically, so each pair measures only its
+connecting strings: the others would give exact zeros (``exact``) or
+zero-mean shot noise (``sampled``).  A build finds the connected pairs with
+:func:`heffsolve.pauli.flip_cells`, the pair finder of the oracle
+projection too, and measures only those; every other pair gets its closed
+form without a call: value 0, 0 shots, stderr 0, and the direct style's two
+counted circuits (real and imaginary), so that style's circuit count stays
+``2 C(Ns, 2)``.  ``string_executions``, ``settings`` and shots count only
+the connecting strings.
 """
 
 from __future__ import annotations
@@ -68,6 +54,7 @@ from .circuits import (
     class_basis_change,
     derive_seed,
     marginal_probabilities,
+    prep_ancilla_index,
     prepare_basis_circuit,
     rng_from_seed,
     run_sparse,
@@ -76,15 +63,7 @@ from .circuits import (
     sparse_expectation,
     state_expectation,
 )
-from .pauli import (
-    BasisState,
-    PauliString,
-    PauliSum,
-    classify_terms,
-    flip_cells,
-    flip_groups,
-    project,
-)
+from .pauli import BasisState, PauliSum, flip_cells, project, sites
 from .subspace import SubspaceBasis, diagonal_energy
 
 __all__ = [
@@ -365,15 +344,16 @@ def _mean_and_variance(counts: np.ndarray, values: np.ndarray, shots: int) -> tu
 
 def _outcome_values(
     bits: np.ndarray,
-    observable: list[tuple[float, PauliString]],
+    observable: list[tuple[float, int]],
     wires: list[int],
     calibration: CalibrationMatrix | None,
 ) -> np.ndarray:
     """``sum c (-1)**parity`` of each outcome, or its calibration pull-back.
 
-    Row ``j`` of ``bits`` is wire ``wires[j]``, which holds the support of
-    every string.  Each wire reads a factor ``g_q[bit]``: ``(1, -1)`` raw,
-    and ``g_q = (A_q^-1)^T (1, -1)`` under mitigation.  A column-stochastic
+    The observable is ``[(c, z_mask)]`` over Z-strings.  Row ``j`` of
+    ``bits`` is wire ``wires[j]``, which holds the support of every string.
+    Each wire reads a factor ``g_q[bit]``: ``(1, -1)`` raw, and
+    ``g_q = (A_q^-1)^T (1, -1)`` under mitigation.  A column-stochastic
     ``A_q`` has ``(A_q^-1)^T (1, 1) = (1, 1)``, so a wire outside a string's
     support contributes a factor of 1, and each term's pull-back is the
     product of its support's factors; no ``2^wires`` vector is formed.
@@ -384,9 +364,9 @@ def _outcome_values(
         factors = np.where(bits, g[:, 1:], g[:, :1])
     row = {q: j for j, q in enumerate(wires)}
     values = np.zeros(bits.shape[1])
-    for c, s in observable:
+    for c, z_mask in observable:
         term = np.full(bits.shape[1], c)
-        for q in s.support():
+        for q in sites(z_mask):
             term *= factors[row[q]]
         values += term
     return values
@@ -394,7 +374,7 @@ def _outcome_values(
 
 def _sampled_estimate(
     state: dict[int, complex],
-    observable: list[tuple[float, PauliString]],
+    observable: list[tuple[float, int, int]],
     backend: Backend,
     seed: int,
     calibration: CalibrationMatrix | None,
@@ -413,30 +393,28 @@ def _sampled_estimate(
     """
     if backend.mitigation and calibration is None:
         raise ValueError("mitigation requested but no calibration supplied")
-    gates, images = class_basis_change([s for _, s in observable])
+    gates, images = class_basis_change([(x, z) for _, x, z in observable])
     if gates:
-        state = run_sparse(Circuit(observable[0][1].num_qubits, gates), state)
-    observable = [(c * sign, z) for (c, _), (sign, z) in zip(observable, images)]
-    wires = sorted({q for _, s in observable for q in s.support()})
+        state = run_sparse(Circuit(observable[0][1].bit_length(), gates), state)
+    images = [(c * sign, z) for (c, _, _), (sign, z) in zip(observable, images)]
+    wires = sorted({q for _, z in images for q in sites(z)})
     rng = rng_from_seed(seed)
     bits, counts = sample_outcome_counts(state, backend.shots, rng, backend.noise, tuple(wires))
-    values = _outcome_values(bits, observable, wires, calibration if backend.mitigation else None)
+    values = _outcome_values(bits, images, wires, calibration if backend.mitigation else None)
     return _mean_and_variance(counts, values, backend.shots)
 
 
 def _read(
-    readouts: list[tuple[Circuit, list[tuple[float, PauliString]], tuple[int, ...]]],
+    readouts: list[tuple[Circuit, list[tuple[float, int, int]], tuple[int, ...]]],
     backend: Backend,
     calibration: CalibrationMatrix | None,
 ) -> list[tuple[float, float]]:
     """Mean and variance of each readout ``(circuit, observable, seed key)``.
 
-    The observable ``[(coefficient, string)]`` is over the circuit's wires,
-    all of them measured, and its strings form one commuting class (one
-    ``x_mask``, one Y-count parity), so one basis change and one histogram
-    read them all.  Every circuit runs on
-    :func:`run_sparse`, and consecutive readouts of one circuit object share
-    its simulation.  ``exact`` takes ``sum c <P>`` from the sparse state,
+    The observable ``[(coefficient, x_mask, z_mask)]`` over the circuit's
+    wires, all of them measured, is one commuting class.  Every circuit runs
+    on :func:`run_sparse`, and consecutive readouts of one circuit object
+    share its simulation.  ``exact`` takes ``sum c <P>`` from the sparse state,
     with variance 0.  ``sampled`` passes the state to
     :func:`_sampled_estimate`, with the seed the key derives.
     """
@@ -447,7 +425,7 @@ def _read(
             circuit = readout_circuit
             state = run_sparse(circuit)
         if backend.kind == "exact":
-            results.append((sum(c * sparse_expectation(state, s) for c, s in observable), 0.0))
+            results.append((sum(c * sparse_expectation(state, x, z) for c, x, z in observable), 0.0))
         else:
             seed = derive_seed(backend.seed, *key)
             results.append(_sampled_estimate(state, observable, backend, seed, calibration))
@@ -465,14 +443,15 @@ def measure_diagonal(
     The classical path is :func:`heffsolve.subspace.diagonal_energy`, exact
     with no statistics; :func:`build_effective_hamiltonian` reads the same
     values from its basis instead of calling this.  The circuit path
-    prepares ``|n>`` with X gates and reads the observable ``sum_s w_s s``
-    over the I/Z-only strings; strings containing X or Y have identically
-    zero diagonal elements and are skipped.
+    prepares ``|n>`` with X gates and reads ``sum_s w_s s`` over the I/Z-only
+    strings (``x_mask`` 0), in term order: no other string has a diagonal
+    element.
     """
     if not backend.measure_diagonals_with_circuits:
         return MeasurementEstimate(complex(diagonal_energy(hamiltonian, n)))
-    diagonal_part, _ = classify_terms(hamiltonian)
-    observable = [(w.real, s) for w, s in diagonal_part]
+    diagonal = hamiltonian.x == 0
+    weights, z_masks = hamiltonian.w.real[diagonal].tolist(), hamiltonian.z[diagonal].tolist()
+    observable = [(w, 0, z) for w, z in zip(weights, z_masks)]
     [(mean, var)] = _read(
         [(prepare_basis_circuit(n), observable, (_TAG_DIAGONAL, n.mask))], backend, calibration
     )
@@ -481,7 +460,7 @@ def measure_diagonal(
         stderr_re=math.sqrt(var),
         shots=backend.shots if backend.kind == "sampled" else 0,
         circuits=1,
-        executions=diagonal_part.num_terms,
+        executions=len(observable),
         settings=1,
     )
 
@@ -492,20 +471,19 @@ def measure_offdiagonal(
     nprime: BasisState,
     backend: Backend,
     calibration: CalibrationMatrix | None = None,
-    strings_by_flip: dict[int, list[tuple[int, complex, PauliString]]] | None = None,
 ) -> MeasurementEstimate:
     """Estimate the complex element ``<n|H|n'>`` for ``n != n'``.
 
-    Only the off-diagonal strings that flip exactly ``n XOR n'`` are
-    measured.  ``strings_by_flip`` is that grouping,
-    :func:`~heffsolve.pauli.flip_groups` of ``hamiltonian``'s off-diagonal
-    part, built here when not given.  Per part (real, imaginary) there is one
-    readout per measurement setting, and the settings are:
+    Only the strings that flip exactly ``n XOR n'``, the flip group of that
+    ``x_mask`` in ``hamiltonian.groups``, are measured; their own diagonal
+    elements vanish, which the recovery below uses.  Per part (real,
+    imaginary) there is one readout per measurement setting, and the
+    settings are:
 
     - direct: one per commuting class of the connecting strings, those of
       even and those of odd Y count (at most two; one for real-weight
-      fermionic inputs).  The class is read from one histogram of the
-      part's one single-ancilla circuit, as
+      fermionic inputs), in the order each first appears.  The class is
+      read from one histogram of the part's one single-ancilla circuit, as
       ``m = <sum_s 0.5 w_s (s (x) I) + 0.5 w_s (s (x) Z)>``;
       ``Re = 2 sum m``, ``Im = -2 sum m`` over the classes;
     - indirect: one per connecting string ``s`` with weight ``w``,
@@ -513,47 +491,45 @@ def measure_offdiagonal(
       string's own circuit, the probability that both read 0;
       ``Re = sum w (4 m_s - 1)``, ``Im = sum w (1 - 4 m_s)``.
 
-    A setting's seed key holds the index of its first string in the full
-    off-diagonal list, so its shot stream does not depend on which other
-    strings exist.  The standard errors propagate the readout variances
-    alone.  The direct style counts its two circuits even when no string
-    connects the pair.  A backend that measures nothing (``oracle``) is a
-    ValueError: its entries come from :func:`~heffsolve.pauli.project`.
+    A setting's seed key holds the index of its first string among the
+    off-diagonal terms of the sum, so its shot stream does not depend on
+    which other strings exist.  The standard errors propagate the readout
+    variances alone.  The direct style counts its two circuits even when no
+    string connects the pair.  A backend that measures nothing (``oracle``)
+    is a ValueError: its entries come from :func:`~heffsolve.pauli.project`.
     """
     if n == nprime:
         raise ValueError("off-diagonal measurement needs two distinct states")
     if not backend.uses_circuits:
         raise ValueError(f"the {backend.kind} backend measures nothing; use pauli.project")
-    if strings_by_flip is None:
-        strings_by_flip = flip_groups(classify_terms(hamiltonian)[1])
-    connecting = strings_by_flip.get(n.mask ^ nprime.mask, [])
+    groups = hamiltonian.groups
+    x_mask = n.mask ^ nprime.mask
+    span = groups.span(x_mask)
+    members = groups.index[span]
+    # a term's index among the off-diagonal terms: the diagonal ones before it drop out
+    ranks = members - np.searchsorted(groups.index[groups.span(0)], members)
+    weights, z_masks = hamiltonian.w.real[members].tolist(), groups.z[span].tolist()
     direct = backend.measurement_style == "direct"
-    # the connecting strings of each setting: a commuting class (direct) or one string
-    settings: dict[int, list[tuple[int, complex, PauliString]]] = {}
-    for term in connecting:
-        settings.setdefault(term[2].y_count & 1 if direct else term[0], []).append(term)
-    if direct:
-        observables = [
-            [(0.5 * w.real, PauliString(s.label + a)) for _, w, s in terms for a in "IZ"]
-            for terms in settings.values()
-        ]
-    else:
-        ancillas_zero = [
-            (0.25, PauliString("I" * n.num_qubits + a)) for a in ("II", "ZI", "IZ", "ZZ")
-        ]
+    # the (rank, weight, z_mask) of each setting's strings: a commuting class (direct) or one string
+    settings: dict[int, list[tuple[int, float, int]]] = {}
+    for k, w, z, odd in zip(ranks.tolist(), weights, z_masks, groups.odd[span].tolist()):
+        settings.setdefault(odd if direct else k, []).append((k, w, z))
+    ancilla = 1 << prep_ancilla_index(n.num_qubits)
     recovered = []
     for index, (part, sign) in enumerate((("real", 1.0), ("imag", -1.0))):
         if direct:
-            circuit = build_offdiagonal_circuit(n, nprime, part) if connecting else None
+            circuit = build_offdiagonal_circuit(n, nprime, part) if settings else None
             readouts = [
-                (circuit, observable, (_TAG_OFFDIAGONAL, n.mask, nprime.mask, index, terms[0][0]))
-                for terms, observable in zip(settings.values(), observables)
+                (circuit, [(0.5 * w, x_mask, z | a) for _, w, z in terms for a in (0, ancilla)],
+                 (_TAG_OFFDIAGONAL, n.mask, nprime.mask, index, terms[0][0]))
+                for terms in settings.values()
             ]
         else:
             readouts = [
-                (build_indirect_circuit(n, nprime, s, part), ancillas_zero,
+                (build_indirect_circuit(n, nprime, x_mask, z, part),
+                 [(0.25, 0, a * ancilla) for a in range(4)],  # II, ZI, IZ, ZZ on the ancillas
                  (_TAG_OFFDIAGONAL, n.mask, nprime.mask, 2 + index, k))
-                for [(k, _, s)] in settings.values()
+                for [(k, _, z)] in settings.values()
             ]
         total = var = 0.0
         for terms, (m, v) in zip(settings.values(), _read(readouts, backend, calibration)):
@@ -561,12 +537,12 @@ def measure_offdiagonal(
                 total += m
                 var += v
             else:
-                w = terms[0][1].real
+                w = terms[0][1]
                 total += w * (sign * (4.0 * m - 1.0))
                 var += (w ** 2) * 16.0 * v
         recovered.append((2.0 * sign * total, 4.0 * var) if direct else (total, var))
     (re, var_re), (im, var_im) = recovered
-    executions = 2 * len(connecting)
+    executions = 2 * len(z_masks)
     return MeasurementEstimate(
         complex(re, im),
         stderr_re=math.sqrt(var_re),
@@ -630,14 +606,11 @@ def build_effective_hamiltonian(
             est = MeasurementEstimate(complex(energy))
         record(i, i, est)
         matrix[i, i] = est.value.real
-    strings_by_flip = flip_groups(classify_terms(hamiltonian)[1])
     masks = np.array([s.mask for s in states], dtype=np.uint64)
-    for _, rows, cols in flip_cells(strings_by_flip, masks):
+    for _, rows, cols in flip_cells(hamiltonian.groups, masks):
         upper = rows < cols
         for i, j in zip(rows[upper].tolist(), cols[upper].tolist()):
-            est = measure_offdiagonal(
-                hamiltonian, states[i], states[j], backend, calibration, strings_by_flip
-            )
+            est = measure_offdiagonal(hamiltonian, states[i], states[j], backend, calibration)
             record(i, j, est)
             matrix[i, j] = est.value
             matrix[j, i] = est.value.conjugate()

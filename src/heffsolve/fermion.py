@@ -19,15 +19,7 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from .pauli import (
-    WEIGHT_TOLERANCE,
-    PauliString,
-    PauliSum,
-    _flip_amplitudes,
-    _phased,
-    flip_groups,
-    multiply_masks,
-)
+from .pauli import WEIGHT_TOLERANCE, PauliSum, _flip_amplitudes, multiply_masks
 
 __all__ = [
     "FermionTerm",
@@ -92,12 +84,9 @@ def jw_ladder(mode: int, dagger: bool, qubit_count: int) -> PauliSum:
     """
     if not 0 <= mode < qubit_count:
         raise ValueError(f"mode {mode} out of range for {qubit_count} qubits")
-    tail = "Z" * mode
-    rest = "I" * (qubit_count - mode - 1)
-    x_string = PauliString(tail + "X" + rest)
-    y_string = PauliString(tail + "Y" + rest)
+    site, tail = 1 << mode, (1 << mode) - 1
     y_weight = -0.5j if dagger else 0.5j
-    return PauliSum([(0.5, x_string), (y_weight, y_string)], qubit_count)
+    return PauliSum.from_masks([site, site], [tail, tail | site], [0.5, y_weight], qubit_count)
 
 
 def jw_transform(hamiltonian: FermionHamiltonian, hermitian_tol: float = 1e-10) -> PauliSum:
@@ -120,7 +109,7 @@ def jw_transform(hamiltonian: FermionHamiltonian, hermitian_tol: float = 1e-10) 
         mapped = _pruned({(0, 0): 0 + complex(coefficient)})
         for factor in factors:
             if factor not in ladders:
-                ladders[factor] = [(w, s.x_mask, s.z_mask) for w, s in jw_ladder(*factor, n)]
+                ladders[factor] = list(jw_ladder(*factor, n).triples())
             products: dict[tuple[int, int], complex] = {}
             for (xa, za), wa in mapped.items():
                 for wb, xb, zb in ladders[factor]:
@@ -132,8 +121,8 @@ def jw_transform(hamiltonian: FermionHamiltonian, hermitian_tol: float = 1e-10) 
         for key in mapped:
             if abs(total[key]) <= WEIGHT_TOLERANCE:
                 del total[key]
-    terms = [(w, PauliString.from_masks(x, z, n)) for (x, z), w in total.items()]
-    return PauliSum(terms, n, normalize=False).real_weights(tol=hermitian_tol)
+    x, z = [key[0] for key in total], [key[1] for key in total]
+    return PauliSum.from_masks(x, z, total.values(), n).real_weights(tol=hermitian_tol)
 
 
 def _pruned(weights: dict[tuple[int, int], complex]) -> dict[tuple[int, int], complex]:
@@ -158,9 +147,10 @@ def check_particle_conservation(
         rng.integers(0, 1 << n_qubits, size=trials, dtype=np.uint64),
     ])
     popcounts = np.bitwise_count(samples)
-    for x_mask, group in flip_groups(hamiltonian).items():
+    groups = hamiltonian.groups
+    for x_mask, span in groups.spans.items():
         moved = samples[np.bitwise_count(samples ^ np.uint64(x_mask)) != popcounts]
-        re_sum, im_sum = _flip_amplitudes(_phased(group), moved)
+        re_sum, im_sum = _flip_amplitudes(groups, span, moved)
         if np.any(np.hypot(re_sum, 0.0 if im_sum is None else im_sum) > tol):
             return False
     return True
@@ -184,7 +174,8 @@ class FermionFormatError(ValueError):
 def _parse_factor(token: str, lineno: int) -> tuple[int, bool]:
     dagger = token.endswith("^")
     body = token[:-1] if dagger else token
-    if not body.isdigit():
+    # ASCII only: str.isdigit also takes digits such as '²', which int refuses
+    if not (body.isascii() and body.isdigit()):
         raise FermionFormatError(lineno, f"malformed factor token {token!r}")
     return int(body), dagger
 
@@ -200,7 +191,7 @@ def parse_fermion_hamiltonian(text: str | Iterable[str]) -> FermionHamiltonian:
             continue
         fields = line.split()
         if fields[0] == "modes":
-            if len(fields) != 2 or not fields[1].isdigit():
+            if len(fields) != 2 or not (fields[1].isascii() and fields[1].isdigit()):
                 raise FermionFormatError(lineno, f"bad header {raw.strip()!r}")
             mode_count = int(fields[1])
             continue

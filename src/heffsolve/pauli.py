@@ -9,6 +9,8 @@ Bit/qubit convention (the single switch point for all sign conventions in
 this package): qubit ``i`` is character ``i`` of a string label, read left to
 right, and bit ``i`` of the integer occupation mask.  ``Z`` has eigenvalue
 ``+1`` on ``|0>`` and ``-1`` on ``|1>``; an occupied spin-orbital is ``1``.
+A string is its symplectic ``(x_mask, z_mask)`` pair (Aaronson & Gottesman,
+quant-ph/0406196); labels are only parsed, printed and shown in messages.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ __all__ = [
     "multiply_ops",
     "multiply_masks",
     "multiply_strings",
-    "flip_groups",
+    "FlipGroups",
     "flip_cells",
     "project",
     "project_masks",
@@ -58,6 +60,11 @@ _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
 # the parity bit of a popcount, as the uint8 np.bitwise_count returns
 _ONE = np.uint8(1)
+
+
+def sites(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending: the sites a mask marks."""
+    return [q for q, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 def multiply_masks(xa: int, za: int, xb: int, zb: int) -> tuple[complex, int, int]:
@@ -122,9 +129,6 @@ class PauliString:
 
     def __len__(self) -> int:
         return len(self.label)
-
-    def __getitem__(self, i: int) -> PauliOp:
-        return PauliOp(self.label[i])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PauliString) and self.label == other.label
@@ -193,21 +197,19 @@ class BasisState:
 
 
 class PauliSum:
-    """A weighted sum of equal-length Pauli strings.
+    """A weighted sum of equal-length Pauli strings, held as read-only arrays
+    in term order: the strings' ``uint64`` masks ``x`` and ``z``, and their
+    complex weights ``w``.  :attr:`groups` is built on first use and kept;
+    ``terms`` and iteration build ``(weight, PauliString)`` pairs on demand.
 
-    Normalization merges duplicate strings and drops terms with weight below
-    ``WEIGHT_TOLERANCE``; merge order follows first appearance, so sums are
-    deterministic for a given term order.
+    Every sum is normalized: duplicate strings merge and terms with weight
+    below ``WEIGHT_TOLERANCE`` drop; merge order follows first appearance, so
+    sums are deterministic for a given term order.
     """
 
-    __slots__ = ("terms", "qubit_count")
+    __slots__ = ("x", "z", "w", "qubit_count", "_groups")
 
-    def __init__(
-        self,
-        terms: Iterable[tuple[complex, PauliString]] = (),
-        qubit_count: int | None = None,
-        normalize: bool = True,
-    ):
+    def __init__(self, terms: Iterable[tuple[complex, PauliString]] = (), qubit_count: int | None = None):
         terms = list(terms)
         if qubit_count is None:
             if not terms:
@@ -218,17 +220,28 @@ class PauliSum:
                 raise ValueError(
                     f"string {string.label!r} has {string.num_qubits} qubits, expected {qubit_count}"
                 )
-        if normalize:
-            merged: dict[str, complex] = {}
-            keep: dict[str, PauliString] = {}
-            for weight, string in terms:
-                merged[string.label] = merged.get(string.label, 0) + complex(weight)
-                keep.setdefault(string.label, string)
-            terms = [
-                (w, keep[label]) for label, w in merged.items() if abs(w) > WEIGHT_TOLERANCE
-            ]
-        self.terms = tuple((complex(w), s) for w, s in terms)
+        self._hold([(s.x_mask, s.z_mask) for _, s in terms], [w for w, _ in terms], qubit_count)
+
+    @classmethod
+    def from_masks(cls, x, z, w, qubit_count: int) -> "PauliSum":
+        """The sum of ``w[k]`` times the string with masks ``x[k]`` and ``z[k]``."""
+        new = cls.__new__(cls)
+        new._hold(zip(map(int, x), map(int, z)), w, qubit_count)
+        return new
+
+    def _hold(self, masks: Iterable[tuple[int, int]], w, qubit_count: int) -> None:
+        if qubit_count > 64:  # the masks are uint64 words
+            raise ValueError(f"{qubit_count} qubits exceed the 64-bit masks")
+        merged: dict[tuple[int, int], complex] = {}
+        for key, weight in zip(masks, w):
+            merged[key] = merged.get(key, 0) + complex(weight)
+        kept = [key for key, v in merged.items() if abs(v) > WEIGHT_TOLERANCE]
+        self.x, self.z = np.array(kept, dtype=np.uint64).reshape(-1, 2).T.copy()
+        self.w = np.array([merged[key] for key in kept], dtype=complex)
+        for a in (self.x, self.z, self.w):
+            a.flags.writeable = False
         self.qubit_count = qubit_count
+        self._groups = None
 
     @classmethod
     def zero(cls, qubit_count: int) -> "PauliSum":
@@ -241,29 +254,44 @@ class PauliSum:
         return cls([(w, PauliString(label)) for w, label in pairs], qubit_count)
 
     @property
+    def terms(self) -> tuple[tuple[complex, PauliString], ...]:
+        return tuple((w, PauliString.from_masks(x, z, self.qubit_count)) for w, x, z in self.triples())
+
+    def triples(self) -> Iterator[tuple[complex, int, int]]:
+        """``(weight, x_mask, z_mask)`` of each term, as Python numbers."""
+        return zip(self.w.tolist(), self.x.tolist(), self.z.tolist())
+
+    @property
+    def groups(self) -> "FlipGroups":
+        """The terms grouped by the bits their strings flip, built once."""
+        if self._groups is None:
+            self._groups = FlipGroups(self)
+        return self._groups
+
+    @property
     def num_terms(self) -> int:
-        return len(self.terms)
+        return len(self.w)
 
     @property
     def max_locality(self) -> int:
-        return max((s.locality for _, s in self.terms), default=0)
+        return int(np.bitwise_count(self.x | self.z).max(initial=0))
 
     def weight_of(self, label: str) -> complex:
-        for w, s in self.terms:
-            if s.label == label:
-                return w
-        return 0j
+        return dict((s.label, w) for w, s in self.terms).get(label, 0j)
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         """Hermitian iff every weight is real (strings are Hermitian)."""
-        return all(abs(w.imag) <= tol for w, _ in self.terms)
+        return bool(np.all(np.abs(self.w.imag) <= tol))
 
     def real_weights(self, tol: float = 1e-10) -> "PauliSum":
-        """Coerce weights to their real parts; reject if any imag exceeds tol."""
-        worst = max((abs(w.imag) for w, _ in self.terms), default=0.0)
+        """Coerce weights to their real parts; reject if any imag exceeds tol.
+        A sum with real weights is returned as it is, with its grouping."""
+        worst = float(np.abs(self.w.imag).max(initial=0.0))
         if worst > tol:
             raise ValueError(f"sum is not Hermitian: max imaginary weight {worst:.3e}")
-        return PauliSum([(w.real, s) for w, s in self.terms], self.qubit_count)
+        if not worst:
+            return self
+        return PauliSum.from_masks(self.x, self.z, self.w.real.tolist(), self.qubit_count)
 
     def __iter__(self) -> Iterator[tuple[complex, PauliString]]:
         return iter(self.terms)
@@ -271,7 +299,8 @@ class PauliSum:
     def __add__(self, other: "PauliSum") -> "PauliSum":
         if self.qubit_count != other.qubit_count:
             raise ValueError("qubit counts differ")
-        return PauliSum(self.terms + other.terms, self.qubit_count)
+        x, z, w = (np.concatenate(p) for p in zip((self.x, self.z, self.w), (other.x, other.z, other.w)))
+        return PauliSum.from_masks(x, z, w.tolist(), self.qubit_count)
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + (-1.0) * other
@@ -280,13 +309,13 @@ class PauliSum:
         if isinstance(other, PauliSum):
             if self.qubit_count != other.qubit_count:
                 raise ValueError("qubit counts differ")
-            products = []
-            for wa, sa in self.terms:
-                for wb, sb in other.terms:
-                    phase, prod = multiply_strings(sa, sb)
-                    products.append((wa * wb * phase, prod))
-            return PauliSum(products, self.qubit_count)
-        return PauliSum([(w * other, s) for w, s in self.terms], self.qubit_count)
+            products = [
+                (wa * wb, *multiply_masks(xa, za, xb, zb))
+                for wa, xa, za in self.triples() for wb, xb, zb in other.triples()
+            ]
+            xs, zs = [x for _, _, x, _ in products], [z for _, _, _, z in products]
+            return PauliSum.from_masks(xs, zs, [w * p for w, p, _, _ in products], self.qubit_count)
+        return PauliSum.from_masks(self.x, self.z, [w * other for w in self.w.tolist()], self.qubit_count)
 
     def __rmul__(self, other: complex | float | int) -> "PauliSum":
         return self.__mul__(other)
@@ -295,6 +324,35 @@ class PauliSum:
         body = " + ".join(f"({w:.6g})*{s.label}" for w, s in self.terms[:4])
         more = f" + ... ({self.num_terms} terms)" if self.num_terms > 4 else ""
         return f"PauliSum[{body}{more}]"
+
+
+class FlipGroups:
+    """The terms of a :class:`PauliSum` grouped by the bits their strings flip.
+
+    A stable sort by ``x_mask`` keeps each group's terms together in term
+    order; ``spans`` maps each ``x_mask``, ascending, to the group's slice of
+    the arrays: the terms' ``index`` in the sum, their ``z_mask``, their
+    ``phased`` weight ``w * i**popcount(x & z)`` (the factor of
+    ``(-1)**popcount(n & z)`` in ``<n ^ x|H|n>``), and ``odd``, the Y-count
+    parity that splits a group into its two commuting classes.
+    """
+
+    __slots__ = ("spans", "index", "z", "phased", "odd")
+
+    def __init__(self, hamiltonian: PauliSum):
+        x, z = hamiltonian.x, hamiltonian.z
+        self.index = np.argsort(x, kind="stable")
+        flips, starts = np.unique(x[self.index], return_index=True)
+        bounds = [*starts.tolist(), len(self.index)]
+        self.spans: dict[int, slice] = dict(zip(flips.tolist(), map(slice, bounds[:-1], bounds[1:])))
+        y = np.bitwise_count(x & z)[self.index]
+        self.z = z[self.index]
+        self.phased = hamiltonian.w[self.index] * np.array(_PHASES)[y % 4]
+        self.odd = (y & _ONE).astype(bool)
+
+    def span(self, x_mask: int) -> slice:
+        """The positions of the group that flips ``x_mask``; empty if none does."""
+        return self.spans.get(x_mask, slice(0, 0))
 
 
 def _require_equal_length(a_len: int, b_len: int) -> None:
@@ -312,15 +370,6 @@ def multiply_strings(a: PauliString, b: PauliString) -> tuple[complex, PauliStri
     return phase, PauliString.from_masks(x, z, a.num_qubits)
 
 
-def flip_groups(hamiltonian: PauliSum) -> dict[int, list[tuple[int, complex, PauliString]]]:
-    """The terms grouped by the bits their strings flip: ``x_mask -> [(k,
-    weight, string)]``, ``k`` being the term's index, in term order."""
-    groups: dict[int, list[tuple[int, complex, PauliString]]] = {}
-    for k, (w, s) in enumerate(hamiltonian.terms):
-        groups.setdefault(s.x_mask, []).append((k, w, s))
-    return groups
-
-
 def project(hamiltonian: PauliSum, states: Sequence[BasisState]) -> np.ndarray:
     """:func:`project_masks` on the masks of ``states``."""
     for state in states:
@@ -328,11 +377,9 @@ def project(hamiltonian: PauliSum, states: Sequence[BasisState]) -> np.ndarray:
     return project_masks(hamiltonian, np.array([s.mask for s in states], dtype=np.uint64))
 
 
-def flip_cells(
-    groups: dict[int, list[tuple[int, complex, PauliString]]], masks: np.ndarray
-) -> Iterator[tuple[list[tuple[int, complex, PauliString]], np.ndarray, np.ndarray]]:
-    """``(group, rows, cols)`` for each flip group of ``groups``
-    (:func:`flip_groups`), with ``masks[rows] == masks[cols] ^ x_mask``: the
+def flip_cells(groups: FlipGroups, masks: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """``(span, rows, cols)`` for each flip group of ``groups``, ``span``
+    being its positions, with ``masks[rows] == masks[cols] ^ x_mask``: the
     cells of the projection over the ``uint64`` ``masks`` that the group
     reaches, and no other group reaches.  Repeated masks are a ValueError.
 
@@ -344,11 +391,11 @@ def flip_cells(
     sorted_masks = masks[order]
     if np.any(sorted_masks[1:] == sorted_masks[:-1]):
         raise ValueError("the states must be distinct")
-    for x_mask, group in groups.items():
+    for x_mask, span in groups.spans.items():
         images = masks ^ np.uint64(x_mask)
         slots = np.minimum(np.searchsorted(sorted_masks, images), size - 1)
         cols = np.flatnonzero(sorted_masks[slots] == images)
-        yield group, order[slots[cols]], cols
+        yield span, order[slots[cols]], cols
 
 
 def project_masks(hamiltonian: PauliSum, masks: np.ndarray) -> np.ndarray:
@@ -360,12 +407,12 @@ def project_masks(hamiltonian: PauliSum, masks: np.ndarray) -> np.ndarray:
     ``w * i**y_count`` is; for real weights it is exactly Hermitian, bit for
     bit.
     """
+    groups = hamiltonian.groups
     size = len(masks)
-    is_complex = any((w * 1j ** (s.y_count % 4)).imag for w, s in hamiltonian)
-    matrix = np.zeros((size, size), dtype=complex if is_complex else float)
+    matrix = np.zeros((size, size), dtype=complex if groups.phased.imag.any() else float)
     cells_of = matrix.reshape(-1)
-    for group, rows, cols in flip_cells(flip_groups(hamiltonian), masks):
-        re_sum, im_sum = _flip_amplitudes(_phased(group), masks[cols])
+    for span, rows, cols in flip_cells(groups, masks):
+        re_sum, im_sum = _flip_amplitudes(groups, span, masks[cols])
         cells = rows * size + cols
         cells_of.real[cells] = re_sum
         if im_sum is not None:
@@ -373,40 +420,26 @@ def project_masks(hamiltonian: PauliSum, masks: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _phased(
-    group: list[tuple[int, complex, PauliString]]
-) -> tuple[list[tuple[float, float, np.uint64]], bool]:
-    """One flip group (:func:`flip_groups`) in the form :func:`_flip_amplitudes`
-    evaluates: ``(re, im, z_mask)`` of each string's ``w * i**y_count``, and
-    whether any ``im`` is nonzero.  A caller that evaluates one group many
-    times builds this once."""
-    phased = []
-    for _, w, s in group:
-        p = w * 1j ** (s.y_count % 4)
-        phased.append((p.real, p.imag, np.uint64(s.z_mask)))
-    return phased, any(im for _, im, _ in phased)
-
-
 def _flip_amplitudes(
-    phased: tuple[list[tuple[float, float, np.uint64]], bool], masks: np.ndarray
+    groups: FlipGroups, span: slice, masks: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """``<n ^ x_mask|H|n>`` at each ``uint64`` mask ``n``, from a flip group's
-    :func:`_phased` form: the sum over its strings of
+    """``<n ^ x_mask|H|n>`` at each ``uint64`` mask ``n``, from the flip group
+    at ``span`` of ``groups``: the sum over its strings of
     ``w * i**y_count * (-1)**popcount(n & z_mask)``.
 
     This is the one evaluator of exact matrix elements.  Real and imaginary
-    parts accumulate apart, in term order from ``+0.0``; the imaginary part
-    is None when no string's ``w * i**y_count`` has one (it would be all
-    ``+0.0``).
+    parts accumulate apart, string by string in term order from ``+0.0``;
+    the imaginary part is None when no string's ``w * i**y_count`` has one
+    (it would be all ``+0.0``).
     """
-    terms, has_imag = phased
+    phased = groups.phased[span].tolist()
     re_sum = np.zeros(masks.size)
-    im_sum = np.zeros(masks.size) if has_imag else None
-    for re, im, z_mask in terms:
+    im_sum = np.zeros(masks.size) if any(p.imag for p in phased) else None
+    for p, z_mask in zip(phased, groups.z[span]):
         sign = 1.0 - 2.0 * (np.bitwise_count(masks & z_mask) & _ONE)
-        re_sum += re * sign
+        re_sum += p.real * sign
         if im_sum is not None:
-            im_sum += im * sign
+            im_sum += p.imag * sign
     return re_sum, im_sum
 
 
@@ -418,11 +451,10 @@ def classify_terms(hamiltonian: PauliSum) -> tuple[PauliSum, PauliSum]:
     bits, so all their diagonal elements vanish; they only feed off-diagonal
     entries.  The two parts add back up to the input.
     """
-    diag = [(w, s) for w, s in hamiltonian.terms if s.is_diagonal()]
-    off = [(w, s) for w, s in hamiltonian.terms if not s.is_diagonal()]
-    return (
-        PauliSum(diag, hamiltonian.qubit_count, normalize=False),
-        PauliSum(off, hamiltonian.qubit_count, normalize=False),
+    flips, n = hamiltonian.x != 0, hamiltonian.qubit_count
+    return tuple(
+        PauliSum.from_masks(hamiltonian.x[part], hamiltonian.z[part], hamiltonian.w[part], n)
+        for part in (~flips, flips)
     )
 
 
@@ -463,6 +495,8 @@ def parse_pauli_sum(text: str | Iterable[str]) -> PauliSum:
             raise PauliFormatError(lineno, str(exc)) from None
         if qubit_count is None:
             qubit_count = string.num_qubits
+            if qubit_count > 64:
+                raise PauliFormatError(lineno, f"{qubit_count} qubits exceed the 64-bit masks")
         elif string.num_qubits != qubit_count:
             raise PauliFormatError(
                 lineno, f"string length {string.num_qubits} != {qubit_count} seen earlier"

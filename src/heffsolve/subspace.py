@@ -17,7 +17,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .pauli import BasisState, PauliSum, _flip_amplitudes, _phased, flip_groups
+from .pauli import BasisState, PauliSum, _flip_amplitudes
 
 __all__ = [
     "ExhaustiveSearch",
@@ -115,14 +115,14 @@ def diagonal_energy(hamiltonian: PauliSum, state: BasisState) -> float:
 
 def _diagonal_energies(hamiltonian: PauliSum, states: Sequence[BasisState]) -> list[float]:
     masks = np.fromiter((s.mask for s in states), dtype=np.uint64, count=len(states))
-    return _flip_amplitudes(_diagonal_group(hamiltonian), masks)[0].tolist()
+    return _diagonal(hamiltonian, masks).tolist()
 
 
-def _diagonal_group(hamiltonian: PauliSum) -> tuple:
-    """The :func:`~heffsolve.pauli._phased` flip group of the I/Z-only strings,
-    whose amplitude at a mask ``n`` is ``<n|H|n>``; no other string has a
-    diagonal element."""
-    return _phased(flip_groups(hamiltonian).get(0, []))
+def _diagonal(hamiltonian: PauliSum, masks: np.ndarray) -> np.ndarray:
+    """``<n|H|n>`` at each ``uint64`` mask: the amplitudes of the flip group of
+    the I/Z-only strings, the only strings with a diagonal element."""
+    groups = hamiltonian.groups
+    return _flip_amplitudes(groups, groups.span(0), masks)[0]
 
 
 def _subset_masks(bits: Sequence[int], k: int) -> np.ndarray:
@@ -155,7 +155,7 @@ def find_reference(
         raise ValueError(f"particle number {particle_number} must be strictly between 0 and {num}")
     if isinstance(strategy, ExhaustiveSearch):
         masks = _subset_masks(range(num), particle_number)
-        energies = _flip_amplitudes(_diagonal_group(hamiltonian), masks)[0]
+        energies = _diagonal(hamiltonian, masks)
         # masks descend in bit-string order: the last tie is the smallest string
         tied = np.flatnonzero(energies == energies.min())
         return BasisState.from_mask(int(masks[tied[-1]]), num)
@@ -166,13 +166,14 @@ def _anneal_reference(
     hamiltonian: PauliSum, particle_number: int, strategy: MonteCarloSearch
 ) -> BasisState:
     num = hamiltonian.qubit_count
-    diagonal = _diagonal_group(hamiltonian)
     rng = np.random.Generator(np.random.Philox(strategy.seed))
     occupied = list(rng.choice(num, size=particle_number, replace=False))
     unoccupied = [i for i in range(num) if i not in occupied]
+    groups = hamiltonian.groups
+    diagonal = groups.span(0)
 
     def energy(mask: int) -> float:
-        return float(_flip_amplitudes(diagonal, np.array([mask], dtype=np.uint64))[0][0])
+        return float(_flip_amplitudes(groups, diagonal, np.array([mask], dtype=np.uint64))[0][0])
 
     temperature = strategy.initial_temperature
     if temperature is None:
@@ -180,7 +181,7 @@ def _anneal_reference(
         for k in range(100):
             occ = rng.choice(num, size=particle_number, replace=False)
             probe[k] = BasisState.from_occupied(occ, num).mask
-        temperature = float(np.std(_flip_amplitudes(diagonal, probe)[0])) or 1.0
+        temperature = float(np.std(_flip_amplitudes(groups, diagonal, probe)[0])) or 1.0
 
     best_state = BasisState.from_occupied(occupied, num)
     current_mask, current = best_state.mask, energy(best_state.mask)

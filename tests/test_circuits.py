@@ -30,7 +30,7 @@ from heffsolve.circuits import (
 )
 from heffsolve.estimator import Backend, _sampled_estimate
 from heffsolve.fermion import FermionHamiltonian, FermionTerm, jw_transform
-from heffsolve.pauli import BasisState, PauliString, PauliSum, classify_terms, flip_groups
+from heffsolve.pauli import BasisState, PauliString
 from heffsolve.spectra import CapacityError
 
 from conftest import (
@@ -201,7 +201,7 @@ class TestIndirectCircuit:
         # degenerate h = I: recovery with its (unit) diagonal elements gives
         # Re <n|I|n'> = 0 for n != n'
         n, nprime = BasisState("10"), BasisState("01")
-        circuit = build_indirect_circuit(n, nprime, PauliString("II"), "real")
+        circuit = build_indirect_circuit(n, nprime, 0, 0, "real")
         probs = marginal_probabilities(run_statevector(circuit), 4, circuit.measured)
         both_zero = sum(probs[k] for k in range(16) if not k >> 2 & 1 and not k >> 3 & 1)
         d_n = d_nprime = 1.0
@@ -215,7 +215,7 @@ class TestIndirectCircuit:
             oracle = string_matrix_element(n, h, nprime)
             estimates = {}
             for part in ("real", "imag"):
-                circuit = build_indirect_circuit(n, nprime, h, part)
+                circuit = build_indirect_circuit(n, nprime, h.x_mask, h.z_mask, part)
                 probs = marginal_probabilities(run_statevector(circuit), num + 2, circuit.measured)
                 idx = np.arange(probs.shape[0])
                 mask = (1 << num) | (1 << (num + 1))
@@ -223,9 +223,16 @@ class TestIndirectCircuit:
             assert 4 * estimates["real"] - 1 == pytest.approx(oracle.real, abs=1e-10)
             assert 1 - 4 * estimates["imag"] == pytest.approx(oracle.imag, abs=1e-10)
 
+    def test_a_string_beyond_the_register_is_refused(self):
+        n, nprime = BasisState("01"), BasisState("10")
+        for x_mask, z_mask in ((0b100, 0), (0b01, 0b110)):
+            with pytest.raises(ValueError, match="register size"):
+                build_indirect_circuit(n, nprime, x_mask, z_mask, "real")
+
     def test_uses_one_controlled_pauli_per_site(self):
+        h = PauliString("XYIZ")
         circuit = build_indirect_circuit(
-            BasisState("0110"), BasisState("1001"), PauliString("XYIZ"), "real"
+            BasisState("0110"), BasisState("1001"), h.x_mask, h.z_mask, "real"
         )
         controlled_paulis = [g for g in circuit.gates if g.kind in ("cy", "cz")]
         meas = 5
@@ -252,11 +259,12 @@ def sampled(circuit: Circuit, observable: PauliString, shots: int, seed: int, no
     """
     rotated = Circuit(
         circuit.total_qubits,
-        [*circuit.gates, *class_basis_change([observable])[0]],
+        [*circuit.gates, *class_basis_change([(observable.x_mask, observable.z_mask)])[0]],
         circuit.measured_qubits,
     )
     backend = Backend.sampled(shots=shots, noise=noise)
-    mean, var = _sampled_estimate(run_sparse(circuit), [(1.0, observable)], backend, seed, None)
+    masks = (observable.x_mask, observable.z_mask)
+    mean, var = _sampled_estimate(run_sparse(circuit), [(1.0, *masks)], backend, seed, None)
     draw = sample_outcome_counts(run_sparse(rotated), shots, rng_from_seed(seed), noise, rotated.measured)
     return histogram(*draw), mean, math.sqrt(var)
 
@@ -321,7 +329,7 @@ class TestSparseState:
             assert np.abs(scattered - dense).max() <= 1e-12
             for _ in range(3):
                 string = PauliString("".join(rng.choice(list("IXYZ"), size=total)))
-                assert sparse_expectation(sparse, string) == pytest.approx(
+                assert sparse_expectation(sparse, string.x_mask, string.z_mask) == pytest.approx(
                     state_expectation(dense, string), abs=1e-12
                 )
         assert kinds == {"h", "s", "sdg", "x", "cx", "cy", "cz"}
@@ -332,10 +340,11 @@ class TestSparseState:
         string = PauliString("".join("X" if i in (0, 3, 20, 27) else "I" for i in range(40)))
         assert len(run_sparse(prepare_basis_circuit(n))) == 1
         assert len(run_sparse(build_offdiagonal_circuit(n, nprime, "imag"))) == 4
-        assert len(run_sparse(build_indirect_circuit(n, nprime, string, "real"))) <= 16
+        indirect = build_indirect_circuit(n, nprime, string.x_mask, string.z_mask, "real")
+        assert len(run_sparse(indirect)) <= 16
         # a class basis change adds one Hadamard, whatever the class's sites
         direct = build_offdiagonal_circuit(n, nprime, "imag")
-        direct.extend(class_basis_change([PauliString(string.label + "Z")])[0])
+        direct.extend(class_basis_change([(string.x_mask, string.z_mask | 1 << 40)])[0])
         assert len(run_sparse(direct)) <= 8
 
     def test_support_over_the_dense_bound_is_a_capacity_error(self, monkeypatch):
@@ -377,13 +386,21 @@ def commuting_classes():
     terms += hermitian(0.6 + 0.8j, ((1, True), (2, True), (3, False), (4, False)))
     terms += hermitian(-0.5 + 0.2j, ((1, True), (3, True), (2, False), (4, False)))
     hamiltonian = jw_transform(FermionHamiltonian(tuple(terms), 6))
+    groups = {}
+    for w, s in hamiltonian:
+        if s.x_mask:
+            groups.setdefault(s.x_mask, []).append((w, s))
     classes = []
-    for group in flip_groups(classify_terms(hamiltonian)[1]).values():
+    for group in groups.values():
         for odd in (0, 1):
-            members = [(w, s) for _, w, s in group if s.y_count % 2 == odd]
+            members = [(w, s) for w, s in group if s.y_count % 2 == odd]
             if members:
                 classes.append((len(group), [members[k] for k in rng.permutation(len(members))]))
     return classes
+
+
+def masks_of(strings) -> list[tuple[int, int]]:
+    return [(s.x_mask, s.z_mask) for s in strings]
 
 
 class TestClassBasisChange:
@@ -395,34 +412,40 @@ class TestClassBasisChange:
         assert {(2, 2, 0), (2, 2, 1), (4, 2, 1), (8, 8, 0), (16, 8, 0), (16, 8, 1)} <= sizes
         for _, members in classes:
             strings = [s for _, s in members]
-            gates, images = class_basis_change(strings)
+            gates, images = class_basis_change(masks_of(strings))
             u = circuit_unitary(Circuit(strings[0].num_qubits, gates))
             assert {g.kind for g in gates} <= {"cx", "sdg", "h"}
             for s, (sign, image) in zip(strings, images):
-                assert sign in (1, -1) and image.is_diagonal()
+                # the image is a Z-string on the register: a z_mask and no x_mask
+                assert sign in (1, -1) and 0 <= image < 1 << s.num_qubits
+                z_string = PauliString.from_masks(0, image, s.num_qubits)
                 rotated = u @ dense_pauli(s.label) @ u.conj().T
-                assert np.abs(rotated - sign * dense_pauli(image.label)).max() <= 1e-12
+                assert np.abs(rotated - sign * dense_pauli(z_string.label)).max() <= 1e-12
 
     def test_weighted_class_sum_is_diagonal(self):
         # sum_s w s of one class, real or complex w, becomes sum_s w sign Z^a
         for _, members in commuting_classes():
-            gates, images = class_basis_change([s for _, s in members])
-            u = circuit_unitary(Circuit(members[0][1].num_qubits, gates))
+            num = members[0][1].num_qubits
+            gates, images = class_basis_change(masks_of(s for _, s in members))
+            u = circuit_unitary(Circuit(num, gates))
             weighted = sum(w * dense_pauli(s.label) for w, s in members)
-            images_sum = sum(w * sign * dense_pauli(z.label) for (w, _), (sign, z) in zip(members, images))
+            images_sum = sum(
+                w * sign * dense_pauli(PauliString.from_masks(0, z, num).label)
+                for (w, _), (sign, z) in zip(members, images)
+            )
             rotated = u @ weighted @ u.conj().T
             assert np.abs(rotated - np.diag(np.diag(rotated))).max() <= 1e-12
             assert np.abs(rotated - images_sum).max() <= 1e-12
 
     def test_z_strings_need_no_gates(self):
         strings = [PauliString("ZIZ"), PauliString("IZI"), PauliString("III")]
-        assert class_basis_change(strings) == ([], [(1, s) for s in strings])
+        assert class_basis_change(masks_of(strings)) == ([], [(1, s.z_mask) for s in strings])
         assert class_basis_change([]) == ([], [])
 
     def test_strings_outside_one_class_are_refused(self):
         for strings in (["XXI", "XYI"], ["XXI", "IXX"]):
             with pytest.raises(ValueError, match="parity"):
-                class_basis_change([PauliString(label) for label in strings])
+                class_basis_change(masks_of(PauliString(label) for label in strings))
 
 
 class TestMarginals:

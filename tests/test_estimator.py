@@ -24,7 +24,12 @@ from heffsolve.estimator import (
     _outcome_values,
     _sampled_estimate,
 )
-from heffsolve.fermion import FermionHamiltonian, FermionTerm, jw_transform
+from heffsolve.fermion import (
+    FermionHamiltonian,
+    FermionTerm,
+    check_particle_conservation,
+    jw_transform,
+)
 from heffsolve.pauli import (
     BasisState,
     PauliString,
@@ -32,8 +37,8 @@ from heffsolve.pauli import (
     classify_terms,
     project,
 )
-from heffsolve.spectra import eigendecompose, sector_basis, sector_matrix
-from heffsolve.subspace import SubspaceSpec, basis_from_states, build_subspace
+from heffsolve.spectra import eigendecompose, exact_sector_spectrum, sector_basis, sector_matrix
+from heffsolve.subspace import MonteCarloSearch, SubspaceSpec, basis_from_states, build_subspace
 
 from conftest import (
     dense_projection,
@@ -136,6 +141,36 @@ def connecting_classes(hamiltonian, states):
         len({s.y_count % 2 for _, s in offdiag if s.x_mask == n.mask ^ nprime.mask})
         for n, nprime in itertools.combinations(states, 2)
     )
+
+
+class TestMaskForm:
+    def test_a_measured_solve_builds_no_pauli_string(self, monkeypatch):
+        # labels stay at the file edge: Jordan-Wigner, the particle check, both
+        # reference searches, sampled and mitigated builds with circuit
+        # diagonals in both styles, and the exact sector all read masks
+        hops = [((0, 3), 0.4 - 0.3j), ((1, 4), -0.7), ((2, 5), 0.2j)]
+        terms = [FermionTerm(-1.0 + 0.3 * k, ((k, True), (k, False))) for k in range(6)]
+        for (i, j), c in hops:
+            terms += [FermionTerm(c, ((i, True), (j, False))), FermionTerm(np.conj(c), ((j, True), (i, False)))]
+        terms += [FermionTerm(0.3, ((0, True), (1, True), (4, False), (5, False))),
+                  FermionTerm(0.3, ((5, True), (4, True), (1, False), (0, False)))]
+
+        def refused(self, label):
+            raise AssertionError(f"PauliString({label!r}) built")
+
+        monkeypatch.setattr(PauliString, "__init__", refused)
+        hamiltonian = jw_transform(FermionHamiltonian(tuple(terms), 6))
+        assert check_particle_conservation(hamiltonian)
+        build_subspace(hamiltonian, SubspaceSpec(3, 2, 12, MonteCarloSearch(steps=50)))
+        basis = build_subspace(hamiltonian, SubspaceSpec(3, 2, 12))
+        noise = ReadoutNoise(0.02, 0.03)
+        for style in ("direct", "indirect"):
+            backend = Backend.sampled(shots=200, seed=4, style=style, noise=noise, mitigation=True,
+                                      measure_diagonals_with_circuits=True)
+            assert build_effective_hamiltonian(hamiltonian, basis, backend).circuit_counts.settings
+        exact_sector_spectrum(hamiltonian, 3)
+        monkeypatch.undo()
+        assert {s.y_count % 2 for _, s in hamiltonian if s.x_mask} == {0, 1}
 
 
 class TestBackendType:
@@ -549,11 +584,13 @@ class TestCalibration:
 class TestMitigation:
     def test_identity_calibration_is_noop(self):
         calibration = CalibrationMatrix((np.eye(2), np.eye(2)))
-        observable = [(1.0, PauliString("ZI")), (0.5, PauliString("IZ")), (2.0, PauliString("ZZ"))]
+        strings = [(1.0, PauliString("ZI")), (0.5, PauliString("IZ")), (2.0, PauliString("ZZ"))]
         bits = np.array([[0, 1, 0, 1], [0, 0, 1, 1]], dtype=bool)
-        raw = _outcome_values(bits, observable, [0, 1], None)
+        parities = [(c, s.z_mask) for c, s in strings]
+        raw = _outcome_values(bits, parities, [0, 1], None)
         assert raw.tolist() == [3.5, -2.5, -1.5, 0.5]
-        assert _outcome_values(bits, observable, [0, 1], calibration).tolist() == raw.tolist()
+        assert _outcome_values(bits, parities, [0, 1], calibration).tolist() == raw.tolist()
+        observable = [(c, s.x_mask, s.z_mask) for c, s in strings]
         # the pipeline's mitigated estimate equals the raw one
         state = {0: math.sqrt(0.7), 1: math.sqrt(0.3)}
         backend = Backend.sampled(shots=100, noise=ReadoutNoise())
@@ -576,7 +613,7 @@ class TestMitigation:
         # of Z is (A^-1)^T [1, -1] = [2.5, -2.5], and the mean is not clipped
         calibration = CalibrationMatrix((np.array([[0.7, 0.3], [0.3, 0.7]]),))
         backend = Backend.sampled(shots=100, noise=ReadoutNoise(), mitigation=True)
-        mean, _ = _sampled_estimate({0: 1.0}, [(1.0, PauliString("Z"))], backend, 0, calibration)
+        mean, _ = _sampled_estimate({0: 1.0}, [(1.0, 0, PauliString("Z").z_mask)], backend, 0, calibration)
         assert mean == 2.5
 
     def test_pull_back_is_the_adjoint_of_the_channel(self):
@@ -632,8 +669,8 @@ class TestMitigation:
             calibration = CalibrationMatrix(tuple(channels))
             wires = list(range(len(channels)))
             bits = np.array([[outcome >> q & 1] for q in wires], dtype=bool)
-            per_term = _outcome_values(bits, [(c, string)], wires, calibration)[0]
             support = string.x_mask | string.z_mask
+            per_term = _outcome_values(bits, [(c, support)], wires, calibration)[0]
             parity = np.array([(-1.0) ** (k & support).bit_count() for k in range(2 ** len(wires))])
             dense = apply_per_qubit(c * parity, calibration.pullbacks)[outcome]
             assert abs(per_term - dense) <= 1e-12

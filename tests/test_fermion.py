@@ -15,7 +15,7 @@ from heffsolve.fermion import (
     jw_transform,
     parse_fermion_hamiltonian,
 )
-from heffsolve.pauli import PauliSum
+from heffsolve.pauli import PauliFormatError, PauliSum, parse_pauli_sum
 
 from conftest import (
     dense_fermion,
@@ -254,3 +254,37 @@ class TestFermionTextFormat:
     def test_missing_header(self):
         with pytest.raises(FermionFormatError, match="modes"):
             parse_fermion_hamiltonian("# nothing\n")
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("modes 4\n1 0 \u00b2^ 0\n", 2),              # superscript two: isdigit, but no int
+            ("modes \u00b2\n", 1),
+            ("modes 4\n1 0 0^ \u0663\n", 2),              # Arabic-Indic three: not ASCII
+        ],
+    )
+    def test_a_non_ascii_digit_is_a_format_error(self, text, lineno):
+        with pytest.raises(FermionFormatError, match=f"line {lineno}"):
+            parse_fermion_hamiltonian(text)
+
+    def test_parsers_raise_only_their_own_format_error(self):
+        # arbitrary token lines, unicode digits included, never escape as a bare error
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        words = ["modes", "constant", "#", "^", "0", "3", "2^", "-0.5", "1e3", "nan", "inf",
+                 "\u00b2", "\u00b2^", "\u0663", "1\u00b3", "IXYZ", "XY", "ZI", "Y" * 65]
+        token = st.one_of(st.sampled_from(words), st.text("0123456789^.-+eIXYZ#\u00b2\u0663", max_size=5))
+        lines = st.lists(st.lists(token, max_size=6).map(" ".join), max_size=6).map("\n".join)
+
+        @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(lines)
+        def check(text):
+            for parse, error in ((parse_fermion_hamiltonian, FermionFormatError),
+                                 (parse_pauli_sum, PauliFormatError)):
+                try:
+                    parse(text)
+                except error:
+                    pass
+
+        check()

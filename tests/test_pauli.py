@@ -225,6 +225,46 @@ class TestPauliSumType:
         assert np.allclose(dense_sum(a * b), dense_sum(a) @ dense_sum(b), atol=1e-12)
 
 
+class TestFlipGroups:
+    def test_groups_partition_the_terms_by_flip(self, rng):
+        # spans ascend by x_mask and cover every term once, in term order
+        # within a group; each term carries its z_mask, phased weight and Y parity
+        for _ in range(20):
+            hamiltonian = random_hermitian_sum(rng, 5, 30) + PauliSum.from_label_weights(
+                [(complex(rng.normal(), rng.normal()), "".join(rng.choice(list("IXYZ"), 5)))
+                 for _ in range(10)]
+            )
+            groups = hamiltonian.groups
+            assert list(groups.spans) == sorted({s.x_mask for _, s in hamiltonian})
+            seen = []
+            for x_mask, span in groups.spans.items():
+                members = groups.index[span].tolist()
+                assert members == sorted(members)
+                seen += members
+                for k, z, phased, odd in zip(members, *(a[span].tolist() for a in (
+                        groups.z, groups.phased, groups.odd))):
+                    w, s = hamiltonian.terms[k]
+                    assert (s.x_mask, s.z_mask) == (x_mask, z)
+                    assert phased == w * 1j ** (s.y_count % 4)
+                    assert odd == s.y_count % 2
+            assert sorted(seen) == list(range(hamiltonian.num_terms))
+            assert groups.span(1 << 5) == slice(0, 0)
+
+    def test_a_sum_groups_once(self, rng):
+        hamiltonian = random_hermitian_sum(rng, 4, 12)
+        assert hamiltonian.groups is hamiltonian.groups
+        with pytest.raises(ValueError):
+            hamiltonian.x[0] = 1
+
+    def test_masks_and_labels_round_trip(self, rng):
+        hamiltonian = random_hermitian_sum(rng, 6, 20)
+        again = PauliSum.from_masks(hamiltonian.x, hamiltonian.z, hamiltonian.w, 6)
+        assert [(w, s.label) for w, s in again] == [(w, s.label) for w, s in hamiltonian]
+        assert [(w, x, z) for w, x, z in again.triples()] == [
+            (w, s.x_mask, s.z_mask) for w, s in hamiltonian
+        ]
+
+
 class TestTextFormat:
     def test_round_trip(self, rng):
         hamiltonian = random_hermitian_sum(rng, 4, 8)
@@ -247,6 +287,7 @@ class TestTextFormat:
             ("0.5 0.0 ZQ\n", 1),
             ("0.5 0.0 ZI\n0.5 0.0 ZII\n", 2),
             ("# only comments\n", 2),
+            ("0.5 0.0 " + "Z" * 65 + "\n", 1),
         ],
     )
     def test_errors_carry_line_numbers(self, text, lineno):

@@ -232,6 +232,24 @@ class TestSectorSpectrum:
             assert minima[0] >= minima[1] >= minima[2] >= exact_min - 1e-9
 
 
+    def test_every_level_interlaces_the_sector(self, rng):
+        # Cauchy interlacing: E_k(Heff) >= E_k(sector) for every k < Ns
+        def check(backend, trials, tol):
+            for _ in range(trials):
+                hamiltonian = random_conserving_hamiltonian(rng, 8, fermionic_terms=6, max_strings=60)
+                particles = int(rng.integers(2, 7))
+                order = int(rng.integers(1, min(particles, 8 - particles) + 1))
+                size = int(rng.integers(1, 71))
+                basis = build_subspace(hamiltonian, SubspaceSpec(particles, order, size))
+                levels = eigendecompose(build_effective_hamiltonian(hamiltonian, basis, backend)).eigenvalues
+                sector = exact_sector_spectrum(hamiltonian, particles).eigenvalues
+                assert np.all(levels >= sector[: len(levels)] - tol)
+
+        check(Backend.oracle(), 100, 1e-12)
+        check(Backend.exact(), 10, 1e-10)
+        check(Backend.exact("indirect"), 5, 1e-10)
+
+
 class TestDos:
     def test_single_eigenvalue_single_bin(self):
         histogram = dos(Spectrum(np.array([1.5])), bin_count=1)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import heffsolve.subspace
-from heffsolve.pauli import BasisState, PauliSum
+from heffsolve.pauli import BasisState, FlipGroups, PauliSum
 from heffsolve.subspace import (
     MonteCarloSearch,
     SubspaceBasis,
@@ -76,25 +76,29 @@ class TestFindReference:
             assert diagonal_energy(hamiltonian, result) <= diagonal_energy(hamiltonian, start) + 1e-12
 
     def test_monte_carlo_phases_the_diagonal_once(self, rng, monkeypatch):
-        # one phased form per search; every step's energy is the diagonal energy, bit for bit
+        # one flip grouping (with its phased weights) per sum, reused by every
+        # step and by later searches; every step's energy is the diagonal
+        # energy, bit for bit
         hamiltonian = random_conserving_hamiltonian(rng, 8, fermionic_terms=5)
-        phased, evaluated = [], []
-        phase, amplitudes = heffsolve.subspace._phased, heffsolve.subspace._flip_amplitudes
+        built, evaluated = [], []
+        group, amplitudes = FlipGroups.__init__, heffsolve.subspace._flip_amplitudes
 
-        def counting(group):
-            phased.append(group)
-            return phase(group)
+        def counting(groups, hamiltonian):
+            built.append(groups)
+            group(groups, hamiltonian)
 
-        def recording(form, masks):
-            re_sum, im_sum = amplitudes(form, masks)
+        def recording(groups, span, masks):
+            re_sum, im_sum = amplitudes(groups, span, masks)
             evaluated.extend(zip(masks.tolist(), re_sum.tolist()))
             return re_sum, im_sum
 
-        monkeypatch.setattr(heffsolve.subspace, "_phased", counting)
+        monkeypatch.setattr(FlipGroups, "__init__", counting)
         monkeypatch.setattr(heffsolve.subspace, "_flip_amplitudes", recording)
         find_reference(hamiltonian, 4, MonteCarloSearch(steps=200, seed=3))
+        assert len(built) == 1 and len(evaluated) == 100 + 1 + 200
+        find_reference(hamiltonian, 4)
         monkeypatch.undo()
-        assert len(phased) == 1 and len(evaluated) == 100 + 1 + 200
+        assert len(built) == 1 and hamiltonian.groups is built[0]
         for mask, energy in evaluated:
             assert energy == diagonal_energy(hamiltonian, BasisState.from_mask(mask, 8))
 
