@@ -14,7 +14,7 @@ from .pauli import (
     classify_terms,
     load_pauli_sum,
     multiply_strings,
-    project,
+    project_masks,
     save_pauli_sum,
 )
 from .fermion import (
@@ -68,7 +68,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "BasisState", "PauliOp", "PauliString", "PauliSum",
-    "classify_terms", "multiply_strings", "project",
+    "classify_terms", "multiply_strings", "project_masks",
     "load_pauli_sum", "save_pauli_sum",
     "FermionHamiltonian", "FermionTerm", "check_particle_conservation",
     "jw_ladder", "jw_transform", "load_fermion_hamiltonian", "save_fermion_hamiltonian",

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectra
-from .pauli import BasisState, PauliOp, PauliString, sites
+from .pauli import PauliOp, PauliString, sites
 
 __all__ = [
     "Gate",
@@ -169,24 +169,27 @@ def measure_ancilla_index(num_targets: int) -> int:
     return num_targets + 1
 
 
-def controlled_prepare(pattern: BasisState, control: int, control_value: int) -> list[Gate]:
-    """Gates that flip the set bits of ``pattern`` when the control reads ``control_value``.
+def controlled_prepare(pattern: int, num_qubits: int, control: int, control_value: int) -> list[Gate]:
+    """Gates that flip the set bits of the mask ``pattern`` on a
+    ``num_qubits``-qubit target register when the control reads
+    ``control_value``.
 
     One controlled-X per set bit; a ``control_value`` of 0 is realized by
     X-conjugating the control wire.
     """
-    if control < pattern.num_qubits:
-        raise ValueError(f"control {control} collides with the {pattern.num_qubits}-qubit target register")
+    if control < num_qubits:
+        raise ValueError(f"control {control} collides with the {num_qubits}-qubit target register")
     if control_value not in (0, 1):
         raise ValueError("control_value must be 0 or 1")
-    flips = [Gate.cx(control, i) for i in pattern.occupied()]
+    flips = [Gate.cx(control, i) for i in sites(pattern)]
     if control_value == 0:
         return [Gate.x(control), *flips, Gate.x(control)]
     return flips
 
 
-def build_offdiagonal_circuit(n: BasisState, nprime: BasisState, part: str) -> Circuit:
-    """Single-ancilla interference circuit for the pair ``(n, n')``.
+def build_offdiagonal_circuit(n: int, nprime: int, num_qubits: int, part: str) -> Circuit:
+    """Single-ancilla interference circuit for the pair of masks ``(n, n')``
+    on ``num_qubits`` target qubits.
 
     The ancilla branch ``|1>`` holds ``|n>`` and branch ``|0>`` holds
     ``|n'>``; the ``imag`` variant inserts an S-dagger on the ancilla before
@@ -194,16 +197,15 @@ def build_offdiagonal_circuit(n: BasisState, nprime: BasisState, part: str) -> C
     """
     if part not in ("real", "imag"):
         raise ValueError(f"part must be 'real' or 'imag', got {part!r}")
-    if n.num_qubits != nprime.num_qubits:
-        raise ValueError("basis states have different lengths")
+    if (n | nprime) >> num_qubits:
+        raise ValueError(f"basis states exceed the {num_qubits}-qubit register")
     if n == nprime:
         raise ValueError("n == n'; diagonal elements use plain basis preparation")
-    num = n.num_qubits
-    anc = prep_ancilla_index(num)
-    circuit = Circuit(num + 1)
+    anc = prep_ancilla_index(num_qubits)
+    circuit = Circuit(num_qubits + 1)
     circuit.add(Gate.h(anc))
-    circuit.extend(controlled_prepare(nprime, anc, 0))
-    circuit.extend(controlled_prepare(n, anc, 1))
+    circuit.extend(controlled_prepare(nprime, num_qubits, anc, 0))
+    circuit.extend(controlled_prepare(n, num_qubits, anc, 1))
     if part == "imag":
         circuit.add(Gate.sdg(anc))
     circuit.add(Gate.h(anc))
@@ -211,10 +213,11 @@ def build_offdiagonal_circuit(n: BasisState, nprime: BasisState, part: str) -> C
 
 
 def build_indirect_circuit(
-    n: BasisState, nprime: BasisState, x_mask: int, z_mask: int, part: str
+    n: int, nprime: int, num_qubits: int, x_mask: int, z_mask: int, part: str
 ) -> Circuit:
-    """Two-ancilla circuit reading the Pauli string of masks ``x_mask``,
-    ``z_mask`` through controlled gates.
+    """Two-ancilla circuit for the pair of masks ``(n, n')`` on ``num_qubits``
+    target qubits, reading the Pauli string of masks ``x_mask``, ``z_mask``
+    through controlled gates.
 
     The preparation ancilla entangles ``|n'>``/``|n>`` as in the direct
     circuit; the measurement ancilla controls one single-qubit Pauli per
@@ -225,17 +228,16 @@ def build_indirect_circuit(
     """
     if part not in ("real", "imag"):
         raise ValueError(f"part must be 'real' or 'imag', got {part!r}")
-    num = n.num_qubits
-    if nprime.num_qubits != num or (x_mask | z_mask) >> num:
+    if (n | nprime | x_mask | z_mask) >> num_qubits:
         raise ValueError("basis states and string must share one register size")
     if n == nprime:
         raise ValueError("n == n'; diagonal elements use plain basis preparation")
-    prep, meas = prep_ancilla_index(num), measure_ancilla_index(num)
-    circuit = Circuit(num + 2)
+    prep, meas = prep_ancilla_index(num_qubits), measure_ancilla_index(num_qubits)
+    circuit = Circuit(num_qubits + 2)
     circuit.add(Gate.h(prep))
     circuit.add(Gate.h(meas))
-    circuit.extend(controlled_prepare(nprime, prep, 0))
-    circuit.extend(controlled_prepare(n, prep, 1))
+    circuit.extend(controlled_prepare(nprime, num_qubits, prep, 0))
+    circuit.extend(controlled_prepare(n, num_qubits, prep, 1))
     for site in sites(x_mask | z_mask):
         op = PauliOp("IXZY"[x_mask >> site & 1 | (z_mask >> site & 1) << 1])
         circuit.add(Gate.controlled_pauli(meas, site, op))
@@ -246,10 +248,11 @@ def build_indirect_circuit(
     return circuit
 
 
-def prepare_basis_circuit(n: BasisState) -> Circuit:
-    """X gates preparing ``|n>`` on a bare target register (diagonal entries)."""
-    circuit = Circuit(n.num_qubits)
-    circuit.extend(Gate.x(i) for i in n.occupied())
+def prepare_basis_circuit(n: int, num_qubits: int) -> Circuit:
+    """X gates preparing the mask ``|n>`` on a bare ``num_qubits``-qubit
+    target register (diagonal entries)."""
+    circuit = Circuit(num_qubits)
+    circuit.extend(Gate.x(i) for i in sites(n))
     return circuit
 
 

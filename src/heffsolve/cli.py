@@ -65,10 +65,6 @@ from .subspace import (
 
 CHEMICAL_ACCURACY = 5e-3  # Hartree
 
-# Term and occupation masks are uint64 arrays, one bit per qubit, but the
-# annealer's shifts by numpy int64 site indices overflow at bit 63.
-MAX_QUBITS = 63
-
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
@@ -98,11 +94,6 @@ def _load_hamiltonian(path: str, fmt: str) -> PauliSum:
         hamiltonian = jw_transform(load_fermion_hamiltonian(path))
     else:
         hamiltonian = load_pauli_sum(path).real_weights()
-    if hamiltonian.qubit_count > MAX_QUBITS:
-        raise ValueError(
-            f"{path}: {hamiltonian.qubit_count} qubits exceed the {MAX_QUBITS}-qubit limit "
-            "of the integer occupation masks"
-        )
     # the sector projections would silently drop particle-changing strings
     if fmt != "fermion" and not check_particle_conservation(hamiltonian):
         raise ValueError(f"{path}: the Pauli sum does not conserve particle number")

@@ -21,7 +21,8 @@ only there.  Both circuit backends simulate with
 takes the expectations from the sparse state; ``sampled`` rotates it by the
 class's basis change and draws finite shots over its entries, with optional
 readout noise and calibration-matrix mitigation.  ``oracle`` measures
-nothing: its matrix is :func:`heffsolve.pauli.project` of the basis.
+nothing: its matrix is :func:`heffsolve.pauli.project_masks` of the basis
+masks.
 
 A string ``h`` can contribute to ``<n|H|n'>`` only when it flips exactly
 ``n XOR n'``, which is known classically, so each pair measures only its
@@ -40,6 +41,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
@@ -63,7 +66,7 @@ from .circuits import (
     sparse_expectation,
     state_expectation,
 )
-from .pauli import BasisState, PauliSum, flip_cells, project, sites
+from .pauli import BasisState, PauliSum, flip_cells, project_masks, sites
 from .subspace import SubspaceBasis, diagonal_energy
 
 __all__ = [
@@ -183,12 +186,14 @@ class CalibrationMatrix:
     """Per-qubit 2x2 column-stochastic confusion matrices ``A_q``.
 
     The composite channel is their tensor product and is never formed.  Each
-    wire's pull-back map ``(A_q^-1)^T`` is computed once, here, and
-    :func:`_outcome_values` reads each parity term through the stored maps.
+    wire's pull-back map ``(A_q^-1)^T`` is computed once, here, and with it
+    ``readout_factors[q] = (A_q^-1)^T (1, -1)``, the factors through which
+    :func:`_outcome_values` reads each parity term.
     """
 
     matrices: tuple[np.ndarray, ...]
     pullbacks: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    readout_factors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for m in self.matrices:
@@ -198,9 +203,9 @@ class CalibrationMatrix:
                 raise ValueError("calibration matrix columns must sum to 1")
             if abs(np.linalg.det(m)) < 1e-9:
                 raise ValueError("singular calibration matrix")
-        object.__setattr__(
-            self, "pullbacks", tuple(np.linalg.inv(m).T for m in self.matrices)
-        )
+        pullbacks = tuple(np.linalg.inv(m).T for m in self.matrices)
+        object.__setattr__(self, "pullbacks", pullbacks)
+        object.__setattr__(self, "readout_factors", np.array([p @ (1.0, -1.0) for p in pullbacks]))
 
     def matrix_for(self, qubit: int) -> np.ndarray:
         return self.matrices[qubit]
@@ -256,7 +261,7 @@ class EffectiveHamiltonian:
     order: ``entry_counts`` (int columns shots, circuits, string executions,
     settings)
     and ``entry_stderrs`` (float columns ``stderr_re``, ``stderr_im``).  The
-    ``oracle`` ``matrix`` is :func:`~heffsolve.pauli.project`'s array, exact
+    ``oracle`` ``matrix`` is :func:`~heffsolve.pauli.project_masks`'s array, exact
     and float64 unless the Hamiltonian has odd-Y strings, and both arrays
     have no rows.
     """
@@ -351,25 +356,30 @@ def _outcome_values(
     """``sum c (-1)**parity`` of each outcome, or its calibration pull-back.
 
     The observable is ``[(c, z_mask)]`` over Z-strings.  Row ``j`` of
-    ``bits`` is wire ``wires[j]``, which holds the support of every string.
-    Each wire reads a factor ``g_q[bit]``: ``(1, -1)`` raw, and
+    ``bits`` is wire ``wires[j]`` (ascending), which holds the support of
+    every string.  Each wire reads a factor ``g_q[bit]``: ``(1, -1)`` raw, and
     ``g_q = (A_q^-1)^T (1, -1)`` under mitigation.  A column-stochastic
     ``A_q`` has ``(A_q^-1)^T (1, 1) = (1, 1)``, so a wire outside a string's
     support contributes a factor of 1, and each term's pull-back is the
     product of its support's factors; no ``2^wires`` vector is formed.
+
+    Every string is read at once: its products accumulate over the wires in
+    ascending order, a wire off its support giving exactly 1.0, and the
+    strings then accumulate in term order from ``+0.0``.
     """
     factors = np.where(bits, -1.0, 1.0)
     if calibration is not None:
-        g = np.array([calibration.pullbacks[q] @ (1.0, -1.0) for q in wires]).reshape(-1, 2)
+        g = calibration.readout_factors[wires].reshape(-1, 2)
         factors = np.where(bits, g[:, 1:], g[:, :1])
-    row = {q: j for j, q in enumerate(wires)}
-    values = np.zeros(bits.shape[1])
-    for c, z_mask in observable:
-        term = np.full(bits.shape[1], c)
-        for q in sites(z_mask):
-            term *= factors[row[q]]
-        values += term
-    return values
+    # the z masks may pass bit 63 (an ancilla), so they unpack from bytes, not uint64
+    width = wires[-1] // 8 + 1 if wires else 1
+    packed = np.frombuffer(b"".join(z.to_bytes(width, "little") for _, z in observable), dtype=np.uint8)
+    support = np.unpackbits(packed.reshape(-1, width), axis=1, bitorder="little")[:, wires].view(bool)
+    chains = np.ones((len(observable), 1 + len(wires), bits.shape[1]))
+    chains[:, 0] = np.array([c for c, _ in observable], dtype=float)[:, None]
+    np.copyto(chains[:, 1:], factors, where=support[:, :, None])
+    terms = np.concatenate((np.zeros((1, bits.shape[1])), np.multiply.accumulate(chains, axis=1)[:, -1]))
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
 def _sampled_estimate(
@@ -397,7 +407,7 @@ def _sampled_estimate(
     if gates:
         state = run_sparse(Circuit(observable[0][1].bit_length(), gates), state)
     images = [(c * sign, z) for (c, _, _), (sign, z) in zip(observable, images)]
-    wires = sorted({q for _, z in images for q in sites(z)})
+    wires = sites(reduce(or_, (z for _, z in images), 0))
     rng = rng_from_seed(seed)
     bits, counts = sample_outcome_counts(state, backend.shots, rng, backend.noise, tuple(wires))
     values = _outcome_values(bits, images, wires, calibration if backend.mitigation else None)
@@ -434,11 +444,12 @@ def _read(
 
 def measure_diagonal(
     hamiltonian: PauliSum,
-    n: BasisState,
+    n: int,
     backend: Backend,
     calibration: CalibrationMatrix | None = None,
 ) -> MeasurementEstimate:
-    """Estimate ``<n|H|n>``.
+    """Estimate ``<n|H|n>`` at the occupation mask ``n`` on the Hamiltonian's
+    ``qubit_count`` qubits.
 
     The classical path is :func:`heffsolve.subspace.diagonal_energy`, exact
     with no statistics; :func:`build_effective_hamiltonian` reads the same
@@ -452,9 +463,8 @@ def measure_diagonal(
     diagonal = hamiltonian.x == 0
     weights, z_masks = hamiltonian.w.real[diagonal].tolist(), hamiltonian.z[diagonal].tolist()
     observable = [(w, 0, z) for w, z in zip(weights, z_masks)]
-    [(mean, var)] = _read(
-        [(prepare_basis_circuit(n), observable, (_TAG_DIAGONAL, n.mask))], backend, calibration
-    )
+    circuit = prepare_basis_circuit(n, hamiltonian.qubit_count)
+    [(mean, var)] = _read([(circuit, observable, (_TAG_DIAGONAL, n))], backend, calibration)
     return MeasurementEstimate(
         complex(mean),
         stderr_re=math.sqrt(var),
@@ -467,12 +477,13 @@ def measure_diagonal(
 
 def measure_offdiagonal(
     hamiltonian: PauliSum,
-    n: BasisState,
-    nprime: BasisState,
+    n: int,
+    nprime: int,
     backend: Backend,
     calibration: CalibrationMatrix | None = None,
 ) -> MeasurementEstimate:
-    """Estimate the complex element ``<n|H|n'>`` for ``n != n'``.
+    """Estimate the complex element ``<n|H|n'>`` for occupation masks
+    ``n != n'`` on the Hamiltonian's ``qubit_count`` qubits.
 
     Only the strings that flip exactly ``n XOR n'``, the flip group of that
     ``x_mask`` in ``hamiltonian.groups``, are measured; their own diagonal
@@ -496,14 +507,15 @@ def measure_offdiagonal(
     which other strings exist.  The standard errors propagate the readout
     variances alone.  The direct style counts its two circuits even when no
     string connects the pair.  A backend that measures nothing (``oracle``)
-    is a ValueError: its entries come from :func:`~heffsolve.pauli.project`.
+    is a ValueError: its entries come from :func:`~heffsolve.pauli.project_masks`.
     """
     if n == nprime:
         raise ValueError("off-diagonal measurement needs two distinct states")
     if not backend.uses_circuits:
-        raise ValueError(f"the {backend.kind} backend measures nothing; use pauli.project")
+        raise ValueError(f"the {backend.kind} backend measures nothing; use pauli.project_masks")
     groups = hamiltonian.groups
-    x_mask = n.mask ^ nprime.mask
+    num = hamiltonian.qubit_count
+    x_mask = n ^ nprime
     span = groups.span(x_mask)
     members = groups.index[span]
     # a term's index among the off-diagonal terms: the diagonal ones before it drop out
@@ -514,21 +526,21 @@ def measure_offdiagonal(
     settings: dict[int, list[tuple[int, float, int]]] = {}
     for k, w, z, odd in zip(ranks.tolist(), weights, z_masks, groups.odd[span].tolist()):
         settings.setdefault(odd if direct else k, []).append((k, w, z))
-    ancilla = 1 << prep_ancilla_index(n.num_qubits)
+    ancilla = 1 << prep_ancilla_index(num)
     recovered = []
     for index, (part, sign) in enumerate((("real", 1.0), ("imag", -1.0))):
         if direct:
-            circuit = build_offdiagonal_circuit(n, nprime, part) if settings else None
+            circuit = build_offdiagonal_circuit(n, nprime, num, part) if settings else None
             readouts = [
                 (circuit, [(0.5 * w, x_mask, z | a) for _, w, z in terms for a in (0, ancilla)],
-                 (_TAG_OFFDIAGONAL, n.mask, nprime.mask, index, terms[0][0]))
+                 (_TAG_OFFDIAGONAL, n, nprime, index, terms[0][0]))
                 for terms in settings.values()
             ]
         else:
             readouts = [
-                (build_indirect_circuit(n, nprime, x_mask, z, part),
+                (build_indirect_circuit(n, nprime, num, x_mask, z, part),
                  [(0.25, 0, a * ancilla) for a in range(4)],  # II, ZI, IZ, ZZ on the ancillas
-                 (_TAG_OFFDIAGONAL, n.mask, nprime.mask, 2 + index, k))
+                 (_TAG_OFFDIAGONAL, n, nprime, 2 + index, k))
                 for [(k, _, z)] in settings.values()
             ]
         total = var = 0.0
@@ -569,15 +581,14 @@ def build_effective_hamiltonian(
     the conjugate transpose and a final ``(M + M^dagger)/2`` pass makes
     Hermiticity exact.  Classical diagonals are ``basis.diagonal_energies``,
     so ``basis`` must come from this Hamiltonian.  The oracle backend's
-    matrix is :func:`project`'s array as returned, exactly Hermitian
+    matrix is :func:`project_masks`'s array as returned, exactly Hermitian
     already, with empty entry arrays.
     """
     hamiltonian = hamiltonian.real_weights()
-    states = basis.states
-    size = len(states)
+    size = basis.size
     if not backend.uses_circuits:
         return EffectiveHamiltonian(
-            basis, project(hamiltonian, states), np.zeros((0, 4), dtype=np.int64),
+            basis, project_masks(hamiltonian, basis.masks), np.zeros((0, 4), dtype=np.int64),
             np.zeros((0, 2)), backend,
         )
     calibration = None
@@ -599,18 +610,18 @@ def build_effective_hamiltonian(
         counts[at] = est.shots, est.circuits, est.executions, est.settings
         stderrs[at] = est.stderr_re, est.stderr_im
 
-    for i, (state, energy) in enumerate(zip(states, basis.diagonal_energies)):
+    masks = basis.masks.tolist()
+    for i, (mask, energy) in enumerate(zip(masks, basis.diagonal_energies.tolist())):
         if backend.measure_diagonals_with_circuits:
-            est = measure_diagonal(hamiltonian, state, backend, calibration)
+            est = measure_diagonal(hamiltonian, mask, backend, calibration)
         else:
             est = MeasurementEstimate(complex(energy))
         record(i, i, est)
         matrix[i, i] = est.value.real
-    masks = np.array([s.mask for s in states], dtype=np.uint64)
-    for _, rows, cols in flip_cells(hamiltonian.groups, masks):
+    for _, rows, cols in flip_cells(hamiltonian.groups, basis.masks):
         upper = rows < cols
         for i, j in zip(rows[upper].tolist(), cols[upper].tolist()):
-            est = measure_offdiagonal(hamiltonian, states[i], states[j], backend, calibration)
+            est = measure_offdiagonal(hamiltonian, masks[i], masks[j], backend, calibration)
             record(i, j, est)
             matrix[i, j] = est.value
             matrix[j, i] = est.value.conjugate()
@@ -634,10 +645,10 @@ def heff_to_dict(heff: EffectiveHamiltonian) -> dict:
     """
     payload = {
         "format": "heffsolve-heff-v2",
-        "qubit_count": heff.basis.reference.num_qubits,
+        "qubit_count": heff.basis.qubit_count,
         "reference": heff.basis.reference.bits,
         "basis": [s.bits for s in heff.basis.states],
-        "diagonal_energies": list(heff.basis.diagonal_energies),
+        "diagonal_energies": heff.basis.diagonal_energies.tolist(),
         "matrix": heff.matrix,
         "backend": heff.backend.describe(),
         "circuit_counts": heff.circuit_counts.as_dict(),

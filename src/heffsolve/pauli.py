@@ -10,13 +10,14 @@ this package): qubit ``i`` is character ``i`` of a string label, read left to
 right, and bit ``i`` of the integer occupation mask.  ``Z`` has eigenvalue
 ``+1`` on ``|0>`` and ``-1`` on ``|1>``; an occupied spin-orbital is ``1``.
 A string is its symplectic ``(x_mask, z_mask)`` pair (Aaronson & Gottesman,
-quant-ph/0406196); labels are only parsed, printed and shown in messages.
+quant-ph/0406196) and a basis state its occupation mask; labels and bit
+strings are only parsed, printed and shown in messages.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -30,7 +31,6 @@ __all__ = [
     "multiply_strings",
     "FlipGroups",
     "flip_cells",
-    "project",
     "project_masks",
     "classify_terms",
     "load_pauli_sum",
@@ -65,6 +65,13 @@ _ONE = np.uint8(1)
 def sites(mask: int) -> list[int]:
     """The set bits of ``mask``, ascending: the sites a mask marks."""
     return [q for q, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def string_order(masks: np.ndarray) -> np.ndarray:
+    """Keys that sort ``uint64`` occupation masks as their bit strings sort:
+    each mask with its 64 bits reversed, so bit 0 (character 0) weighs most."""
+    bits = np.unpackbits(masks.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+    return np.packbits(bits, axis=1).view(">u8").ravel().astype(np.uint64)
 
 
 def multiply_masks(xa: int, za: int, xb: int, zb: int) -> tuple[complex, int, int]:
@@ -141,10 +148,12 @@ class PauliString:
 
 
 class BasisState:
-    """A computational basis state: an N-bit occupation string like ``1100``.
+    """A computational basis state as its N-bit occupation string, like ``1100``.
 
     Character ``i`` of ``bits`` is the occupation of qubit / spin-orbital
     ``i``; the integer ``mask`` has bit ``i`` set when qubit ``i`` is 1.
+    The pipeline holds states as masks; this form is only read from and
+    written to files and shown in messages.
     """
 
     __slots__ = ("bits", "mask")
@@ -160,11 +169,6 @@ class BasisState:
     def from_mask(cls, mask: int, num_qubits: int) -> "BasisState":
         return cls("".join("1" if mask >> i & 1 else "0" for i in range(num_qubits)))
 
-    @classmethod
-    def from_occupied(cls, occupied: Iterable[int], num_qubits: int) -> "BasisState":
-        occ = set(occupied)
-        return cls("".join("1" if i in occ else "0" for i in range(num_qubits)))
-
     @property
     def num_qubits(self) -> int:
         return len(self.bits)
@@ -172,25 +176,6 @@ class BasisState:
     @property
     def particle_number(self) -> int:
         return self.bits.count("1")
-
-    def occupied(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.bits) if c == "1")
-
-    def unoccupied(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.bits) if c == "0")
-
-    def lex_value(self) -> int:
-        """Integer that orders states like their bit strings sort."""
-        return int(self.bits, 2) if self.bits else 0
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BasisState) and self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash(self.bits)
 
     def __repr__(self) -> str:
         return f"BasisState({self.bits!r})"
@@ -368,13 +353,6 @@ def multiply_strings(a: PauliString, b: PauliString) -> tuple[complex, PauliStri
     _require_equal_length(a.num_qubits, b.num_qubits)
     phase, x, z = multiply_masks(a.x_mask, a.z_mask, b.x_mask, b.z_mask)
     return phase, PauliString.from_masks(x, z, a.num_qubits)
-
-
-def project(hamiltonian: PauliSum, states: Sequence[BasisState]) -> np.ndarray:
-    """:func:`project_masks` on the masks of ``states``."""
-    for state in states:
-        _require_equal_length(hamiltonian.qubit_count, state.num_qubits)
-    return project_masks(hamiltonian, np.array([s.mask for s in states], dtype=np.uint64))
 
 
 def flip_cells(groups: FlipGroups, masks: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:

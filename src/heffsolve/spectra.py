@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .pauli import BasisState, PauliSum, project, project_masks
+from .pauli import BasisState, PauliSum, project_masks
 from .subspace import _subset_masks
 
 __all__ = [
@@ -146,9 +146,10 @@ def sector_basis(num_qubits: int, particle_number: int) -> list[BasisState]:
 
 
 def sector_matrix(hamiltonian: PauliSum, particle_number: int) -> tuple[list[BasisState], np.ndarray]:
-    """Dense fixed-particle-number matrix: :func:`project` onto the whole sector."""
-    states = sector_basis(hamiltonian.qubit_count, particle_number)
-    return states, project(hamiltonian, states)
+    """Dense fixed-particle-number matrix: :func:`project_masks` onto the whole
+    sector, with the sector's states in :func:`sector_basis` order."""
+    masks = _subset_masks(range(hamiltonian.qubit_count), particle_number)
+    return sector_basis(hamiltonian.qubit_count, particle_number), project_masks(hamiltonian, masks)
 
 
 def exact_sector_spectrum(

@@ -5,7 +5,10 @@ The subspace anchors on a reference configuration of minimal diagonal energy
 single/double/... excitations up to a chosen order, and keeps the lowest-
 energy configurations.  Every candidate shares the reference's particle
 number, so the projected Hamiltonian stays inside one symmetry sector.  One
-enumerator of ``uint64`` occupation masks gives the sector and the excitations.
+enumerator of ``uint64`` occupation masks gives the sector and the excitations,
+and configurations stay masks from there to the readout; bit strings
+(:class:`~heffsolve.pauli.BasisState`) are made only for the states files and
+messages.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .pauli import BasisState, PauliSum, _flip_amplitudes
+from .pauli import BasisState, PauliSum, _flip_amplitudes, _require_equal_length, sites, string_order
 
 __all__ = [
     "ExhaustiveSearch",
@@ -85,37 +88,54 @@ class SubspaceSpec:
             raise ValueError("target size must be at least 1")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class SubspaceBasis:
-    """An ordered basis: the reference first, then ascending diagonal energy."""
+    """An ordered basis of ``qubit_count``-bit occupation masks: the reference
+    first, then ascending diagonal energy.
 
-    reference: BasisState
-    states: tuple[BasisState, ...]
-    diagonal_energies: tuple[float, ...]
+    ``masks`` (``uint64``) and the parallel ``diagonal_energies`` are held as
+    read-only arrays.  :attr:`reference` and :attr:`states` build
+    :class:`~heffsolve.pauli.BasisState` objects on demand, for files and
+    messages.
+    """
+
+    masks: np.ndarray
+    diagonal_energies: np.ndarray
+    qubit_count: int
 
     def __post_init__(self) -> None:
-        if not self.states or self.states[0] != self.reference:
-            raise ValueError("the reference must be the first basis state")
-        if len(self.states) != len(self.diagonal_energies):
+        masks = np.array(self.masks, dtype=np.uint64)
+        energies = np.array(self.diagonal_energies, dtype=float)
+        if not masks.size:
+            raise ValueError("a basis holds the reference first, and this one holds no state")
+        if energies.shape != masks.shape:
             raise ValueError("energies must parallel the states")
-        popcounts = {s.particle_number for s in self.states}
-        if len(popcounts) > 1:
+        popcounts = np.bitwise_count(masks)
+        if np.any(popcounts != popcounts[0]):
             raise ValueError("basis states span multiple particle sectors")
-        if len(set(s.bits for s in self.states)) != len(self.states):
+        ascending = np.sort(masks)
+        if np.any(ascending[1:] == ascending[:-1]):
             raise ValueError("duplicate basis states")
+        for name, array in (("masks", masks), ("diagonal_energies", energies)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return len(self.masks)
+
+    @property
+    def reference(self) -> BasisState:
+        return BasisState.from_mask(int(self.masks[0]), self.qubit_count)
+
+    @property
+    def states(self) -> tuple[BasisState, ...]:
+        return tuple(BasisState.from_mask(m, self.qubit_count) for m in self.masks.tolist())
 
 
-def diagonal_energy(hamiltonian: PauliSum, state: BasisState) -> float:
-    return _diagonal_energies(hamiltonian, [state])[0]
-
-
-def _diagonal_energies(hamiltonian: PauliSum, states: Sequence[BasisState]) -> list[float]:
-    masks = np.fromiter((s.mask for s in states), dtype=np.uint64, count=len(states))
-    return _diagonal(hamiltonian, masks).tolist()
+def diagonal_energy(hamiltonian: PauliSum, mask: int) -> float:
+    """``<n|H|n>`` at the occupation mask ``n``."""
+    return float(_diagonal(hamiltonian, np.array([mask], dtype=np.uint64))[0])
 
 
 def _diagonal(hamiltonian: PauliSum, masks: np.ndarray) -> np.ndarray:
@@ -143,8 +163,8 @@ def find_reference(
     hamiltonian: PauliSum,
     particle_number: int,
     strategy: ExhaustiveSearch | MonteCarloSearch = ExhaustiveSearch(),
-) -> BasisState:
-    """Configuration minimizing the diagonal energy within the particle sector.
+) -> int:
+    """The occupation mask minimizing the diagonal energy within the particle sector.
 
     Exhaustive search scores the sector as one ``uint64`` array for the exact
     argmin; Monte Carlo anneals swap proposals and returns the best one visited.
@@ -158,70 +178,67 @@ def find_reference(
         energies = _diagonal(hamiltonian, masks)
         # masks descend in bit-string order: the last tie is the smallest string
         tied = np.flatnonzero(energies == energies.min())
-        return BasisState.from_mask(int(masks[tied[-1]]), num)
+        return int(masks[tied[-1]])
     return _anneal_reference(hamiltonian, particle_number, strategy)
 
 
-def _anneal_reference(
-    hamiltonian: PauliSum, particle_number: int, strategy: MonteCarloSearch
-) -> BasisState:
+def _anneal_reference(hamiltonian: PauliSum, particle_number: int, strategy: MonteCarloSearch) -> int:
     num = hamiltonian.qubit_count
     rng = np.random.Generator(np.random.Philox(strategy.seed))
-    occupied = list(rng.choice(num, size=particle_number, replace=False))
+    # Python ints: a shift by a numpy int64 site overflows at bit 63
+    occupied = rng.choice(num, size=particle_number, replace=False).tolist()
     unoccupied = [i for i in range(num) if i not in occupied]
-    groups = hamiltonian.groups
-    diagonal = groups.span(0)
-
-    def energy(mask: int) -> float:
-        return float(_flip_amplitudes(groups, diagonal, np.array([mask], dtype=np.uint64))[0][0])
 
     temperature = strategy.initial_temperature
     if temperature is None:
-        probe = np.empty(100, dtype=np.uint64)
-        for k in range(100):
-            occ = rng.choice(num, size=particle_number, replace=False)
-            probe[k] = BasisState.from_occupied(occ, num).mask
-        temperature = float(np.std(_flip_amplitudes(groups, diagonal, probe)[0])) or 1.0
+        probe = np.array(
+            [sum(1 << q for q in rng.choice(num, size=particle_number, replace=False).tolist())
+             for _ in range(100)],
+            dtype=np.uint64,
+        )
+        temperature = float(np.std(_diagonal(hamiltonian, probe))) or 1.0
 
-    best_state = BasisState.from_occupied(occupied, num)
-    current_mask, current = best_state.mask, energy(best_state.mask)
-    best = current
+    def bits(mask: int) -> str:
+        return f"{mask:0{num}b}"[::-1]
+
+    best_mask = current_mask = sum(1 << q for q in occupied)
+    best = current = diagonal_energy(hamiltonian, current_mask)
     for _ in range(strategy.steps):
         i = int(rng.integers(len(occupied)))
         j = int(rng.integers(len(unoccupied)))
         proposal_mask = current_mask ^ (1 << occupied[i]) ^ (1 << unoccupied[j])
-        proposal = energy(proposal_mask)
+        proposal = diagonal_energy(hamiltonian, proposal_mask)
         delta = proposal - current
         if delta <= 0.0 or (temperature > 0.0 and rng.random() < np.exp(-delta / temperature)):
             occupied[i], unoccupied[j] = unoccupied[j], occupied[i]
             current_mask, current = proposal_mask, proposal
-            state = BasisState.from_mask(current_mask, num)
-            if (current, state.bits) < (best, best_state.bits):
-                best_state, best = state, current
+            if (current, bits(current_mask)) < (best, bits(best_mask)):
+                best_mask, best = current_mask, current
         temperature *= strategy.cooling
-    return best_state
+    return best_mask
 
 
-def enumerate_excitations(reference: BasisState, order: int) -> list[BasisState]:
-    """All configurations moving exactly ``order`` particles off the reference.
+def enumerate_excitations(reference: int, num_qubits: int, order: int) -> np.ndarray:
+    """The ``uint64`` masks moving exactly ``order`` particles off the
+    ``num_qubits``-bit ``reference`` mask.
 
-    Exactly ``C(N_F, order) * C(N - N_F, order)`` states, vacated sets outer and
+    Exactly ``C(N_F, order) * C(N - N_F, order)`` masks, vacated sets outer and
     filled sets inner; an order exceeding ``min(N_F, N - N_F)`` yields none.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    vacated = reference.mask ^ _subset_masks(reference.occupied(), order)
-    filled = _subset_masks(reference.unoccupied(), order)
-    masks = np.bitwise_or.outer(vacated, filled).ravel()
-    return [BasisState.from_mask(int(m), reference.num_qubits) for m in masks]
+    vacated = reference ^ _subset_masks(sites(reference), order)
+    filled = _subset_masks(sites(reference ^ ((1 << num_qubits) - 1)), order)
+    return np.bitwise_or.outer(vacated, filled).ravel()
 
 
 def build_subspace(hamiltonian: PauliSum, spec: SubspaceSpec) -> SubspaceBasis:
     """Select the basis: reference + excitations, truncated to the lowest energies.
 
-    States after the reference sort by ascending diagonal energy with a
-    lexicographic bit-string tie-break; the reference is always retained.
-    A target size beyond the enumerated count keeps everything (logged).
+    Masks after the reference sort by ascending diagonal energy with a
+    lexicographic bit-string tie-break (``-0.0`` ties with ``0.0``); the
+    reference is always retained.  A target size beyond the enumerated count
+    keeps everything (logged).
     """
     num = hamiltonian.qubit_count
     n_f = spec.particle_number
@@ -230,28 +247,22 @@ def build_subspace(hamiltonian: PauliSum, spec: SubspaceSpec) -> SubspaceBasis:
             f"excitation order {spec.max_excitation_order} exceeds min(N_F, N - N_F) = {min(n_f, num - n_f)}"
         )
     reference = find_reference(hamiltonian, n_f, spec.search_strategy)
-    candidates: list[BasisState] = []
-    for order in range(spec.max_excitation_order + 1):
-        candidates.extend(enumerate_excitations(reference, order))
-    energies = _diagonal_energies(hamiltonian, candidates)
-    order_keys = sorted(
-        range(1, len(candidates)),
-        key=lambda k: (energies[k], candidates[k].bits),
+    candidates = np.concatenate(
+        [enumerate_excitations(reference, num, order) for order in range(spec.max_excitation_order + 1)]
     )
-    ordered = [0, *order_keys]
+    energies = _diagonal(hamiltonian, candidates)
+    # lexsort's last key is the primary one
+    ranked = 1 + np.lexsort((string_order(candidates[1:]), energies[1:]))
+    kept = np.concatenate(([0], ranked))
     if spec.target_size is not None:
-        if spec.target_size > len(ordered):
+        if spec.target_size > len(kept):
             logger.warning(
                 "target size %d exceeds the %d enumerated configurations; keeping all",
                 spec.target_size,
-                len(ordered),
+                len(kept),
             )
-        ordered = ordered[: spec.target_size]
-    return SubspaceBasis(
-        reference,
-        tuple(candidates[k] for k in ordered),
-        tuple(energies[k] for k in ordered),
-    )
+        kept = kept[: spec.target_size]
+    return SubspaceBasis(candidates[kept], energies[kept], num)
 
 
 # ---------------------------------------------------------------------------
@@ -290,4 +301,7 @@ def load_states(path_or_file: str | TextIO) -> list[BasisState]:
 
 def basis_from_states(hamiltonian: PauliSum, states: Sequence[BasisState]) -> SubspaceBasis:
     """Rebuild a SubspaceBasis (reference = first line) with fresh energies."""
-    return SubspaceBasis(states[0], tuple(states), tuple(_diagonal_energies(hamiltonian, states)))
+    for state in states:
+        _require_equal_length(hamiltonian.qubit_count, state.num_qubits)
+    masks = np.array([s.mask for s in states], dtype=np.uint64)
+    return SubspaceBasis(masks, _diagonal(hamiltonian, masks), hamiltonian.qubit_count)

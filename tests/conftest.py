@@ -47,6 +47,16 @@ def basis_vector(state: BasisState) -> np.ndarray:
     return vec
 
 
+def masks_of(states) -> np.ndarray:
+    """The ``uint64`` occupation masks of ``states``, in order."""
+    return np.array([s.mask for s in states], dtype=np.uint64)
+
+
+def bit_strings(masks, num_qubits: int) -> list[str]:
+    """The bit string of each occupation mask (character ``i`` is bit ``i``)."""
+    return [format(int(m), f"0{num_qubits}b")[::-1] for m in masks]
+
+
 def dense_projection(hamiltonian: PauliSum, states) -> np.ndarray:
     """Brute-force <m|H|n> over a basis list, via the dense matrix."""
     matrix = dense_sum(hamiltonian)

@@ -41,6 +41,7 @@ from heffsolve.subspace import SubspaceSpec, basis_from_states, build_subspace
 
 from conftest import (
     basis_vector,
+    bit_strings,
     dense_fermion,
     dense_projection,
     dense_sum,
@@ -165,7 +166,7 @@ def test_criterion_5_shot_statistics():
 
     def estimate(seed: int, shots: int):
         backend = Backend.sampled(shots=shots, seed=seed)
-        return measure_offdiagonal(hamiltonian, n, nprime, backend)
+        return measure_offdiagonal(hamiltonian, n.mask, nprime.mask, backend)
 
     trials = 1000
     within = 0
@@ -195,20 +196,20 @@ def test_criterion_6_excitation_combinatorics():
     checked = 0
     for num in range(2, 13):
         for n_f in range(1, num):
-            reference = BasisState.from_occupied(range(n_f), num)
+            reference = (1 << n_f) - 1
             for order in range(min(n_f, num - n_f) + 1):
-                states = enumerate_excitations(reference, order)
-                assert len(states) == comb(n_f, order) * comb(num - n_f, order)
-                assert len({s.bits for s in states}) == len(states)
-                assert all(s.particle_number == n_f for s in states)
+                masks = enumerate_excitations(reference, num, order).tolist()
+                assert len(masks) == comb(n_f, order) * comb(num - n_f, order)
+                assert len(set(masks)) == len(masks)
+                assert all(m.bit_count() == n_f for m in masks)
                 checked += 1
-    reference = BasisState.from_occupied(range(4), 12)
-    total = sum(len(enumerate_excitations(reference, k)) for k in range(5))
+    reference = (1 << 4) - 1
+    total = sum(len(enumerate_excitations(reference, 12, k)) for k in range(5))
     assert total == 495
     complete = {
-        s.bits
+        bits
         for k in range(3)
-        for s in enumerate_excitations(BasisState("1100"), k)
+        for bits in bit_strings(enumerate_excitations(BasisState("1100").mask, 4, k), 4)
     }
     assert complete == set(SECTOR_BITS)
     report(6, f"{checked} (N, N_F, order) cells; N=12 sector total 495; N=4 set matches")
@@ -262,7 +263,7 @@ def test_criterion_8_mitigation_benefit():
     # exact calibration's stored maps and averaged over the analytic noisy
     # distribution, recovers that outcome's noiseless probability
     calibration = build_calibration(noise, None, 0, 6)
-    circuit = prepare_basis_circuit(BasisState("1100"))
+    circuit = prepare_basis_circuit(BasisState("1100").mask, 4)
     noisy = outcome_distribution(circuit, noise)
     clean = outcome_distribution(circuit)
     maps = [calibration.pullbacks[q] for q in circuit.measured]

@@ -104,29 +104,29 @@ class TestGates:
 
 class TestControlledPrepare:
     def test_flips_set_bits_on_control_one(self):
-        gates = controlled_prepare(BasisState("011"), control=3, control_value=1)
+        gates = controlled_prepare(BasisState("011").mask, 3, control=3, control_value=1)
         assert [g.kind for g in gates] == ["cx", "cx"]
         assert sorted(g.qubits[1] for g in gates) == [1, 2]
 
     def test_zero_pattern_is_empty(self):
-        assert controlled_prepare(BasisState("000"), 3, 1) == []
-        gates = controlled_prepare(BasisState("000"), 3, 0)
+        assert controlled_prepare(BasisState("000").mask, 3, 3, 1) == []
+        gates = controlled_prepare(BasisState("000").mask, 3, 3, 0)
         assert [g.kind for g in gates] == ["x", "x"]
 
     def test_control_value_zero_wraps_with_x(self):
-        gates = controlled_prepare(BasisState("10"), 2, 0)
+        gates = controlled_prepare(BasisState("10").mask, 2, 2, 0)
         assert [g.kind for g in gates] == ["x", "cx", "x"]
 
     def test_control_collision_rejected(self):
         with pytest.raises(ValueError, match="collides"):
-            controlled_prepare(BasisState("011"), control=1, control_value=1)
+            controlled_prepare(BasisState("011").mask, 3, control=1, control_value=1)
 
     def test_entangled_preparation_state(self):
         # H then both branch preparations must give (|0>|n'> + |1>|n>)/sqrt(2)
         n, nprime = BasisState("1100"), BasisState("0110")
         circuit = Circuit(5, [Gate.h(4)])
-        circuit.extend(controlled_prepare(nprime, 4, 0))
-        circuit.extend(controlled_prepare(n, 4, 1))
+        circuit.extend(controlled_prepare(nprime.mask, 4, 4, 0))
+        circuit.extend(controlled_prepare(n.mask, 4, 4, 1))
         state = run_statevector(circuit)
         expected = np.zeros(32, dtype=complex)
         expected[nprime.mask] = 1 / math.sqrt(2)
@@ -137,21 +137,21 @@ class TestControlledPrepare:
 class TestOffdiagonalCircuit:
     def test_depth_is_linear(self):
         n, nprime = BasisState("111100"), BasisState("001111")
-        real = build_offdiagonal_circuit(n, nprime, "real")
+        real = build_offdiagonal_circuit(n.mask, nprime.mask, 6, "real")
         controlled = [g for g in real.gates if g.is_controlled]
         single = [g for g in real.gates if not g.is_controlled]
         assert len(controlled) <= 2 * 6
         assert len(single) <= 4
-        imag = build_offdiagonal_circuit(n, nprime, "imag")
+        imag = build_offdiagonal_circuit(n.mask, nprime.mask, 6, "imag")
         assert len([g for g in imag.gates if not g.is_controlled]) <= 5
 
     def test_rejects_equal_states(self):
         with pytest.raises(ValueError, match="diagonal"):
-            build_offdiagonal_circuit(BasisState("10"), BasisState("10"), "real")
+            build_offdiagonal_circuit(BasisState("10").mask, BasisState("10").mask, 2, "real")
 
     def test_rejects_unknown_part(self):
         with pytest.raises(ValueError, match="part"):
-            build_offdiagonal_circuit(BasisState("10"), BasisState("01"), "re")
+            build_offdiagonal_circuit(BasisState("10").mask, BasisState("01").mask, 2, "re")
 
     def test_single_string_element_recovery(self):
         # YXXY between |0110> and |1001>: Re = -1, Im = 0
@@ -159,7 +159,7 @@ class TestOffdiagonalCircuit:
         h = PauliString("YXXY")
         values = {}
         for part in ("real", "imag"):
-            circuit = build_offdiagonal_circuit(n, nprime, part)
+            circuit = build_offdiagonal_circuit(n.mask, nprime.mask, 4, part)
             state = run_statevector(circuit)
             values[part] = 0.5 * (
                 state_expectation(state, PauliString(h.label + "I"))
@@ -180,7 +180,7 @@ class TestOffdiagonalCircuit:
                 d_np = sum_matrix_element(nprime, hamiltonian, nprime).real
                 recovered = {}
                 for part in ("real", "imag"):
-                    circuit = build_offdiagonal_circuit(n, nprime, part)
+                    circuit = build_offdiagonal_circuit(n.mask, nprime.mask, num, part)
                     state = run_statevector(circuit)
                     m = sum(
                         w.real * 0.5 * (
@@ -201,7 +201,7 @@ class TestIndirectCircuit:
         # degenerate h = I: recovery with its (unit) diagonal elements gives
         # Re <n|I|n'> = 0 for n != n'
         n, nprime = BasisState("10"), BasisState("01")
-        circuit = build_indirect_circuit(n, nprime, 0, 0, "real")
+        circuit = build_indirect_circuit(n.mask, nprime.mask, 2, 0, 0, "real")
         probs = marginal_probabilities(run_statevector(circuit), 4, circuit.measured)
         both_zero = sum(probs[k] for k in range(16) if not k >> 2 & 1 and not k >> 3 & 1)
         d_n = d_nprime = 1.0
@@ -215,7 +215,7 @@ class TestIndirectCircuit:
             oracle = string_matrix_element(n, h, nprime)
             estimates = {}
             for part in ("real", "imag"):
-                circuit = build_indirect_circuit(n, nprime, h.x_mask, h.z_mask, part)
+                circuit = build_indirect_circuit(n.mask, nprime.mask, num, h.x_mask, h.z_mask, part)
                 probs = marginal_probabilities(run_statevector(circuit), num + 2, circuit.measured)
                 idx = np.arange(probs.shape[0])
                 mask = (1 << num) | (1 << (num + 1))
@@ -227,12 +227,12 @@ class TestIndirectCircuit:
         n, nprime = BasisState("01"), BasisState("10")
         for x_mask, z_mask in ((0b100, 0), (0b01, 0b110)):
             with pytest.raises(ValueError, match="register size"):
-                build_indirect_circuit(n, nprime, x_mask, z_mask, "real")
+                build_indirect_circuit(n.mask, nprime.mask, 2, x_mask, z_mask, "real")
 
     def test_uses_one_controlled_pauli_per_site(self):
         h = PauliString("XYIZ")
         circuit = build_indirect_circuit(
-            BasisState("0110"), BasisState("1001"), h.x_mask, h.z_mask, "real"
+            BasisState("0110").mask, BasisState("1001").mask, 4, h.x_mask, h.z_mask, "real"
         )
         controlled_paulis = [g for g in circuit.gates if g.kind in ("cy", "cz")]
         meas = 5
@@ -281,7 +281,7 @@ class TestExactExpectation:
     def test_projector_decomposition_matches_dense(self, rng):
         # m0 = sum_s (w_s/2)(<I x h_s> + <Z x h_s>) equals <psi|(|0><0| x H)|psi>
         hamiltonian = random_hermitian_sum(rng, 3, 6)
-        circuit = build_offdiagonal_circuit(BasisState("110"), BasisState("011"), "real")
+        circuit = build_offdiagonal_circuit(BasisState("110").mask, BasisState("011").mask, 3, "real")
         state = run_statevector(circuit)
         via_strings = sum(
             w.real * 0.5 * (
@@ -335,15 +335,15 @@ class TestSparseState:
         assert kinds == {"h", "s", "sdg", "x", "cx", "cy", "cz"}
 
     def test_measurement_circuits_stay_on_a_few_entries(self):
-        n = BasisState.from_occupied((0, 9, 20, 39), 40)
-        nprime = BasisState.from_occupied((3, 9, 27, 39), 40)
+        n = sum(1 << q for q in (0, 9, 20, 39))
+        nprime = sum(1 << q for q in (3, 9, 27, 39))
         string = PauliString("".join("X" if i in (0, 3, 20, 27) else "I" for i in range(40)))
-        assert len(run_sparse(prepare_basis_circuit(n))) == 1
-        assert len(run_sparse(build_offdiagonal_circuit(n, nprime, "imag"))) == 4
-        indirect = build_indirect_circuit(n, nprime, string.x_mask, string.z_mask, "real")
+        assert len(run_sparse(prepare_basis_circuit(n, 40))) == 1
+        assert len(run_sparse(build_offdiagonal_circuit(n, nprime, 40, "imag"))) == 4
+        indirect = build_indirect_circuit(n, nprime, 40, string.x_mask, string.z_mask, "real")
         assert len(run_sparse(indirect)) <= 16
         # a class basis change adds one Hadamard, whatever the class's sites
-        direct = build_offdiagonal_circuit(n, nprime, "imag")
+        direct = build_offdiagonal_circuit(n, nprime, 40, "imag")
         direct.extend(class_basis_change([(string.x_mask, string.z_mask | 1 << 40)])[0])
         assert len(run_sparse(direct)) <= 8
 
@@ -352,7 +352,7 @@ class TestSparseState:
         # on the Ys), the direct circuit holds 2^(k+2) = 64 entries.
         n, nprime = BasisState("110100"), BasisState("011001")
         string = PauliString("XYIXYI")
-        circuit = build_offdiagonal_circuit(n, nprime, "real")
+        circuit = build_offdiagonal_circuit(n.mask, nprime.mask, 6, "real")
         for site in string.support():
             circuit.extend([Gate.sdg(site), Gate.h(site)] if string.label[site] == "Y" else [Gate.h(site)])
         monkeypatch.setattr(heffsolve.spectra, "MAX_DENSE_DIMENSION", 8)
@@ -464,7 +464,7 @@ class TestMarginals:
 
 class TestSampling:
     def test_deterministic_eigenstate(self):
-        circuit = prepare_basis_circuit(BasisState("10"))
+        circuit = prepare_basis_circuit(BasisState("10").mask, 2)
         counts, mean, stderr = sampled(circuit, PauliString("ZI"), shots=500, seed=3)
         assert mean == -1.0 and stderr == 0.0
         assert counts.tolist() == [0, 500, 0, 0]
@@ -497,7 +497,7 @@ class TestSampling:
         assert quiet[0].tolist() == zeroed[0].tolist() and quiet[1:] == zeroed[1:]
 
     def test_noise_biases_deterministic_outcome(self):
-        circuit = prepare_basis_circuit(BasisState("1"))
+        circuit = prepare_basis_circuit(BasisState("1").mask, 1)
         noise = ReadoutNoise(0.0, 0.2)
         _, mean, _ = sampled(circuit, PauliString("Z"), shots=20000, seed=7, noise=noise)
         # true -1 outcome flips to +1 with p=0.2: expectation -> -0.6

@@ -319,14 +319,27 @@ class TestSolve:
         assert max(float(r[3]) for r in rows) <= 1e-10
 
     @pytest.mark.parametrize("strategy", ["exhaustive", "mc"])
-    def test_64_qubits_are_an_input_error(self, tmp_path, capsys, strategy):
+    def test_64_qubits_solve(self, tmp_path, strategy):
+        # one particle and its singles span the whole sector, whichever reference is found
+        out = tmp_path / "wide"
         path = wide_pauli_file(tmp_path, 64)
+        assert main(["solve", str(path), "--out", str(out), "--nf", "1", "--order", "1",
+                     "--strategy", strategy]) == 0
+        _, rows = read_csv(out / "error_vs_exact.csv")
+        assert len(rows) == 64
+        assert max(float(r[3]) for r in rows) <= 1e-10
+        basis = (out / "basis.txt").read_text().split()
+        assert len(set(basis)) == 64 and "0" * 63 + "1" in basis
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "mc"])
+    def test_65_qubits_are_an_input_error(self, tmp_path, capsys, strategy):
+        path = wide_pauli_file(tmp_path, 65)
         out = tmp_path / "wide"
         assert main(
             ["solve", str(path), "--out", str(out), "--nf", "1", "--strategy", strategy]
         ) == 2
         err = capsys.readouterr().err
-        assert err.startswith("input error:") and "63-qubit limit" in err
+        assert err.startswith("input error:") and "64-bit masks" in err
         assert not out.exists()
         assert list(tmp_path.iterdir()) == [path]
 

@@ -35,13 +35,14 @@ from heffsolve.pauli import (
     PauliString,
     PauliSum,
     classify_terms,
-    project,
+    project_masks,
 )
 from heffsolve.spectra import eigendecompose, exact_sector_spectrum, sector_basis, sector_matrix
 from heffsolve.subspace import MonteCarloSearch, SubspaceSpec, basis_from_states, build_subspace
 
 from conftest import (
     dense_projection,
+    masks_of,
     random_conserving_hamiltonian,
     random_hermitian_sum,
     sum_matrix_element,
@@ -103,7 +104,7 @@ def wide_sector(rng, num_modes=40, modes=(0, 6, 19, 31, 39), particles=2):
     ]
     hamiltonian = jw_transform(FermionHamiltonian(tuple(terms), num_modes))
     states = [
-        BasisState.from_occupied(occupied, num_modes)
+        BasisState.from_mask(sum(1 << q for q in occupied), num_modes)
         for occupied in itertools.combinations(modes, particles)
     ]
     shuffled = [states[k] for k in rng.permutation(len(states))]
@@ -143,23 +144,28 @@ def connecting_classes(hamiltonian, states):
     )
 
 
+def six_mode_terms():
+    """Number terms, real and complex hoppings and one double excitation on
+    six modes: their strings hold both Y-count parities."""
+    hops = [((0, 3), 0.4 - 0.3j), ((1, 4), -0.7), ((2, 5), 0.2j)]
+    terms = [FermionTerm(-1.0 + 0.3 * k, ((k, True), (k, False))) for k in range(6)]
+    for (i, j), c in hops:
+        terms += [FermionTerm(c, ((i, True), (j, False))), FermionTerm(np.conj(c), ((j, True), (i, False)))]
+    terms += [FermionTerm(0.3, ((0, True), (1, True), (4, False), (5, False))),
+              FermionTerm(0.3, ((5, True), (4, True), (1, False), (0, False)))]
+    return FermionHamiltonian(tuple(terms), 6)
+
+
 class TestMaskForm:
     def test_a_measured_solve_builds_no_pauli_string(self, monkeypatch):
         # labels stay at the file edge: Jordan-Wigner, the particle check, both
         # reference searches, sampled and mitigated builds with circuit
         # diagonals in both styles, and the exact sector all read masks
-        hops = [((0, 3), 0.4 - 0.3j), ((1, 4), -0.7), ((2, 5), 0.2j)]
-        terms = [FermionTerm(-1.0 + 0.3 * k, ((k, True), (k, False))) for k in range(6)]
-        for (i, j), c in hops:
-            terms += [FermionTerm(c, ((i, True), (j, False))), FermionTerm(np.conj(c), ((j, True), (i, False)))]
-        terms += [FermionTerm(0.3, ((0, True), (1, True), (4, False), (5, False))),
-                  FermionTerm(0.3, ((5, True), (4, True), (1, False), (0, False)))]
-
         def refused(self, label):
             raise AssertionError(f"PauliString({label!r}) built")
 
         monkeypatch.setattr(PauliString, "__init__", refused)
-        hamiltonian = jw_transform(FermionHamiltonian(tuple(terms), 6))
+        hamiltonian = jw_transform(six_mode_terms())
         assert check_particle_conservation(hamiltonian)
         build_subspace(hamiltonian, SubspaceSpec(3, 2, 12, MonteCarloSearch(steps=50)))
         basis = build_subspace(hamiltonian, SubspaceSpec(3, 2, 12))
@@ -171,6 +177,28 @@ class TestMaskForm:
         exact_sector_spectrum(hamiltonian, 3)
         monkeypatch.undo()
         assert {s.y_count % 2 for _, s in hamiltonian if s.x_mask} == {0, 1}
+
+    def test_a_solve_builds_no_basis_state(self, monkeypatch):
+        # bit strings stay at the file edge: both reference searches, the
+        # excitations, every backend (circuit diagonals and mitigation
+        # included) and the exact sector pass occupation masks
+        def refused(self, bits):
+            raise AssertionError(f"BasisState({bits!r}) built")
+
+        hamiltonian = jw_transform(six_mode_terms())
+        monkeypatch.setattr(BasisState, "__init__", refused)
+        searched = build_subspace(hamiltonian, SubspaceSpec(3, 2, 12, MonteCarloSearch(steps=50)))
+        basis = build_subspace(hamiltonian, SubspaceSpec(3, 2, 12))
+        noise = ReadoutNoise(0.02, 0.03)
+        backends = (
+            Backend.oracle(), Backend.exact(), Backend.exact("indirect"),
+            Backend.sampled(shots=200, seed=4, noise=noise, mitigation=True,
+                            measure_diagonals_with_circuits=True),
+        )
+        sizes = [build_effective_hamiltonian(hamiltonian, basis, backend).size for backend in backends]
+        spectrum = exact_sector_spectrum(hamiltonian, 3)
+        monkeypatch.undo()
+        assert searched.size == basis.size == 12 and sizes == [12] * 4 and spectrum.size == 20
 
 
 class TestBackendType:
@@ -201,7 +229,7 @@ class TestMeasureDiagonal:
             Backend.exact(measure_diagonals_with_circuits=True),
             Backend.sampled(seed=5, measure_diagonals_with_circuits=True),
         ):
-            estimate = measure_diagonal(hamiltonian, n, backend)
+            estimate = measure_diagonal(hamiltonian, n.mask, backend)
             assert estimate.value.real == pytest.approx(-0.8, abs=1e-12)
 
     def test_flip_strings_are_skipped(self):
@@ -209,13 +237,13 @@ class TestMeasureDiagonal:
             [(0.5, "ZIII"), (0.7, "YXXY"), (0.2, "IIII")]
         )
         backend = Backend.exact(measure_diagonals_with_circuits=True)
-        estimate = measure_diagonal(hamiltonian, BasisState("1100"), backend)
+        estimate = measure_diagonal(hamiltonian, BasisState("1100").mask, backend)
         assert estimate.executions == 2  # ZIII and IIII only
         assert estimate.value.real == pytest.approx(-0.3)
 
     def test_classical_default_even_when_sampled(self):
         hamiltonian = PauliSum.from_label_weights([(0.5, "ZIII")])
-        estimate = measure_diagonal(hamiltonian, BasisState("1000"), Backend.sampled(seed=1))
+        estimate = measure_diagonal(hamiltonian, BasisState("1000").mask, Backend.sampled(seed=1))
         assert estimate.circuits == 0 and estimate.stderr_re == 0.0
 
     def test_sampled_noisy_within_four_stderr(self, rng):
@@ -230,7 +258,7 @@ class TestMeasureDiagonal:
                 measure_diagonals_with_circuits=True,
             )
             calibration = build_calibration(noise, None, seed, 6)
-            estimate = measure_diagonal(hamiltonian, n, backend, calibration)
+            estimate = measure_diagonal(hamiltonian, n.mask, backend, calibration)
             if abs(estimate.value.real - oracle) <= 4 * max(estimate.stderr_re, 1e-4):
                 hits += 1
         assert hits >= 19
@@ -244,7 +272,7 @@ class TestMeasureOffdiagonal:
             for i in range(6):
                 for j in range(i + 1, 6):
                     n, nprime = SECTOR_BASES[i], SECTOR_BASES[j]
-                    estimate = measure_offdiagonal(hamiltonian, n, nprime, backend)
+                    estimate = measure_offdiagonal(hamiltonian, n.mask, nprime.mask, backend)
                     oracle = sum_matrix_element(n, hamiltonian, nprime)
                     assert estimate.value == pytest.approx(oracle, abs=1e-10)
 
@@ -252,13 +280,13 @@ class TestMeasureOffdiagonal:
         hamiltonian = random_conserving_hamiltonian(rng, 4)
         n, nprime = BasisState("1100"), BasisState("1110")
         backend = Backend.exact()
-        estimate = measure_offdiagonal(hamiltonian, n, nprime, backend)
+        estimate = measure_offdiagonal(hamiltonian, n.mask, nprime.mask, backend)
         assert abs(estimate.value) < 1e-10
 
     def test_lone_string_pair(self):
         hamiltonian = PauliSum.from_label_weights([(1.0, "YXXY")])
         estimate = measure_offdiagonal(
-            hamiltonian, BasisState("0110"), BasisState("1001"), Backend.exact()
+            hamiltonian, BasisState("0110").mask, BasisState("1001").mask, Backend.exact()
         )
         assert estimate.value == pytest.approx(-1.0 + 0j, abs=1e-12)
 
@@ -266,14 +294,14 @@ class TestMeasureOffdiagonal:
         hamiltonian = PauliSum.from_label_weights([(1.0, "YXXY")])
         with pytest.raises(ValueError, match="distinct"):
             measure_offdiagonal(
-                hamiltonian, BasisState("0110"), BasisState("0110"), Backend.oracle()
+                hamiltonian, BasisState("0110").mask, BasisState("0110").mask, Backend.oracle()
             )
 
     def test_oracle_measures_nothing(self):
         hamiltonian = PauliSum.from_label_weights([(1.0, "YXXY")])
         with pytest.raises(ValueError, match="measures nothing"):
             measure_offdiagonal(
-                hamiltonian, BasisState("0110"), BasisState("1001"), Backend.oracle()
+                hamiltonian, BasisState("0110").mask, BasisState("1001").mask, Backend.oracle()
             )
 
     def test_diagonal_variances_do_not_enter(self):
@@ -281,7 +309,7 @@ class TestMeasureOffdiagonal:
         # does their standard error.
         hamiltonian = PauliSum.from_label_weights([(1.0, "YXXY")])
         n, nprime = BasisState("0110"), BasisState("1001")
-        exact = measure_offdiagonal(hamiltonian, n, nprime, Backend.exact())
+        exact = measure_offdiagonal(hamiltonian, n.mask, nprime.mask, Backend.exact())
         assert exact.stderr_re == 0.0 and exact.stderr_im == 0.0
 
 
@@ -317,10 +345,10 @@ class TestReadouts:
         for backend in (Backend.exact, Backend.sampled):
             if kind == "diagonal":
                 measure_diagonal(
-                    self.HAMILTONIAN, n, backend(measure_diagonals_with_circuits=True)
+                    self.HAMILTONIAN, n.mask, backend(measure_diagonals_with_circuits=True)
                 )
             else:
-                measure_offdiagonal(self.HAMILTONIAN, n, nprime, backend(style=kind))
+                measure_offdiagonal(self.HAMILTONIAN, n.mask, nprime.mask, backend(style=kind))
         # one readout per diagonal; per part, one per commuting class (direct:
         # the even-Y and the odd-Y strings) or per connecting string (indirect)
         assert len(means["exact"]) == {"diagonal": 1, "direct": 4, "indirect": 8}[kind]
@@ -348,7 +376,7 @@ class TestBuildEffectiveHamiltonian:
         heff = build_effective_hamiltonian(hamiltonian, basis, Backend.oracle())
         assert heff.matrix.dtype == np.float64
         assert np.array_equal(heff.matrix, heff.matrix.T)
-        assert np.array_equal(heff.matrix, project(hamiltonian, basis.states))
+        assert np.array_equal(heff.matrix, project_masks(hamiltonian, basis.masks))
         # real weights on odd-Y strings: complex, and still exactly Hermitian
         odd_y, states = closed_sum(rng, 7, (0, 2, 3, 6), 40)
         odd_y = PauliSum([(w.real, s) for w, s in odd_y], odd_y.qubit_count)
@@ -687,11 +715,11 @@ class TestMitigation:
         trials = 30
         for seed in range(trials):
             raw = measure_diagonal(
-                hamiltonian, n,
+                hamiltonian, n.mask,
                 Backend.sampled(seed=seed, noise=noise, measure_diagonals_with_circuits=True),
             )
             fixed = measure_diagonal(
-                hamiltonian, n,
+                hamiltonian, n.mask,
                 Backend.sampled(
                     seed=seed, noise=noise, mitigation=True,
                     measure_diagonals_with_circuits=True,
@@ -716,7 +744,7 @@ class TestMitigatedCoverage:
         z_re, z_im = [], []
         for seed in range(200):
             backend = Backend.sampled(2000, seed, style, noise=noise, mitigation=True)
-            est = measure_offdiagonal(hamiltonian, n, nprime, backend, calibration)
+            est = measure_offdiagonal(hamiltonian, n.mask, nprime.mask, backend, calibration)
             z_re.append((est.value.real - exact.real) / est.stderr_re)
             z_im.append((est.value.imag - exact.imag) / est.stderr_im)
         for z in (z_re, z_im):
@@ -886,7 +914,7 @@ class TestScreening:
                     measure_diagonals_with_circuits=True,
                 ),
             ):
-                estimate = measure_offdiagonal(hamiltonian, n, nprime, backend, calibration)
+                estimate = measure_offdiagonal(hamiltonian, n.mask, nprime.mask, backend, calibration)
                 assert estimate.value == 0
                 assert (estimate.shots, estimate.stderr_re, estimate.stderr_im) == (0, 0.0, 0.0)
                 assert estimate.circuits == circuits
@@ -900,7 +928,7 @@ class TestScreening:
         calls = []
 
         def counting(h, n, nprime, *args):
-            calls.append((n.mask, nprime.mask))
+            calls.append((n, nprime))
             return measure(h, n, nprime, *args)
 
         monkeypatch.setattr(heffsolve.estimator, "measure_offdiagonal", counting)
@@ -963,7 +991,7 @@ class TestScreening:
             for extra_kw in ({}, {"noise": noise, "mitigation": True}):
                 backend = Backend.sampled(shots=2000, seed=5, style=style, **extra_kw)
                 before, after = (
-                    measure_offdiagonal(h, n, nprime, backend, calibration)
+                    measure_offdiagonal(h, n.mask, nprime.mask, backend, calibration)
                     for h in (hamiltonian, padded)
                 )
                 assert before == after
@@ -984,9 +1012,9 @@ class TestScreening:
             expected = np.array(
                 [[sum_matrix_element(m, hamiltonian, n) for n in states] for m in states]
             )
-            assert np.array_equal(project(hamiltonian, states), expected)
-        assert np.count_nonzero(project(*top_bit)) > len(top_bit[1])
-        assert np.abs(project(*odd_y).imag).max() > 0
+            assert np.array_equal(project_masks(hamiltonian, masks_of(states)), expected)
+        assert np.count_nonzero(project_masks(top_bit[0], masks_of(top_bit[1]))) > len(top_bit[1])
+        assert np.abs(project_masks(odd_y[0], masks_of(odd_y[1])).imag).max() > 0
 
     def test_sector_matrix_unchanged(self, rng):
         hamiltonian = random_conserving_hamiltonian(rng, 6, max_strings=60)
@@ -1006,19 +1034,19 @@ class TestScreening:
     def test_project_is_complex_only_for_odd_y(self, rng):
         odd_y, states = closed_sum(rng, 7, (0, 2, 3, 6), 40)
         assert any(s.y_count % 2 for _, s in odd_y)
-        matrix = project(odd_y, states)
+        matrix = project_masks(odd_y, masks_of(states))
         assert matrix.dtype == np.complex128 and np.abs(matrix.imag).max() > 0
         expected = np.array([[sum_matrix_element(m, odd_y, n) for n in states] for m in states])
         assert np.array_equal(matrix.view(np.uint64), expected.view(np.uint64))
         real = random_conserving_hamiltonian(rng, 6, max_strings=60)
-        assert project(real, sector_basis(6, 3)).dtype == np.float64
+        assert project_masks(real, masks_of(sector_basis(6, 3))).dtype == np.float64
 
     def test_project_rejects_mismatched_states(self):
         hamiltonian = PauliSum.from_label_weights([(1.0, "ZIII")])
         with pytest.raises(ValueError, match="length mismatch"):
-            project(hamiltonian, [BasisState("110")])
+            basis_from_states(hamiltonian, [BasisState("110")])
 
     def test_project_rejects_repeated_states(self):
         hamiltonian = PauliSum.from_label_weights([(1.0, "XZ"), (0.5, "ZI")])
         with pytest.raises(ValueError, match="distinct"):
-            project(hamiltonian, [BasisState("10"), BasisState("01"), BasisState("10")])
+            project_masks(hamiltonian, masks_of([BasisState("10"), BasisState("01"), BasisState("10")]))

@@ -22,7 +22,7 @@ from heffsolve.subspace import (
     save_states,
 )
 
-from conftest import random_conserving_hamiltonian
+from conftest import bit_strings, random_conserving_hamiltonian
 
 SECTOR_BASES = ["1100", "1010", "1001", "0110", "0101", "0011"]
 
@@ -41,11 +41,11 @@ def level_hamiltonian(levels):
 class TestFindReference:
     def test_fills_lowest_levels(self):
         hamiltonian = level_hamiltonian((-2.0, -1.0, 1.0, 3.0))
-        assert find_reference(hamiltonian, 2).bits == "1100"
+        assert find_reference(hamiltonian, 2) == BasisState("1100").mask
 
     def test_all_equal_diagonal_breaks_ties_lexicographically(self):
         hamiltonian = PauliSum.from_label_weights([(1.0, "IIII")])
-        assert find_reference(hamiltonian, 2).bits == "0011"
+        assert find_reference(hamiltonian, 2) == BasisState("0011").mask
 
     def test_monte_carlo_matches_exhaustive(self, rng):
         hits = 0
@@ -70,9 +70,7 @@ class TestFindReference:
             strategy = MonteCarloSearch(steps=3, seed=seed)
             result = find_reference(hamiltonian, 4, strategy)
             start_rng = np.random.Generator(np.random.Philox(seed))
-            start = BasisState.from_occupied(
-                (int(v) for v in start_rng.choice(8, size=4, replace=False)), 8
-            )
+            start = sum(1 << int(v) for v in start_rng.choice(8, size=4, replace=False))
             assert diagonal_energy(hamiltonian, result) <= diagonal_energy(hamiltonian, start) + 1e-12
 
     def test_monte_carlo_phases_the_diagonal_once(self, rng, monkeypatch):
@@ -100,7 +98,7 @@ class TestFindReference:
         monkeypatch.undo()
         assert len(built) == 1 and hamiltonian.groups is built[0]
         for mask, energy in evaluated:
-            assert energy == diagonal_energy(hamiltonian, BasisState.from_mask(mask, 8))
+            assert energy == diagonal_energy(hamiltonian, mask)
 
     @pytest.mark.parametrize(
         "schedule",
@@ -125,11 +123,11 @@ class TestFindReference:
         hamiltonian = PauliSum.from_label_weights([(1.0, "IIII")])
         for cooling in (1.0, 0.5):
             reference = find_reference(hamiltonian, 2, MonteCarloSearch(steps=20, cooling=cooling))
-            assert reference.particle_number == 2
+            assert reference.bit_count() == 2
 
     def test_flat_diagonal_returns_the_smallest_bit_string(self):
         hamiltonian = PauliSum.from_label_weights([(1.0, "I" * 10)])
-        assert find_reference(hamiltonian, 5).bits == "0000011111"
+        assert find_reference(hamiltonian, 5) == BasisState("0000011111").mask
 
     @pytest.mark.parametrize("num", [8, 10, 12])
     @pytest.mark.parametrize("kind", ["random", "degenerate"])
@@ -140,9 +138,8 @@ class TestFindReference:
                 hamiltonian = random_conserving_hamiltonian(rng, num, fermionic_terms=6)
             else:
                 hamiltonian = level_hamiltonian(rng.integers(-1, 2, size=num).astype(float))
-            sector = [BasisState.from_occupied(occ, num)
-                      for occ in itertools.combinations(range(num), num // 2)]
-            best = min(sector, key=lambda s: (diagonal_energy(hamiltonian, s), s.bits))
+            sector = [sum(1 << q for q in occ) for occ in itertools.combinations(range(num), num // 2)]
+            best = min(sector, key=lambda m: (diagonal_energy(hamiltonian, m), bit_strings([m], num)[0]))
             assert find_reference(hamiltonian, num // 2) == best
 
     def test_invalid_particle_number(self):
@@ -155,28 +152,28 @@ class TestFindReference:
 
 class TestEnumerateExcitations:
     def test_singles(self):
-        states = enumerate_excitations(BasisState("1100"), 1)
-        assert sorted(s.bits for s in states) == sorted(["1010", "1001", "0110", "0101"])
+        masks = enumerate_excitations(BasisState("1100").mask, 4, 1)
+        assert sorted(bit_strings(masks, 4)) == sorted(["1010", "1001", "0110", "0101"])
 
     def test_doubles(self):
-        states = enumerate_excitations(BasisState("1100"), 2)
-        assert [s.bits for s in states] == ["0011"]
+        masks = enumerate_excitations(BasisState("1100").mask, 4, 2)
+        assert bit_strings(masks, 4) == ["0011"]
 
     def test_order_zero_is_reference(self):
-        ref = BasisState("1100")
-        assert enumerate_excitations(ref, 0) == [ref]
+        ref = BasisState("1100").mask
+        assert enumerate_excitations(ref, 4, 0).tolist() == [ref]
 
     def test_too_large_order_is_empty(self):
-        assert enumerate_excitations(BasisState("1100"), 3) == []
+        assert enumerate_excitations(BasisState("1100").mask, 4, 3).tolist() == []
 
     def test_counts_match_binomials(self):
         for n, n_f in ((6, 2), (8, 4), (10, 3)):
-            ref = BasisState.from_occupied(range(n_f), n)
+            ref = (1 << n_f) - 1
             for order in range(min(n_f, n - n_f) + 1):
-                states = enumerate_excitations(ref, order)
-                assert len(states) == comb(n_f, order) * comb(n - n_f, order)
-                assert len({s.bits for s in states}) == len(states)
-                assert all(s.particle_number == n_f for s in states)
+                masks = enumerate_excitations(ref, n, order).tolist()
+                assert len(masks) == comb(n_f, order) * comb(n - n_f, order)
+                assert len(set(masks)) == len(masks)
+                assert all(m.bit_count() == n_f for m in masks)
 
     @pytest.mark.parametrize(
         "bits, order",
@@ -189,17 +186,16 @@ class TestEnumerateExcitations:
     )
     def test_order_matches_nested_combinations(self, bits, order):
         # vacated sets outer, filled sets inner, each in itertools.combinations order
-        reference = BasisState(bits)
+        occupied = [i for i, c in enumerate(bits) if c == "1"]
+        unoccupied = [i for i, c in enumerate(bits) if c == "0"]
         expected = []
-        for vacate in itertools.combinations(reference.occupied(), order):
-            for fill in itertools.combinations(reference.unoccupied(), order):
-                occupied = (set(reference.occupied()) - set(vacate)) | set(fill)
-                expected.append(BasisState.from_occupied(occupied, len(bits)))
-        assert enumerate_excitations(reference, order) == expected
+        for vacate in itertools.combinations(occupied, order):
+            for fill in itertools.combinations(unoccupied, order):
+                expected.append(sum(1 << q for q in (set(occupied) - set(vacate)) | set(fill)))
+        assert enumerate_excitations(BasisState(bits).mask, len(bits), order).tolist() == expected
 
     def test_lih_scale_total(self):
-        ref = BasisState.from_occupied(range(4), 12)
-        total = sum(len(enumerate_excitations(ref, k)) for k in range(5))
+        total = sum(len(enumerate_excitations(0b1111, 12, k)) for k in range(5))
         assert total == 495
 
 
@@ -213,7 +209,7 @@ class TestBuildSubspace:
     def test_order_zero(self):
         hamiltonian = level_hamiltonian((-2.0, -1.0, 1.0, 3.0))
         basis = build_subspace(hamiltonian, SubspaceSpec(2, 0))
-        assert basis.size == 1 and basis.states[0] == basis.reference
+        assert basis.size == 1 and basis.states[0].bits == basis.reference.bits
 
     def test_truncation_keeps_lowest(self):
         hamiltonian = level_hamiltonian((-2.0, -1.0, 1.0, 3.0))
@@ -271,14 +267,54 @@ class TestBuildSubspace:
         tail = [s.bits for s in basis.states[1:]]
         assert tail == sorted(tail)
 
+    def test_mixed_ties_sort_by_energy_then_bit_string(self):
+        # small-integer Z and ZZ weights: many diagonal energies tie, but not all
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        @st.composite
+        def cases(draw):
+            num = draw(st.sampled_from((10, 12)))
+            weight = st.integers(-2, 2).filter(bool)
+            pairs = [(draw(weight), q, -1) for q in draw(st.sets(st.integers(0, num - 1), min_size=1))]
+            pairs += [
+                (draw(weight), *pair)
+                for pair in draw(st.sets(st.tuples(st.integers(0, num - 1), st.integers(0, num - 1))
+                                         .filter(lambda p: p[0] < p[1]), max_size=6))
+            ]
+            particles = draw(st.integers(2, num - 2))
+            order = draw(st.integers(2, min(3, particles, num - particles)))
+            return num, pairs, particles, order, draw(st.integers(1, 700))
+
+        def energy(pairs, mask):
+            # <n|Z_p Z_q|n> = (-1)**(n_p + n_q), with q = -1 for a lone Z_p
+            return float(sum(w * (-1) ** ((mask >> p & 1) + (q >= 0 and mask >> q & 1)) for w, p, q in pairs))
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(cases())
+        def check(case):
+            num, pairs, particles, order, size = case
+            labels = [(float(w), "".join("Z" if k in (p, q) else "I" for k in range(num))) for w, p, q in pairs]
+            hamiltonian = PauliSum.from_label_weights(labels, num)
+            full = build_subspace(hamiltonian, SubspaceSpec(particles, order)).masks.tolist()
+            expected = sorted(range(1, len(full)), key=lambda k: (energy(pairs, full[k]),
+                                                                 bit_strings([full[k]], num)[0]))
+            assert full == [full[0], *(full[k] for k in expected)]
+            energies = [energy(pairs, m) for m in full[1:]]
+            assert len(set(energies)) < len(energies)
+            truncated = build_subspace(hamiltonian, SubspaceSpec(particles, order, size))
+            assert truncated.masks.tolist() == full[:size]
+
+        check()
+
     def test_basis_invariants_enforced(self):
-        ref = BasisState("1100")
+        ref = BasisState("1100").mask
         with pytest.raises(ValueError, match="reference"):
-            SubspaceBasis(ref, (BasisState("1010"),), (0.0,))
+            SubspaceBasis(np.zeros(0, dtype=np.uint64), (), 4)
         with pytest.raises(ValueError, match="sectors"):
-            SubspaceBasis(ref, (ref, BasisState("1110")), (0.0, 0.0))
+            SubspaceBasis([ref, BasisState("1110").mask], (0.0, 0.0), 4)
         with pytest.raises(ValueError, match="duplicate"):
-            SubspaceBasis(ref, (ref, ref), (0.0, 0.0))
+            SubspaceBasis([ref, ref], (0.0, 0.0), 4)
 
 
 class TestStatesFile:
