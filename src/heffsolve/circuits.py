@@ -27,12 +27,13 @@ dense outcome vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from . import spectra
 from .pauli import PauliOp, PauliString, sites
+from .records import Frozen
 
 __all__ = [
     "Gate",
@@ -68,8 +69,7 @@ _CONTROLLED = {"cx": "x", "cy": "y", "cz": "z"}
 _GATE_KINDS = frozenset(_MAT_1Q) - {"y", "z"} | frozenset(_CONTROLLED)
 
 
-@dataclass(frozen=True, slots=True)
-class Gate:
+class Gate(NamedTuple):
     """One gate: kind, qubit indices (control first for controlled kinds)."""
 
     kind: str
@@ -110,43 +110,44 @@ class Gate:
         return _MAT_1Q[_CONTROLLED.get(self.kind, self.kind)]
 
 
-@dataclass(slots=True)
 class Circuit:
     """An ordered gate list on ``total_qubits`` wires.
 
     ``measured_qubits`` lists the wires read out at the end (ascending,
     default all); sampled bit strings use one character per measured wire.
+    The constructor, :meth:`add` and :meth:`extend` check each gate they take.
     """
 
-    total_qubits: int
-    gates: list[Gate] = field(default_factory=list)
-    measured_qubits: tuple[int, ...] | None = None
+    __slots__ = ("total_qubits", "gates", "measured_qubits")
 
-    def __post_init__(self) -> None:
-        for gate in self.gates:
-            self._check(gate)
-        if self.measured_qubits is not None:
-            self.measured_qubits = tuple(sorted(self.measured_qubits))
-            for q in self.measured_qubits:
-                if not 0 <= q < self.total_qubits:
+    def __init__(
+        self, total_qubits: int, gates: Iterable[Gate] = (),
+        measured_qubits: tuple[int, ...] | None = None,
+    ):
+        self.total_qubits = total_qubits
+        self.gates: list[Gate] = []
+        self.extend(gates)
+        if measured_qubits is not None:
+            measured_qubits = tuple(sorted(measured_qubits))
+            for q in measured_qubits:
+                if not 0 <= q < total_qubits:
                     raise ValueError(f"measured qubit {q} out of range")
-
-    def _check(self, gate: Gate) -> None:
-        if gate.kind not in _GATE_KINDS:
-            raise ValueError(f"unknown gate kind {gate.kind!r}")
-        for q in gate.qubits:
-            if not 0 <= q < self.total_qubits:
-                raise ValueError(f"qubit {q} out of range for {self.total_qubits} wires")
-        if gate.is_controlled and gate.qubits[0] == gate.qubits[1]:
-            raise ValueError("control and target coincide")
+        self.measured_qubits = measured_qubits
 
     def add(self, gate: Gate) -> None:
-        self._check(gate)
-        self.gates.append(gate)
+        self.extend((gate,))
 
-    def extend(self, gates) -> None:
-        for gate in gates:
-            self.add(gate)
+    def extend(self, gates: Iterable[Gate]) -> None:
+        gates = list(gates)
+        for kind, qubits in gates:
+            if kind not in _GATE_KINDS:
+                raise ValueError(f"unknown gate kind {kind!r}")
+            for q in qubits:
+                if not 0 <= q < self.total_qubits:
+                    raise ValueError(f"qubit {q} out of range for {self.total_qubits} wires")
+            if kind in _CONTROLLED and qubits[0] == qubits[1]:
+                raise ValueError("control and target coincide")
+        self.gates.extend(gates)
 
     @property
     def measured(self) -> tuple[int, ...]:
@@ -202,14 +203,12 @@ def build_offdiagonal_circuit(n: int, nprime: int, num_qubits: int, part: str) -
     if n == nprime:
         raise ValueError("n == n'; diagonal elements use plain basis preparation")
     anc = prep_ancilla_index(num_qubits)
-    circuit = Circuit(num_qubits + 1)
-    circuit.add(Gate.h(anc))
-    circuit.extend(controlled_prepare(nprime, num_qubits, anc, 0))
-    circuit.extend(controlled_prepare(n, num_qubits, anc, 1))
+    gates = [Gate.h(anc), *controlled_prepare(nprime, num_qubits, anc, 0),
+             *controlled_prepare(n, num_qubits, anc, 1)]
     if part == "imag":
-        circuit.add(Gate.sdg(anc))
-    circuit.add(Gate.h(anc))
-    return circuit
+        gates.append(Gate.sdg(anc))
+    gates.append(Gate.h(anc))
+    return Circuit(num_qubits + 1, gates)
 
 
 def build_indirect_circuit(
@@ -233,27 +232,21 @@ def build_indirect_circuit(
     if n == nprime:
         raise ValueError("n == n'; diagonal elements use plain basis preparation")
     prep, meas = prep_ancilla_index(num_qubits), measure_ancilla_index(num_qubits)
-    circuit = Circuit(num_qubits + 2)
-    circuit.add(Gate.h(prep))
-    circuit.add(Gate.h(meas))
-    circuit.extend(controlled_prepare(nprime, num_qubits, prep, 0))
-    circuit.extend(controlled_prepare(n, num_qubits, prep, 1))
+    gates = [Gate.h(prep), Gate.h(meas), *controlled_prepare(nprime, num_qubits, prep, 0),
+             *controlled_prepare(n, num_qubits, prep, 1)]
     for site in sites(x_mask | z_mask):
         op = PauliOp("IXZY"[x_mask >> site & 1 | (z_mask >> site & 1) << 1])
-        circuit.add(Gate.controlled_pauli(meas, site, op))
+        gates.append(Gate.controlled_pauli(meas, site, op))
     if part == "imag":
-        circuit.add(Gate.sdg(prep))
-    circuit.add(Gate.h(prep))
-    circuit.add(Gate.h(meas))
-    return circuit
+        gates.append(Gate.sdg(prep))
+    gates += [Gate.h(prep), Gate.h(meas)]
+    return Circuit(num_qubits + 2, gates)
 
 
 def prepare_basis_circuit(n: int, num_qubits: int) -> Circuit:
     """X gates preparing the mask ``|n>`` on a bare ``num_qubits``-qubit
     target register (diagonal entries)."""
-    circuit = Circuit(num_qubits)
-    circuit.extend(Gate.x(i) for i in sites(n))
-    return circuit
+    return Circuit(num_qubits, [Gate.x(i) for i in sites(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +373,7 @@ def sparse_expectation(state: dict[int, complex], x_mask: int, z_mask: int) -> f
 # Readout noise and finite-shot sampling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class ReadoutNoise:
+class ReadoutNoise(Frozen):
     """Asymmetric per-qubit readout flip channel.
 
     ``p01`` is the probability of reading 1 when the true bit is 0, ``p10``
@@ -389,11 +381,11 @@ class ReadoutNoise:
     wire.  Probabilities must lie in [0, 0.5) so the channel is invertible.
     """
 
-    p01: float | tuple[float, ...] = 0.0
-    p10: float | tuple[float, ...] = 0.0
+    __slots__ = ("p01", "p10")
 
-    def __post_init__(self) -> None:
-        for name, value in (("p01", self.p01), ("p10", self.p10)):
+    def __init__(self, p01: float | tuple[float, ...] = 0.0, p10: float | tuple[float, ...] = 0.0):
+        self._set(p01, p10)
+        for name, value in (("p01", p01), ("p10", p10)):
             values = value if isinstance(value, tuple) else (value,)
             for p in values:
                 if not 0.0 <= p < 0.5:

@@ -21,7 +21,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, replace
 from math import comb
 from pathlib import Path
 
@@ -43,6 +42,7 @@ from .fermion import (
     load_fermion_hamiltonian,
 )
 from .pauli import PauliFormatError, PauliSum, load_pauli_sum, save_pauli_sum
+from .records import Frozen
 from .spectra import (
     MAX_DENSE_DIMENSION,
     CapacityError,
@@ -68,6 +68,9 @@ CHEMICAL_ACCURACY = 5e-3  # Hartree
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
+
+#: The most bins ``--dos-bins`` may ask for; each is one line of ``dos.csv``.
+MAX_DOS_BINS = 10**6
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -100,8 +103,7 @@ def _load_hamiltonian(path: str, fmt: str) -> PauliSum:
     return hamiltonian
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Frozen):
     """Everything a solve/scan run depends on; :meth:`describe` echoes it into
     the manifest.  It holds the objects that check its settings: ``subspace``,
     the ``annealing`` schedule (checked and recorded whatever the strategy) and
@@ -109,17 +111,16 @@ class RunConfig:
     ``seed``), so a bad configuration is rejected before any file is written.
     """
 
-    input_path: str
-    out_dir: str
-    subspace: SubspaceSpec
-    annealing: MonteCarloSearch
-    backend: Backend
-    basis_file: str | None
-    seed: int
-    repeats: int
-    levels: int
-    dos_bins: int
-    format: str
+    __slots__ = ("input_path", "out_dir", "subspace", "annealing", "backend", "basis_file",
+                 "seed", "repeats", "levels", "dos_bins", "format")
+
+    def __init__(
+        self, input_path: str, out_dir: str, subspace: SubspaceSpec, annealing: MonteCarloSearch,
+        backend: Backend, basis_file: str | None, seed: int, repeats: int, levels: int,
+        dos_bins: int, format: str,
+    ):
+        self._set(input_path, out_dir, subspace, annealing, backend, basis_file, seed, repeats,
+                  levels, dos_bins, format)
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
@@ -185,7 +186,7 @@ def _solve_one(hamiltonian: PauliSum, basis: SubspaceBasis, config: RunConfig, r
     out_dir.mkdir(parents=True, exist_ok=True)
     backend = config.backend
     if backend.kind == "sampled":
-        backend = replace(backend, seed=derive_seed(config.seed, 4, run_index))
+        backend = backend._replace(seed=derive_seed(config.seed, 4, run_index))
     heff = build_effective_hamiltonian(hamiltonian, basis, backend)
     spectrum = eigendecompose(heff, compute_vectors=False)
     _write_text(out_dir / "heff.json", heff_to_json(heff_to_dict(heff)) + "\n")
@@ -322,7 +323,7 @@ def _cmd_scan(args) -> int:
     # Every point passes its checks before any is solved, so a bad point
     # leaves no directory behind.
     configs = [
-        replace(base, input_path=str(path), out_dir=str(out_root / path.stem)) for _, path in points
+        base._replace(input_path=str(path), out_dir=str(out_root / path.stem)) for _, path in points
     ]
     prepared = [_prepare(config) for config in configs]
     if len({hamiltonian.qubit_count for hamiltonian, _, _ in prepared}) > 1:
@@ -397,7 +398,8 @@ def _words(*words: str) -> dict[str, str]:
 # or a dict from each accepted word to its value), whether HEFFSOLVE_<DEST>
 # gives the text when the flag is absent, and its default; None leaves the
 # default to the class that takes the setting (Backend, MonteCarloSearch,
-# SubspaceSpec), which checks its range.  ``_LEAST`` bounds the other counts.
+# SubspaceSpec), which checks its range.  ``_LEAST`` and ``_MOST`` bound the
+# other counts.
 _SETTINGS = {
     "nf": (int, False, None),
     "order": (int, True, 2),
@@ -420,6 +422,7 @@ _SETTINGS = {
     "qubits": (int, False, None),
 }
 _LEAST = {"nf": 0, "shots": 0, "repeats": 1, "levels": 1, "dos_bins": 1, "qubits": 1}
+_MOST = {"dos_bins": MAX_DOS_BINS}
 _BACKEND_FIELDS = {"backend": "kind", "shots": "shots", "noise": "noise", "mitigate": "mitigation",
                    "style": "measurement_style", "diagonals": "measure_diagonals_with_circuits"}
 _ANNEALING_FIELDS = {"mc_steps": "steps", "mc_t0": "initial_temperature", "mc_cooling": "cooling"}
@@ -450,6 +453,8 @@ def _settings(args: argparse.Namespace) -> tuple[dict, dict]:
             values[name] = parse[text] if isinstance(parse, dict) else parse(text)
             if name in _LEAST and values[name] < _LEAST[name]:
                 raise ValueError(f"must be at least {_LEAST[name]}, got {values[name]}")
+            if name in _MOST and values[name] > _MOST[name]:
+                raise ValueError(f"must be at most {_MOST[name]}, got {values[name]}")
         except ValueError as exc:
             raise ValueError(f"{given[name]} is not a valid value: {exc}") from None
     return values, given

@@ -40,9 +40,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +67,7 @@ from .circuits import (
     state_expectation,
 )
 from .pauli import BasisState, PauliSum, flip_cells, project_masks, sites
+from .records import Frozen
 from .subspace import SubspaceBasis, diagonal_energy
 
 __all__ = [
@@ -93,8 +94,7 @@ _TAG_OFFDIAGONAL = 2
 _TAG_CALIBRATION = 3
 
 
-@dataclass(frozen=True, slots=True)
-class Backend:
+class Backend(Frozen):
     """How matrix elements are evaluated.
 
     ``oracle`` computes them combinatorially; ``exact`` runs the measurement
@@ -107,16 +107,17 @@ class Backend:
     ``measure_diagonals_with_circuits`` (circuit backends) forces the all-hardware mode.
     """
 
-    kind: str = "oracle"
-    shots: int = 8000
-    seed: int = 0
-    noise: ReadoutNoise | None = None
-    mitigation: bool = False
-    measurement_style: str = "direct"
-    measure_diagonals_with_circuits: bool = False
-    calibration_shots: int | None = None
+    __slots__ = ("kind", "shots", "seed", "noise", "mitigation", "measurement_style",
+                 "measure_diagonals_with_circuits", "calibration_shots")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, kind: str = "oracle", shots: int = 8000, seed: int = 0,
+        noise: ReadoutNoise | None = None, mitigation: bool = False,
+        measurement_style: str = "direct", measure_diagonals_with_circuits: bool = False,
+        calibration_shots: int | None = None,
+    ):
+        self._set(kind, shots, seed, noise, mitigation, measurement_style,
+                  measure_diagonals_with_circuits, calibration_shots)
         if self.kind not in _BACKEND_KINDS:
             raise ValueError(f"unknown backend kind {self.kind!r}")
         if self.measurement_style not in _STYLES:
@@ -162,8 +163,7 @@ class Backend:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class MeasurementEstimate:
+class MeasurementEstimate(NamedTuple):
     """One estimated matrix element and its statistical pedigree.
 
     Shots are not kept: each readout's draw is reduced to a mean and
@@ -181,8 +181,7 @@ class MeasurementEstimate:
     settings: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class CalibrationMatrix:
+class CalibrationMatrix(Frozen):
     """Per-qubit 2x2 column-stochastic confusion matrices ``A_q``.
 
     The composite channel is their tensor product and is never formed.  Each
@@ -191,28 +190,24 @@ class CalibrationMatrix:
     :func:`_outcome_values` reads each parity term.
     """
 
-    matrices: tuple[np.ndarray, ...]
-    pullbacks: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    readout_factors: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("matrices", "pullbacks", "readout_factors")
 
-    def __post_init__(self) -> None:
-        for m in self.matrices:
+    def __init__(self, matrices: tuple[np.ndarray, ...]):
+        for m in matrices:
             if m.shape != (2, 2):
                 raise ValueError("calibration matrices must be 2x2")
             if not np.allclose(m.sum(axis=0), 1.0, atol=1e-9):
                 raise ValueError("calibration matrix columns must sum to 1")
             if abs(np.linalg.det(m)) < 1e-9:
                 raise ValueError("singular calibration matrix")
-        pullbacks = tuple(np.linalg.inv(m).T for m in self.matrices)
-        object.__setattr__(self, "pullbacks", pullbacks)
-        object.__setattr__(self, "readout_factors", np.array([p @ (1.0, -1.0) for p in pullbacks]))
+        pullbacks = tuple(np.linalg.inv(m).T for m in matrices)
+        self._set(matrices, pullbacks, np.array([p @ (1.0, -1.0) for p in pullbacks]))
 
     def matrix_for(self, qubit: int) -> np.ndarray:
         return self.matrices[qubit]
 
 
-@dataclass(frozen=True, slots=True)
-class CircuitCounts:
+class CircuitCounts(NamedTuple):
     """Execution accounting for one effective-Hamiltonian build, summed
     over its :class:`EffectiveHamiltonian` entry arrays.
 
@@ -252,8 +247,7 @@ class CircuitCounts:
         }
 
 
-@dataclass(slots=True)
-class EffectiveHamiltonian:
+class EffectiveHamiltonian(NamedTuple):
     """The projected Hamiltonian over a subspace basis, exactly Hermitian.
 
     A measuring backend gives a complex ``matrix`` and the statistics of

@@ -14,12 +14,13 @@ creation operator takes the ``- i Y`` branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, TextIO
+import math
+from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
 from .pauli import WEIGHT_TOLERANCE, PauliSum, _flip_amplitudes, multiply_masks
+from .records import Frozen
 
 __all__ = [
     "FermionTerm",
@@ -34,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class FermionTerm:
+class FermionTerm(NamedTuple):
     """One product of ladder operators with a coefficient (Hartree).
 
     ``factors`` is an ordered sequence of ``(mode, dagger)``; the operator is
@@ -50,19 +50,17 @@ class FermionTerm:
         return 2 * daggers == len(self.factors)
 
 
-@dataclass(frozen=True, slots=True)
-class FermionHamiltonian:
+class FermionHamiltonian(Frozen):
     """Particle-conserving one- and two-body Hamiltonian on ``mode_count`` modes.
 
     ``constant`` is a scalar shift (e.g. nuclear-nuclear repulsion) carried
     into the identity string by the qubit map.
     """
 
-    terms: tuple[FermionTerm, ...]
-    mode_count: int
-    constant: float = 0.0
+    __slots__ = ("terms", "mode_count", "constant")
 
-    def __post_init__(self) -> None:
+    def __init__(self, terms: tuple[FermionTerm, ...], mode_count: int, constant: float = 0.0):
+        self._set(terms, mode_count, constant)
         for term in self.terms:
             if len(term.factors) not in (2, 4):
                 raise ValueError(
@@ -200,6 +198,8 @@ def parse_fermion_hamiltonian(text: str | Iterable[str]) -> FermionHamiltonian:
                 constant = float(fields[1])
             except (IndexError, ValueError):
                 raise FermionFormatError(lineno, f"bad constant line {raw.strip()!r}") from None
+            if not math.isfinite(constant):
+                raise FermionFormatError(lineno, f"non-finite constant in {raw.strip()!r}")
             continue
         if mode_count is None:
             raise FermionFormatError(lineno, "term before 'modes N' header")
@@ -209,6 +209,8 @@ def parse_fermion_hamiltonian(text: str | Iterable[str]) -> FermionHamiltonian:
             re_part, im_part = float(fields[0]), float(fields[1])
         except ValueError:
             raise FermionFormatError(lineno, f"bad coefficient in {raw.strip()!r}") from None
+        if not (math.isfinite(re_part) and math.isfinite(im_part)):
+            raise FermionFormatError(lineno, f"non-finite coefficient in {raw.strip()!r}")
         factors = tuple(_parse_factor(tok, lineno) for tok in fields[2:])
         terms.append(FermionTerm(complex(re_part, im_part), factors))
     if mode_count is None:

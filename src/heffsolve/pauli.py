@@ -17,6 +17,7 @@ strings are only parsed, printed and shown in messages.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -189,7 +190,8 @@ class PauliSum:
 
     Every sum is normalized: duplicate strings merge and terms with weight
     below ``WEIGHT_TOLERANCE`` drop; merge order follows first appearance, so
-    sums are deterministic for a given term order.
+    sums are deterministic for a given term order.  A merged weight that is
+    not finite (NaN or infinite) is a ValueError.
     """
 
     __slots__ = ("x", "z", "w", "qubit_count", "_groups")
@@ -220,6 +222,8 @@ class PauliSum:
         merged: dict[tuple[int, int], complex] = {}
         for key, weight in zip(masks, w):
             merged[key] = merged.get(key, 0) + complex(weight)
+        if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in merged.values()):
+            raise ValueError("Pauli weights must be finite")
         kept = [key for key, v in merged.items() if abs(v) > WEIGHT_TOLERANCE]
         self.x, self.z = np.array(kept, dtype=np.uint64).reshape(-1, 2).T.copy()
         self.w = np.array([merged[key] for key in kept], dtype=complex)
@@ -467,6 +471,8 @@ def parse_pauli_sum(text: str | Iterable[str]) -> PauliSum:
             re_part, im_part = float(fields[0]), float(fields[1])
         except ValueError:
             raise PauliFormatError(lineno, f"bad weight in {raw.strip()!r}") from None
+        if not (math.isfinite(re_part) and math.isfinite(im_part)):
+            raise PauliFormatError(lineno, f"non-finite weight in {raw.strip()!r}")
         try:
             string = PauliString(fields[2])
         except ValueError as exc:
@@ -482,7 +488,10 @@ def parse_pauli_sum(text: str | Iterable[str]) -> PauliSum:
         terms.append((complex(re_part, im_part), string))
     if qubit_count is None:
         raise PauliFormatError(len(lines) + 1, "no terms found")
-    return PauliSum(terms, qubit_count)
+    try:
+        return PauliSum(terms, qubit_count)
+    except ValueError as exc:  # finite weights that merge past the float range
+        raise PauliFormatError(len(lines) + 1, str(exc)) from None
 
 
 def format_pauli_sum(hamiltonian: PauliSum) -> str:

@@ -12,8 +12,8 @@ Hamiltonian that matrix is real and never copied to complex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ class CapacityError(RuntimeError):
     """A requested dense computation exceeds the supported size."""
 
 
-@dataclass(slots=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Ascending eigenvalues, optional orthonormal eigenvector columns."""
 
     eigenvalues: np.ndarray
@@ -62,8 +61,7 @@ class Spectrum:
         return int(self.eigenvalues.shape[0])
 
 
-@dataclass(slots=True)
-class DosHistogram:
+class DosHistogram(NamedTuple):
     """Unnormalized eigenvalue histogram: right-open bins, last bin closed."""
 
     bin_edges: np.ndarray
@@ -83,7 +81,11 @@ def _check_hermitian(matrix: np.ndarray) -> np.ndarray:
         # np.conjugate copies; a real array's .conj() is the array itself
         diff = np.conjugate(matrix[:, strip]).T
         np.subtract(matrix[strip], diff, out=diff)
-        deviation = max(deviation, float(np.abs(diff).max()))
+        strip_deviation = float(np.abs(diff).max())
+        # a NaN or infinite entry makes its own difference NaN or infinite
+        if not math.isfinite(strip_deviation):
+            raise ValueError("matrix has non-finite entries")
+        deviation = max(deviation, strip_deviation)
     if deviation > _HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {deviation:.3e})")
     return matrix
@@ -114,7 +116,8 @@ def eigendecompose(heff_or_matrix, compute_vectors: bool = True) -> Spectrum:
     eigenvalues of a block do not depend on states it does not couple to.
     A real matrix, or one whose imaginary part is exactly zero, goes to the
     real symmetric routine and then has real eigenvectors.  Non-Hermitian
-    input beyond 1e-9 is rejected.
+    input beyond 1e-9, and a NaN or infinite entry, are rejected
+    (ValueError).
     """
     matrix = getattr(heff_or_matrix, "matrix", heff_or_matrix)
     matrix = _check_hermitian(matrix)

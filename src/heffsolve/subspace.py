@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from .pauli import BasisState, PauliSum, _flip_amplitudes, _require_equal_length, sites, string_order
+from .records import Frozen
 
 __all__ = [
     "ExhaustiveSearch",
@@ -38,13 +38,11 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True, slots=True)
-class ExhaustiveSearch:
+class ExhaustiveSearch(NamedTuple):
     """Scan every configuration of the particle sector for the exact argmin."""
 
 
-@dataclass(frozen=True, slots=True)
-class MonteCarloSearch:
+class MonteCarloSearch(Frozen):
     """Simulated annealing over occupied/unoccupied swaps.
 
     Geometric cooling ``T_k = T0 * cooling**k`` with ``0 < cooling <= 1``;
@@ -54,12 +52,13 @@ class MonteCarloSearch:
     returned, so the result never exceeds the starting energy.
     """
 
-    steps: int = 2000
-    seed: int = 0
-    initial_temperature: float | None = None
-    cooling: float = 0.95
+    __slots__ = ("steps", "seed", "initial_temperature", "cooling")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, steps: int = 2000, seed: int = 0, initial_temperature: float | None = None,
+        cooling: float = 0.95,
+    ):
+        self._set(steps, seed, initial_temperature, cooling)
         if self.steps < 0:
             raise ValueError(f"annealing steps must be nonnegative, got {self.steps}")
         t0 = self.initial_temperature
@@ -68,28 +67,37 @@ class MonteCarloSearch:
         if not 0.0 < self.cooling <= 1.0:
             raise ValueError(f"annealing cooling factor must lie in (0, 1], got {self.cooling}")
 
+    def _key(self) -> tuple:
+        return self.steps, self.seed, self.initial_temperature, self.cooling
 
-@dataclass(frozen=True, slots=True)
-class SubspaceSpec:
+    # by value: RunConfig.describe reads the strategy as "mc" when it equals the schedule
+    def __eq__(self, other: object) -> bool:
+        return type(other) is MonteCarloSearch and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class SubspaceSpec(Frozen):
     """What to select: sector, excitation truncation, size, search strategy.
 
     ``target_size`` of None keeps every enumerated configuration.
     """
 
-    particle_number: int
-    max_excitation_order: int
-    target_size: int | None = None
-    search_strategy: ExhaustiveSearch | MonteCarloSearch = ExhaustiveSearch()
+    __slots__ = ("particle_number", "max_excitation_order", "target_size", "search_strategy")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, particle_number: int, max_excitation_order: int, target_size: int | None = None,
+        search_strategy: ExhaustiveSearch | MonteCarloSearch = ExhaustiveSearch(),
+    ):
+        self._set(particle_number, max_excitation_order, target_size, search_strategy)
         if self.max_excitation_order < 0:
             raise ValueError("excitation order must be nonnegative")
         if self.target_size is not None and self.target_size < 1:
             raise ValueError("target size must be at least 1")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class SubspaceBasis:
+class SubspaceBasis(Frozen):
     """An ordered basis of ``qubit_count``-bit occupation masks: the reference
     first, then ascending diagonal energy.
 
@@ -99,13 +107,11 @@ class SubspaceBasis:
     messages.
     """
 
-    masks: np.ndarray
-    diagonal_energies: np.ndarray
-    qubit_count: int
+    __slots__ = ("masks", "diagonal_energies", "qubit_count")
 
-    def __post_init__(self) -> None:
-        masks = np.array(self.masks, dtype=np.uint64)
-        energies = np.array(self.diagonal_energies, dtype=float)
+    def __init__(self, masks: np.ndarray, diagonal_energies: np.ndarray, qubit_count: int):
+        masks = np.array(masks, dtype=np.uint64)
+        energies = np.array(diagonal_energies, dtype=float)
         if not masks.size:
             raise ValueError("a basis holds the reference first, and this one holds no state")
         if energies.shape != masks.shape:
@@ -116,9 +122,9 @@ class SubspaceBasis:
         ascending = np.sort(masks)
         if np.any(ascending[1:] == ascending[:-1]):
             raise ValueError("duplicate basis states")
-        for name, array in (("masks", masks), ("diagonal_energies", energies)):
+        for array in (masks, energies):
             array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        self._set(masks, energies, qubit_count)
 
     @property
     def size(self) -> int:

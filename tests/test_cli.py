@@ -364,6 +364,30 @@ class TestInputValidation:
     def test_zero_dos_bins(self, tmp_path, capsys, h2_path):
         assert "--dos-bins" in self.rejected(tmp_path, capsys, h2_path, "--dos-bins", "0")
 
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("nan.ferm", "modes 4\nnan 0.0 0^ 0\n0.5 0.0 1^ 1\n", "line 2: non-finite"),
+            ("constant.ferm", "modes 4\nconstant nan\n0.5 0.0 1^ 1\n", "line 2: non-finite"),
+            ("nan.pauli", "nan 0.0 ZIII\n0.5 0.0 IZII\n", "line 1: non-finite"),
+            ("hopping.ferm", "modes 4\ninf 0.0 0^ 1\ninf 0.0 1^ 0\n0.5 0.0 1^ 1\n",
+             "line 2: non-finite"),
+            # finite terms whose diagonal energies overflow
+            ("huge.ferm", "modes 4\n" + "".join(f"1e308 0.0 {m}^ {m}\n" for m in range(3)),
+             "non-finite"),
+        ],
+        ids=["nan-term", "nan-constant", "nan-pauli", "inf-hopping-pair", "overflow"],
+    )
+    def test_a_non_finite_input_is_an_input_error(self, tmp_path, capsys, name, text, message):
+        # each once solved with exit 0 as if the bad term were absent
+        path = tmp_path / name
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["solve", str(path), "--out", str(out), "--nf", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and message in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("backend", ["oracle", "exact"])
     def test_negative_shots(self, tmp_path, capsys, h2_path, backend):
         err = self.rejected(tmp_path, capsys, h2_path, "--backend", backend, "--shots", "-5")
@@ -454,7 +478,18 @@ class TestInputValidation:
 
 class TestImports:
     @staticmethod
-    def loaded_by_solve(args, *packages):
+    def last_line(script, *args):
+        """The last line ``script`` prints in a fresh interpreter."""
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        done = subprocess.run(
+            [sys.executable, "-c", script, *args],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        return done.stdout.splitlines()[-1]
+
+    @classmethod
+    def loaded_by_solve(cls, args, *packages):
         """The modules of ``packages`` (dotted prefixes) a fresh interpreter
         holds after ``main(args)``, with the exit code."""
         script = (
@@ -465,13 +500,21 @@ class TestImports:
             "print(code, sorted(m for m in sys.modules\n"
             "    if any(m.split('.')[:len(p)] == p for p in prefixes)))\n"
         )
-        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        done = subprocess.run(
-            [sys.executable, "-c", script, ",".join(packages), *args],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
+        return cls.last_line(script, ",".join(packages), *args)
+
+    def test_importing_the_cli_loads_no_dataclasses(self):
+        # @dataclass generates and compiles its records' methods at every
+        # import; the records are NamedTuple or __slots__ classes instead
+        script = (
+            "import sys\n"
+            "import numpy\n"
+            "before = set(sys.modules)\n"
+            "import heffsolve.cli\n"
+            "print(*sorted(set(sys.modules) - before))\n"
         )
-        return done.stdout.splitlines()[-1]
+        loaded = self.last_line(script).split()
+        assert "heffsolve.cli" in loaded
+        assert "dataclasses" not in loaded
 
     def test_mitigated_sampled_solve_leaves_scipy_unloaded(self, tmp_path, h2_path):
         # numpy.ma: np.unique imports it on first use, at about 1 MB of RSS
@@ -738,6 +781,8 @@ class TestEnvOverrides:
     OUT_OF_RANGE = [
         ("solve", "HEFFSOLVE_REPEATS", "0", ()), ("solve", "HEFFSOLVE_LEVELS", "0", ()),
         ("solve", "HEFFSOLVE_DOS_BINS", "0", ()), ("calibrate", "HEFFSOLVE_SHOTS", "-1", ()),
+        # one bin over MAX_DOS_BINS, refused before any histogram is allocated
+        ("solve", "--dos-bins", "1000001", ()), ("solve", "HEFFSOLVE_DOS_BINS", "1000001", ()),
         ("solve", "--ns", "0", ()), ("solve", "HEFFSOLVE_NS", "0", ()),
         ("solve", "HEFFSOLVE_ORDER", "-1", ()), ("solve", "HEFFSOLVE_MC_STEPS", "-1", ()),
         ("solve", "--mc-t0", "-1", ()), ("solve", "--mc-cooling", "2", ()),

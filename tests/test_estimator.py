@@ -215,6 +215,15 @@ class TestBackendType:
         with pytest.raises(ValueError):
             Backend(kind="sampled", mitigation=True)
 
+    def test_fields_are_read_only_and_replace_checks_again(self):
+        backend = Backend.sampled(shots=100, seed=1)
+        with pytest.raises(AttributeError):
+            backend.seed = 2
+        reseeded = backend._replace(seed=2)
+        assert (reseeded.seed, reseeded.shots, backend.seed) == (2, 100, 1)
+        with pytest.raises(ValueError, match="shots > 0"):
+            backend._replace(shots=0)
+
     def test_describe_round_trips_through_json(self):
         backend = Backend.sampled(noise=ReadoutNoise(0.02, 0.02), mitigation=True)
         assert json.loads(json.dumps(backend.describe()))["mitigation"] is True

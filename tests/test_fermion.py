@@ -245,6 +245,10 @@ class TestFermionTextFormat:
             ("modes 4\n0.5 0.0 0* 0\n", 2),             # malformed factor token
             ("modes 4\n0.5 0^ 0\n", 2),                 # bad coefficient
             ("modes x\n", 1),                           # bad header
+            ("modes 4\nnan 0.0 0^ 0\n0.5 0.0 1^ 1\n", 2),  # PauliSum dropped the NaN weight
+            ("modes 4\n0.5 -inf 1^ 1\n", 2),              # non-finite imaginary part
+            ("modes 4\nconstant nan\n", 2),               # non-finite constant
+            ("modes 4\ninf 0.0 0^ 1\ninf 0.0 1^ 0\n", 2),  # the pair merged to NaN
         ],
     )
     def test_errors_carry_line_numbers(self, text, lineno):

@@ -205,6 +205,14 @@ class TestPauliSumType:
         cancelled = PauliSum.from_label_weights([(0.5, "XZ"), (-0.5, "XZ")])
         assert cancelled.num_terms == 0
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), complex(0.0, -float("inf"))])
+    def test_non_finite_weights_rejected(self, weight):
+        # abs(NaN) > WEIGHT_TOLERANCE is false, so a NaN weight would drop silently
+        with pytest.raises(ValueError, match="finite"):
+            PauliSum.from_label_weights([(0.5, "ZI"), (weight, "IZ")])
+        with pytest.raises(ValueError, match="finite"):
+            PauliSum.from_masks([0], [1], [weight], 2)
+
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ValueError):
             PauliSum([(1.0, PauliString("XX")), (1.0, PauliString("X"))])
@@ -290,6 +298,9 @@ class TestTextFormat:
             ("0.5 0.0 ZI\n0.5 0.0 ZII\n", 2),
             ("# only comments\n", 2),
             ("0.5 0.0 " + "Z" * 65 + "\n", 1),
+            ("0.5 0.0 IZ\nnan 0.0 ZI\n", 2),          # PauliSum dropped the NaN weight
+            ("0.5 inf ZI\n", 1),
+            ("9e307 0.0 ZI\n9e307 0.0 ZI\n", 3),      # finite weights whose sum overflows
         ],
     )
     def test_errors_carry_line_numbers(self, text, lineno):

@@ -71,6 +71,20 @@ class TestEigendecompose:
         with pytest.raises(ValueError, match="Hermitian"):
             eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[1.0, np.nan], [np.nan, 2.0]],
+            [[np.inf, 0.0], [0.0, 1.0]],
+            [[1.0, complex(0.0, np.inf)], [complex(0.0, -np.inf), 1.0]],
+        ],
+        ids=["nan", "inf-diagonal", "inf-imaginary"],
+    )
+    def test_rejects_non_finite(self, matrix):
+        # max(deviation, nan) keeps the earlier deviation, so NaN once passed the check
+        with pytest.raises(ValueError, match="non-finite"):
+            eigendecompose(np.array(matrix))
+
     def test_methods_agree(self, rng):
         matrix = random_hermitian(rng, 10)
         jac, _ = jacobi_eigh(matrix)

@@ -10,6 +10,7 @@ import pytest
 import heffsolve.subspace
 from heffsolve.pauli import BasisState, FlipGroups, PauliSum
 from heffsolve.subspace import (
+    ExhaustiveSearch,
     MonteCarloSearch,
     SubspaceBasis,
     SubspaceSpec,
@@ -117,6 +118,15 @@ class TestFindReference:
     def test_monte_carlo_schedule_is_validated(self, schedule):
         with pytest.raises(ValueError, match="annealing"):
             MonteCarloSearch(**schedule)
+
+    def test_strategies_compare_by_value(self):
+        # RunConfig.describe reads the strategy as "mc" when it equals the schedule
+        assert MonteCarloSearch(steps=5, seed=2) == MonteCarloSearch(steps=5, seed=2)
+        assert MonteCarloSearch(steps=5, seed=2) != MonteCarloSearch(steps=5, seed=3)
+        assert ExhaustiveSearch() == ExhaustiveSearch() != MonteCarloSearch()
+        assert MonteCarloSearch() != ExhaustiveSearch()
+        with pytest.raises(AttributeError):
+            MonteCarloSearch().steps = 1
 
     def test_monte_carlo_flat_diagonal_anneals_at_unit_temperature(self):
         # the measured T0 is 0 here; the annealer still runs and stays in the sector
