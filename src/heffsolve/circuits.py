@@ -18,10 +18,8 @@ counter-based Philox generator so every result is reproducible from its
 recorded seed.
 
 :func:`run_statevector` is a dense statevector of ``2^wires`` amplitudes.
-No solve calls it; it and :func:`outcome_distribution` are the reference the
-tests check the sparse path against.  :func:`apply_per_qubit` applies any
-per-qubit 2x2 map (the channel, its inverse or its inverse transpose) to a
-dense outcome vector.
+No solve calls it; it is the reference the tests check the sparse path
+against.
 """
 
 from __future__ import annotations
@@ -48,8 +46,6 @@ __all__ = [
     "apply_circuit",
     "run_sparse",
     "sparse_expectation",
-    "outcome_distribution",
-    "apply_per_qubit",
     "class_basis_change",
     "sample_outcome_counts",
 ]
@@ -426,27 +422,6 @@ def marginal_probabilities(state: np.ndarray, total: int, measured: tuple[int, .
     return tensor.reshape(-1)
 
 
-def apply_per_qubit(vec: np.ndarray, matrices) -> np.ndarray:
-    """Apply the 2x2 ``matrices[j]`` to outcome bit ``j`` of ``vec``.
-
-    ``vec`` spans ``2**len(matrices)`` outcomes; the tensor-product map is
-    applied one bit at a time, never as a dense composite.
-    """
-    num = len(matrices)
-    out = vec.reshape([2] * num)
-    for j, matrix in enumerate(matrices):
-        axis = num - 1 - j
-        out = np.moveaxis(np.tensordot(matrix, out, axes=([1], [axis])), 0, axis)
-    return out.reshape(-1)
-
-
-def apply_noise_to_distribution(
-    probs: np.ndarray, noise: ReadoutNoise, qubits: tuple[int, ...]
-) -> np.ndarray:
-    """Exact (infinite-shot) push of a distribution through the flip channel."""
-    return apply_per_qubit(probs, [noise.channel_matrix(q) for q in qubits])
-
-
 def sample_outcome_counts(
     state: dict[int, complex],
     shots: int,
@@ -520,13 +495,3 @@ def class_basis_change(
         gates.append(Gate.sdg(p))
     gates.append(Gate.h(p))
     return gates, images
-
-
-def outcome_distribution(circuit: Circuit, noise: ReadoutNoise | None = None) -> np.ndarray:
-    """Exact outcome probabilities over the measured wires, noise applied analytically."""
-    state = run_statevector(circuit)
-    measured = circuit.measured
-    probs = marginal_probabilities(state, circuit.total_qubits, measured)
-    if noise is not None:
-        probs = apply_noise_to_distribution(probs, noise, measured)
-    return probs

@@ -3,8 +3,9 @@
 Every randomized stage draws from an independent stream derived from one
 master seed, and identical configurations produce byte-identical result
 bundles (wall-clock timings go to a separate ``timing.json`` that is
-excluded from that guarantee).  Exit codes: 0 success, 2 input error,
-3 capacity error.
+excluded from that guarantee).  A command computes all of its output before
+:func:`_publish` writes any of it, so a failed run leaves no file.  Exit
+codes: 0 success, 2 input error, 3 capacity error.
 
 Flags collect text; :func:`_settings` gives each setting of the command being
 run its value, from its flag, else ``HEFFSOLVE_<NAME>``, else its default,
@@ -41,7 +42,7 @@ from .fermion import (
     jw_transform,
     load_fermion_hamiltonian,
 )
-from .pauli import PauliFormatError, PauliSum, load_pauli_sum, save_pauli_sum
+from .pauli import PauliFormatError, PauliSum, format_pauli_sum, load_pauli_sum
 from .records import Frozen
 from .spectra import (
     MAX_DENSE_DIMENSION,
@@ -59,8 +60,8 @@ from .subspace import (
     SubspaceSpec,
     basis_from_states,
     build_subspace,
+    format_states,
     load_states,
-    save_states,
 )
 
 CHEMICAL_ACCURACY = 5e-3  # Hartree
@@ -73,14 +74,19 @@ EXIT_CAPACITY = 3
 MAX_DOS_BINS = 10**6
 
 
-def _write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True) + "\n")
+def _publish(root: Path, files: dict[Path | str, str]) -> None:
+    """Write ``files``, ``{path under root: text}``, in order, each to a ``.tmp``
+    sibling renamed into place.  The one writer of the output tree, called once
+    a command has computed all of its output, so a failure leaves no file."""
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            tmp.write_text(text, encoding="utf-8")
+            os.replace(tmp, path)
+        finally:  # a write or rename that fails leaves no .tmp behind
+            tmp.unlink(missing_ok=True)
 
 
 def _load_hamiltonian(path: str, fmt: str) -> PauliSum:
@@ -100,6 +106,9 @@ def _load_hamiltonian(path: str, fmt: str) -> PauliSum:
     # the sector projections would silently drop particle-changing strings
     if fmt != "fermion" and not check_particle_conservation(hamiltonian):
         raise ValueError(f"{path}: the Pauli sum does not conserve particle number")
+    with np.errstate(over="ignore"):  # no energy, entry or eigenvalue exceeds sum |w|
+        if not np.isfinite(np.abs(hamiltonian.w).sum()):
+            raise ValueError(f"{path}: the term magnitudes have a non-finite sum")
     return hamiltonian
 
 
@@ -108,26 +117,26 @@ class RunConfig(Frozen):
     the manifest.  It holds the objects that check its settings: ``subspace``,
     the ``annealing`` schedule (checked and recorded whatever the strategy) and
     ``backend``, the one for run 0 (a sampled run ``r`` reseeds it from
-    ``seed``), so a bad configuration is rejected before any file is written.
+    ``seed``), so a bad configuration is rejected before any work is done.
     """
 
-    __slots__ = ("input_path", "out_dir", "subspace", "annealing", "backend", "basis_file",
-                 "seed", "repeats", "levels", "dos_bins", "format")
+    __slots__ = ("input_path", "subspace", "annealing", "backend", "basis_file", "seed",
+                 "repeats", "levels", "dos_bins", "format")
 
     def __init__(
-        self, input_path: str, out_dir: str, subspace: SubspaceSpec, annealing: MonteCarloSearch,
+        self, input_path: str, subspace: SubspaceSpec, annealing: MonteCarloSearch,
         backend: Backend, basis_file: str | None, seed: int, repeats: int, levels: int,
         dos_bins: int, format: str,
     ):
-        self._set(input_path, out_dir, subspace, annealing, backend, basis_file, seed, repeats,
-                  levels, dos_bins, format)
+        self._set(input_path, subspace, annealing, backend, basis_file, seed, repeats, levels,
+                  dos_bins, format)
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
         values, given = _settings(args)
         subspace, annealing = _selection(values, given)
         return cls(
-            input_path=args.input, out_dir=args.out, subspace=subspace, annealing=annealing,
+            input_path=args.input, subspace=subspace, annealing=annealing,
             backend=_build(Backend, _BACKEND_FIELDS, values, given), basis_file=args.basis,
             **{name: values[name] for name in ("seed", "repeats", "levels", "dos_bins", "format")},
         )
@@ -182,29 +191,30 @@ def _error_rows(heff_values: np.ndarray, exact_values: np.ndarray) -> str:
 
 
 def _solve_one(hamiltonian: PauliSum, basis: SubspaceBasis, config: RunConfig, run_index: int,
-               out_dir: Path, exact_values: np.ndarray | None) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
+               exact_values: np.ndarray | None) -> tuple[dict, dict[Path, str]]:
+    """Run ``run_index``'s record, and its files keyed by their path in the bundle."""
     backend = config.backend
     if backend.kind == "sampled":
         backend = backend._replace(seed=derive_seed(config.seed, 4, run_index))
     heff = build_effective_hamiltonian(hamiltonian, basis, backend)
     spectrum = eigendecompose(heff, compute_vectors=False)
-    _write_text(out_dir / "heff.json", heff_to_json(heff_to_dict(heff)) + "\n")
-    _write_text(out_dir / "spectrum.csv", spectrum_to_csv(spectrum))
-    _write_text(out_dir / "dos.csv", dos_to_csv(dos(spectrum, bin_count=config.dos_bins)))
-    with open(out_dir / "basis.txt.tmp", "w", encoding="utf-8") as fh:
-        save_states(basis.states, fh)
-    os.replace(out_dir / "basis.txt.tmp", out_dir / "basis.txt")
+    run = Path(f"run_{run_index:03d}" if config.repeats > 1 else ".")
+    files = {
+        run / "heff.json": heff_to_json(heff_to_dict(heff)) + "\n",
+        run / "spectrum.csv": spectrum_to_csv(spectrum),
+        run / "dos.csv": dos_to_csv(dos(spectrum, bin_count=config.dos_bins)),
+        run / "basis.txt": format_states(basis.states),
+    }
     if exact_values is not None:
-        _write_text(out_dir / "error_vs_exact.csv", _error_rows(spectrum.eigenvalues, exact_values))
+        files[run / "error_vs_exact.csv"] = _error_rows(spectrum.eigenvalues, exact_values)
     return {
         "run": run_index,
         "seed": backend.seed,
-        "directory": out_dir.name if config.repeats > 1 else ".",
+        "directory": str(run),
         "circuit_counts": heff.circuit_counts.as_dict(),
         "eigenvalues": [float(v) for v in spectrum.eigenvalues],
         "ground_energy": spectrum.ground_energy,
-    }
+    }, files
 
 
 def _aggregate_csv(run_records: list[dict], exact_values: np.ndarray | None) -> str:
@@ -231,7 +241,7 @@ def _exact_reference(hamiltonian: PauliSum, particle_number: int) -> np.ndarray 
 
 def _prepare(config: RunConfig) -> tuple[PauliSum, SubspaceBasis, np.ndarray | None]:
     """Load and check the input, select the basis and compute the exact
-    reference; raises on a bad input or capacity before any file exists."""
+    reference; raises on a bad input or capacity."""
     hamiltonian = _load_hamiltonian(config.input_path, config.format)
     basis = _select_basis(hamiltonian, config)
     if basis.size > MAX_DENSE_DIMENSION:
@@ -241,19 +251,16 @@ def _prepare(config: RunConfig) -> tuple[PauliSum, SubspaceBasis, np.ndarray | N
 
 def _run_solve(
     config: RunConfig, prepared: tuple[PauliSum, SubspaceBasis, np.ndarray | None] | None = None
-) -> tuple[dict, list[dict]]:
-    """Solve one configuration, prepared by :func:`_prepare` unless
-    ``prepared`` is given; returns the manifest and the per-run records."""
+) -> tuple[dict, list[dict], dict[Path, str]]:
+    """Solve one configuration, prepared by :func:`_prepare` unless ``prepared``
+    is given; returns the manifest, the per-run records and the bundle's files."""
     started = time.perf_counter()
     hamiltonian, basis, exact_values = prepared if prepared is not None else _prepare(config)
-    out_root = Path(config.out_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
-    several = config.repeats > 1
-    run_dirs = [out_root / f"run_{r:03d}" for r in range(config.repeats)] if several else [out_root]
-    records = [_solve_one(hamiltonian, basis, config, r, run_dir, exact_values)
-               for r, run_dir in enumerate(run_dirs)]
-    if several:
-        _write_text(out_root / "aggregate.csv", _aggregate_csv(records, exact_values))
+    runs = [_solve_one(hamiltonian, basis, config, r, exact_values) for r in range(config.repeats)]
+    records = [record for record, _ in runs]
+    files = {name: text for _, run_files in runs for name, text in run_files.items()}
+    if config.repeats > 1:
+        files[Path("aggregate.csv")] = _aggregate_csv(records, exact_values)
     manifest = {
         "command": "solve",
         "version": __version__,
@@ -268,9 +275,9 @@ def _run_solve(
             for rec in records
         ],
     }
-    _write_json(out_root / "manifest.json", manifest)
-    _write_json(out_root / "timing.json", {"wall_seconds": time.perf_counter() - started})
-    return manifest, records
+    files[Path("manifest.json")] = json.dumps(manifest, sort_keys=True) + "\n"
+    files[Path("timing.json")] = json.dumps({"wall_seconds": time.perf_counter() - started}) + "\n"
+    return manifest, records, files
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +286,7 @@ def _run_solve(
 
 def _cmd_transform(args) -> int:
     hamiltonian = jw_transform(load_fermion_hamiltonian(args.input))
-    save_pauli_sum(hamiltonian, args.output)
+    _publish(Path(), {args.output: format_pauli_sum(hamiltonian)})
     print(f"wrote {args.output}: {hamiltonian.num_terms} strings, max locality {hamiltonian.max_locality}")
     return EXIT_OK
 
@@ -287,15 +294,14 @@ def _cmd_transform(args) -> int:
 def _cmd_subspace(args) -> int:
     values, given = _settings(args)
     basis = build_subspace(_load_hamiltonian(args.input, values["format"]), _selection(values, given)[0])
-    with open(args.output + ".tmp", "w", encoding="utf-8") as fh:
-        save_states(basis.states, fh)
-    os.replace(args.output + ".tmp", args.output)
+    _publish(Path(), {args.output: format_states(basis.states)})
     print(f"reference {basis.reference.bits}, kept {basis.size} configurations -> {args.output}")
     return EXIT_OK
 
 
 def _cmd_solve(args) -> int:
-    manifest, _ = _run_solve(RunConfig.from_args(args))
+    manifest, _, files = _run_solve(RunConfig.from_args(args))
+    _publish(Path(args.out), files)
     ground = manifest["runs"][0]["ground_energy"]
     print(f"subspace size {manifest['subspace_size']}, ground energy {ground:.10g}")
     print(f"results in {args.out}")
@@ -319,18 +325,15 @@ def _cmd_scan(args) -> int:
     if not files:
         raise ValueError(f"no Hamiltonian files found in {args.input!r}")
     points = sorted((_distance_from_name(p.stem), p) for p in files)
-    out_root = Path(args.out)
-    # Every point passes its checks before any is solved, so a bad point
-    # leaves no directory behind.
-    configs = [
-        base._replace(input_path=str(path), out_dir=str(out_root / path.stem)) for _, path in points
-    ]
+    # Every point passes its checks before any is solved.
+    configs = [base._replace(input_path=str(path)) for _, path in points]
     prepared = [_prepare(config) for config in configs]
     if len({hamiltonian.qubit_count for hamiltonian, _, _ in prepared}) > 1:
         raise ValueError("inconsistent qubit counts across scan files")
-    rows, point_manifests = [], []
+    rows, point_manifests, bundle = [], [], {}
     for (distance, path), config, point in zip(points, configs, prepared):
-        _, records = _run_solve(config, point)
+        _, records, point_files = _run_solve(config, point)
+        bundle.update((Path(path.stem, name), text) for name, text in point_files.items())
         # the first run's spectrum: spectrum.csv, or run_000/spectrum.csv with --repeats
         rows.append((distance, records[0]["eigenvalues"][: config.levels]))
         point_manifests.append({"distance": distance, "file": path.name, "directory": path.stem})
@@ -339,11 +342,12 @@ def _cmd_scan(args) -> int:
     for distance, eigs in rows:
         values = ",".join(f"{v:.17g}" for v in eigs)
         lines.append(f"{distance:.17g},{values}")
-    _write_text(out_root / "pes.csv", "\n".join(lines) + "\n")
+    bundle[Path("pes.csv")] = "\n".join(lines) + "\n"
     manifest = {"command": "scan", "version": __version__, "config": base.describe(),
                 "points": point_manifests}
-    _write_json(out_root / "manifest.json", manifest)
-    print(f"scanned {len(rows)} points -> {out_root / 'pes.csv'}")
+    bundle[Path("manifest.json")] = json.dumps(manifest, sort_keys=True) + "\n"
+    _publish(Path(args.out), bundle)
+    print(f"scanned {len(rows)} points -> {Path(args.out) / 'pes.csv'}")
     return EXIT_OK
 
 
@@ -357,7 +361,7 @@ def _cmd_calibrate(args) -> int:
     calibration = build_calibration(noise, shots, seed, qubits)
     matrices = [[[float(x) for x in row] for row in m] for m in calibration.matrices]
     payload = {"qubits": qubits, "shots": shots, "seed": seed, "matrices": matrices}
-    _write_json(Path(args.output), payload)
+    _publish(Path(), {args.output: json.dumps(payload, sort_keys=True) + "\n"})
     print(f"wrote calibration for {qubits} qubits -> {args.output}")
     return EXIT_OK
 

@@ -31,7 +31,7 @@ __all__ = [
     "find_reference",
     "enumerate_excitations",
     "build_subspace",
-    "save_states",
+    "format_states",
     "load_states",
 ]
 
@@ -275,13 +275,8 @@ def build_subspace(hamiltonian: PauliSum, spec: SubspaceSpec) -> SubspaceBasis:
 # Text form: one bit string per line, reference first.
 # ---------------------------------------------------------------------------
 
-def save_states(states: Sequence[BasisState], path_or_file: str | TextIO) -> None:
-    text = "\n".join(s.bits for s in states) + "\n"
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-        return
-    with open(path_or_file, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def format_states(states: Sequence[BasisState]) -> str:
+    return "\n".join(s.bits for s in states) + "\n"
 
 
 def load_states(path_or_file: str | TextIO) -> list[BasisState]:

@@ -1,6 +1,6 @@
 """Shared oracles: dense Kronecker-product matrices, per-pair Pauli matrix
 elements, fermionic ladder algebra, a Jacobi eigensolver and a Jordan-Wigner
-map by repeated addition.
+map by repeated addition, and exact outcome distributions of a circuit.
 
 Everything here is deliberately independent of the package's combinatorial
 paths: Pauli matrices are built by explicit tensor products, matrix elements
@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from heffsolve.circuits import Circuit, ReadoutNoise, marginal_probabilities, run_statevector
 from heffsolve.fermion import FermionHamiltonian, FermionTerm, jw_ladder, jw_transform
 from heffsolve.pauli import BasisState, PauliString, PauliSum
 
@@ -157,6 +158,40 @@ def jw_transform_by_addition(hamiltonian: FermionHamiltonian, hermitian_tol: flo
     if hamiltonian.constant:
         total = total + PauliSum([(hamiltonian.constant, PauliString.identity(n))], n)
     return total.real_weights(tol=hermitian_tol)
+
+
+# --- exact outcome distributions --------------------------------------------
+
+def apply_per_qubit(vec: np.ndarray, matrices) -> np.ndarray:
+    """Apply the 2x2 ``matrices[j]`` (a readout channel, its inverse or its
+    inverse transpose) to outcome bit ``j`` of ``vec``.
+
+    ``vec`` spans ``2**len(matrices)`` outcomes; the tensor-product map is
+    applied one bit at a time, never as a dense composite.
+    """
+    num = len(matrices)
+    out = vec.reshape([2] * num)
+    for j, matrix in enumerate(matrices):
+        axis = num - 1 - j
+        out = np.moveaxis(np.tensordot(matrix, out, axes=([1], [axis])), 0, axis)
+    return out.reshape(-1)
+
+
+def apply_noise_to_distribution(
+    probs: np.ndarray, noise: ReadoutNoise, qubits: tuple[int, ...]
+) -> np.ndarray:
+    """Exact (infinite-shot) push of a distribution through the flip channel."""
+    return apply_per_qubit(probs, [noise.channel_matrix(q) for q in qubits])
+
+
+def outcome_distribution(circuit: Circuit, noise: ReadoutNoise | None = None) -> np.ndarray:
+    """Exact outcome probabilities over the measured wires, noise applied analytically."""
+    state = run_statevector(circuit)
+    measured = circuit.measured
+    probs = marginal_probabilities(state, circuit.total_qubits, measured)
+    if noise is not None:
+        probs = apply_noise_to_distribution(probs, noise, measured)
+    return probs
 
 
 # --- independent eigensolver ------------------------------------------------

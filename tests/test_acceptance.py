@@ -11,12 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from heffsolve.circuits import (
-    ReadoutNoise,
-    apply_per_qubit,
-    outcome_distribution,
-    prepare_basis_circuit,
-)
+from heffsolve.circuits import ReadoutNoise, prepare_basis_circuit
 from heffsolve.cli import main
 from heffsolve.estimator import (
     Backend,
@@ -40,11 +35,13 @@ from heffsolve.spectra import (
 from heffsolve.subspace import SubspaceSpec, basis_from_states, build_subspace
 
 from conftest import (
+    apply_per_qubit,
     basis_vector,
     bit_strings,
     dense_fermion,
     dense_projection,
     dense_sum,
+    outcome_distribution,
     random_conserving_hamiltonian,
     string_matrix_element,
 )

@@ -12,14 +12,11 @@ from heffsolve.circuits import (
     Gate,
     ReadoutNoise,
     apply_circuit,
-    apply_noise_to_distribution,
-    apply_per_qubit,
     build_indirect_circuit,
     build_offdiagonal_circuit,
     class_basis_change,
     controlled_prepare,
     marginal_probabilities,
-    outcome_distribution,
     prepare_basis_circuit,
     rng_from_seed,
     run_sparse,
@@ -34,8 +31,11 @@ from heffsolve.pauli import BasisState, PauliString
 from heffsolve.spectra import CapacityError
 
 from conftest import (
+    apply_noise_to_distribution,
+    apply_per_qubit,
     dense_pauli,
     dense_sum,
+    outcome_distribution,
     random_hermitian_sum,
     string_matrix_element,
     sum_matrix_element,

@@ -7,6 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,17 @@ MINIMAL_FERMION = "modes 1\n1.0 0.0 0^ 0\n"
 def h2_path():
     assert H2_FILE.exists()
     return str(H2_FILE)
+
+
+def src_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+def tree(root: Path) -> dict[str, bytes]:
+    """The bytes of every file under ``root``, by its path relative to ``root``."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 def read_csv(path: Path):
@@ -134,8 +146,7 @@ class TestSolve:
         # python -m heffsolve.cli freezes the heap, then solves as main() does
         args = ["solve", h2_path, "--nf", "2", "--backend", "sampled", "--shots", "500",
                 "--noise", "0.02,0.02", "--mitigate", "--diagonals", "circuit"]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))}
+        env = src_env()
         done = subprocess.run(
             [sys.executable, "-m", "heffsolve.cli", *args, "--out", str(tmp_path / "entry")],
             env=env, capture_output=True, text=True, timeout=120,
@@ -388,6 +399,25 @@ class TestInputValidation:
         assert err.startswith("input error:") and message in err
         assert not out.exists()
 
+    def test_overflowing_magnitudes_are_refused_before_any_warning(self, tmp_path, capsys):
+        # finite terms whose energies overflow once printed two numpy
+        # RuntimeWarnings before the input error
+        path = tmp_path / "huge.ferm"
+        path.write_text("modes 4\n" + "".join(f"1e308 0.0 {m}^ {m}\n" for m in range(3)))
+        out = tmp_path / "out"
+        argv = ["solve", str(path), "--out", str(out), "--nf", "2"]
+        message = f"input error: {path}: the term magnitudes have a non-finite sum"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert caught == []
+        assert capsys.readouterr().err == message + "\n"
+        done = subprocess.run([sys.executable, "-m", "heffsolve.cli", *argv], env=src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [message]
+        assert not out.exists()
+
     @pytest.mark.parametrize("backend", ["oracle", "exact"])
     def test_negative_shots(self, tmp_path, capsys, h2_path, backend):
         err = self.rejected(tmp_path, capsys, h2_path, "--backend", backend, "--shots", "-5")
@@ -480,11 +510,9 @@ class TestImports:
     @staticmethod
     def last_line(script, *args):
         """The last line ``script`` prints in a fresh interpreter."""
-        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         done = subprocess.run(
             [sys.executable, "-c", script, *args],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
+            env=src_env(), capture_output=True, text=True, timeout=120, check=True,
         )
         return done.stdout.splitlines()[-1]
 
@@ -681,6 +709,99 @@ class TestCalibrate:
             "input error: --shots='-5' is not a valid value: must be at least 0"
         )
         assert not out.exists()
+
+
+class TestPublish:
+    """Every command computes all of its output before it writes a file, then
+    writes each file to a ``.tmp`` sibling and renames it into place."""
+
+    @staticmethod
+    def fail_second_build(monkeypatch):
+        build = heffsolve.cli.build_effective_hamiltonian
+        calls = []
+
+        def build_once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise ValueError("the second build failed")
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(heffsolve.cli, "build_effective_hamiltonian", build_once)
+
+    @pytest.mark.parametrize("command", ["solve", "scan"])
+    def test_a_failed_second_build_leaves_no_output(
+        self, tmp_path, capsys, monkeypatch, h2_path, command
+    ):
+        # the first run's (or point's) bundle was once written beside an
+        # empty directory for the second
+        self.fail_second_build(monkeypatch)
+        out = tmp_path / "out"
+        argv = {
+            "solve": ["solve", h2_path, "--backend", "sampled", "--shots", "200", "--repeats", "2"],
+            "scan": ["scan", str(DATA)],
+        }[command]
+        assert main([*argv, "--out", str(out), "--nf", "2"]) == 2
+        assert capsys.readouterr().err == "input error: the second build failed\n"
+        assert not out.exists()
+
+    @staticmethod
+    def command_line(command: str, h2_path: str, out: Path) -> list[str]:
+        return {
+            "transform": ["transform", h2_path, "-o", str(out)],
+            "subspace": ["subspace", h2_path, "-o", str(out), "--nf", "2"],
+            "calibrate": ["calibrate", "--noise", "0.02,0.05", "--qubits", "2", "-o", str(out)],
+            "solve": ["solve", h2_path, "--out", str(out), "--nf", "2", "--backend", "sampled",
+                      "--shots", "200", "--repeats", "2"],
+            "scan": ["scan", str(DATA), "--out", str(out), "--nf", "2"],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["transform", "subspace", "calibrate", "solve", "scan"])
+    def test_every_file_is_renamed_into_place(self, tmp_path, monkeypatch, h2_path, command):
+        replace, renamed = os.replace, []
+
+        def record(source, target):
+            renamed.append((str(source), str(target)))
+            replace(source, target)
+
+        monkeypatch.setattr(os, "replace", record)
+        out = tmp_path / "out"
+        assert main(self.command_line(command, h2_path, out)) == 0
+        written = [str(out / name) for name in tree(out)] if out.is_dir() else [str(out)]
+        assert len(written) == len(renamed)
+        assert sorted(target for _, target in renamed) == sorted(written)
+        assert all(source == target + ".tmp" for source, target in renamed)
+
+    @pytest.mark.parametrize("command", ["transform", "subspace", "calibrate"])
+    def test_a_directory_for_the_output_file_is_left_as_it_was(
+        self, tmp_path, capsys, h2_path, command
+    ):
+        # the .tmp sibling of a rename that failed was once left behind
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(self.command_line(command, h2_path, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and str(out) in err
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--backend", "oracle"),
+         ("--backend", "sampled", "--shots", "300", "--noise", "0.02,0.02", "--mitigate",
+          "--repeats", "2")],
+        ids=["oracle", "sampled-mitigated-repeats"],
+    )
+    def test_a_scan_point_is_the_solve_of_its_file(self, tmp_path, flags):
+        assert main(["scan", str(DATA), "--out", str(tmp_path / "scan"), "--nf", "2", *flags]) == 0
+        for path in sorted(DATA.iterdir()):
+            solved = tmp_path / path.stem
+            assert main(["solve", str(path), "--out", str(solved), "--nf", "2", *flags]) == 0
+            point, alone = tree(tmp_path / "scan" / path.stem), tree(solved)
+            assert "heff.json" in point or "run_001/heff.json" in point
+            # the manifests match too: each records the same input path
+            for files in (point, alone):
+                del files["timing.json"]
+            assert point == alone
 
 
 class TestEnvOverrides:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import heffsolve.estimator
-from heffsolve.circuits import ReadoutNoise, apply_per_qubit
+from heffsolve.circuits import ReadoutNoise
 from heffsolve.estimator import (
     Backend,
     CalibrationMatrix,
@@ -41,6 +41,7 @@ from heffsolve.spectra import eigendecompose, exact_sector_spectrum, sector_basi
 from heffsolve.subspace import MonteCarloSearch, SubspaceSpec, basis_from_states, build_subspace
 
 from conftest import (
+    apply_per_qubit,
     dense_projection,
     masks_of,
     random_conserving_hamiltonian,

@@ -19,8 +19,8 @@ from heffsolve.subspace import (
     diagonal_energy,
     enumerate_excitations,
     find_reference,
+    format_states,
     load_states,
-    save_states,
 )
 
 from conftest import bit_strings, random_conserving_hamiltonian
@@ -330,9 +330,7 @@ class TestBuildSubspace:
 class TestStatesFile:
     def test_round_trip(self):
         states = [BasisState(b) for b in SECTOR_BASES]
-        buffer = io.StringIO()
-        save_states(states, buffer)
-        again = load_states(io.StringIO(buffer.getvalue()))
+        again = load_states(io.StringIO(format_states(states)))
         assert [s.bits for s in again] == SECTOR_BASES
 
     def test_rebuild_basis_from_file(self):
