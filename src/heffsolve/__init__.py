@@ -15,7 +15,6 @@ from .pauli import (
     load_pauli_sum,
     multiply_strings,
     project_masks,
-    save_pauli_sum,
 )
 from .fermion import (
     FermionHamiltonian,
@@ -24,7 +23,6 @@ from .fermion import (
     jw_ladder,
     jw_transform,
     load_fermion_hamiltonian,
-    save_fermion_hamiltonian,
 )
 from .subspace import (
     ExhaustiveSearch,
@@ -41,7 +39,6 @@ from .circuits import (
     ReadoutNoise,
     build_indirect_circuit,
     build_offdiagonal_circuit,
-    controlled_prepare,
     run_statevector,
 )
 from .estimator import (
@@ -69,13 +66,13 @@ __all__ = [
     "__version__",
     "BasisState", "PauliOp", "PauliString", "PauliSum",
     "classify_terms", "multiply_strings", "project_masks",
-    "load_pauli_sum", "save_pauli_sum",
+    "load_pauli_sum",
     "FermionHamiltonian", "FermionTerm", "check_particle_conservation",
-    "jw_ladder", "jw_transform", "load_fermion_hamiltonian", "save_fermion_hamiltonian",
+    "jw_ladder", "jw_transform", "load_fermion_hamiltonian",
     "ExhaustiveSearch", "MonteCarloSearch", "SubspaceBasis", "SubspaceSpec",
     "build_subspace", "enumerate_excitations", "find_reference",
     "Circuit", "Gate", "ReadoutNoise",
-    "build_indirect_circuit", "build_offdiagonal_circuit", "controlled_prepare",
+    "build_indirect_circuit", "build_offdiagonal_circuit",
     "run_statevector",
     "Backend", "CalibrationMatrix", "EffectiveHamiltonian", "MeasurementEstimate",
     "build_calibration", "build_effective_hamiltonian",

@@ -5,7 +5,11 @@ elements ``<n|H|n'>`` between computational basis states: a single-ancilla
 version whose ancilla statistics encode the real or imaginary part, and a
 two-ancilla variant that reads one Pauli string at a time through controlled
 applications.  The register layout is target qubits ``0..N-1`` followed by
-the ancilla(s) at the highest indices.
+the ancilla(s) at the highest indices.  Both prepare their two branches
+the short way: X gates for ``|n'>``, then one CX from the ancilla per site
+where ``n`` and ``n'`` differ, so a direct circuit has ``|n ^ n'|`` CX and
+``|n ^ n'| + 2`` layers (one more for the imaginary part), whatever the
+particle number.
 
 :func:`run_sparse` is the simulator of every solve: it keeps only the
 nonzero amplitudes.  The circuits built here reach at most 16 of them, and
@@ -37,7 +41,6 @@ __all__ = [
     "Gate",
     "Circuit",
     "ReadoutNoise",
-    "controlled_prepare",
     "build_offdiagonal_circuit",
     "build_indirect_circuit",
     "prep_ancilla_index",
@@ -109,26 +112,15 @@ class Gate(NamedTuple):
 class Circuit:
     """An ordered gate list on ``total_qubits`` wires.
 
-    ``measured_qubits`` lists the wires read out at the end (ascending,
-    default all); sampled bit strings use one character per measured wire.
     The constructor, :meth:`add` and :meth:`extend` check each gate they take.
     """
 
-    __slots__ = ("total_qubits", "gates", "measured_qubits")
+    __slots__ = ("total_qubits", "gates")
 
-    def __init__(
-        self, total_qubits: int, gates: Iterable[Gate] = (),
-        measured_qubits: tuple[int, ...] | None = None,
-    ):
+    def __init__(self, total_qubits: int, gates: Iterable[Gate] = ()):
         self.total_qubits = total_qubits
         self.gates: list[Gate] = []
         self.extend(gates)
-        if measured_qubits is not None:
-            measured_qubits = tuple(sorted(measured_qubits))
-            for q in measured_qubits:
-                if not 0 <= q < total_qubits:
-                    raise ValueError(f"measured qubit {q} out of range")
-        self.measured_qubits = measured_qubits
 
     def add(self, gate: Gate) -> None:
         self.extend((gate,))
@@ -145,12 +137,6 @@ class Circuit:
                 raise ValueError("control and target coincide")
         self.gates.extend(gates)
 
-    @property
-    def measured(self) -> tuple[int, ...]:
-        if self.measured_qubits is None:
-            return tuple(range(self.total_qubits))
-        return self.measured_qubits
-
 
 # ---------------------------------------------------------------------------
 # Circuit builders
@@ -166,22 +152,11 @@ def measure_ancilla_index(num_targets: int) -> int:
     return num_targets + 1
 
 
-def controlled_prepare(pattern: int, num_qubits: int, control: int, control_value: int) -> list[Gate]:
-    """Gates that flip the set bits of the mask ``pattern`` on a
-    ``num_qubits``-qubit target register when the control reads
-    ``control_value``.
-
-    One controlled-X per set bit; a ``control_value`` of 0 is realized by
-    X-conjugating the control wire.
-    """
-    if control < num_qubits:
-        raise ValueError(f"control {control} collides with the {num_qubits}-qubit target register")
-    if control_value not in (0, 1):
-        raise ValueError("control_value must be 0 or 1")
-    flips = [Gate.cx(control, i) for i in sites(pattern)]
-    if control_value == 0:
-        return [Gate.x(control), *flips, Gate.x(control)]
-    return flips
+def _prepare_branches(n: int, nprime: int, anc: int) -> list[Gate]:
+    """X gates preparing ``|n'>``, then ``CX(anc -> q)`` for each ``q`` in
+    ``n ^ n'``: after a Hadamard on ``anc`` the register holds
+    ``(|0>|n'> + |1>|n>)/sqrt(2)``, with ``popcount(n ^ n')`` CX."""
+    return [*(Gate.x(q) for q in sites(nprime)), *(Gate.cx(anc, q) for q in sites(n ^ nprime))]
 
 
 def build_offdiagonal_circuit(n: int, nprime: int, num_qubits: int, part: str) -> Circuit:
@@ -190,7 +165,9 @@ def build_offdiagonal_circuit(n: int, nprime: int, num_qubits: int, part: str) -
 
     The ancilla branch ``|1>`` holds ``|n>`` and branch ``|0>`` holds
     ``|n'>``; the ``imag`` variant inserts an S-dagger on the ancilla before
-    the closing Hadamard.  Recovery formulas live in the estimator.
+    the closing Hadamard.  The circuit has ``popcount(n ^ n')`` CX, one X
+    per set bit of ``n'`` and two Hadamards (three one-qubit gates on the
+    ancilla for ``imag``).  Recovery formulas live in the estimator.
     """
     if part not in ("real", "imag"):
         raise ValueError(f"part must be 'real' or 'imag', got {part!r}")
@@ -199,8 +176,7 @@ def build_offdiagonal_circuit(n: int, nprime: int, num_qubits: int, part: str) -
     if n == nprime:
         raise ValueError("n == n'; diagonal elements use plain basis preparation")
     anc = prep_ancilla_index(num_qubits)
-    gates = [Gate.h(anc), *controlled_prepare(nprime, num_qubits, anc, 0),
-             *controlled_prepare(n, num_qubits, anc, 1)]
+    gates = [Gate.h(anc), *_prepare_branches(n, nprime, anc)]
     if part == "imag":
         gates.append(Gate.sdg(anc))
     gates.append(Gate.h(anc))
@@ -215,11 +191,12 @@ def build_indirect_circuit(
     through controlled gates.
 
     The preparation ancilla entangles ``|n'>``/``|n>`` as in the direct
-    circuit; the measurement ancilla controls one single-qubit Pauli per
-    site of the string.  Both ancillas are Hadamard-framed and read in the
-    Z basis.  Sampled like any other circuit, so reaching precision ``eps``
-    still costs O(1/eps^2) shots; amplitude-estimation-style readout is out
-    of scope.
+    circuit, with ``popcount(n ^ n')`` CX; the measurement ancilla controls
+    one single-qubit Pauli per site of the string, ``popcount(x_mask |
+    z_mask)`` more two-qubit gates.  Both ancillas are Hadamard-framed and
+    read in the Z basis.  Sampled like any other circuit, so reaching
+    precision ``eps`` still costs O(1/eps^2) shots; amplitude-estimation-style
+    readout is out of scope.
     """
     if part not in ("real", "imag"):
         raise ValueError(f"part must be 'real' or 'imag', got {part!r}")
@@ -228,8 +205,7 @@ def build_indirect_circuit(
     if n == nprime:
         raise ValueError("n == n'; diagonal elements use plain basis preparation")
     prep, meas = prep_ancilla_index(num_qubits), measure_ancilla_index(num_qubits)
-    gates = [Gate.h(prep), Gate.h(meas), *controlled_prepare(nprime, num_qubits, prep, 0),
-             *controlled_prepare(n, num_qubits, prep, 1)]
+    gates = [Gate.h(prep), Gate.h(meas), *_prepare_branches(n, nprime, prep)]
     for site in sites(x_mask | z_mask):
         op = PauliOp("IXZY"[x_mask >> site & 1 | (z_mask >> site & 1) << 1])
         gates.append(Gate.controlled_pauli(meas, site, op))

@@ -169,7 +169,10 @@ class RunConfig(Frozen):
 def _select_basis(hamiltonian: PauliSum, config: RunConfig):
     if not config.basis_file:
         return build_subspace(hamiltonian, config.subspace)
-    states = load_states(config.basis_file)
+    try:
+        states = load_states(config.basis_file)
+    except ValueError as exc:
+        raise ValueError(f"{config.basis_file}: {exc}") from None
     wanted = (hamiltonian.qubit_count, config.subspace.particle_number)
     outside = [s.bits for s in states if (s.num_qubits, s.particle_number) != wanted]
     if outside or not states:

@@ -29,7 +29,6 @@ __all__ = [
     "jw_transform",
     "check_particle_conservation",
     "load_fermion_hamiltonian",
-    "save_fermion_hamiltonian",
     "parse_fermion_hamiltonian",
     "format_fermion_hamiltonian",
 ]
@@ -237,8 +236,3 @@ def load_fermion_hamiltonian(path_or_file: str | TextIO) -> FermionHamiltonian:
         return parse_fermion_hamiltonian(path_or_file.read())
     with open(path_or_file, "r", encoding="utf-8") as fh:
         return parse_fermion_hamiltonian(fh.read())
-
-
-def save_fermion_hamiltonian(hamiltonian: FermionHamiltonian, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_fermion_hamiltonian(hamiltonian))

@@ -35,7 +35,6 @@ __all__ = [
     "project_masks",
     "classify_terms",
     "load_pauli_sum",
-    "save_pauli_sum",
     "parse_pauli_sum",
     "format_pauli_sum",
 ]
@@ -504,8 +503,3 @@ def load_pauli_sum(path_or_file: str | TextIO) -> PauliSum:
         return parse_pauli_sum(path_or_file.read())
     with open(path_or_file, "r", encoding="utf-8") as fh:
         return parse_pauli_sum(fh.read())
-
-
-def save_pauli_sum(hamiltonian: PauliSum, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_pauli_sum(hamiltonian))

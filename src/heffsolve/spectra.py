@@ -80,8 +80,9 @@ def _check_hermitian(matrix: np.ndarray) -> np.ndarray:
         strip = slice(start, start + step)
         # np.conjugate copies; a real array's .conj() is the array itself
         diff = np.conjugate(matrix[:, strip]).T
-        np.subtract(matrix[strip], diff, out=diff)
-        strip_deviation = float(np.abs(diff).max())
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.subtract(matrix[strip], diff, out=diff)
+            strip_deviation = float(np.abs(diff).max())
         # a NaN or infinite entry makes its own difference NaN or infinite
         if not math.isfinite(strip_deviation):
             raise ValueError("matrix has non-finite entries")

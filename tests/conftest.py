@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from heffsolve.circuits import Circuit, ReadoutNoise, marginal_probabilities, run_statevector
+from heffsolve.circuits import Circuit, ReadoutNoise, run_statevector
 from heffsolve.fermion import FermionHamiltonian, FermionTerm, jw_ladder, jw_transform
 from heffsolve.pauli import BasisState, PauliString, PauliSum
 
@@ -185,12 +185,10 @@ def apply_noise_to_distribution(
 
 
 def outcome_distribution(circuit: Circuit, noise: ReadoutNoise | None = None) -> np.ndarray:
-    """Exact outcome probabilities over the measured wires, noise applied analytically."""
-    state = run_statevector(circuit)
-    measured = circuit.measured
-    probs = marginal_probabilities(state, circuit.total_qubits, measured)
+    """Exact outcome probabilities over every wire, noise applied analytically."""
+    probs = np.abs(run_statevector(circuit)) ** 2
     if noise is not None:
-        probs = apply_noise_to_distribution(probs, noise, measured)
+        probs = apply_noise_to_distribution(probs, noise, tuple(range(circuit.total_qubits)))
     return probs
 
 

@@ -263,7 +263,7 @@ def test_criterion_8_mitigation_benefit():
     circuit = prepare_basis_circuit(BasisState("1100").mask, 4)
     noisy = outcome_distribution(circuit, noise)
     clean = outcome_distribution(circuit)
-    maps = [calibration.pullbacks[q] for q in circuit.measured]
+    maps = [calibration.pullbacks[q] for q in range(circuit.total_qubits)]
     recovered = np.array([apply_per_qubit(indicator, maps) @ noisy for indicator in np.eye(noisy.size)])
     assert np.abs(recovered - clean).max() <= 1e-12
 

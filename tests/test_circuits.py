@@ -15,7 +15,6 @@ from heffsolve.circuits import (
     build_indirect_circuit,
     build_offdiagonal_circuit,
     class_basis_change,
-    controlled_prepare,
     marginal_probabilities,
     prepare_basis_circuit,
     rng_from_seed,
@@ -27,7 +26,7 @@ from heffsolve.circuits import (
 )
 from heffsolve.estimator import Backend, _sampled_estimate
 from heffsolve.fermion import FermionHamiltonian, FermionTerm, jw_transform
-from heffsolve.pauli import BasisState, PauliString
+from heffsolve.pauli import BasisState, PauliString, sites
 from heffsolve.spectra import CapacityError
 
 from conftest import (
@@ -102,48 +101,78 @@ class TestGates:
         assert abs(np.linalg.norm(state) - 1.0) < 1e-10
 
 
-class TestControlledPrepare:
-    def test_flips_set_bits_on_control_one(self):
-        gates = controlled_prepare(BasisState("011").mask, 3, control=3, control_value=1)
-        assert [g.kind for g in gates] == ["cx", "cx"]
-        assert sorted(g.qubits[1] for g in gates) == [1, 2]
+def depth(circuit: Circuit) -> int:
+    """Layers of the circuit, each gate placed as early as its wires allow."""
+    level = [0] * circuit.total_qubits
+    for _, qubits in circuit.gates:
+        top = 1 + max(level[q] for q in qubits)
+        for q in qubits:
+            level[q] = top
+    return max(level)
 
-    def test_zero_pattern_is_empty(self):
-        assert controlled_prepare(BasisState("000").mask, 3, 3, 1) == []
-        gates = controlled_prepare(BasisState("000").mask, 3, 3, 0)
-        assert [g.kind for g in gates] == ["x", "x"]
 
-    def test_control_value_zero_wraps_with_x(self):
-        gates = controlled_prepare(BasisState("10").mask, 2, 2, 0)
-        assert [g.kind for g in gates] == ["x", "cx", "x"]
+def random_pairs(rng, count: int, max_qubits: int = 40):
+    """Up to ``count`` pairs of distinct masks ``(n, n')`` on 1..max_qubits qubits."""
+    for _ in range(count):
+        num = int(rng.integers(1, max_qubits + 1))
+        n, nprime = (int(v) for v in rng.integers(1 << num, size=2))
+        if n != nprime:
+            yield num, n, nprime
 
-    def test_control_collision_rejected(self):
-        with pytest.raises(ValueError, match="collides"):
-            controlled_prepare(BasisState("011").mask, 3, control=1, control_value=1)
 
-    def test_entangled_preparation_state(self):
-        # H then both branch preparations must give (|0>|n'> + |1>|n>)/sqrt(2)
-        n, nprime = BasisState("1100"), BasisState("0110")
-        circuit = Circuit(5, [Gate.h(4)])
-        circuit.extend(controlled_prepare(nprime.mask, 4, 4, 0))
-        circuit.extend(controlled_prepare(n.mask, 4, 4, 1))
-        state = run_statevector(circuit)
-        expected = np.zeros(32, dtype=complex)
-        expected[nprime.mask] = 1 / math.sqrt(2)
-        expected[n.mask | (1 << 4)] = 1 / math.sqrt(2)
-        assert np.allclose(state, expected, atol=1e-12)
+class TestBranchPreparation:
+    """Both builders prepare ``|n'>`` with X gates, then fan out one CX from
+    the preparation ancilla to each site of ``n ^ n'``."""
+
+    @pytest.mark.parametrize("style", ["direct", "indirect"])
+    def test_entangled_preparation_state(self, rng, style):
+        # the gates before the closing Hadamards give (|0>|n'> + |1>|n>)/sqrt(2)
+        for num, n, nprime in random_pairs(rng, 20, max_qubits=6):
+            if style == "direct":
+                opened = Circuit(num + 1, build_offdiagonal_circuit(n, nprime, num, "real").gates[:-1])
+            else:
+                # a string of no sites leaves the measurement ancilla in |0>
+                gates = build_indirect_circuit(n, nprime, num, 0, 0, "real").gates
+                opened = Circuit(num + 1, [g for g in gates[:-2] if g != Gate.h(num + 1)])
+            expected = np.zeros(1 << num + 1, dtype=complex)
+            expected[nprime] = expected[n | 1 << num] = 1 / math.sqrt(2)
+            assert np.allclose(run_statevector(opened), expected, atol=1e-12)
+            sparse = run_sparse(opened)
+            # the sampler draws over the entries in this order
+            assert list(sparse) == [nprime, n | 1 << num]
+            assert all(amp == 1 / math.sqrt(2) for amp in sparse.values())
+
+    def test_flips_set_bits(self):
+        n, nprime = BasisState("1100").mask, BasisState("0110").mask
+        circuit = build_offdiagonal_circuit(n, nprime, 4, "real")
+        assert [g for g in circuit.gates if g.kind == "x"] == [Gate.x(1), Gate.x(2)]
+        assert [g for g in circuit.gates if g.kind == "cx"] == [Gate.cx(4, 0), Gate.cx(4, 2)]
+
+    def test_zero_pattern_prepares_nothing(self):
+        # n' = 0 needs no X gate; n = 0 fans out to the sites of n'
+        zero, pair = BasisState("000").mask, BasisState("011").mask
+        assert [g.kind for g in build_offdiagonal_circuit(pair, zero, 3, "real").gates] == [
+            "h", "cx", "cx", "h"
+        ]
+        assert [g.kind for g in build_offdiagonal_circuit(zero, pair, 3, "real").gates] == [
+            "h", "x", "x", "cx", "cx", "h"
+        ]
 
 
 class TestOffdiagonalCircuit:
-    def test_depth_is_linear(self):
-        n, nprime = BasisState("111100"), BasisState("001111")
-        real = build_offdiagonal_circuit(n.mask, nprime.mask, 6, "real")
-        controlled = [g for g in real.gates if g.is_controlled]
-        single = [g for g in real.gates if not g.is_controlled]
-        assert len(controlled) <= 2 * 6
-        assert len(single) <= 4
-        imag = build_offdiagonal_circuit(n.mask, nprime.mask, 6, "imag")
-        assert len([g for g in imag.gates if not g.is_controlled]) <= 5
+    def test_depth_is_linear(self, rng):
+        # exact counts: |n ^ n'| CX, one X per set bit of n', and |n ^ n'| + 2
+        # layers (one more S-dagger layer for the imaginary part)
+        for num, n, nprime in random_pairs(rng, 200):
+            flips = (n ^ nprime).bit_count()
+            for part, extra in (("real", 0), ("imag", 1)):
+                circuit = build_offdiagonal_circuit(n, nprime, num, part)
+                kinds = [g.kind for g in circuit.gates]
+                assert kinds.count("cx") == len([g for g in circuit.gates if g.is_controlled]) == flips
+                assert kinds.count("x") == nprime.bit_count()
+                assert kinds.count("h") == 2 and kinds.count("sdg") == extra
+                assert len(kinds) == flips + nprime.bit_count() + 2 + extra
+                assert depth(circuit) == flips + 2 + extra
 
     def test_rejects_equal_states(self):
         with pytest.raises(ValueError, match="diagonal"):
@@ -202,7 +231,7 @@ class TestIndirectCircuit:
         # Re <n|I|n'> = 0 for n != n'
         n, nprime = BasisState("10"), BasisState("01")
         circuit = build_indirect_circuit(n.mask, nprime.mask, 2, 0, 0, "real")
-        probs = marginal_probabilities(run_statevector(circuit), 4, circuit.measured)
+        probs = np.abs(run_statevector(circuit)) ** 2
         both_zero = sum(probs[k] for k in range(16) if not k >> 2 & 1 and not k >> 3 & 1)
         d_n = d_nprime = 1.0
         assert 4 * both_zero - 1 - 0.5 * (d_n + d_nprime) == pytest.approx(0.0, abs=1e-10)
@@ -216,7 +245,7 @@ class TestIndirectCircuit:
             estimates = {}
             for part in ("real", "imag"):
                 circuit = build_indirect_circuit(n.mask, nprime.mask, num, h.x_mask, h.z_mask, part)
-                probs = marginal_probabilities(run_statevector(circuit), num + 2, circuit.measured)
+                probs = np.abs(run_statevector(circuit)) ** 2
                 idx = np.arange(probs.shape[0])
                 mask = (1 << num) | (1 << (num + 1))
                 estimates[part] = float(probs[(idx & mask) == 0].sum())
@@ -241,6 +270,22 @@ class TestIndirectCircuit:
         }
         assert all(g.qubits[0] == meas for g in controlled_paulis)
 
+    def test_gate_counts_are_exact(self, rng):
+        # |n ^ n'| CX on the preparation ancilla, one controlled Pauli per string site
+        for num, n, nprime in random_pairs(rng, 200):
+            x_mask, z_mask = (int(v) for v in rng.integers(1 << num, size=2))
+            prep, meas = num, num + 1
+            for part in ("real", "imag"):
+                circuit = build_indirect_circuit(n, nprime, num, x_mask, z_mask, part)
+                controlled = [g for g in circuit.gates if g.is_controlled]
+                from_prep = [g for g in controlled if g.qubits[0] == prep]
+                assert {g.kind for g in from_prep} <= {"cx"}
+                assert len(from_prep) == (n ^ nprime).bit_count()
+                assert [g.qubits[1] for g in controlled if g.qubits[0] == meas] == list(
+                    sites(x_mask | z_mask)
+                )
+                assert len(controlled) == (n ^ nprime).bit_count() + (x_mask | z_mask).bit_count()
+
 
 def histogram(bits: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Dense counts over the read wires, outcome index bit ``j`` = row ``j``."""
@@ -254,18 +299,17 @@ def sampled(circuit: Circuit, observable: PauliString, shots: int, seed: int, no
     :func:`_sampled_estimate` (the sampler of every sampled matrix element)
     rotates the sparse state by the string's basis change and reads the
     parity of its Z-string image from one draw; the counts are the same
-    seed's draw over the measured wires of the rotated circuit, as a dense
-    histogram.
+    seed's draw over every wire of the rotated circuit, as a dense histogram.
     """
     rotated = Circuit(
         circuit.total_qubits,
         [*circuit.gates, *class_basis_change([(observable.x_mask, observable.z_mask)])[0]],
-        circuit.measured_qubits,
     )
     backend = Backend.sampled(shots=shots, noise=noise)
     masks = (observable.x_mask, observable.z_mask)
     mean, var = _sampled_estimate(run_sparse(circuit), [(1.0, *masks)], backend, seed, None)
-    draw = sample_outcome_counts(run_sparse(rotated), shots, rng_from_seed(seed), noise, rotated.measured)
+    wires = tuple(range(rotated.total_qubits))
+    draw = sample_outcome_counts(run_sparse(rotated), shots, rng_from_seed(seed), noise, wires)
     return histogram(*draw), mean, math.sqrt(var)
 
 
@@ -502,12 +546,6 @@ class TestSampling:
         _, mean, _ = sampled(circuit, PauliString("Z"), shots=20000, seed=7, noise=noise)
         # true -1 outcome flips to +1 with p=0.2: expectation -> -0.6
         assert mean == pytest.approx(-0.6, abs=0.03)
-
-    def test_measured_subset(self):
-        circuit = Circuit(2, [Gate.x(1)], measured_qubits=(1,))
-        counts, mean, _ = sampled(circuit, PauliString("IZ"), shots=100, seed=1)
-        assert mean == -1.0
-        assert counts.tolist() == [0, 100]
 
     def test_stderr_scales_with_shots(self):
         circuit = Circuit(1, [Gate.h(0)])

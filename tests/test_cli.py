@@ -470,6 +470,22 @@ class TestInputValidation:
         assert err.startswith("input error:") and "4-bit states in the --nf 3 sector" in err
         assert message in err and not out.exists()
 
+    @pytest.mark.parametrize(
+        "states, message",
+        [("1100\n111\n", "inconsistent lengths"), ("1100\n11x0\n", "line 2: invalid bits")],
+        ids=["ragged", "bad-character"],
+    )
+    @pytest.mark.parametrize("command", ["solve", "scan"])
+    def test_unreadable_basis_file_is_named(self, tmp_path, capsys, h2_path, states, message, command):
+        basis = tmp_path / "basis.txt"
+        basis.write_text(states)
+        out = tmp_path / "out"
+        source = str(DATA) if command == "scan" else h2_path
+        assert main([command, source, "--out", str(out), "--nf", "2", "--basis", str(basis)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {basis}: ") and message in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["solve", "subspace", "transform", "basis"])
     def test_a_directory_for_a_file_is_an_input_error(self, tmp_path, capsys, h2_path, command):
         folder = tmp_path / "folder"

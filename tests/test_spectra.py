@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -81,8 +82,10 @@ class TestEigendecompose:
         ids=["nan", "inf-diagonal", "inf-imaginary"],
     )
     def test_rejects_non_finite(self, matrix):
-        # max(deviation, nan) keeps the earlier deviation, so NaN once passed the check
-        with pytest.raises(ValueError, match="non-finite"):
+        # max(deviation, nan) keeps the earlier deviation, so NaN once passed the check;
+        # the refusal is the only report, with no numpy warning before it
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="non-finite"):
+            warnings.simplefilter("error")
             eigendecompose(np.array(matrix))
 
     def test_methods_agree(self, rng):
