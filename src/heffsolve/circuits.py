@@ -4,8 +4,9 @@ The circuits built here are the interference circuits that extract matrix
 elements ``<n|H|n'>`` between computational basis states: a single-ancilla
 version whose ancilla statistics encode the real or imaginary part, and a
 two-ancilla variant that reads one Pauli string at a time through controlled
-applications.  The register layout is target qubits ``0..N-1`` followed by
-the ancilla(s) at the highest indices.  Both prepare their two branches
+applications.  The register layout is target qubits ``0..N-1``, then the
+preparation ancilla at wire ``N`` and, in the two-ancilla variant, the
+measurement ancilla at wire ``N + 1``.  Both prepare their two branches
 the short way: X gates for ``|n'>``, then one CX from the ancilla per site
 where ``n`` and ``n'`` differ, so a direct circuit has ``|n ^ n'|`` CX and
 ``|n ^ n'| + 2`` layers (one more for the imaginary part), whatever the
@@ -43,8 +44,6 @@ __all__ = [
     "ReadoutNoise",
     "build_offdiagonal_circuit",
     "build_indirect_circuit",
-    "prep_ancilla_index",
-    "measure_ancilla_index",
     "run_statevector",
     "apply_circuit",
     "run_sparse",
@@ -142,16 +141,6 @@ class Circuit:
 # Circuit builders
 # ---------------------------------------------------------------------------
 
-def prep_ancilla_index(num_targets: int) -> int:
-    """Wire index of the basis-preparation ancilla."""
-    return num_targets
-
-
-def measure_ancilla_index(num_targets: int) -> int:
-    """Wire index of the operator-measurement ancilla (indirect style only)."""
-    return num_targets + 1
-
-
 def _prepare_branches(n: int, nprime: int, anc: int) -> list[Gate]:
     """X gates preparing ``|n'>``, then ``CX(anc -> q)`` for each ``q`` in
     ``n ^ n'``: after a Hadamard on ``anc`` the register holds
@@ -175,7 +164,7 @@ def build_offdiagonal_circuit(n: int, nprime: int, num_qubits: int, part: str) -
         raise ValueError(f"basis states exceed the {num_qubits}-qubit register")
     if n == nprime:
         raise ValueError("n == n'; diagonal elements use plain basis preparation")
-    anc = prep_ancilla_index(num_qubits)
+    anc = num_qubits
     gates = [Gate.h(anc), *_prepare_branches(n, nprime, anc)]
     if part == "imag":
         gates.append(Gate.sdg(anc))
@@ -204,7 +193,7 @@ def build_indirect_circuit(
         raise ValueError("basis states and string must share one register size")
     if n == nprime:
         raise ValueError("n == n'; diagonal elements use plain basis preparation")
-    prep, meas = prep_ancilla_index(num_qubits), measure_ancilla_index(num_qubits)
+    prep, meas = num_qubits, num_qubits + 1
     gates = [Gate.h(prep), Gate.h(meas), *_prepare_branches(n, nprime, prep)]
     for site in sites(x_mask | z_mask):
         op = PauliOp("IXZY"[x_mask >> site & 1 | (z_mask >> site & 1) << 1])
@@ -374,12 +363,22 @@ class ReadoutNoise(Frozen):
         return np.array([[1 - p01, p10], [p01, 1 - p10]])
 
 
+# The first key of every derive_seed stream: one tag per randomized stage,
+# so no two stages share a stream.
+TAG_DIAGONAL = 1  # a circuit diagonal's readout
+TAG_OFFDIAGONAL = 2  # an off-diagonal readout
+TAG_CALIBRATION = 3  # a calibration preparation
+TAG_RUN = 4  # the backend seed of one run of a solve
+TAG_ANNEALING = 5  # the reference-search annealer
+
+
 def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
-    """Deterministic 63-bit stream seed for an independent task."""
+    """Deterministic 63-bit stream seed for an independent task; ``key``
+    starts with one of the ``TAG_*`` stage tags."""
     seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
     return int(seq.generate_state(1, np.uint64)[0] >> np.uint64(1))
 

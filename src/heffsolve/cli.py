@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circuits import ReadoutNoise, derive_seed
+from .circuits import TAG_ANNEALING, TAG_RUN, ReadoutNoise, derive_seed
 from .estimator import (
     Backend,
     build_calibration,
@@ -198,7 +198,7 @@ def _solve_one(hamiltonian: PauliSum, basis: SubspaceBasis, config: RunConfig, r
     """Run ``run_index``'s record, and its files keyed by their path in the bundle."""
     backend = config.backend
     if backend.kind == "sampled":
-        backend = backend._replace(seed=derive_seed(config.seed, 4, run_index))
+        backend = backend._replace(seed=derive_seed(config.seed, TAG_RUN, run_index))
     heff = build_effective_hamiltonian(hamiltonian, basis, backend)
     spectrum = eigendecompose(heff, compute_vectors=False)
     run = Path(f"run_{run_index:03d}" if config.repeats > 1 else ".")
@@ -481,7 +481,7 @@ def _selection(values: dict, given: dict) -> tuple[SubspaceSpec, MonteCarloSearc
     """The basis selection, and the annealing schedule that ``mc`` seeds and searches with."""
     mc = values["strategy"] == "mc"
     # derive_seed loads numpy.random, which an exhaustive solve never needs
-    seed = {"seed": derive_seed(values["seed"], 5)} if mc else {}
+    seed = {"seed": derive_seed(values["seed"], TAG_ANNEALING)} if mc else {}
     annealing = _build(MonteCarloSearch, _ANNEALING_FIELDS, values, given, **seed)
     strategy = annealing if mc else ExhaustiveSearch()
     spec = _build(SubspaceSpec, _SUBSPACE_FIELDS, values, given, values["nf"], search_strategy=strategy)

@@ -29,9 +29,10 @@ A string ``h`` can contribute to ``<n|H|n'>`` only when it flips exactly
 connecting strings: the others would give exact zeros (``exact``) or
 zero-mean shot noise (``sampled``).  A build finds the connected pairs with
 :func:`heffsolve.pauli.flip_cells`, the pair finder of the oracle
-projection too, and measures only those; every other pair gets its closed
-form without a call: value 0, 0 shots, stderr 0, and the direct style's two
-counted circuits (real and imaginary), so that style's circuit count stays
+projection too, and measures only those.  Every other pair, and every
+classical diagonal, has its closed form without a call: its value in the
+matrix, 0 shots, stderr 0, and for a pair the direct style's two counted
+circuits (real and imaginary), so that style's circuit count stays
 ``2 C(Ns, 2)``.  ``string_executions``, ``settings`` and shots count only
 the connecting strings.
 """
@@ -49,6 +50,9 @@ import numpy as np
 # The dense simulator's names are not called here; they stay bound because
 # perfbench/spans.py wraps them, and leave with that tracer.
 from .circuits import (
+    TAG_CALIBRATION,
+    TAG_DIAGONAL,
+    TAG_OFFDIAGONAL,
     Circuit,
     ReadoutNoise,
     apply_circuit,
@@ -57,7 +61,6 @@ from .circuits import (
     class_basis_change,
     derive_seed,
     marginal_probabilities,
-    prep_ancilla_index,
     prepare_basis_circuit,
     rng_from_seed,
     run_sparse,
@@ -88,11 +91,6 @@ __all__ = [
 _BACKEND_KINDS = ("oracle", "exact", "sampled")
 _STYLES = ("direct", "indirect")
 
-# Seed-derivation tags keeping every randomized stage on an independent stream.
-_TAG_DIAGONAL = 1
-_TAG_OFFDIAGONAL = 2
-_TAG_CALIBRATION = 3
-
 
 class Backend(Frozen):
     """How matrix elements are evaluated.
@@ -108,16 +106,15 @@ class Backend(Frozen):
     """
 
     __slots__ = ("kind", "shots", "seed", "noise", "mitigation", "measurement_style",
-                 "measure_diagonals_with_circuits", "calibration_shots")
+                 "measure_diagonals_with_circuits")
 
     def __init__(
         self, kind: str = "oracle", shots: int = 8000, seed: int = 0,
         noise: ReadoutNoise | None = None, mitigation: bool = False,
         measurement_style: str = "direct", measure_diagonals_with_circuits: bool = False,
-        calibration_shots: int | None = None,
     ):
         self._set(kind, shots, seed, noise, mitigation, measurement_style,
-                  measure_diagonals_with_circuits, calibration_shots)
+                  measure_diagonals_with_circuits)
         if self.kind not in _BACKEND_KINDS:
             raise ValueError(f"unknown backend kind {self.kind!r}")
         if self.measurement_style not in _STYLES:
@@ -159,7 +156,6 @@ class Backend(Frozen):
             "mitigation": self.mitigation,
             "measurement_style": self.measurement_style if self.uses_circuits else None,
             "measure_diagonals_with_circuits": self.measure_diagonals_with_circuits,
-            "calibration_shots": self.calibration_shots,
         }
 
 
@@ -208,8 +204,9 @@ class CalibrationMatrix(Frozen):
 
 
 class CircuitCounts(NamedTuple):
-    """Execution accounting for one effective-Hamiltonian build, summed
-    over its :class:`EffectiveHamiltonian` entry arrays.
+    """Execution accounting for one effective-Hamiltonian build: the sums of
+    its :class:`EffectiveHamiltonian` entry arrays, plus the closed form of
+    the cells they do not list.
 
     ``diagonal``/``offdiagonal_*`` count circuits at per-(state) and
     per-(pair, part) granularity (direct style: ``2 C(Ns, 2)`` in all, even
@@ -251,17 +248,20 @@ class EffectiveHamiltonian(NamedTuple):
     """The projected Hamiltonian over a subspace basis, exactly Hermitian.
 
     A measuring backend gives a complex ``matrix`` and the statistics of
-    each upper-triangle entry ``(i, j)``, ``i <= j``, in ``np.triu_indices``
-    order: ``entry_counts`` (int columns shots, circuits, string executions,
-    settings)
-    and ``entry_stderrs`` (float columns ``stderr_re``, ``stderr_im``).  The
-    ``oracle`` ``matrix`` is :func:`~heffsolve.pauli.project_masks`'s array, exact
-    and float64 unless the Hamiltonian has odd-Y strings, and both arrays
-    have no rows.
+    each upper-triangle cell ``(i, j)``, ``i <= j``, whose circuits the
+    build ran, in row-major order: ``entry_cells`` (the ``(i, j)`` rows),
+    ``entry_counts`` (int columns shots, circuits, string executions,
+    settings) and ``entry_stderrs`` (float columns ``stderr_re``,
+    ``stderr_im``).  Those are the circuit diagonals and the connected
+    pairs; every other cell has the closed form of the module docstring.
+    The ``oracle`` ``matrix`` is :func:`~heffsolve.pauli.project_masks`'s
+    array, exact and float64 unless the Hamiltonian has odd-Y strings, and
+    the entry arrays have no rows.
     """
 
     basis: SubspaceBasis
     matrix: np.ndarray
+    entry_cells: np.ndarray
     entry_counts: np.ndarray
     entry_stderrs: np.ndarray
     backend: Backend
@@ -275,6 +275,9 @@ class EffectiveHamiltonian(NamedTuple):
         shots, circuits, executions, settings = self.entry_counts.sum(axis=0).tolist()
         # one circuit per measured diagonal; a pair's real and imaginary parts count alike
         diagonal = self.size if self.backend.measure_diagonals_with_circuits else 0
+        if self.backend.uses_circuits and self.backend.measurement_style == "direct":
+            # the two circuits of each pair that is not listed
+            circuits += 2 * (math.comb(self.size, 2) - (len(self.entry_cells) - diagonal))
         part = (circuits - diagonal) // 2
         return CircuitCounts(diagonal, part, part, executions, shots, settings)
 
@@ -291,30 +294,26 @@ def build_calibration(
 ) -> CalibrationMatrix:
     """Estimate per-qubit confusion matrices from calibration preparations.
 
-    For every wire, ``|0>`` and ``|1>`` are prepared and read ``shots`` times
-    through the flip channel; observed frequencies fill the columns.
-    ``shots=None`` returns the exact (infinite-shot) matrices.
+    For every wire ``q``, ``|0>`` and ``|1>`` are prepared and wire ``q`` is
+    read ``shots`` times through the flip channel by
+    :func:`~heffsolve.circuits.sample_outcome_counts`; observed frequencies
+    fill the columns.  ``shots=None`` returns the exact (infinite-shot)
+    matrices.
     """
+    if shots is not None and shots <= 0:
+        raise ValueError("calibration shots must be positive")
     matrices = []
     for q in range(qubit_count):
         if shots is None:
             matrices.append(noise.channel_matrix(q))
             continue
-        p01, p10 = noise.for_qubit(q)
-        if shots <= 0:
-            raise ValueError("calibration shots must be positive")
-        rng0 = rng_from_seed(derive_seed(seed, _TAG_CALIBRATION, q, 0))
-        rng1 = rng_from_seed(derive_seed(seed, _TAG_CALIBRATION, q, 1))
-        ones_from_zero = int(rng0.binomial(shots, p01)) if p01 > 0 else 0
-        zeros_from_one = int(rng1.binomial(shots, p10)) if p10 > 0 else 0
-        matrices.append(
-            np.array(
-                [
-                    [(shots - ones_from_zero) / shots, zeros_from_one / shots],
-                    [ones_from_zero / shots, (shots - zeros_from_one) / shots],
-                ]
-            )
-        )
+        columns = []
+        for bit in (0, 1):
+            rng = rng_from_seed(derive_seed(seed, TAG_CALIBRATION, q, bit))
+            bits, counts = sample_outcome_counts({bit << q: 1}, shots, rng, noise, (q,))
+            ones = int(counts[bits[0]].sum())
+            columns.append(((shots - ones) / shots, ones / shots))
+        matrices.append(np.array(columns).T)
     return CalibrationMatrix(tuple(matrices))
 
 
@@ -458,7 +457,7 @@ def measure_diagonal(
     weights, z_masks = hamiltonian.w.real[diagonal].tolist(), hamiltonian.z[diagonal].tolist()
     observable = [(w, 0, z) for w, z in zip(weights, z_masks)]
     circuit = prepare_basis_circuit(n, hamiltonian.qubit_count)
-    [(mean, var)] = _read([(circuit, observable, (_TAG_DIAGONAL, n))], backend, calibration)
+    [(mean, var)] = _read([(circuit, observable, (TAG_DIAGONAL, n))], backend, calibration)
     return MeasurementEstimate(
         complex(mean),
         stderr_re=math.sqrt(var),
@@ -520,21 +519,21 @@ def measure_offdiagonal(
     settings: dict[int, list[tuple[int, float, int]]] = {}
     for k, w, z, odd in zip(ranks.tolist(), weights, z_masks, groups.odd[span].tolist()):
         settings.setdefault(odd if direct else k, []).append((k, w, z))
-    ancilla = 1 << prep_ancilla_index(num)
+    prep, meas = 1 << num, 2 << num  # the z-mask bits of the two ancillas
     recovered = []
     for index, (part, sign) in enumerate((("real", 1.0), ("imag", -1.0))):
         if direct:
             circuit = build_offdiagonal_circuit(n, nprime, num, part) if settings else None
             readouts = [
-                (circuit, [(0.5 * w, x_mask, z | a) for _, w, z in terms for a in (0, ancilla)],
-                 (_TAG_OFFDIAGONAL, n, nprime, index, terms[0][0]))
+                (circuit, [(0.5 * w, x_mask, z | a) for _, w, z in terms for a in (0, prep)],
+                 (TAG_OFFDIAGONAL, n, nprime, index, terms[0][0]))
                 for terms in settings.values()
             ]
         else:
             readouts = [
                 (build_indirect_circuit(n, nprime, num, x_mask, z, part),
-                 [(0.25, 0, a * ancilla) for a in range(4)],  # II, ZI, IZ, ZZ on the ancillas
-                 (_TAG_OFFDIAGONAL, n, nprime, 2 + index, k))
+                 [(0.25, 0, a) for a in (0, prep, meas, prep | meas)],  # II, ZI, IZ, ZZ
+                 (TAG_OFFDIAGONAL, n, nprime, 2 + index, k))
                 for [(k, _, z)] in settings.values()
             ]
         total = var = 0.0
@@ -569,58 +568,55 @@ def build_effective_hamiltonian(
 
     The ``size`` diagonal entries are measured (or read classically), and
     :func:`measure_offdiagonal` runs once for each pair ``i < j`` that
-    :func:`~heffsolve.pauli.flip_cells` finds connected; every other pair
-    keeps its closed form (value 0, 0 shots, stderr 0, two counted circuits
-    in the direct style and none in the indirect).  The lower triangle is
-    the conjugate transpose and a final ``(M + M^dagger)/2`` pass makes
-    Hermiticity exact.  Classical diagonals are ``basis.diagonal_energies``,
-    so ``basis`` must come from this Hamiltonian.  The oracle backend's
-    matrix is :func:`project_masks`'s array as returned, exactly Hermitian
-    already, with empty entry arrays.
+    :func:`~heffsolve.pauli.flip_cells` finds connected.  Only the measured
+    cells get entry rows; every other cell has its closed form (value 0 off
+    the diagonal, 0 shots, stderr 0).  The lower triangle is the conjugate
+    transpose and a final ``(M + M^dagger)/2`` pass makes Hermiticity
+    exact.  Classical diagonals are ``basis.diagonal_energies``, so
+    ``basis`` must come from this Hamiltonian.  The oracle backend's matrix
+    is :func:`project_masks`'s array as returned, exactly Hermitian already,
+    with empty entry arrays.
     """
     hamiltonian = hamiltonian.real_weights()
     size = basis.size
     if not backend.uses_circuits:
         return EffectiveHamiltonian(
-            basis, project_masks(hamiltonian, basis.masks), np.zeros((0, 4), dtype=np.int64),
-            np.zeros((0, 2)), backend,
+            basis, project_masks(hamiltonian, basis.masks), np.zeros((0, 2), dtype=np.int64),
+            np.zeros((0, 4), dtype=np.int64), np.zeros((0, 2)), backend,
         )
     calibration = None
     if backend.mitigation:
         calibration = build_calibration(
-            backend.noise,
-            backend.calibration_shots if backend.calibration_shots is not None else backend.shots,
-            backend.seed,
-            qubit_count=hamiltonian.qubit_count + 2,
+            backend.noise, backend.shots, backend.seed, qubit_count=hamiltonian.qubit_count + 2
         )
     matrix = np.zeros((size, size), dtype=complex)
-    counts = np.zeros((size * (size + 1) // 2, 4), dtype=np.int64)
-    stderrs = np.zeros((len(counts), 2))
-    # an unconnected pair's direct circuits; the diagonal rows are set below
-    counts[:, 1] = 2 if backend.measurement_style == "direct" else 0
-
-    def record(i: int, j: int, est: MeasurementEstimate) -> None:
-        at = i * (2 * size - i + 1) // 2 + j - i  # row-major upper triangle, i <= j
-        counts[at] = est.shots, est.circuits, est.executions, est.settings
-        stderrs[at] = est.stderr_re, est.stderr_im
-
+    measured = []  # (i, j, estimate) of each cell whose circuits ran
     masks = basis.masks.tolist()
-    for i, (mask, energy) in enumerate(zip(masks, basis.diagonal_energies.tolist())):
-        if backend.measure_diagonals_with_circuits:
+    if backend.measure_diagonals_with_circuits:
+        for i, mask in enumerate(masks):
             est = measure_diagonal(hamiltonian, mask, backend, calibration)
-        else:
-            est = MeasurementEstimate(complex(energy))
-        record(i, i, est)
-        matrix[i, i] = est.value.real
+            measured.append((i, i, est))
+            matrix[i, i] = est.value.real
+    else:
+        np.fill_diagonal(matrix, basis.diagonal_energies)
     for _, rows, cols in flip_cells(hamiltonian.groups, basis.masks):
         upper = rows < cols
         for i, j in zip(rows[upper].tolist(), cols[upper].tolist()):
             est = measure_offdiagonal(hamiltonian, masks[i], masks[j], backend, calibration)
-            record(i, j, est)
+            measured.append((i, j, est))
             matrix[i, j] = est.value
             matrix[j, i] = est.value.conjugate()
     matrix = 0.5 * (matrix + matrix.conj().T)
-    return EffectiveHamiltonian(basis, matrix, counts, stderrs, backend)
+    measured.sort(key=lambda cell: cell[:2])  # row-major; flip_cells gives them by flip group
+    return EffectiveHamiltonian(
+        basis,
+        matrix,
+        np.array([(i, j) for i, j, _ in measured], dtype=np.int64).reshape(-1, 2),
+        np.array([(e.shots, e.circuits, e.executions, e.settings) for *_, e in measured],
+                 dtype=np.int64).reshape(-1, 4),
+        np.array([(e.stderr_re, e.stderr_im) for *_, e in measured], dtype=float).reshape(-1, 2),
+        backend,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -628,17 +624,16 @@ def build_effective_hamiltonian(
 # ---------------------------------------------------------------------------
 
 def heff_to_dict(heff: EffectiveHamiltonian) -> dict:
-    """Description of ``heff`` in format ``heffsolve-heff-v2``; write it with
+    """Description of ``heff`` in format ``heffsolve-heff-v3``; write it with
     :func:`heff_to_json`.
 
     The basis, the matrix (kept as the complex array; written as ``[re, im]``
     pairs), the backend and its circuit counts; a backend that measures also
-    gets ``entries``, the per-entry statistics of the upper triangle (kept as
-    the arrays ``(rows, cols, entry_counts, entry_stderrs)``; written as one
-    record per entry).
+    gets ``entries``, one record per listed cell of its entry arrays, in
+    their row-major order.
     """
     payload = {
-        "format": "heffsolve-heff-v2",
+        "format": "heffsolve-heff-v3",
         "qubit_count": heff.basis.qubit_count,
         "reference": heff.basis.reference.bits,
         "basis": [s.bits for s in heff.basis.states],
@@ -648,7 +643,13 @@ def heff_to_dict(heff: EffectiveHamiltonian) -> dict:
         "circuit_counts": heff.circuit_counts.as_dict(),
     }
     if heff.backend.uses_circuits:
-        payload["entries"] = (*np.triu_indices(heff.size), heff.entry_counts, heff.entry_stderrs)
+        payload["entries"] = [
+            {"row": i, "col": j, "shots": shots, "circuits": circuits,
+             "stderr_re": stderr_re, "stderr_im": stderr_im}
+            for (i, j), (shots, circuits, _, _), (stderr_re, stderr_im) in zip(
+                heff.entry_cells.tolist(), heff.entry_counts.tolist(), heff.entry_stderrs.tolist()
+            )
+        ]
     return payload
 
 
@@ -674,36 +675,13 @@ def _matrix_json(matrix: np.ndarray) -> str:
     ) + "]"
 
 
-# the record of an entry with no shots and both standard errors +0.0
-_CLOSED_ENTRY = '{"circuits": %d, "col": %d, "row": %d, "shots": 0, "stderr_im": 0.0, "stderr_re": 0.0}'
-
-
-def _entries_json(entries: tuple[np.ndarray, ...]) -> str:
-    """``json.dumps`` of the ``entries`` arrays as sorted-key records: a record
-    with 0 shots and both stderrs ``+0.0`` prints from one template, any other
-    with ``float.__repr__`` for each finite stderr, as ``json`` does."""
-    rows, cols, counts, stderrs = entries
-    cells = zip(counts[:, 1].tolist(), cols.tolist(), rows.tolist())
-    records = [_CLOSED_ENTRY % cell for cell in cells]
-    closed = (counts[:, 0] == 0) & ((stderrs == 0) & ~np.signbit(stderrs)).all(axis=1)
-    kept = np.flatnonzero(~closed)
-    for k, i, j, (shots, circuits, *_), errors in zip(
-        kept.tolist(), *(a[kept].tolist() for a in (rows, cols, counts, stderrs))
-    ):
-        re, im = (repr(x) if math.isfinite(x) else json.dumps(x) for x in errors)
-        records[k] = (f'{{"circuits": {circuits}, "col": {j}, "row": {i}, "shots": {shots}, '
-                      f'"stderr_im": {im}, "stderr_re": {re}}}')
-    return "[" + ", ".join(records) + "]"
-
-
 def heff_to_json(payload: dict) -> str:
     """The text of ``json.dumps(payload, sort_keys=True)`` for a
     :func:`heff_to_dict` payload, with its ``matrix`` array as ``[re, im]``
-    pairs and its ``entries`` arrays as one record per entry."""
-    writers = {"matrix": _matrix_json, "entries": _entries_json}
+    pairs."""
     return "{" + ", ".join(
         f"{json.dumps(key)}: "
-        + (writers[key](value) if key in writers else json.dumps(value, sort_keys=True))
+        + (_matrix_json(value) if key == "matrix" else json.dumps(value, sort_keys=True))
         for key, value in sorted(payload.items())
     ) + "}"
 

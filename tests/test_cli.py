@@ -18,7 +18,7 @@ import heffsolve.cli
 import heffsolve.spectra
 from heffsolve.cli import main
 from heffsolve.estimator import heff_matrix_from_dict
-from heffsolve.pauli import load_pauli_sum
+from heffsolve.pauli import BasisState, flip_cells, load_pauli_sum
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -314,12 +314,28 @@ class TestSolve:
         ) == 0
         sampled, exact = heff_matrix(tmp_path / "sampled"), heff_matrix(tmp_path / "exact")
         assert np.all(np.isfinite(sampled)) and np.array_equal(sampled, sampled.conj().T)
-        entries = json.loads((tmp_path / "sampled" / "heff.json").read_text())["entries"]
-        assert len(entries) == 21 and any(e["stderr_re"] > 0 for e in entries)
+        payload = json.loads((tmp_path / "sampled" / "heff.json").read_text())
+        entries = payload["entries"]
+        assert any(e["stderr_re"] > 0 for e in entries)
         for e in entries:
             error = sampled[e["row"], e["col"]] - exact[e["row"], e["col"]]
             assert abs(error.real) <= 5 * e["stderr_re"] + 1e-12
             assert abs(error.imag) <= 5 * e["stderr_im"] + 1e-12
+        # the listed cells are the connected pairs; every other pair reads exactly 0
+        hamiltonian = heffsolve.cli._load_hamiltonian(str(path), "fermion")
+        masks = np.array([BasisState(bits).mask for bits in payload["basis"]], dtype=np.uint64)
+        connected = {
+            (i, j)
+            for _, rows, cols in flip_cells(hamiltonian.groups, masks)
+            for i, j in zip(rows.tolist(), cols.tolist()) if i < j
+        }
+        assert [(e["row"], e["col"]) for e in entries] == sorted(connected)
+        assert 0 < len(connected) < 15
+        for i in range(6):
+            for j in range(i + 1, 6):
+                if (i, j) not in connected:
+                    assert sampled[i, j] == exact[i, j] == 0, (i, j)
+        assert payload["circuit_counts"]["offdiagonal_total"] == 2 * 15
 
     def test_63_qubits_solve(self, tmp_path):
         out = tmp_path / "wide"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import heffsolve.estimator
-from heffsolve.circuits import ReadoutNoise
+from heffsolve.circuits import TAG_CALIBRATION, ReadoutNoise, derive_seed, rng_from_seed
 from heffsolve.estimator import (
     Backend,
     CalibrationMatrix,
@@ -35,6 +35,7 @@ from heffsolve.pauli import (
     PauliString,
     PauliSum,
     classify_terms,
+    flip_cells,
     project_masks,
 )
 from heffsolve.spectra import eigendecompose, exact_sector_spectrum, sector_basis, sector_matrix
@@ -561,10 +562,14 @@ class TestSparseExactBackend:
         assert connected < classes < settings
         offdiagonal = 2 * connected if style == "direct" else 2 * settings
         assert len(simulated) == basis.size + offdiagonal
-        assert len(draws) == basis.size + 2 * (classes if style == "direct" else settings)
-        assert all(entries <= 64 and shape[1] <= 200 and total == 200 for entries, shape, total in draws)
-        assert counts.settings == len(draws)
-        assert counts.total_shots == 200 * len(draws)
+        # the calibration draws first: |0> and |1> on each wire of the two-ancilla register
+        calibration = 2 * (hamiltonian.qubit_count + 2)
+        assert draws[:calibration] == [(1, (1, shape[1]), 200) for _, shape, _ in draws[:calibration]]
+        readouts = draws[calibration:]
+        assert len(readouts) == basis.size + 2 * (classes if style == "direct" else settings)
+        assert all(entries <= 64 and shape[1] <= 200 and total == 200 for entries, shape, total in readouts)
+        assert counts.settings == len(readouts)
+        assert counts.total_shots == 200 * len(readouts)
         assert np.all(np.isfinite(heff.matrix))
 
 
@@ -588,6 +593,24 @@ class TestCalibration:
             matrix = calibration.matrix_for(0)
             assert abs(matrix[1, 0] - 0.02) <= bound
             assert abs(matrix[0, 1] - 0.02) <= bound
+
+    def test_each_preparation_is_one_binomial_draw_of_its_stream(self):
+        # the sampler's multinomial over one entry draws nothing, so a column
+        # is the flip channel's binomial draw on its (wire, prepared bit) stream
+        noise = ReadoutNoise((0.02, 0.0, 0.3), (0.1, 0.2, 0.0))
+        for seed, shots in ((0, 1000), (5, 37), (11, 8000)):
+            calibration = build_calibration(noise, shots, seed, 3)
+            for q in range(3):
+                flips = [
+                    int(rng_from_seed(derive_seed(seed, TAG_CALIBRATION, q, bit)).binomial(shots, p))
+                    if p > 0 else 0
+                    for bit, p in enumerate(noise.for_qubit(q))
+                ]
+                expected = [[(shots - flips[0]) / shots, flips[1] / shots],
+                            [flips[0] / shots, (shots - flips[1]) / shots]]
+                assert calibration.matrix_for(q).tolist() == expected
+        with pytest.raises(ValueError, match="calibration shots must be positive"):
+            build_calibration(noise, 0, 0, 3)
 
     def test_columns_validated(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -768,36 +791,41 @@ class TestHeffJson:
         basis = two_particle_basis(hamiltonian)
         heff = build_effective_hamiltonian(hamiltonian, basis, Backend.sampled(seed=2))
         payload = json.loads(heff_to_json(heff_to_dict(heff)))
-        assert payload["format"] == "heffsolve-heff-v2"
+        assert payload["format"] == "heffsolve-heff-v3"
         states, matrix = heff_matrix_from_dict(payload)
         assert [s.bits for s in states] == [s.bits for s in basis.states]
         assert np.allclose(matrix, heff.matrix)
-        connected = 0
-        for entry in payload["entries"]:
-            i, j = entry["row"], entry["col"]
-            if i == j:  # classical diagonals
-                assert entry["shots"] == 0 and entry["stderr_re"] == 0
+        entries = {(e["row"], e["col"]): e for e in payload["entries"]}
+        # the connected pairs, in row-major order; classical diagonals are not listed
+        assert list(entries) == sorted(entries)
+        for i, j in itertools.combinations_with_replacement(range(basis.size), 2):
+            if (i, j) not in entries:
+                # the closed form: a classical diagonal, or an unconnected pair reading 0
+                assert i == j or connecting_count(hamiltonian, states[i], states[j]) == 0, (i, j)
+                assert i == j or matrix[i, j] == 0, (i, j)
                 continue
+            entry = entries[i, j]
             stats = (entry["shots"], entry["stderr_re"], entry["stderr_im"])
-            if connecting_count(hamiltonian, states[i], states[j]):
-                connected += 1
-                assert stats[0] > 0, (i, j)
-                if min(stats) == 0:
-                    # the connecting strings' sum annihilates both states, so
-                    # the one histogram of each part reads 0 on every shot
-                    assert sum_matrix_element(states[i], hamiltonian, states[j]) == 0
-                    assert matrix[i, j] == 0 and stats[1:] == (0.0, 0.0), (i, j)
-            else:
-                assert stats == (0, 0.0, 0.0), (i, j)
-        assert 0 < connected < comb(basis.size, 2)
+            assert i < j and connecting_count(hamiltonian, states[i], states[j]) > 0, (i, j)
+            assert stats[0] > 0, (i, j)
+            if min(stats) == 0:
+                # the connecting strings' sum annihilates both states, so
+                # the one histogram of each part reads 0 on every shot
+                assert sum_matrix_element(states[i], hamiltonian, states[j]) == 0
+                assert matrix[i, j] == 0 and stats[1:] == (0.0, 0.0), (i, j)
+        assert 0 < len(entries) < comb(basis.size, 2)
+        counts = payload["circuit_counts"]
+        assert counts["offdiagonal_total"] == 2 * comb(basis.size, 2)
+        assert counts["total_shots"] == sum(e["shots"] for e in entries.values())
 
     def test_oracle_writes_no_entries(self, rng):
         hamiltonian, basis = random_sector(rng, 6, 3)
         heff = build_effective_hamiltonian(hamiltonian, basis, Backend.oracle())
-        assert heff.entry_counts.shape == (0, 4) and heff.entry_stderrs.shape == (0, 2)
+        assert heff.entry_cells.shape == (0, 2) and heff.entry_counts.shape == (0, 4)
+        assert heff.entry_stderrs.shape == (0, 2)
         assert heff.circuit_counts.as_dict() == CircuitCounts().as_dict()
         payload = json.loads(heff_to_json(heff_to_dict(heff)))
-        assert payload["format"] == "heffsolve-heff-v2"
+        assert payload["format"] == "heffsolve-heff-v3"
         assert "entries" not in payload
         states, matrix = heff_matrix_from_dict(payload)
         assert [s.bits for s in states] == [s.bits for s in basis.states]
@@ -840,29 +868,6 @@ class TestHeffJson:
             _, back = heff_matrix_from_dict(json.loads(text))
             assert back.dtype == np.complex128
             assert np.array_equal(back.view(np.uint64), matrix.astype(complex).view(np.uint64))
-
-
-    def test_writer_prints_the_entry_records(self, rng):
-        nan, inf = float("nan"), float("inf")
-        rows, cols = np.triu_indices(6)
-        counts = np.zeros((len(rows), 3), dtype=np.int64)
-        counts[:, 1] = rng.integers(0, 3, len(rows))
-        counts[::4, 0] = rng.integers(1, 1000, len(counts[::4]))
-        stderrs = np.where(counts[:, :1] > 0, rng.random((len(rows), 2)), 0.0)
-        # signed zeros, non-finite errors and zero-shot records with an error
-        for k, errors in zip((1, 2, 3, 5, 6, 7), ((-0.0, 0.0), (0.0, -0.0), (1e-3, 0.0),
-                                                  (nan, 0.0), (inf, -inf), (0.0, 2.5))):
-            stderrs[k] = errors
-        records = [
-            {"row": i, "col": j, "shots": shots, "circuits": circuits,
-             "stderr_re": stderr_re, "stderr_im": stderr_im}
-            for i, j, (shots, circuits, _), (stderr_re, stderr_im) in zip(
-                rows.tolist(), cols.tolist(), counts.tolist(), stderrs.tolist()
-            )
-        ]
-        payload = {"entries": (rows, cols, counts, stderrs), "format": "f"}
-        expected = json.dumps({**payload, "entries": records}, sort_keys=True)
-        assert heff_to_json(payload) == expected
 
 
 class TestScreening:
@@ -952,32 +957,55 @@ class TestScreening:
                 assert connecting_count(hamiltonian, *(basis.states[index[m]] for m in (a, b)))
 
     def test_unconnected_entries_keep_their_closed_form(self, rng):
+        # an unconnected pair is not listed: it reads 0 in the matrix, and its
+        # closed form (0 shots, two direct circuits, none indirect) is in the counts
         hamiltonian, basis = random_sector(rng, 6, 3)
         states = basis.states
+        upper = {
+            (i, j)
+            for _, rows, cols in flip_cells(hamiltonian.groups, basis.masks)
+            for i, j in zip(rows.tolist(), cols.tolist()) if i < j
+        }
+        reference = {
+            (i, j) for i, j in itertools.combinations(range(basis.size), 2)
+            if connecting_count(hamiltonian, states[i], states[j])
+        }
+        assert upper == reference and 0 < len(upper) < comb(basis.size, 2)
         for style, unconnected_circuits in (("direct", 2), ("indirect", 0)):
-            for backend in (Backend.exact(style), Backend.sampled(shots=100, seed=2, style=style)):
-                heff = build_effective_hamiltonian(hamiltonian, basis, backend)
-                entries = json.loads(heff_to_json(heff_to_dict(heff)))["entries"]
-                assert len(entries) == comb(basis.size + 1, 2)
-                for entry in entries:
-                    i, j = entry["row"], entry["col"]
-                    assert type(entry["shots"]) is int and type(entry["circuits"]) is int
-                    assert type(entry["stderr_re"]) is float and type(entry["stderr_im"]) is float
-                    strings = connecting_count(hamiltonian, states[i], states[j])
-                    if i == j or strings:
-                        continue
-                    assert {k: v for k, v in entry.items() if k not in ("row", "col")} == {
-                        "shots": 0, "stderr_re": 0.0, "stderr_im": 0.0,
-                        "circuits": unconnected_circuits,
-                    }
-                counts = heff.circuit_counts
-                settings = connecting_settings(hamiltonian, states)
-                assert counts.diagonal == 0 and counts.string_executions == 2 * settings
-                assert counts.offdiagonal == (
-                    2 * comb(basis.size, 2) if style == "direct" else 2 * settings
-                )
-                assert counts.offdiagonal == sum(e["circuits"] for e in entries)
-                assert counts.total_shots == sum(e["shots"] for e in entries)
+            for circuit_diagonals in (False, True):
+                for backend in (
+                    Backend.exact(style, measure_diagonals_with_circuits=circuit_diagonals),
+                    Backend.sampled(shots=100, seed=2, style=style,
+                                    measure_diagonals_with_circuits=circuit_diagonals),
+                ):
+                    heff = build_effective_hamiltonian(hamiltonian, basis, backend)
+                    payload = json.loads(heff_to_json(heff_to_dict(heff)))
+                    entries = payload["entries"]
+                    cells = [(e["row"], e["col"]) for e in entries]
+                    diagonals = [(i, i) for i in range(basis.size)] if circuit_diagonals else []
+                    assert cells == sorted(upper | set(diagonals))
+                    assert heff.entry_cells.tolist() == [list(c) for c in cells]
+                    for entry in entries:
+                        assert type(entry["shots"]) is int and type(entry["circuits"]) is int
+                        assert type(entry["stderr_re"]) is float
+                        assert type(entry["stderr_im"]) is float
+                    _, matrix = heff_matrix_from_dict(payload)
+                    for i, j in itertools.combinations(range(basis.size), 2):
+                        if (i, j) not in upper:
+                            assert matrix[i, j] == 0 and matrix[j, i] == 0, (i, j)
+                    counts = heff.circuit_counts
+                    settings = connecting_settings(hamiltonian, states)
+                    diagonal = basis.size if circuit_diagonals else 0
+                    assert counts.diagonal == diagonal
+                    assert counts.offdiagonal == (
+                        2 * comb(basis.size, 2) if style == "direct" else 2 * settings
+                    )
+                    unlisted = comb(basis.size, 2) - len(upper)
+                    listed = sum(e["circuits"] for e in entries)
+                    assert counts.diagonal + counts.offdiagonal == (
+                        listed + unlisted * unconnected_circuits
+                    )
+                    assert counts.total_shots == sum(e["shots"] for e in entries)
 
     def test_sampled_pair_ignores_appended_strings(self, rng):
         hamiltonian = random_conserving_hamiltonian(rng, 4, max_strings=40)
