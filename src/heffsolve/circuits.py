@@ -47,7 +47,6 @@ __all__ = [
     "run_statevector",
     "apply_circuit",
     "run_sparse",
-    "sparse_expectation",
     "class_basis_change",
     "sample_outcome_counts",
 ]
@@ -111,7 +110,7 @@ class Gate(NamedTuple):
 class Circuit:
     """An ordered gate list on ``total_qubits`` wires.
 
-    The constructor, :meth:`add` and :meth:`extend` check each gate they take.
+    The constructor and :meth:`extend` check each gate they take.
     """
 
     __slots__ = ("total_qubits", "gates")
@@ -120,9 +119,6 @@ class Circuit:
         self.total_qubits = total_qubits
         self.gates: list[Gate] = []
         self.extend(gates)
-
-    def add(self, gate: Gate) -> None:
-        self.extend((gate,))
 
     def extend(self, gates: Iterable[Gate]) -> None:
         gates = list(gates)
@@ -316,18 +312,6 @@ def run_sparse(circuit: Circuit, state: dict[int, complex] | None = None) -> dic
     if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
         raise RuntimeError(f"statevector norm drifted to {norm!r}")
     return state
-
-
-def sparse_expectation(state: dict[int, complex], x_mask: int, z_mask: int) -> float:
-    """``<psi|P|psi>`` over the stored entries, ``P`` the string of masks
-    ``x_mask``, ``z_mask``, with the phases of :func:`apply_pauli_to_state`."""
-    total = 0j
-    for index, amp in state.items():
-        partner = state.get(index ^ x_mask)
-        if partner is not None:
-            term = partner.conjugate() * amp
-            total += -term if (index & z_mask).bit_count() & 1 else term
-    return ((1j ** ((x_mask & z_mask).bit_count() % 4)) * total).real
 
 
 # ---------------------------------------------------------------------------

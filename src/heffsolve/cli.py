@@ -171,16 +171,16 @@ def _select_basis(hamiltonian: PauliSum, config: RunConfig):
         return build_subspace(hamiltonian, config.subspace)
     try:
         states = load_states(config.basis_file)
+        wanted = (hamiltonian.qubit_count, config.subspace.particle_number)
+        outside = [s.bits for s in states if (s.num_qubits, s.particle_number) != wanted]
+        if outside or not states:
+            raise ValueError(
+                f"the basis must be {wanted[0]}-bit states in the --nf {wanted[1]} sector; "
+                f"found {outside[0] if outside else 'no state'}"
+            )
+        return basis_from_states(hamiltonian, states)
     except ValueError as exc:
         raise ValueError(f"{config.basis_file}: {exc}") from None
-    wanted = (hamiltonian.qubit_count, config.subspace.particle_number)
-    outside = [s.bits for s in states if (s.num_qubits, s.particle_number) != wanted]
-    if outside or not states:
-        raise ValueError(
-            f"{config.basis_file}: the basis must be {wanted[0]}-bit states in the "
-            f"--nf {wanted[1]} sector; found {outside[0] if outside else 'no state'}"
-        )
-    return basis_from_states(hamiltonian, states)
 
 
 def _error_rows(heff_values: np.ndarray, exact_values: np.ndarray) -> str:

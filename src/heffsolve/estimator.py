@@ -15,11 +15,12 @@ is a bit of its ``z_mask``, and the strings come from the mask arrays of
 the :class:`~heffsolve.pauli.PauliSum` and its flip groups: no label is
 built.
 
-One routine, :func:`_read`, evaluates the readouts; the backends differ
-only there.  Both circuit backends simulate with
-:func:`heffsolve.circuits.run_sparse`, at any register size.  ``exact``
-takes the expectations from the sparse state; ``sampled`` rotates it by the
-class's basis change and draws finite shots over its entries, with optional
+One routine, :func:`_estimate`, reads every readout, and the backends
+differ only in its last step.  Both circuit backends simulate with
+:func:`heffsolve.circuits.run_sparse`, at any register size, rotate the
+state by the class's basis change and read the parities of the Z-string
+images: ``exact`` weighs each entry by its probability (the infinite-shot
+limit), and ``sampled`` draws finite shots over the entries, with optional
 readout noise and calibration-matrix mitigation.  ``oracle`` measures
 nothing: its matrix is :func:`heffsolve.pauli.project_masks` of the basis
 masks.
@@ -66,7 +67,6 @@ from .circuits import (
     run_sparse,
     run_statevector,
     sample_outcome_counts,
-    sparse_expectation,
     state_expectation,
 )
 from .pauli import BasisState, PauliSum, flip_cells, project_masks, sites
@@ -162,10 +162,10 @@ class Backend(Frozen):
 class MeasurementEstimate(NamedTuple):
     """One estimated matrix element and its statistical pedigree.
 
-    Shots are not kept: each readout's draw is reduced to a mean and
-    variance by :func:`_sampled_estimate`, and the entry keeps the totals of
-    shots, circuits, string executions and measurement settings (readouts)
-    with the propagated standard errors.
+    Shots are not kept: each readout is reduced to a mean and variance by
+    :func:`_estimate` (variance 0 under ``exact``), and the entry keeps the
+    totals of shots, circuits, string executions and measurement settings
+    (readouts) with the propagated standard errors.
     """
 
     value: complex
@@ -198,9 +198,6 @@ class CalibrationMatrix(Frozen):
                 raise ValueError("singular calibration matrix")
         pullbacks = tuple(np.linalg.inv(m).T for m in matrices)
         self._set(matrices, pullbacks, np.array([p @ (1.0, -1.0) for p in pullbacks]))
-
-    def matrix_for(self, qubit: int) -> np.ndarray:
-        return self.matrices[qubit]
 
 
 class CircuitCounts(NamedTuple):
@@ -375,19 +372,23 @@ def _outcome_values(
     return np.add.accumulate(terms, axis=0)[-1]
 
 
-def _sampled_estimate(
+def _estimate(
     state: dict[int, complex],
     observable: list[tuple[float, int, int]],
     backend: Backend,
-    seed: int,
+    seed: int | None,
     calibration: CalibrationMatrix | None,
+    total_qubits: int,
 ) -> tuple[float, float]:
-    """Sample one readout of a :func:`run_sparse` state: its mean, and the
-    variance of that mean.
+    """Read one readout of a :func:`run_sparse` state on ``total_qubits``
+    wires: its mean, and the variance of that mean.
 
     The state is rotated by the observable's :func:`class_basis_change`,
-    each string is read as the sign times the parity of its Z-string image,
-    and the shots read only the wires the images touch.  This is the one
+    and each string is read as the sign times the parity of its Z-string
+    image.  ``exact`` returns the infinite-shot mean, ``sum c sign sum
+    (-1)**parity |amp|^2`` over the rotated entries, with variance 0.
+    ``sampled`` draws ``backend.shots`` from the rotated state with
+    ``seed``, reading only the wires the images touch.  This is the one
     readout-mitigation estimator: under mitigation the values are pulled
     back through the calibration inverse and both moments come from the raw
     shots, so the mean is unbiased for the noiseless expectation, and the
@@ -398,8 +399,13 @@ def _sampled_estimate(
         raise ValueError("mitigation requested but no calibration supplied")
     gates, images = class_basis_change([(x, z) for _, x, z in observable])
     if gates:
-        state = run_sparse(Circuit(observable[0][1].bit_length(), gates), state)
+        state = run_sparse(Circuit(total_qubits, gates), state)
     images = [(c * sign, z) for (c, _, _), (sign, z) in zip(observable, images)]
+    if backend.kind == "exact":
+        probs = [(index, abs(amp) ** 2) for index, amp in state.items()]
+        return sum(
+            c * sum(-p if (index & z).bit_count() & 1 else p for index, p in probs) for c, z in images
+        ), 0.0
     wires = sites(reduce(or_, (z for _, z in images), 0))
     rng = rng_from_seed(seed)
     bits, counts = sample_outcome_counts(state, backend.shots, rng, backend.noise, tuple(wires))
@@ -416,10 +422,9 @@ def _read(
 
     The observable ``[(coefficient, x_mask, z_mask)]`` over the circuit's
     wires, all of them measured, is one commuting class.  Every circuit runs
-    on :func:`run_sparse`, and consecutive readouts of one circuit object
-    share its simulation.  ``exact`` takes ``sum c <P>`` from the sparse state,
-    with variance 0.  ``sampled`` passes the state to
-    :func:`_sampled_estimate`, with the seed the key derives.
+    on :func:`run_sparse`, consecutive readouts of one circuit object share
+    its simulation, and :func:`_estimate` reads each one; under ``sampled``
+    with the seed the key derives.
     """
     results = []
     circuit = state = None
@@ -427,11 +432,8 @@ def _read(
         if readout_circuit is not circuit:
             circuit = readout_circuit
             state = run_sparse(circuit)
-        if backend.kind == "exact":
-            results.append((sum(c * sparse_expectation(state, x, z) for c, x, z in observable), 0.0))
-        else:
-            seed = derive_seed(backend.seed, *key)
-            results.append(_sampled_estimate(state, observable, backend, seed, calibration))
+        seed = derive_seed(backend.seed, *key) if backend.kind == "sampled" else None
+        results.append(_estimate(state, observable, backend, seed, calibration, circuit.total_qubits))
     return results
 
 

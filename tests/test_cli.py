@@ -488,8 +488,12 @@ class TestInputValidation:
 
     @pytest.mark.parametrize(
         "states, message",
-        [("1100\n111\n", "inconsistent lengths"), ("1100\n11x0\n", "line 2: invalid bits")],
-        ids=["ragged", "bad-character"],
+        [
+            ("1100\n111\n", "inconsistent lengths"),
+            ("1100\n11x0\n", "line 2: invalid bits"),
+            ("1100\n0011\n1100\n", "duplicate basis states"),
+        ],
+        ids=["ragged", "bad-character", "duplicate"],
     )
     @pytest.mark.parametrize("command", ["solve", "scan"])
     def test_unreadable_basis_file_is_named(self, tmp_path, capsys, h2_path, states, message, command):

@@ -22,7 +22,7 @@ from heffsolve.estimator import (
     measure_diagonal,
     measure_offdiagonal,
     _outcome_values,
-    _sampled_estimate,
+    _estimate,
 )
 from heffsolve.fermion import (
     FermionHamiltonian,
@@ -409,6 +409,33 @@ class TestBuildEffectiveHamiltonian:
                 exact = build_effective_hamiltonian(hamiltonian, basis, Backend.exact(style=style))
                 assert np.abs(exact.matrix - oracle.matrix).max() <= 1e-12
 
+    def test_exact_reads_through_the_basis_change(self, rng, monkeypatch):
+        # Negated images for every class that flips sites: the direct style
+        # reads its pairs through that basis change, so exact must leave the
+        # oracle; the indirect style reads only its ancillas' Z, so it must not.
+        change = heffsolve.estimator.class_basis_change
+
+        def negated(strings):
+            gates, images = change(strings)
+            if strings and strings[0][0]:
+                images = [(-sign, z) for sign, z in images]
+            return gates, images
+
+        monkeypatch.setattr(heffsolve.estimator, "class_basis_change", negated)
+        hamiltonian, states = closed_sum(rng, 7, (0, 2, 3, 6), 40)
+        hamiltonian = PauliSum([(w.real, s) for w, s in hamiltonian], hamiltonian.qubit_count)
+        basis = basis_from_states(hamiltonian, [s for s in states if s.particle_number == 3])
+        oracle = build_effective_hamiltonian(hamiltonian, basis, Backend.oracle())
+        gap = {
+            style: np.abs(
+                build_effective_hamiltonian(hamiltonian, basis, Backend.exact(style)).matrix
+                - oracle.matrix
+            ).max()
+            for style in ("direct", "indirect")
+        }
+        assert gap["direct"] > 1.0
+        assert gap["indirect"] <= 1e-12
+
     def test_exactly_hermitian(self, rng):
         hamiltonian = random_conserving_hamiltonian(rng, 4)
         basis = two_particle_basis(hamiltonian)
@@ -498,9 +525,10 @@ class TestSparseExactBackend:
         simulated = []
         real_run_sparse = heffsolve.estimator.run_sparse
 
-        def counting(circuit):
-            simulated.append(circuit)
-            return real_run_sparse(circuit)
+        def counting(circuit, state=None):
+            if state is None:  # a circuit, not the basis rotations of a readout
+                simulated.append(circuit)
+            return real_run_sparse(circuit, state)
 
         def refused(*args, **kwargs):
             raise AssertionError("the exact backend built a dense state")
@@ -577,12 +605,12 @@ class TestCalibration:
     def test_exact_matrices(self):
         noise = ReadoutNoise(0.03, 0.08)
         calibration = build_calibration(noise, None, 0, 2)
-        assert np.allclose(calibration.matrix_for(0), [[0.97, 0.08], [0.03, 0.92]])
+        assert np.allclose(calibration.matrices[0], [[0.97, 0.08], [0.03, 0.92]])
 
     def test_zero_noise_estimates_identity(self):
         calibration = build_calibration(ReadoutNoise(0.0, 0.0), 4000, 0, 3)
         for q in range(3):
-            assert np.allclose(calibration.matrix_for(q), np.eye(2))
+            assert np.allclose(calibration.matrices[q], np.eye(2))
 
     def test_estimated_entries_within_binomial_error(self):
         noise = ReadoutNoise(0.02, 0.02)
@@ -590,7 +618,7 @@ class TestCalibration:
         bound = 4 * np.sqrt(0.02 * 0.98 / shots)
         for seed in range(10):
             calibration = build_calibration(noise, shots, seed, 1)
-            matrix = calibration.matrix_for(0)
+            matrix = calibration.matrices[0]
             assert abs(matrix[1, 0] - 0.02) <= bound
             assert abs(matrix[0, 1] - 0.02) <= bound
 
@@ -608,7 +636,7 @@ class TestCalibration:
                 ]
                 expected = [[(shots - flips[0]) / shots, flips[1] / shots],
                             [flips[0] / shots, (shots - flips[1]) / shots]]
-                assert calibration.matrix_for(q).tolist() == expected
+                assert calibration.matrices[q].tolist() == expected
         with pytest.raises(ValueError, match="calibration shots must be positive"):
             build_calibration(noise, 0, 0, 3)
 
@@ -655,15 +683,15 @@ class TestMitigation:
         # the pipeline's mitigated estimate equals the raw one
         state = {0: math.sqrt(0.7), 1: math.sqrt(0.3)}
         backend = Backend.sampled(shots=100, noise=ReadoutNoise())
-        raw = _sampled_estimate(state, observable, backend, 5, None)
+        raw = _estimate(state, observable, backend, 5, None, 2)
         mitigated = Backend.sampled(shots=100, noise=ReadoutNoise(), mitigation=True)
-        assert _sampled_estimate(state, observable, mitigated, 5, calibration) == raw
+        assert _estimate(state, observable, mitigated, 5, calibration, 2) == raw
 
     def test_exact_inversion_recovers_noiseless_distribution(self):
         noise = ReadoutNoise(0.04, 0.07)
         calibration = build_calibration(noise, None, 0, 2)
         clean = np.array([0.5, 0.0, 0.25, 0.25])
-        channel = np.kron(calibration.matrix_for(1), calibration.matrix_for(0))
+        channel = np.kron(calibration.matrices[1], calibration.matrices[0])
         observed = channel @ clean
         # pulling back each outcome indicator reads that outcome's clean probability
         recovered = [apply_per_qubit(indicator, calibration.pullbacks) @ observed for indicator in np.eye(4)]
@@ -674,7 +702,7 @@ class TestMitigation:
         # of Z is (A^-1)^T [1, -1] = [2.5, -2.5], and the mean is not clipped
         calibration = CalibrationMatrix((np.array([[0.7, 0.3], [0.3, 0.7]]),))
         backend = Backend.sampled(shots=100, noise=ReadoutNoise(), mitigation=True)
-        mean, _ = _sampled_estimate({0: 1.0}, [(1.0, 0, PauliString("Z").z_mask)], backend, 0, calibration)
+        mean, _ = _estimate({0: 1.0}, [(1.0, 0, PauliString("Z").z_mask)], backend, 0, calibration, 1)
         assert mean == 2.5
 
     def test_pull_back_is_the_adjoint_of_the_channel(self):
