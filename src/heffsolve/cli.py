@@ -121,24 +121,24 @@ class RunConfig(Frozen):
     """
 
     __slots__ = ("input_path", "subspace", "annealing", "backend", "basis_file", "seed",
-                 "repeats", "levels", "dos_bins", "format")
+                 "repeats", "dos_bins", "format")
 
     def __init__(
         self, input_path: str, subspace: SubspaceSpec, annealing: MonteCarloSearch,
-        backend: Backend, basis_file: str | None, seed: int, repeats: int, levels: int,
-        dos_bins: int, format: str,
+        backend: Backend, basis_file: str | None, seed: int, repeats: int, dos_bins: int,
+        format: str,
     ):
-        self._set(input_path, subspace, annealing, backend, basis_file, seed, repeats, levels,
-                  dos_bins, format)
+        self._set(input_path, subspace, annealing, backend, basis_file, seed, repeats, dos_bins,
+                  format)
 
     @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        values, given = _settings(args)
+    def from_settings(cls, args: argparse.Namespace, values: dict, given: dict) -> "RunConfig":
+        """The run of ``args``, whose settings :func:`_settings` gave as ``values`` and ``given``."""
         subspace, annealing = _selection(values, given)
         return cls(
             input_path=args.input, subspace=subspace, annealing=annealing,
             backend=_build(Backend, _BACKEND_FIELDS, values, given), basis_file=args.basis,
-            **{name: values[name] for name in ("seed", "repeats", "levels", "dos_bins", "format")},
+            **{name: values[name] for name in ("seed", "repeats", "dos_bins", "format")},
         )
 
     def describe(self) -> dict:
@@ -161,7 +161,6 @@ class RunConfig(Frozen):
             "style": backend.measurement_style,
             "diagonals": "circuit" if backend.measure_diagonals_with_circuits else "classical",
             "repeats": self.repeats,
-            "levels": self.levels,
             "dos_bins": self.dos_bins,
         }
 
@@ -303,7 +302,7 @@ def _cmd_subspace(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    manifest, _, files = _run_solve(RunConfig.from_args(args))
+    manifest, _, files = _run_solve(RunConfig.from_settings(args, *_settings(args)))
     _publish(Path(args.out), files)
     ground = manifest["runs"][0]["ground_energy"]
     print(f"subspace size {manifest['subspace_size']}, ground energy {ground:.10g}")
@@ -311,18 +310,19 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-_R_PATTERN = re.compile(r"[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+_R_PATTERN = r"[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?"  # compiled by the one scan that uses it
 
 
 def _distance_from_name(stem: str) -> float:
-    matches = _R_PATTERN.findall(stem)
+    matches = re.findall(_R_PATTERN, stem)
     if not matches:
         raise ValueError(f"cannot parse a bond distance from file name {stem!r}")
     return float(matches[-1])
 
 
 def _cmd_scan(args) -> int:
-    base = RunConfig.from_args(args)
+    values, given = _settings(args)
+    base, levels = RunConfig.from_settings(args, values, given), values["levels"]
     directory = Path(args.input)
     files = sorted(p for p in directory.iterdir() if p.is_file()) if directory.is_dir() else []
     if not files:
@@ -338,16 +338,17 @@ def _cmd_scan(args) -> int:
         _, records, point_files = _run_solve(config, point)
         bundle.update((Path(path.stem, name), text) for name, text in point_files.items())
         # the first run's spectrum: spectrum.csv, or run_000/spectrum.csv with --repeats
-        rows.append((distance, records[0]["eigenvalues"][: config.levels]))
+        rows.append((distance, records[0]["eigenvalues"][:levels]))
         point_manifests.append({"distance": distance, "file": path.name, "directory": path.stem})
-    levels = max(len(e) for _, e in rows)
-    lines = ["R," + ",".join(f"E{k}" for k in range(levels))]
+    columns = max(len(e) for _, e in rows)
+    lines = ["R," + ",".join(f"E{k}" for k in range(columns))]
     for distance, eigs in rows:
         values = ",".join(f"{v:.17g}" for v in eigs)
         lines.append(f"{distance:.17g},{values}")
     bundle[Path("pes.csv")] = "\n".join(lines) + "\n"
-    manifest = {"command": "scan", "version": __version__, "config": base.describe(),
-                "points": point_manifests}
+    # levels shapes pes.csv only, so each point's manifest is its file's solve's
+    manifest = {"command": "scan", "version": __version__,
+                "config": {**base.describe(), "levels": levels}, "points": point_manifests}
     bundle[Path("manifest.json")] = json.dumps(manifest, sort_keys=True) + "\n"
     _publish(Path(args.out), bundle)
     print(f"scanned {len(rows)} points -> {Path(args.out) / 'pes.csv'}")
@@ -514,54 +515,80 @@ def _add_common(parser: argparse.ArgumentParser, with_backend: bool = True) -> N
         _add(parser, "style")
         _add(parser, "diagonals", help="diagonal entries: classical evaluation or full circuits")
         _add(parser, "repeats", help="independent repetitions (min/max bands)")
-        _add(parser, "levels", help="energies per scan point")
-        _add(parser, "dos_bins")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each command's flags, added to its subparser ``p``; each returns the command's handler.
+
+def _transform_flags(p: argparse.ArgumentParser):
+    p.add_argument("input")
+    p.add_argument("-o", "--output", required=True)
+    return _cmd_transform
+
+
+def _subspace_flags(p: argparse.ArgumentParser):
+    p.add_argument("input")
+    p.add_argument("-o", "--output", required=True)
+    _add_common(p, with_backend=False)
+    return _cmd_subspace
+
+
+def _solve_flags(p: argparse.ArgumentParser):
+    p.add_argument("input")
+    p.add_argument("--out", required=True, help="output directory")
+    _add_common(p)
+    _add(p, "dos_bins")
+    return _cmd_solve
+
+
+def _scan_flags(p: argparse.ArgumentParser):
+    p.add_argument("input", help="directory of Hamiltonian files named with R values")
+    p.add_argument("--out", required=True)
+    _add_common(p)
+    _add(p, "levels", help="energies per scan point")
+    _add(p, "dos_bins")
+    return _cmd_scan
+
+
+def _calibrate_flags(p: argparse.ArgumentParser):
+    _add(p, "noise", required=True, help="'p01,p10'")
+    _add(p, "qubits", required=True)
+    _add(p, "shots", help="calibration shots; 0 = exact matrices")
+    _add(p, "seed")
+    p.add_argument("-o", "--output", required=True)
+    return _cmd_calibrate
+
+
+#: Each command: its help line, and the function that adds its flags.
+_COMMANDS = {
+    "transform": ("fermion file -> Pauli-sum file (Jordan-Wigner)", _transform_flags),
+    "subspace": ("select and export a basis", _subspace_flags),
+    "solve": ("full pipeline on one Hamiltonian file", _solve_flags),
+    "scan": ("pipeline per bond-distance file in a directory", _scan_flags),
+    "calibrate": ("estimate readout confusion matrices", _calibrate_flags),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, with the flags of ``command`` only, or of
+    every command when it is None: a run parses one command's flags, so it
+    builds only those."""
     parser = argparse.ArgumentParser(
         prog="heffsolve",
         description="Project a qubit Hamiltonian onto selected basis states via "
                     "simulated measurement circuits and diagonalize classically.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("transform", help="fermion file -> Pauli-sum file (Jordan-Wigner)")
-    p.add_argument("input")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_transform)
-
-    p = sub.add_parser("subspace", help="select and export a basis")
-    p.add_argument("input")
-    p.add_argument("-o", "--output", required=True)
-    _add_common(p, with_backend=False)
-    p.set_defaults(func=_cmd_subspace)
-
-    p = sub.add_parser("solve", help="full pipeline on one Hamiltonian file")
-    p.add_argument("input")
-    p.add_argument("--out", required=True, help="output directory")
-    _add_common(p)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("scan", help="pipeline per bond-distance file in a directory")
-    p.add_argument("input", help="directory of Hamiltonian files named with R values")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_scan)
-
-    p = sub.add_parser("calibrate", help="estimate readout confusion matrices")
-    _add(p, "noise", required=True, help="'p01,p10'")
-    _add(p, "qubits", required=True)
-    _add(p, "shots", help="calibration shots; 0 = exact matrices")
-    _add(p, "seed")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_calibrate)
+    for name, (summary, add_flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if command in (None, name):
+            p.set_defaults(func=add_flags(p))
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
         return args.func(args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)

@@ -315,15 +315,11 @@ def build_calibration(
 
 
 def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Nonnegative least squares, ``scipy.optimize.nnls`` imported on first use.
-
-    Nothing calls it: readout mitigation is the linear pull-back of
-    :func:`_outcome_values`.  It stays bound only because the benchmark's
-    tracer wraps this name, and it leaves with that tracer.
-    """
-    from scipy.optimize import nnls as scipy_nnls
-
-    return scipy_nnls(a, b)
+    """Not implemented: readout mitigation is the linear pull-back of
+    :func:`_outcome_values`, and nothing calls this.  The name stays bound
+    only because the benchmark's tracer wraps it, and it leaves with that
+    tracer."""
+    raise NotImplementedError("readout mitigation is the linear pull-back of _outcome_values")
 
 
 # ---------------------------------------------------------------------------

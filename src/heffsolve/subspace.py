@@ -13,7 +13,6 @@ messages.
 
 from __future__ import annotations
 
-import logging
 import math
 from typing import NamedTuple, Sequence, TextIO
 
@@ -34,9 +33,6 @@ __all__ = [
     "format_states",
     "load_states",
 ]
-
-logger = logging.getLogger(__name__)
-
 
 class ExhaustiveSearch(NamedTuple):
     """Scan every configuration of the particle sector for the exact argmin."""
@@ -165,6 +161,11 @@ def _subset_masks(bits: Sequence[int], k: int) -> np.ndarray:
     return by_size.get(k, none)
 
 
+def _require_sector(num: int, particle_number: int) -> None:
+    if not 0 < particle_number < num:
+        raise ValueError(f"particle number {particle_number} must be strictly between 0 and {num}")
+
+
 def find_reference(
     hamiltonian: PauliSum,
     particle_number: int,
@@ -177,8 +178,7 @@ def find_reference(
     Ties break toward the lexicographically smallest bit string.
     """
     num = hamiltonian.qubit_count
-    if not 0 < particle_number < num:
-        raise ValueError(f"particle number {particle_number} must be strictly between 0 and {num}")
+    _require_sector(num, particle_number)
     if isinstance(strategy, ExhaustiveSearch):
         masks = _subset_masks(range(num), particle_number)
         energies = _diagonal(hamiltonian, masks)
@@ -248,6 +248,7 @@ def build_subspace(hamiltonian: PauliSum, spec: SubspaceSpec) -> SubspaceBasis:
     """
     num = hamiltonian.qubit_count
     n_f = spec.particle_number
+    _require_sector(num, n_f)
     if spec.max_excitation_order > min(n_f, num - n_f):
         raise ValueError(
             f"excitation order {spec.max_excitation_order} exceeds min(N_F, N - N_F) = {min(n_f, num - n_f)}"
@@ -262,7 +263,9 @@ def build_subspace(hamiltonian: PauliSum, spec: SubspaceSpec) -> SubspaceBasis:
     kept = np.concatenate(([0], ranked))
     if spec.target_size is not None:
         if spec.target_size > len(kept):
-            logger.warning(
+            import logging  # here, its one use: no solve or import pays for loading it
+
+            logging.getLogger(__name__).warning(
                 "target size %d exceeds the %d enumerated configurations; keeping all",
                 spec.target_size,
                 len(kept),

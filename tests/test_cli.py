@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import warnings
@@ -378,7 +379,8 @@ class TestInputValidation:
     def rejected(tmp_path, capsys, h2_path, *flags, command="solve"):
         out = tmp_path / "out"
         source = str(DATA) if command == "scan" else h2_path
-        assert main([command, source, "--out", str(out), "--nf", "2", *flags]) == 2
+        output = "-o" if command == "subspace" else "--out"
+        assert main([command, source, output, str(out), "--nf", "2", *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error:")
         assert not out.exists()
@@ -440,7 +442,15 @@ class TestInputValidation:
         assert "--shots" in err
 
     def test_zero_levels(self, tmp_path, capsys, h2_path):
-        assert "--levels" in self.rejected(tmp_path, capsys, h2_path, "--levels", "0")
+        err = self.rejected(tmp_path, capsys, h2_path, "--levels", "0", command="scan")
+        assert "--levels" in err
+
+    @pytest.mark.parametrize("nf", ["0", "5"])
+    @pytest.mark.parametrize("command", ["solve", "subspace"])
+    def test_a_particle_number_outside_the_register(self, tmp_path, capsys, h2_path, command, nf):
+        # the excitation order was once checked first: "... min(N_F, N - N_F) = -1"
+        err = self.rejected(tmp_path, capsys, h2_path, "--nf", nf, command=command)
+        assert f"particle number {nf} must be strictly between 0 and 4" in err
 
     @pytest.mark.parametrize(
         "flag, value", [("--nf", "-1"), ("--mc-steps", "-1"), ("--order", "-1"), ("--ns", "0")]
@@ -579,6 +589,8 @@ class TestImports:
         loaded = self.last_line(script).split()
         assert "heffsolve.cli" in loaded
         assert "dataclasses" not in loaded
+        # logging, with traceback and string, for one warning no solve emits
+        assert "logging" not in loaded
 
     def test_mitigated_sampled_solve_leaves_scipy_unloaded(self, tmp_path, h2_path):
         # numpy.ma: np.unique imports it on first use, at about 1 MB of RSS
@@ -592,7 +604,7 @@ class TestImports:
     def test_exhaustive_solve_leaves_numpy_random_unloaded(self, tmp_path, h2_path, backend):
         # numpy.random costs about 5 MB of RSS; only sampling and annealing need it
         args = ["solve", h2_path, "--out", str(tmp_path / "out"), "--nf", "2", "--backend", backend]
-        assert self.loaded_by_solve(args, "numpy.random") == "0 []"
+        assert self.loaded_by_solve(args, "numpy.random", "scipy", "logging") == "0 []"
 
     def test_every_exported_name_is_bound(self):
         modules = [heffsolve] + [
@@ -636,6 +648,9 @@ class TestScan:
         assert [float(r[0]) for r in rows] == [0.70, 1.00]
         for row in rows:
             assert float(row[1]) <= float(row[2]) <= float(row[3])
+        # levels shapes pes.csv: the scan records it, and no point's solve does
+        assert json.loads((out / "manifest.json").read_text())["config"]["levels"] == 3
+        assert "levels" not in json.loads((out / "h2_style_R0.70" / "manifest.json").read_text())["config"]
 
     def test_repeats_report_the_first_run(self, tmp_path):
         out = tmp_path / "pes"
@@ -891,6 +906,14 @@ class TestEnvOverrides:
         assert manifest["config"]["shots"] == 123
         assert manifest["config"]["backend"] == "sampled"
 
+    @staticmethod
+    def command_line(command: str, h2_path: str, out: Path) -> list[str]:
+        return {
+            "solve": ["solve", h2_path, "--out", str(out), "--nf", "2"],
+            "scan": ["scan", str(DATA), "--out", str(out), "--nf", "2"],
+            "calibrate": ["calibrate", "--noise", "0.02,0.02", "--qubits", "2", "-o", str(out)],
+        }[command]
+
     # Every setting a command parses, with a text its parser rejects; a setting
     # without a variable, or whose flag carries no text, has only one source.
     PARSED = [
@@ -901,7 +924,7 @@ class TestEnvOverrides:
         ("solve", "format", "json", False), ("solve", "backend", "quantum", True),
         ("solve", "shots", "abc", True), ("solve", "noise", "0.1,abc", True),
         ("solve", "style", "sideways", True), ("solve", "diagonals", "circuits", True),
-        ("solve", "repeats", "two", True), ("solve", "levels", "abc", True),
+        ("solve", "repeats", "two", True), ("scan", "levels", "abc", True),
         ("solve", "dos_bins", "abc", True), ("calibrate", "qubits", "abc", False),
         ("calibrate", "noise", "abc", False), ("calibrate", "shots", "abc", True),
         ("calibrate", "seed", "abc", True),
@@ -918,10 +941,7 @@ class TestEnvOverrides:
         self, tmp_path, h2_path, monkeypatch, capsys, command, source, text
     ):
         out = tmp_path / "out"
-        if command == "solve":
-            argv = ["solve", h2_path, "--out", str(out), "--nf", "2"]
-        else:
-            argv = ["calibrate", "--noise", "0.02,0.02", "--qubits", "2", "-o", str(out)]
+        argv = self.command_line(command, h2_path, out)
         if source.startswith("HEFFSOLVE_"):
             monkeypatch.setenv(source, text)
         elif source in argv:
@@ -936,7 +956,7 @@ class TestEnvOverrides:
     # A value out of range, for its parser or for the class that takes it,
     # names its flag or variable as an unparseable text does.
     OUT_OF_RANGE = [
-        ("solve", "HEFFSOLVE_REPEATS", "0", ()), ("solve", "HEFFSOLVE_LEVELS", "0", ()),
+        ("solve", "HEFFSOLVE_REPEATS", "0", ()), ("scan", "HEFFSOLVE_LEVELS", "0", ()),
         ("solve", "HEFFSOLVE_DOS_BINS", "0", ()), ("calibrate", "HEFFSOLVE_SHOTS", "-1", ()),
         # one bin over MAX_DOS_BINS, refused before any histogram is allocated
         ("solve", "--dos-bins", "1000001", ()), ("solve", "HEFFSOLVE_DOS_BINS", "1000001", ()),
@@ -954,10 +974,7 @@ class TestEnvOverrides:
         self, tmp_path, h2_path, monkeypatch, capsys, command, source, text, flags
     ):
         out = tmp_path / "out"
-        if command == "solve":
-            argv = ["solve", h2_path, "--out", str(out), "--nf", "2", *flags]
-        else:
-            argv = ["calibrate", "--noise", "0.02,0.02", "--qubits", "2", "-o", str(out)]
+        argv = [*self.command_line(command, h2_path, out), *flags]
         if source.startswith("HEFFSOLVE_"):
             monkeypatch.setenv(source, text)
             flag = "--" + source.removeprefix("HEFFSOLVE_").lower().replace("_", "-")
@@ -1007,31 +1024,77 @@ class TestEnvOverrides:
             assert capsys.readouterr().out.startswith("usage: heffsolve")
 
 
+class TestCommandFlags:
+    """A run builds only its command's flags; help and refusals read as when
+    every command's flags were built."""
+
+    SELECTION = ["--nf", "--order", "--ns", "--strategy", "--mc-steps", "--mc-t0", "--mc-cooling",
+                 "--seed", "--format"]
+    RUN = [*SELECTION, "--basis", "--backend", "--shots", "--noise", "--mitigate", "--style",
+           "--diagonals", "--repeats"]
+    OWN = {
+        "transform": ["-o", "--output"],
+        "subspace": ["-o", "--output", *SELECTION],
+        "solve": ["--out", *RUN, "--dos-bins"],
+        "scan": ["--out", *RUN, "--levels", "--dos-bins"],
+        "calibrate": ["--noise", "--qubits", "--shots", "--seed", "-o", "--output"],
+    }
+
+    @staticmethod
+    def help_text(capsys, parse, command):
+        with pytest.raises(SystemExit) as done:
+            parse([command, "-h"])
+        assert done.value.code == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", list(OWN))
+    def test_every_command_help_lists_its_own_flags(self, capsys, command):
+        text = self.help_text(capsys, main, command)
+        assert text == self.help_text(capsys, heffsolve.cli.build_parser().parse_args, command)
+        listed = set(re.findall(r"(?<![\w-])(--?[a-z][\w-]*)", text))
+        assert listed == {"-h", "--help", *self.OWN[command]}
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("solve", "--qubits"), ("solve", "--levels"), ("subspace", "--backend"),
+         ("calibrate", "--nf"), ("transform", "--seed")],
+    )
+    def test_a_flag_of_another_command_is_refused(self, tmp_path, capsys, h2_path, command, flag):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as done:
+            main([*TestPublish.command_line(command, h2_path, out), flag, "3"])
+        assert done.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: heffsolve [-h] {transform,subspace,solve,scan,calibrate} ...\n")
+        assert err.endswith(f"heffsolve: error: unrecognized arguments: {flag} 3\n")
+        assert not out.exists()
+
+
 class TestManifestConfig:
     """``manifest.json``'s ``config`` of a solve, as the release before the
-    single settings path wrote it."""
+    single settings path wrote it, less ``levels``, which only ``scan`` reads."""
 
     DEFAULTS = {
         "backend": "oracle", "basis_file": None, "diagonals": "classical", "dos_bins": 20,
-        "levels": 4, "mc_cooling": 0.95, "mc_steps": 2000, "mc_t0": None, "mitigation": False,
+        "mc_cooling": 0.95, "mc_steps": 2000, "mc_t0": None, "mitigation": False,
         "noise": None, "order": 2, "particle_number": 2, "repeats": 1, "seed": 0, "shots": 8000,
         "strategy": "exhaustive", "style": "direct", "target_size": "all",
     }
     FLAGS = {
         "backend": "sampled", "basis_file": "basis.txt", "diagonals": "circuit", "dos_bins": 7,
-        "levels": 3, "mc_cooling": 0.9, "mc_steps": 40, "mc_t0": 0.5, "mitigation": True,
+        "mc_cooling": 0.9, "mc_steps": 40, "mc_t0": 0.5, "mitigation": True,
         "noise": {"p01": 0.01, "p10": 0.02}, "order": 1, "particle_number": 2, "repeats": 2,
         "seed": 3, "shots": 300, "strategy": "mc", "style": "indirect", "target_size": 4,
     }
     VARIABLES = {
         "backend": "sampled", "basis_file": None, "diagonals": "circuit", "dos_bins": 7,
-        "levels": 3, "mc_cooling": 0.95, "mc_steps": 40, "mc_t0": None, "mitigation": True,
+        "mc_cooling": 0.95, "mc_steps": 40, "mc_t0": None, "mitigation": True,
         "noise": {"p01": 0.01, "p10": 0.02}, "order": 1, "particle_number": 2, "repeats": 2,
         "seed": 3, "shots": 300, "strategy": "mc", "style": "indirect", "target_size": 4,
     }
     FLAGS_OVER_VARIABLES = {
         "backend": "sampled", "basis_file": None, "diagonals": "classical", "dos_bins": 5,
-        "levels": 4, "mc_cooling": 0.95, "mc_steps": 10, "mc_t0": None, "mitigation": True,
+        "mc_cooling": 0.95, "mc_steps": 10, "mc_t0": None, "mitigation": True,
         "noise": {"p01": 0.03, "p10": 0.04}, "order": 2, "particle_number": 2, "repeats": 1,
         "seed": 5, "shots": 100, "strategy": "exhaustive", "style": "direct",
         "target_size": "all",
@@ -1063,7 +1126,7 @@ class TestManifestConfig:
             "--mc-t0", "0.5", "--mc-cooling", "0.9", "--seed", "3", "--format", "fermion",
             "--basis", "basis.txt", "--backend", "sampled", "--shots", "300",
             "--noise", "0.01,0.02", "--mitigate", "--style", "indirect", "--diagonals", "circuit",
-            "--repeats", "2", "--levels", "3", "--dos-bins", "7",
+            "--repeats", "2", "--dos-bins", "7",
         ]
         assert self.config(tmp_path, monkeypatch, h2_path, flags) == self.FLAGS
 
@@ -1077,7 +1140,7 @@ class TestManifestConfig:
             "--order", "2", "--ns", "all", "--strategy", "exhaustive", "--mc-steps", "10",
             "--seed", "5", "--backend", "sampled", "--shots", "100", "--noise", "0.03,0.04",
             "--mitigate", "--style", "direct", "--diagonals", "classical", "--repeats", "1",
-            "--levels", "4", "--dos-bins", "5",
+            "--dos-bins", "5",
         ]
         config = self.config(tmp_path, monkeypatch, h2_path, flags, env)
         assert config == self.FLAGS_OVER_VARIABLES
