@@ -16,7 +16,6 @@ class that takes it, refuses is an input error naming its flag or variable.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import re
@@ -24,6 +23,7 @@ import sys
 import time
 from math import comb
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -58,6 +58,7 @@ from .subspace import (
     MonteCarloSearch,
     SubspaceBasis,
     SubspaceSpec,
+    _require_sector,
     basis_from_states,
     build_subspace,
     format_states,
@@ -205,7 +206,7 @@ def _solve_one(hamiltonian: PauliSum, basis: SubspaceBasis, config: RunConfig, r
         run / "heff.json": heff_to_json(heff_to_dict(heff)) + "\n",
         run / "spectrum.csv": spectrum_to_csv(spectrum),
         run / "dos.csv": dos_to_csv(dos(spectrum, bin_count=config.dos_bins)),
-        run / "basis.txt": format_states(basis.states),
+        run / "basis.txt": format_states(basis.bits),
     }
     if exact_values is not None:
         files[run / "error_vs_exact.csv"] = _error_rows(spectrum.eigenvalues, exact_values)
@@ -245,6 +246,8 @@ def _prepare(config: RunConfig) -> tuple[PauliSum, SubspaceBasis, np.ndarray | N
     """Load and check the input, select the basis and compute the exact
     reference; raises on a bad input or capacity."""
     hamiltonian = _load_hamiltonian(config.input_path, config.format)
+    # before either basis path, so a --basis file is never blamed for the sector
+    _require_sector(hamiltonian.qubit_count, config.subspace.particle_number)
     basis = _select_basis(hamiltonian, config)
     if basis.size > MAX_DENSE_DIMENSION:
         raise CapacityError(f"subspace size {basis.size} exceeds the dense limit {MAX_DENSE_DIMENSION}")
@@ -296,7 +299,7 @@ def _cmd_transform(args) -> int:
 def _cmd_subspace(args) -> int:
     values, given = _settings(args)
     basis = build_subspace(_load_hamiltonian(args.input, values["format"]), _selection(values, given)[0])
-    _publish(Path(), {args.output: format_states(basis.states)})
+    _publish(Path(), {args.output: format_states(basis.bits)})
     print(f"reference {basis.reference.bits}, kept {basis.size} configurations -> {args.output}")
     return EXIT_OK
 
@@ -598,18 +601,18 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
-def run() -> int:
+def run() -> NoReturn:
     """The program entry (``python -m heffsolve.cli`` and the ``heffsolve``
-    script): :func:`main` on ``sys.argv``, with the import-time heap frozen.
-
-    Frozen objects are left out of every collection, so the interpreter's
-    exit no longer walks the ~22k objects the imports made once more.
-    :func:`main` itself freezes nothing, so an in-process call leaves the
-    caller's collector as it was.
+    script): :func:`main` on ``sys.argv``, its return value the exit code.
+    The process then ends without finalizing the interpreter: :func:`_publish`
+    has closed every output, and the standard streams are flushed here.  An
+    exception, argparse's ``SystemExit`` included, leaves by the normal path.
     """
-    gc.freeze()
-    return main()
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()

@@ -43,7 +43,8 @@ from __future__ import annotations
 import json
 import math
 from functools import reduce
-from operator import or_
+from itertools import groupby
+from operator import itemgetter, or_
 from typing import NamedTuple
 
 import numpy as np
@@ -630,11 +631,12 @@ def heff_to_dict(heff: EffectiveHamiltonian) -> dict:
     gets ``entries``, one record per listed cell of its entry arrays, in
     their row-major order.
     """
+    bits = heff.basis.bits
     payload = {
         "format": "heffsolve-heff-v3",
         "qubit_count": heff.basis.qubit_count,
-        "reference": heff.basis.reference.bits,
-        "basis": [s.bits for s in heff.basis.states],
+        "reference": bits[0],
+        "basis": bits,
         "diagonal_energies": heff.basis.diagonal_energies.tolist(),
         "matrix": heff.matrix,
         "backend": heff.backend.describe(),
@@ -653,24 +655,28 @@ def heff_to_dict(heff: EffectiveHamiltonian) -> dict:
 
 def _matrix_json(matrix: np.ndarray) -> str:
     """``json.dumps(np.stack([matrix.real, matrix.imag], -1).tolist())``, at a
-    cost that grows with the cells that are not ``+0.0`` in both parts: a
-    finite cell prints with ``float.__repr__``, as ``json`` does."""
+    cost that grows with the rows and the cells that are not ``+0.0`` in both
+    parts: a finite cell prints with ``float.__repr__``, as ``json`` does."""
     rows, cols = matrix.shape
     re, im = matrix.real, matrix.imag
     # -0.0 == 0, so the sign bit tells a signed zero from the constant cell
     kept = (re != 0) | (im != 0) | np.signbit(re) | np.signbit(im)
-    zero_cells = ["[0.0, 0.0]"] * cols
-    row_cells: dict[int, list[str]] = {}
+    # ", " then k constant cells, each with its separator, is run[:2 + 12 * k]
+    run = ", " + "[0.0, 0.0], " * cols
+    texts = ["[" + run[2:12 * cols] + "]"] * rows
     values = re[kept], im[kept]
     finite = np.isfinite(values[0]) & np.isfinite(values[1])
-    for i, j, x, y, plain in zip(*(a.tolist() for a in (*np.nonzero(kept), *values, finite))):
-        if i not in row_cells:
-            row_cells[i] = zero_cells.copy()
-        row_cells[i][j] = f"[{x!r}, {y!r}]" if plain else json.dumps([x, y])
-    zero_row = "[" + ", ".join(zero_cells) + "]"
-    return "[" + ", ".join(
-        "[" + ", ".join(row_cells[i]) + "]" if i in row_cells else zero_row for i in range(rows)
-    ) + "]"
+    cells = zip(*(a.tolist() for a in (*np.nonzero(kept), *values, finite)))
+    for i, row in groupby(cells, key=itemgetter(0)):
+        parts, last = ["["], -1
+        for _, j, x, y, plain in row:
+            # the constant cells after the last kept one; a separator leads unless it opens the row
+            parts.append(run[2:2 + 12 * j] if last < 0 else run[:2 + 12 * (j - last - 1)])
+            parts.append(f"[{x!r}, {y!r}]" if plain else json.dumps([x, y]))
+            last = j
+        parts.append(run[:12 * (cols - 1 - last)] + "]")
+        texts[i] = "".join(parts)
+    return "[" + ", ".join(texts) + "]"
 
 
 def heff_to_json(payload: dict) -> str:

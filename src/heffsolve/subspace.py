@@ -6,9 +6,9 @@ single/double/... excitations up to a chosen order, and keeps the lowest-
 energy configurations.  Every candidate shares the reference's particle
 number, so the projected Hamiltonian stays inside one symmetry sector.  One
 enumerator of ``uint64`` occupation masks gives the sector and the excitations,
-and configurations stay masks from there to the readout; bit strings
-(:class:`~heffsolve.pauli.BasisState`) are made only for the states files and
-messages.
+and configurations stay masks from there to the readout; bit strings are made
+only for files (:attr:`SubspaceBasis.bits`) and messages
+(:class:`~heffsolve.pauli.BasisState`).
 """
 
 from __future__ import annotations
@@ -98,9 +98,9 @@ class SubspaceBasis(Frozen):
     first, then ascending diagonal energy.
 
     ``masks`` (``uint64``) and the parallel ``diagonal_energies`` are held as
-    read-only arrays.  :attr:`reference` and :attr:`states` build
-    :class:`~heffsolve.pauli.BasisState` objects on demand, for files and
-    messages.
+    read-only arrays.  :attr:`bits` gives the states' bit strings, for files;
+    :attr:`reference` and :attr:`states` build
+    :class:`~heffsolve.pauli.BasisState` objects on demand.
     """
 
     __slots__ = ("masks", "diagonal_energies", "qubit_count")
@@ -125,6 +125,13 @@ class SubspaceBasis(Frozen):
     @property
     def size(self) -> int:
         return len(self.masks)
+
+    @property
+    def bits(self) -> list[str]:
+        """Each state's bit string, in basis order: character ``i`` is bit ``i`` of its mask."""
+        shifts = np.arange(self.qubit_count, dtype=np.uint64)
+        digits = (self.masks[:, None] >> shifts & np.uint64(1)).astype(np.uint8) + ord("0")
+        return digits.view(f"S{self.qubit_count}")[:, 0].astype(str).tolist()
 
     @property
     def reference(self) -> BasisState:
@@ -278,8 +285,8 @@ def build_subspace(hamiltonian: PauliSum, spec: SubspaceSpec) -> SubspaceBasis:
 # Text form: one bit string per line, reference first.
 # ---------------------------------------------------------------------------
 
-def format_states(states: Sequence[BasisState]) -> str:
-    return "\n".join(s.bits for s in states) + "\n"
+def format_states(bits: Sequence[str]) -> str:
+    return "\n".join(bits) + "\n"
 
 
 def load_states(path_or_file: str | TextIO) -> list[BasisState]:

@@ -40,6 +40,11 @@ def src_env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
+def buffered_env() -> dict[str, str]:
+    """:func:`src_env` with the standard streams block-buffered, as a pipe makes them by default."""
+    return {k: v for k, v in src_env().items() if k != "PYTHONUNBUFFERED"}
+
+
 def tree(root: Path) -> dict[str, bytes]:
     """The bytes of every file under ``root``, by its path relative to ``root``."""
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
@@ -137,14 +142,14 @@ class TestSolve:
             assert (out / name).exists()
 
     def test_main_leaves_the_collector_unfrozen(self, tmp_path, h2_path):
-        # only the program entry freezes the import-time heap
+        # an in-process call leaves the caller's collector as it was
         frozen = gc.get_freeze_count()
         args = ["solve", h2_path, "--out", str(tmp_path / "run"), "--nf", "2", "--backend", "exact"]
         assert main(args) == 0
         assert gc.get_freeze_count() == frozen
 
     def test_program_entry_writes_the_full_bundle(self, tmp_path, h2_path):
-        # python -m heffsolve.cli freezes the heap, then solves as main() does
+        # python -m heffsolve.cli solves as main() does, then exits without teardown
         args = ["solve", h2_path, "--nf", "2", "--backend", "sampled", "--shots", "500",
                 "--noise", "0.02,0.02", "--mitigate", "--diagonals", "circuit"]
         env = src_env()
@@ -160,16 +165,35 @@ class TestSolve:
         for name in names:
             if name != "timing.json":
                 assert (tmp_path / "entry" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
-        probe = (
-            "import gc, sys, heffsolve.cli as cli\n"
-            "cli.main = lambda: print(gc.get_freeze_count() > 0) or 0\n"
-            "sys.exit(cli.run())\n"
-        )
-        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                              text=True, timeout=120, check=True)
-        assert done.stdout.strip() == "True"
+        # what main printed arrives through the pipe, and its return value is the exit code
+        probe = "import heffsolve.cli as cli\ncli.main = lambda: print('ran') or 3\ncli.run()\n"
+        done = subprocess.run([sys.executable, "-c", probe], env=buffered_env(), capture_output=True,
+                              text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (3, "ran\n", "")
         scripts = (ROOT / "pyproject.toml").read_text()
         assert 'heffsolve = "heffsolve.cli:run"' in scripts
+
+    def test_program_entry_exit_codes(self, tmp_path, h2_path):
+        wide = tmp_path / "wide.ferm"
+        wide.write_text(WIDE_FERMION)
+        cases = [  # command line, exit code, first words of stdout and of stderr
+            (["solve", h2_path, "--nf", "2"], 0, "subspace size 6, ground energy", ""),
+            (["solve", str(tmp_path / "absent.ferm"), "--nf", "2"], 2, "", "input error:"),
+            # 9,880 states, over the 4,096-state subspace limit
+            (["solve", str(wide), "--nf", "3", "--order", "3"], 3, "", "capacity error:"),
+        ]
+        for k, (argv, code, said, complained) in enumerate(cases):
+            out = tmp_path / f"out{k}"
+            done = subprocess.run([sys.executable, "-m", "heffsolve.cli", *argv, "--out", str(out)],
+                                  env=buffered_env(), capture_output=True, text=True, timeout=120)
+            assert done.returncode == code, done.stderr
+            assert done.stdout.startswith(said) and done.stderr.startswith(complained)
+            if code:
+                assert done.stdout == "" and len(done.stderr.splitlines()) == 1
+                assert not out.exists()
+            else:
+                assert done.stdout.splitlines()[1:] == [f"results in {out}"]
+                assert done.stderr == "" and (out / "manifest.json").exists()
 
     def test_sampled_run_reports_stderr(self, tmp_path, h2_path):
         out = tmp_path / "sampled"
@@ -451,6 +475,18 @@ class TestInputValidation:
         # the excitation order was once checked first: "... min(N_F, N - N_F) = -1"
         err = self.rejected(tmp_path, capsys, h2_path, "--nf", nf, command=command)
         assert f"particle number {nf} must be strictly between 0 and 4" in err
+
+    @pytest.mark.parametrize("nf, bits", [("0", "0000"), ("9", "1100")])
+    @pytest.mark.parametrize("command", ["solve", "scan"])
+    def test_a_particle_number_outside_the_register_with_a_basis(
+        self, tmp_path, capsys, h2_path, command, nf, bits
+    ):
+        # --nf 0 once solved a one-state vacuum sector, and --nf 9 blamed the basis file
+        basis = tmp_path / "basis.txt"
+        basis.write_text(bits + "\n")
+        err = self.rejected(tmp_path, capsys, h2_path, "--nf", nf, "--basis", str(basis),
+                            command=command)
+        assert err == f"input error: particle number {nf} must be strictly between 0 and 4\n"
 
     @pytest.mark.parametrize(
         "flag, value", [("--nf", "-1"), ("--mc-steps", "-1"), ("--order", "-1"), ("--ns", "0")]

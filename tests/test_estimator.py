@@ -868,6 +868,15 @@ class TestHeffJson:
         sparse[3] = 0.0
         sparse[7, 2] = complex(0.0, -0.0)
         sparse[9, 4], sparse[11, 5] = complex(inf, 2.5), complex(-0.5, -inf)
+        # rows empty, full, kept only at the first or the last column, and at both
+        edges = np.zeros((5, 5))
+        edges[1], edges[2, 0], edges[3, 4], edges[4, [0, 4]] = 1.25, -2.0, 3.5, (0.5, -0.5)
+        wide = rng.normal(size=(129, 129)) + 1j * rng.normal(size=(129, 129))
+        wide[rng.random((129, 129)) < 0.95] = 0.0
+        hamiltonian = random_conserving_hamiltonian(rng, 12)
+        basis = build_subspace(hamiltonian, SubspaceSpec(6, 3, 400))
+        oracle = build_effective_hamiltonian(hamiltonian, basis, Backend.oracle()).matrix
+        assert oracle.shape == (400, 400)
         matrices = [
             # signed zeros only, in either part
             np.array([[complex(0.0, 0.0), complex(-0.0, 0.0)],
@@ -882,6 +891,11 @@ class TestHeffJson:
             np.full((1, 1), complex(0.1, -0.2)),
             sparse,
             sparse.real.copy(),
+            edges,
+            np.zeros((1, 1)),
+            wide,
+            wide.real.copy(),
+            oracle,
         ]
         for matrix in matrices:
             payload = {

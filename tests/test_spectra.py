@@ -190,6 +190,24 @@ class TestEigendecompose:
             _check_hermitian(matrix)
         assert np.array_equal(matrix[:299], before[:299])
 
+    @pytest.mark.parametrize("n", [300, 924])
+    @pytest.mark.parametrize(
+        "row, col", [(130, 129), (200, 3), (-1, -3)],
+        ids=["diagonal-tile", "off-diagonal-tile", "last-partial-tile"],
+    )
+    def test_hermiticity_check_reads_the_lower_triangle_of_every_tile(self, rng, n, row, col):
+        # 64-wide tiles; neither size is a multiple of 64
+        hermitian = random_hermitian(rng, n)
+        for matrix in (hermitian, hermitian.real.copy()):
+            _check_hermitian(matrix)
+            deviated, broken = matrix.copy(), matrix.copy()
+            deviated[row, col] += 1.01e-9
+            broken[row, col] = np.nan
+            with pytest.raises(ValueError, match=r"max deviation 1\.010e-09"):
+                _check_hermitian(deviated)
+            with pytest.raises(ValueError, match="non-finite entries"):
+                _check_hermitian(broken)
+
 
 class TestSectorSpectrum:
     def test_basis_order_matches_bit_strings(self):

@@ -326,11 +326,19 @@ class TestBuildSubspace:
         with pytest.raises(ValueError, match="duplicate"):
             SubspaceBasis([ref, ref], (0.0, 0.0), 4)
 
+    @pytest.mark.parametrize(
+        "num, masks",
+        [(1, [1]), (12, [0b000000111111, 0b101010101010, 0b111111000000, 0b100000011111]),
+         (64, [1 << 63 | 1, 1 << 62 | 1 << 5, 3, 1 << 63 | 1 << 40])],
+    )
+    def test_bits_are_the_states_strings(self, num, masks):
+        basis = SubspaceBasis(masks, [0.0] * len(masks), num)
+        assert basis.bits == [s.bits for s in basis.states] == bit_strings(masks, num)
+
 
 class TestStatesFile:
     def test_round_trip(self):
-        states = [BasisState(b) for b in SECTOR_BASES]
-        again = load_states(io.StringIO(format_states(states)))
+        again = load_states(io.StringIO(format_states(SECTOR_BASES)))
         assert [s.bits for s in again] == SECTOR_BASES
 
     def test_rebuild_basis_from_file(self):
