@@ -8,12 +8,10 @@ classically for ground- and excited-state energies and densities of states.
 
 from .pauli import (
     BasisState,
-    PauliOp,
     PauliString,
     PauliSum,
     classify_terms,
     load_pauli_sum,
-    multiply_strings,
     project_masks,
 )
 from .fermion import (
@@ -64,8 +62,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "BasisState", "PauliOp", "PauliString", "PauliSum",
-    "classify_terms", "multiply_strings", "project_masks",
+    "BasisState", "PauliString", "PauliSum",
+    "classify_terms", "project_masks",
     "load_pauli_sum",
     "FermionHamiltonian", "FermionTerm", "check_particle_conservation",
     "jw_ladder", "jw_transform", "load_fermion_hamiltonian",

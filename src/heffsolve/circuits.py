@@ -35,7 +35,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import spectra
-from .pauli import PauliOp, PauliString, sites
+from .pauli import PauliString, sites
 from .records import Frozen
 
 __all__ = [
@@ -77,10 +77,6 @@ class Gate(NamedTuple):
         return cls("h", (q,))
 
     @classmethod
-    def s(cls, q: int) -> "Gate":
-        return cls("s", (q,))
-
-    @classmethod
     def sdg(cls, q: int) -> "Gate":
         return cls("sdg", (q,))
 
@@ -91,12 +87,6 @@ class Gate(NamedTuple):
     @classmethod
     def cx(cls, control: int, target: int) -> "Gate":
         return cls("cx", (control, target))
-
-    @classmethod
-    def controlled_pauli(cls, control: int, target: int, op: PauliOp) -> "Gate":
-        if op is PauliOp.I:
-            raise ValueError("controlled identity is a no-op; build the circuit without it")
-        return cls("c" + op.value.lower(), (control, target))
 
     @property
     def is_controlled(self) -> bool:
@@ -192,8 +182,8 @@ def build_indirect_circuit(
     prep, meas = num_qubits, num_qubits + 1
     gates = [Gate.h(prep), Gate.h(meas), *_prepare_branches(n, nprime, prep)]
     for site in sites(x_mask | z_mask):
-        op = PauliOp("IXZY"[x_mask >> site & 1 | (z_mask >> site & 1) << 1])
-        gates.append(Gate.controlled_pauli(meas, site, op))
+        pauli = "ixzy"[x_mask >> site & 1 | (z_mask >> site & 1) << 1]
+        gates.append(Gate("c" + pauli, (meas, site)))
     if part == "imag":
         gates.append(Gate.sdg(prep))
     gates += [Gate.h(prep), Gate.h(meas)]

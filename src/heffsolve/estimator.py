@@ -193,7 +193,7 @@ class CalibrationMatrix(Frozen):
         for m in matrices:
             if m.shape != (2, 2):
                 raise ValueError("calibration matrices must be 2x2")
-            if not np.allclose(m.sum(axis=0), 1.0, atol=1e-9):
+            if not np.allclose(m.sum(axis=0), 1.0, rtol=0, atol=1e-9):
                 raise ValueError("calibration matrix columns must sum to 1")
             if abs(np.linalg.det(m)) < 1e-9:
                 raise ValueError("singular calibration matrix")

@@ -30,7 +30,6 @@ __all__ = [
     "check_particle_conservation",
     "load_fermion_hamiltonian",
     "parse_fermion_hamiltonian",
-    "format_fermion_hamiltonian",
 ]
 
 
@@ -218,17 +217,6 @@ def parse_fermion_hamiltonian(text: str | Iterable[str]) -> FermionHamiltonian:
         return FermionHamiltonian(tuple(terms), mode_count, constant)
     except ValueError as exc:
         raise FermionFormatError(len(lines) + 1, str(exc)) from None
-
-
-def format_fermion_hamiltonian(hamiltonian: FermionHamiltonian) -> str:
-    lines = [f"modes {hamiltonian.mode_count}"]
-    if hamiltonian.constant:
-        lines.append(f"constant {hamiltonian.constant:.17g}")
-    for term in hamiltonian.terms:
-        factors = " ".join(f"{m}^" if d else f"{m}" for m, d in term.factors)
-        c = complex(term.coefficient)
-        lines.append(f"{c.real:.17g} {c.imag:.17g} {factors}")
-    return "\n".join(lines) + "\n"
 
 
 def load_fermion_hamiltonian(path_or_file: str | TextIO) -> FermionHamiltonian:

@@ -16,20 +16,16 @@ strings are only parsed, printed and shown in messages.
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
 __all__ = [
-    "PauliOp",
     "PauliString",
     "PauliSum",
     "BasisState",
-    "multiply_ops",
     "multiply_masks",
-    "multiply_strings",
     "FlipGroups",
     "flip_cells",
     "project_masks",
@@ -41,18 +37,6 @@ __all__ = [
 
 #: Terms with |weight| below this are dropped when a PauliSum is normalized.
 WEIGHT_TOLERANCE = 1e-12
-
-
-class PauliOp(enum.Enum):
-    """Single-qubit Pauli operator (or the identity)."""
-
-    I = "I"
-    X = "X"
-    Y = "Y"
-    Z = "Z"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 # i**k for k mod 4, the phase of a product of strings.
@@ -83,12 +67,6 @@ def multiply_masks(xa: int, za: int, xb: int, zb: int) -> tuple[complex, int, in
     return _PHASES[(k + 2 * (za & xb).bit_count()) % 4], x, z
 
 
-def multiply_ops(a: PauliOp, b: PauliOp) -> tuple[complex, PauliOp]:
-    """Multiply two single-qubit Paulis, returning (phase, product)."""
-    phase, product = multiply_strings(PauliString(a.value), PauliString(b.value))
-    return phase, PauliOp(product.label)
-
-
 class PauliString:
     """A tensor product of single-qubit Paulis, e.g. ``YXXY``.
 
@@ -113,35 +91,9 @@ class PauliString:
         chars = ("IXZY"[(x_mask >> i & 1) | (z_mask >> i & 1) << 1] for i in range(num_qubits))
         return cls("".join(chars))
 
-    @classmethod
-    def identity(cls, num_qubits: int) -> "PauliString":
-        return cls("I" * num_qubits)
-
     @property
     def num_qubits(self) -> int:
         return len(self.label)
-
-    @property
-    def locality(self) -> int:
-        """Number of non-identity sites (the string is `locality`-local)."""
-        return sum(1 for c in self.label if c != "I")
-
-    def is_diagonal(self) -> bool:
-        """True when the string is built from I/Z only (no bit flips)."""
-        return self.x_mask == 0
-
-    def support(self) -> tuple[int, ...]:
-        """Indices of the non-identity sites."""
-        return tuple(i for i, c in enumerate(self.label) if c != "I")
-
-    def __len__(self) -> int:
-        return len(self.label)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PauliString) and self.label == other.label
-
-    def __hash__(self) -> int:
-        return hash(self.label)
 
     def __repr__(self) -> str:
         return f"PauliString({self.label!r})"
@@ -231,16 +183,6 @@ class PauliSum:
         self.qubit_count = qubit_count
         self._groups = None
 
-    @classmethod
-    def zero(cls, qubit_count: int) -> "PauliSum":
-        return cls((), qubit_count)
-
-    @classmethod
-    def from_label_weights(
-        cls, pairs: Iterable[tuple[complex, str]], qubit_count: int | None = None
-    ) -> "PauliSum":
-        return cls([(w, PauliString(label)) for w, label in pairs], qubit_count)
-
     @property
     def terms(self) -> tuple[tuple[complex, PauliString], ...]:
         return tuple((w, PauliString.from_masks(x, z, self.qubit_count)) for w, x, z in self.triples())
@@ -264,13 +206,6 @@ class PauliSum:
     def max_locality(self) -> int:
         return int(np.bitwise_count(self.x | self.z).max(initial=0))
 
-    def weight_of(self, label: str) -> complex:
-        return dict((s.label, w) for w, s in self.terms).get(label, 0j)
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        """Hermitian iff every weight is real (strings are Hermitian)."""
-        return bool(np.all(np.abs(self.w.imag) <= tol))
-
     def real_weights(self, tol: float = 1e-10) -> "PauliSum":
         """Coerce weights to their real parts; reject if any imag exceeds tol.
         A sum with real weights is returned as it is, with its grouping."""
@@ -283,30 +218,6 @@ class PauliSum:
 
     def __iter__(self) -> Iterator[tuple[complex, PauliString]]:
         return iter(self.terms)
-
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        if self.qubit_count != other.qubit_count:
-            raise ValueError("qubit counts differ")
-        x, z, w = (np.concatenate(p) for p in zip((self.x, self.z, self.w), (other.x, other.z, other.w)))
-        return PauliSum.from_masks(x, z, w.tolist(), self.qubit_count)
-
-    def __sub__(self, other: "PauliSum") -> "PauliSum":
-        return self + (-1.0) * other
-
-    def __mul__(self, other: "PauliSum | complex | float | int") -> "PauliSum":
-        if isinstance(other, PauliSum):
-            if self.qubit_count != other.qubit_count:
-                raise ValueError("qubit counts differ")
-            products = [
-                (wa * wb, *multiply_masks(xa, za, xb, zb))
-                for wa, xa, za in self.triples() for wb, xb, zb in other.triples()
-            ]
-            xs, zs = [x for _, _, x, _ in products], [z for _, _, _, z in products]
-            return PauliSum.from_masks(xs, zs, [w * p for w, p, _, _ in products], self.qubit_count)
-        return PauliSum.from_masks(self.x, self.z, [w * other for w in self.w.tolist()], self.qubit_count)
-
-    def __rmul__(self, other: complex | float | int) -> "PauliSum":
-        return self.__mul__(other)
 
     def __repr__(self) -> str:
         body = " + ".join(f"({w:.6g})*{s.label}" for w, s in self.terms[:4])
@@ -341,21 +252,6 @@ class FlipGroups:
     def span(self, x_mask: int) -> slice:
         """The positions of the group that flips ``x_mask``; empty if none does."""
         return self.spans.get(x_mask, slice(0, 0))
-
-
-def _require_equal_length(a_len: int, b_len: int) -> None:
-    if a_len != b_len:
-        raise ValueError(f"length mismatch: {a_len} vs {b_len}")
-
-
-def multiply_strings(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
-    """Multiply two Pauli strings: ``a @ b == phase * product``.
-
-    The phase is always one of {1, -1, i, -i}.
-    """
-    _require_equal_length(a.num_qubits, b.num_qubits)
-    phase, x, z = multiply_masks(a.x_mask, a.z_mask, b.x_mask, b.z_mask)
-    return phase, PauliString.from_masks(x, z, a.num_qubits)
 
 
 def flip_cells(groups: FlipGroups, masks: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .pauli import BasisState, PauliSum, _flip_amplitudes, _require_equal_length, sites, string_order
+from .pauli import BasisState, PauliSum, _flip_amplitudes, sites, string_order
 from .records import Frozen
 
 __all__ = [
@@ -313,6 +313,7 @@ def load_states(path_or_file: str | TextIO) -> list[BasisState]:
 def basis_from_states(hamiltonian: PauliSum, states: Sequence[BasisState]) -> SubspaceBasis:
     """Rebuild a SubspaceBasis (reference = first line) with fresh energies."""
     for state in states:
-        _require_equal_length(hamiltonian.qubit_count, state.num_qubits)
+        if state.num_qubits != hamiltonian.qubit_count:
+            raise ValueError(f"length mismatch: {hamiltonian.qubit_count} vs {state.num_qubits}")
     masks = np.array([s.mask for s in states], dtype=np.uint64)
     return SubspaceBasis(masks, _diagonal(hamiltonian, masks), hamiltonian.qubit_count)

@@ -1,6 +1,7 @@
 """Shared oracles: dense Kronecker-product matrices, per-pair Pauli matrix
 elements, fermionic ladder algebra, a Jacobi eigensolver and a Jordan-Wigner
-map by repeated addition, and exact outcome distributions of a circuit.
+map by repeated addition, and exact outcome distributions of a circuit; and
+label-level builders of Pauli sums.
 
 Everything here is deliberately independent of the package's combinatorial
 paths: Pauli matrices are built by explicit tensor products, matrix elements
@@ -16,7 +17,7 @@ import pytest
 
 from heffsolve.circuits import Circuit, ReadoutNoise, run_statevector
 from heffsolve.fermion import FermionHamiltonian, FermionTerm, jw_ladder, jw_transform
-from heffsolve.pauli import BasisState, PauliString, PauliSum
+from heffsolve.pauli import BasisState, PauliString, PauliSum, multiply_masks
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -24,6 +25,17 @@ PAULI_MATRICES = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+
+def pauli_sum(pairs, n: int | None = None) -> PauliSum:
+    """The sum of ``(weight, label)`` pairs on ``n`` qubits (by default, the
+    first label's length)."""
+    return PauliSum([(w, PauliString(label)) for w, label in pairs], n)
+
+
+def weight_of(hamiltonian: PauliSum, label: str) -> complex:
+    """The weight of the string ``label`` in ``hamiltonian``; 0 if absent."""
+    return dict((s.label, w) for w, s in hamiltonian.terms).get(label, 0j)
 
 
 def dense_pauli(label: str) -> np.ndarray:
@@ -144,19 +156,36 @@ def dense_fermion(hamiltonian: FermionHamiltonian) -> np.ndarray:
 
 # --- Jordan-Wigner by repeated addition --------------------------------------
 
+def add_sums(a: PauliSum, b: PauliSum) -> PauliSum:
+    """``a + b``: the terms of ``a`` then ``b``, merged and pruned."""
+    x, z, w = (np.concatenate(p) for p in zip((a.x, a.z, a.w), (b.x, b.z, b.w)))
+    return PauliSum.from_masks(x, z, w.tolist(), a.qubit_count)
+
+
+def multiply_sums(a: PauliSum, b: PauliSum) -> PauliSum:
+    """``a * b``: every product of a term of ``a`` by a term of ``b``, in that
+    order, merged and pruned."""
+    products = [
+        (wa * wb, *multiply_masks(xa, za, xb, zb))
+        for wa, xa, za in a.triples() for wb, xb, zb in b.triples()
+    ]
+    xs, zs = [x for _, _, x, _ in products], [z for _, _, _, z in products]
+    return PauliSum.from_masks(xs, zs, [w * p for w, p, _, _ in products], a.qubit_count)
+
+
 def jw_transform_by_addition(hamiltonian: FermionHamiltonian, hermitian_tol: float = 1e-10) -> PauliSum:
     """Jordan-Wigner as ``total = total + mapped`` per term, renormalizing the
     whole sum each time (quadratic in the string count).  The reference for
     the terms, their order and their weight bits."""
     n = hamiltonian.mode_count
-    total = PauliSum.zero(n)
+    total = PauliSum((), n)
     for term in hamiltonian.terms:
-        mapped = PauliSum([(term.coefficient, PauliString.identity(n))], n)
+        mapped = pauli_sum([(term.coefficient, "I" * n)])
         for mode, dagger in term.factors:
-            mapped = mapped * jw_ladder(mode, dagger, n)
-        total = total + mapped
+            mapped = multiply_sums(mapped, jw_ladder(mode, dagger, n))
+        total = add_sums(total, mapped)
     if hamiltonian.constant:
-        total = total + PauliSum([(hamiltonian.constant, PauliString.identity(n))], n)
+        total = add_sums(total, pauli_sum([(hamiltonian.constant, "I" * n)]))
     return total.real_weights(tol=hermitian_tol)
 
 
@@ -290,7 +319,7 @@ def random_hermitian_sum(rng: np.random.Generator, num_qubits: int, terms: int) 
     for _ in range(terms):
         label = "".join(rng.choice(list("IXYZ"), size=num_qubits))
         pairs.append((float(rng.normal()), label))
-    return PauliSum.from_label_weights(pairs, num_qubits)
+    return pauli_sum(pairs, num_qubits)
 
 
 @pytest.fixture

@@ -42,6 +42,7 @@ from conftest import (
     dense_projection,
     dense_sum,
     outcome_distribution,
+    pauli_sum,
     random_conserving_hamiltonian,
     string_matrix_element,
 )
@@ -296,7 +297,7 @@ def test_criterion_8_mitigation_benefit():
 
 def test_criterion_9_degeneracy_lifting_diagnostic():
     """Noise splits an exactly doubly-degenerate pair; the exact backend does not."""
-    hamiltonian = PauliSum.from_label_weights(
+    hamiltonian = pauli_sum(
         [(1.0, "ZZII"), (1.0, "IIZZ"), (0.3, "YXXY")]
     )
     pair = [BasisState("1010"), BasisState("1001")]

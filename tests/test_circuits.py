@@ -53,7 +53,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 class TestGates:
     @pytest.mark.parametrize(
         "gate",
-        [Gate.h(0), Gate.s(0), Gate.sdg(0), Gate.x(0)],
+        [Gate.h(0), Gate("s", (0,)), Gate.sdg(0), Gate.x(0)],
     )
     def test_single_qubit_unitarity(self, gate):
         for total in (1, 2, 3):
@@ -82,9 +82,9 @@ class TestGates:
             Circuit(2, [Gate.h(2)])
         with pytest.raises(ValueError):
             Circuit(2, [Gate.cx(1, 1)])
-        from heffsolve.pauli import PauliOp
-        with pytest.raises(ValueError, match="identity"):
-            Gate.controlled_pauli(0, 1, PauliOp.I)
+        # a controlled identity is no gate kind
+        with pytest.raises(ValueError, match="unknown gate kind"):
+            Circuit(2, [Gate("ci", (0, 1))])
 
     def test_norm_preserved_over_long_random_circuit(self, rng):
         total = 4
@@ -393,7 +393,7 @@ class TestSparseState:
         n, nprime = BasisState("110100"), BasisState("011001")
         string = PauliString("XYIXYI")
         circuit = build_offdiagonal_circuit(n.mask, nprime.mask, 6, "real")
-        for site in string.support():
+        for site in sites(string.x_mask | string.z_mask):
             circuit.extend([Gate.sdg(site), Gate.h(site)] if string.label[site] == "Y" else [Gate.h(site)])
         monkeypatch.setattr(heffsolve.spectra, "MAX_DENSE_DIMENSION", 8)
         assert len(run_sparse(circuit)) == 64

@@ -672,6 +672,27 @@ class TestImports:
         ]
         assert missing == []
 
+    def test_a_traced_solve_counts_and_checks_clean(self, tmp_path, monkeypatch, h2_path):
+        # perfbench/spans.py reads its counters off what the wrapped names
+        # return, and perfbench/checks.py builds its reference with library
+        # calls; a name either one reaches that is gone fails every run
+        modules = {}
+        for name in ("spans", "checks"):
+            spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+            modules[name] = importlib.util.module_from_spec(spec)
+            # @dataclass looks its module up in sys.modules
+            monkeypatch.setitem(sys.modules, name, modules[name])
+            spec.loader.exec_module(modules[name])
+        spans, checks = modules["spans"], modules["checks"]
+        out = tmp_path / "out"
+        code, tracer = spans.trace_solve(
+            ["solve", h2_path, "--out", str(out), "--nf", "2", "--backend", "exact"], run_id=0
+        )
+        assert code == 0
+        assert set(spans.COUNTERS) <= set(tracer.counters)
+        reference = checks.Reference.from_ferm(H2_FILE.read_text(encoding="utf-8"), 2)
+        assert checks.check_bundle(out, reference, "exact").problems == []
+
 
 class TestScan:
     def test_two_point_scan(self, tmp_path):

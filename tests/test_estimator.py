@@ -45,6 +45,7 @@ from conftest import (
     apply_per_qubit,
     dense_projection,
     masks_of,
+    pauli_sum,
     random_conserving_hamiltonian,
     random_hermitian_sum,
     sum_matrix_element,
@@ -77,7 +78,7 @@ def closed_sum(rng, num_qubits, sites, terms):
             chars[site] = "IXYZ"[rng.integers(4)]
         labels.append("".join(chars))
     weights = rng.normal(size=terms) + 1j * rng.normal(size=terms)
-    hamiltonian = PauliSum.from_label_weights(zip(weights, labels), num_qubits)
+    hamiltonian = pauli_sum(zip(weights, labels), num_qubits)
     states = [
         BasisState.from_mask(1 << 4 | sum(1 << s for s, b in zip(sites, bits) if b), num_qubits)
         for bits in itertools.product((0, 1), repeat=len(sites))
@@ -233,7 +234,7 @@ class TestBackendType:
 
 class TestMeasureDiagonal:
     def test_single_z_term_all_backends(self):
-        hamiltonian = PauliSum.from_label_weights([(0.8, "ZIII")])
+        hamiltonian = pauli_sum([(0.8, "ZIII")])
         n = BasisState("1000")
         for backend in (
             Backend.oracle(),
@@ -244,7 +245,7 @@ class TestMeasureDiagonal:
             assert estimate.value.real == pytest.approx(-0.8, abs=1e-12)
 
     def test_flip_strings_are_skipped(self):
-        hamiltonian = PauliSum.from_label_weights(
+        hamiltonian = pauli_sum(
             [(0.5, "ZIII"), (0.7, "YXXY"), (0.2, "IIII")]
         )
         backend = Backend.exact(measure_diagonals_with_circuits=True)
@@ -253,7 +254,7 @@ class TestMeasureDiagonal:
         assert estimate.value.real == pytest.approx(-0.3)
 
     def test_classical_default_even_when_sampled(self):
-        hamiltonian = PauliSum.from_label_weights([(0.5, "ZIII")])
+        hamiltonian = pauli_sum([(0.5, "ZIII")])
         estimate = measure_diagonal(hamiltonian, BasisState("1000").mask, Backend.sampled(seed=1))
         assert estimate.circuits == 0 and estimate.stderr_re == 0.0
 
@@ -295,21 +296,21 @@ class TestMeasureOffdiagonal:
         assert abs(estimate.value) < 1e-10
 
     def test_lone_string_pair(self):
-        hamiltonian = PauliSum.from_label_weights([(1.0, "YXXY")])
+        hamiltonian = pauli_sum([(1.0, "YXXY")])
         estimate = measure_offdiagonal(
             hamiltonian, BasisState("0110").mask, BasisState("1001").mask, Backend.exact()
         )
         assert estimate.value == pytest.approx(-1.0 + 0j, abs=1e-12)
 
     def test_requires_distinct_states(self):
-        hamiltonian = PauliSum.from_label_weights([(1.0, "YXXY")])
+        hamiltonian = pauli_sum([(1.0, "YXXY")])
         with pytest.raises(ValueError, match="distinct"):
             measure_offdiagonal(
                 hamiltonian, BasisState("0110").mask, BasisState("0110").mask, Backend.oracle()
             )
 
     def test_oracle_measures_nothing(self):
-        hamiltonian = PauliSum.from_label_weights([(1.0, "YXXY")])
+        hamiltonian = pauli_sum([(1.0, "YXXY")])
         with pytest.raises(ValueError, match="measures nothing"):
             measure_offdiagonal(
                 hamiltonian, BasisState("0110").mask, BasisState("1001").mask, Backend.oracle()
@@ -318,7 +319,7 @@ class TestMeasureOffdiagonal:
     def test_diagonal_variances_do_not_enter(self):
         # Re = 2 m_re and Im = -2 m_im use no diagonal estimate, so neither
         # does their standard error.
-        hamiltonian = PauliSum.from_label_weights([(1.0, "YXXY")])
+        hamiltonian = pauli_sum([(1.0, "YXXY")])
         n, nprime = BasisState("0110"), BasisState("1001")
         exact = measure_offdiagonal(hamiltonian, n.mask, nprime.mask, Backend.exact())
         assert exact.stderr_re == 0.0 and exact.stderr_im == 0.0
@@ -327,7 +328,7 @@ class TestMeasureOffdiagonal:
 class TestReadouts:
     """``exact`` and ``sampled`` evaluate the same observable of each readout."""
 
-    HAMILTONIAN = PauliSum.from_label_weights([
+    HAMILTONIAN = pauli_sum([
         (0.4, "IIII"), (-0.7, "ZIII"), (0.3, "IZZI"), (0.5, "ZIIZ"),
         (0.6, "XYII"), (-0.45, "YXZI"), (0.25, "XXII"), (0.35, "YYZZ"),
     ])
@@ -496,9 +497,9 @@ class TestBuildEffectiveHamiltonian:
         assert np.array_equal(first.matrix, second.matrix)
 
     def test_non_hermitian_input_rejected(self):
-        lopsided = PauliSum.from_label_weights([(1j, "XXII")])
+        lopsided = pauli_sum([(1j, "XXII")])
         basis = basis_from_states(
-            PauliSum.from_label_weights([(1.0, "IIII")]), SECTOR_BASES
+            pauli_sum([(1.0, "IIII")]), SECTOR_BASES
         )
         with pytest.raises(ValueError, match="Hermitian"):
             build_effective_hamiltonian(lopsided, basis, Backend.oracle())
@@ -643,6 +644,9 @@ class TestCalibration:
     def test_columns_validated(self):
         with pytest.raises(ValueError, match="sum to 1"):
             CalibrationMatrix((np.array([[0.9, 0.1], [0.2, 0.9]]),))
+        # past the stated 1e-9, however close to 1
+        with pytest.raises(ValueError, match="sum to 1"):
+            CalibrationMatrix((np.array([[0.9, 0.1], [0.1 + 4e-6, 0.9]]),))
 
     def test_each_calibrated_wire_is_inverted_once_per_build(self, monkeypatch):
         hamiltonian = random_conserving_hamiltonian(np.random.default_rng(3), 4)
@@ -952,7 +956,7 @@ class TestScreening:
                             assert counts.offdiagonal == 2 * settings
 
     def test_unconnected_pair_is_exact_zero(self, monkeypatch):
-        hamiltonian = PauliSum.from_label_weights([(0.5, "ZIII"), (1.0, "YXXY")])
+        hamiltonian = pauli_sum([(0.5, "ZIII"), (1.0, "YXXY")])
         n, nprime = BasisState("1100"), BasisState("1010")
         assert connecting_count(hamiltonian, n, nprime) == 0
 
@@ -1063,7 +1067,7 @@ class TestScreening:
             for w, s in random_hermitian_sum(rng, 4, 30)
             if s.x_mask != flip and s.label not in labels
         ]
-        assert any(not s.is_diagonal() for _, s in extra)
+        assert any(s.x_mask for _, s in extra)
         padded = PauliSum(hamiltonian.terms + tuple(extra), hamiltonian.qubit_count)
         noise = ReadoutNoise(0.02, 0.02)
         calibration = build_calibration(noise, 2000, 5, 6)
@@ -1122,11 +1126,11 @@ class TestScreening:
         assert project_masks(real, masks_of(sector_basis(6, 3))).dtype == np.float64
 
     def test_project_rejects_mismatched_states(self):
-        hamiltonian = PauliSum.from_label_weights([(1.0, "ZIII")])
+        hamiltonian = pauli_sum([(1.0, "ZIII")])
         with pytest.raises(ValueError, match="length mismatch"):
             basis_from_states(hamiltonian, [BasisState("110")])
 
     def test_project_rejects_repeated_states(self):
-        hamiltonian = PauliSum.from_label_weights([(1.0, "XZ"), (0.5, "ZI")])
+        hamiltonian = pauli_sum([(1.0, "XZ"), (0.5, "ZI")])
         with pytest.raises(ValueError, match="distinct"):
             project_masks(hamiltonian, masks_of([BasisState("10"), BasisState("01"), BasisState("10")]))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from heffsolve.estimator import Backend, build_effective_hamiltonian
-from heffsolve.pauli import BasisState, PauliSum
+from heffsolve.pauli import BasisState
 from heffsolve.spectra import (
     CapacityError,
     _block_labels,
@@ -24,7 +24,7 @@ from heffsolve.spectra import (
 )
 from heffsolve.subspace import SubspaceSpec, basis_from_states, build_subspace
 
-from conftest import dense_projection, jacobi_eigh, random_conserving_hamiltonian
+from conftest import dense_projection, jacobi_eigh, pauli_sum, random_conserving_hamiltonian
 
 
 def random_hermitian(rng, n):
@@ -71,6 +71,13 @@ class TestEigendecompose:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_dense_limit_admits_4096_states(self):
+        values = np.arange(4096.0)
+        spectrum = eigendecompose(np.diag(values), compute_vectors=False)
+        assert np.array_equal(spectrum.eigenvalues, values)
+        with pytest.raises(CapacityError, match="limited to 4096, got 4097"):
+            eigendecompose(np.diag(np.arange(4097.0)))
 
     @pytest.mark.parametrize(
         "matrix",
@@ -246,12 +253,12 @@ class TestSectorSpectrum:
 
     def test_z_field_levels_analytic(self):
         # eps * n_0 within the 1-particle sector of 3 modes: levels {eps, 0, 0}
-        hamiltonian = PauliSum.from_label_weights([(0.5, "III"), (-0.5, "ZII")])
+        hamiltonian = pauli_sum([(0.5, "III"), (-0.5, "ZII")])
         spectrum = exact_sector_spectrum(hamiltonian, 1)
         assert np.allclose(spectrum.eigenvalues, [0.0, 0.0, 1.0])
 
     def test_capacity_guard(self):
-        hamiltonian = PauliSum.from_label_weights([(1.0, "I" * 20)])
+        hamiltonian = pauli_sum([(1.0, "I" * 20)])
         with pytest.raises(CapacityError):
             exact_sector_spectrum(hamiltonian, 10)
 
@@ -289,7 +296,10 @@ class TestDos:
     def test_single_eigenvalue_single_bin(self):
         histogram = dos(Spectrum(np.array([1.5])), bin_count=1)
         assert histogram.counts.tolist() == [1]
-        assert len(histogram.bin_edges) == 2
+        assert histogram.bin_edges.tolist() == [1.0, 2.0]
+        histogram = dos(Spectrum(np.array([2.0])), bin_width=0.5)
+        assert histogram.counts.tolist() == [1]
+        assert histogram.bin_edges.tolist() == [1.75, 2.25]
 
     def test_counts_cover_all_eigenvalues(self, rng):
         values = np.sort(rng.normal(size=40))
@@ -308,7 +318,7 @@ class TestDos:
     def test_noise_split_degenerate_pair_lands_in_separate_bins(self):
         from heffsolve.circuits import ReadoutNoise
 
-        hamiltonian = PauliSum.from_label_weights(
+        hamiltonian = pauli_sum(
             [(1.0, "ZZII"), (1.0, "IIZZ"), (0.3, "YXXY")]
         )
         pair = basis_from_states(

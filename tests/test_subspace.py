@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import heffsolve.subspace
-from heffsolve.pauli import BasisState, FlipGroups, PauliSum
+from heffsolve.pauli import BasisState, FlipGroups
 from heffsolve.subspace import (
     ExhaustiveSearch,
     MonteCarloSearch,
@@ -23,7 +23,7 @@ from heffsolve.subspace import (
     load_states,
 )
 
-from conftest import bit_strings, random_conserving_hamiltonian
+from conftest import bit_strings, pauli_sum, random_conserving_hamiltonian
 
 SECTOR_BASES = ["1100", "1010", "1001", "0110", "0101", "0011"]
 
@@ -36,7 +36,7 @@ def level_hamiltonian(levels):
         z_label = "".join("Z" if j == i else "I" for j in range(n))
         pairs.append((eps / 2, "I" * n))
         pairs.append((-eps / 2, z_label))
-    return PauliSum.from_label_weights(pairs, n)
+    return pauli_sum(pairs, n)
 
 
 class TestFindReference:
@@ -45,7 +45,7 @@ class TestFindReference:
         assert find_reference(hamiltonian, 2) == BasisState("1100").mask
 
     def test_all_equal_diagonal_breaks_ties_lexicographically(self):
-        hamiltonian = PauliSum.from_label_weights([(1.0, "IIII")])
+        hamiltonian = pauli_sum([(1.0, "IIII")])
         assert find_reference(hamiltonian, 2) == BasisState("0011").mask
 
     def test_monte_carlo_matches_exhaustive(self, rng):
@@ -130,13 +130,13 @@ class TestFindReference:
 
     def test_monte_carlo_flat_diagonal_anneals_at_unit_temperature(self):
         # the measured T0 is 0 here; the annealer still runs and stays in the sector
-        hamiltonian = PauliSum.from_label_weights([(1.0, "IIII")])
+        hamiltonian = pauli_sum([(1.0, "IIII")])
         for cooling in (1.0, 0.5):
             reference = find_reference(hamiltonian, 2, MonteCarloSearch(steps=20, cooling=cooling))
             assert reference.bit_count() == 2
 
     def test_flat_diagonal_returns_the_smallest_bit_string(self):
-        hamiltonian = PauliSum.from_label_weights([(1.0, "I" * 10)])
+        hamiltonian = pauli_sum([(1.0, "I" * 10)])
         assert find_reference(hamiltonian, 5) == BasisState("0000011111").mask
 
     @pytest.mark.parametrize("num", [8, 10, 12])
@@ -272,7 +272,7 @@ class TestBuildSubspace:
         assert [s.bits for s in first.states] == [s.bits for s in second.states]
 
     def test_tie_break_is_lexicographic(self):
-        hamiltonian = PauliSum.from_label_weights([(1.0, "IIII")])
+        hamiltonian = pauli_sum([(1.0, "IIII")])
         basis = build_subspace(hamiltonian, SubspaceSpec(2, 2))
         tail = [s.bits for s in basis.states[1:]]
         assert tail == sorted(tail)
@@ -305,7 +305,7 @@ class TestBuildSubspace:
         def check(case):
             num, pairs, particles, order, size = case
             labels = [(float(w), "".join("Z" if k in (p, q) else "I" for k in range(num))) for w, p, q in pairs]
-            hamiltonian = PauliSum.from_label_weights(labels, num)
+            hamiltonian = pauli_sum(labels, num)
             full = build_subspace(hamiltonian, SubspaceSpec(particles, order)).masks.tolist()
             expected = sorted(range(1, len(full)), key=lambda k: (energy(pairs, full[k]),
                                                                  bit_strings([full[k]], num)[0]))
