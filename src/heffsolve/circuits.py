@@ -12,10 +12,10 @@ where ``n`` and ``n'`` differ, so a direct circuit has ``|n ^ n'|`` CX and
 ``|n ^ n'| + 2`` layers (one more for the imaginary part), whatever the
 particle number.
 
-:func:`run_sparse` is the simulator of every solve: it keeps only the
-nonzero amplitudes.  The circuits built here reach at most 16 of them, and
-a direct circuit followed by a :func:`class_basis_change` (one Hadamard) at
-most 8, so its cost does not depend on the register size.
+:func:`run_sparse` is the simulator of every solve: it runs a circuit from
+``|0...0>`` on its nonzero amplitudes.  The circuits built here reach at
+most 16, and a direct circuit with a :func:`class_basis_change` appended
+(one Hadamard) at most 8, so its cost does not depend on the register size.
 :func:`sample_outcome_counts` is the one finite-shot sampler: it draws the
 shots over the sparse state's entries, then flips the shots on
 each read wire through an asymmetric per-qubit readout channel, from a
@@ -55,7 +55,6 @@ _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
 _MAT_1Q = {
     "h": np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV,
-    "s": np.array([[1, 0], [0, 1j]], dtype=complex),
     "sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -266,19 +265,18 @@ def state_expectation(state: np.ndarray, observable: PauliString) -> float:
 _ENTRIES_1Q = {kind: tuple(tuple(complex(v) for v in row) for row in m) for kind, m in _MAT_1Q.items()}
 
 
-def run_sparse(circuit: Circuit, state: dict[int, complex] | None = None) -> dict[int, complex]:
-    """Simulate from ``state`` (default ``|0...0>``) on the nonzero amplitudes only.
+def run_sparse(circuit: Circuit) -> dict[int, complex]:
+    """Simulate from ``|0...0>`` on the nonzero amplitudes only.
 
     The state maps each basis index (bit ``i`` is qubit ``i``) to its
-    amplitude; entries that become exactly zero are dropped, and ``state``
-    itself is left as it is.  A gate that splits entries in two is refused
-    with :class:`CapacityError` when the support could outgrow
-    ``MAX_DENSE_DIMENSION**2`` entries, the size of the largest dense matrix
-    the program admits.  The norm is checked as in :func:`run_statevector`.
+    amplitude; entries that become exactly zero are dropped.  A gate that
+    splits entries in two is refused with :class:`CapacityError` when the
+    support could outgrow ``MAX_DENSE_DIMENSION**2`` entries, the size of
+    the largest dense matrix the program admits.  The norm is checked as in
+    :func:`run_statevector`.
     """
     limit = spectra.MAX_DENSE_DIMENSION ** 2
-    if state is None:
-        state = {0: 1 + 0j}
+    state = {0: 1 + 0j}
     for gate in circuit.gates:
         (m00, m01), (m10, m11) = _ENTRIES_1Q[_CONTROLLED.get(gate.kind, gate.kind)]
         if (m00 and m10 or m01 and m11) and 2 * len(state) > limit:

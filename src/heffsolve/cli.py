@@ -330,6 +330,10 @@ def _cmd_scan(args) -> int:
     files = sorted(p for p in directory.iterdir() if p.is_file()) if directory.is_dir() else []
     if not files:
         raise ValueError(f"no Hamiltonian files found in {args.input!r}")
+    stems: dict[str, Path] = {}
+    for path in files:
+        if stems.setdefault(path.stem, path) is not path:
+            raise ValueError(f"{stems[path.stem]} and {path} share the point directory {path.stem!r}")
     points = sorted((_distance_from_name(p.stem), p) for p in files)
     # Every point passes its checks before any is solved.
     configs = [base._replace(input_path=str(path)) for _, path in points]

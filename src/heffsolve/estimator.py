@@ -1,29 +1,26 @@
 """Assembly of the effective Hamiltonian from measured matrix elements.
 
-Every measured entry is read the same way: a circuit from
-:mod:`heffsolve.circuits` plus the observable it reads, a list
-``[(coefficient, x_mask, z_mask)]`` of Pauli strings over the circuit's
-wires that form one commuting class: they share their X/Y sites and the
-parity of their Y count, so one Clifford basis change
-(:func:`heffsolve.circuits.class_basis_change`) makes them all Z-strings
-and one histogram reads them all.  Each readout is one measurement
-setting: a diagonal ``<n|H|n>`` reads ``sum_s w_s s`` over the I/Z-only
-strings on ``|n>``; an off-diagonal entry reads its connecting strings
-through single-ancilla (direct) or two-ancilla (indirect) circuits, as
-:func:`measure_offdiagonal` sets out.  The ancilla factor of an observable
-is a bit of its ``z_mask``, and the strings come from the mask arrays of
-the :class:`~heffsolve.pauli.PauliSum` and its flip groups: no label is
-built.
+Every measured entry is read the same way: each readout, one measurement
+setting, is one circuit from :mod:`heffsolve.circuits`, run from
+``|0...0>``, and the signed Z-strings ``[(c, z_mask)]`` it reads.  A
+diagonal ``<n|H|n>`` reads ``sum_s w_s s`` over the I/Z-only strings on
+``|n>``; an off-diagonal entry reads its connecting strings through
+single-ancilla (direct) or two-ancilla (indirect) circuits, as
+:func:`_group_settings` sets out.  A direct setting is one commuting class:
+its strings share their X/Y sites and the parity of their Y count, so one
+Clifford basis change (:func:`heffsolve.circuits.class_basis_change`),
+appended to the circuit, makes them all Z-strings.  An ancilla factor is a
+bit of a ``z_mask``, and the strings come from the mask arrays of the
+:class:`~heffsolve.pauli.PauliSum` and its flip groups: no label is built.
 
-One routine, :func:`_estimate`, reads every readout, and the backends
-differ only in its last step.  Both circuit backends simulate with
-:func:`heffsolve.circuits.run_sparse`, at any register size, rotate the
-state by the class's basis change and read the parities of the Z-string
-images: ``exact`` weighs each entry by its probability (the infinite-shot
-limit), and ``sampled`` draws finite shots over the entries, with optional
-readout noise and calibration-matrix mitigation.  ``oracle`` measures
-nothing: its matrix is :func:`heffsolve.pauli.project_masks` of the basis
-masks.
+One routine, :func:`_read`, reads every readout, and the backends differ
+only in its last step.  Both circuit backends simulate the circuit with
+:func:`heffsolve.circuits.run_sparse`, at any register size, and read the
+strings' parities: ``exact`` weighs each entry by its probability (the
+infinite-shot limit), and ``sampled`` draws finite shots over the entries,
+with optional readout noise and calibration-matrix mitigation.  ``oracle``
+measures nothing: its matrix is :func:`heffsolve.pauli.project_masks` of
+the basis masks.
 
 A string ``h`` can contribute to ``<n|H|n'>`` only when it flips exactly
 ``n XOR n'``, which is known classically, so each pair measures only its
@@ -56,6 +53,7 @@ from .circuits import (
     TAG_DIAGONAL,
     TAG_OFFDIAGONAL,
     Circuit,
+    Gate,
     ReadoutNoise,
     apply_circuit,
     build_indirect_circuit,
@@ -371,33 +369,26 @@ def _outcome_values(
 
 def _estimate(
     state: dict[int, complex],
-    observable: list[tuple[float, int, int]],
+    images: list[tuple[float, int]],
     backend: Backend,
     seed: int | None,
     calibration: CalibrationMatrix | None,
-    total_qubits: int,
 ) -> tuple[float, float]:
-    """Read one readout of a :func:`run_sparse` state on ``total_qubits``
-    wires: its mean, and the variance of that mean.
+    """Mean, and the variance of that mean, of the signed Z-strings ``[(c,
+    z_mask)]`` on a :func:`run_sparse` state whose basis change has run.
 
-    The state is rotated by the observable's :func:`class_basis_change`,
-    and each string is read as the sign times the parity of its Z-string
-    image.  ``exact`` returns the infinite-shot mean, ``sum c sign sum
-    (-1)**parity |amp|^2`` over the rotated entries, with variance 0.
-    ``sampled`` draws ``backend.shots`` from the rotated state with
-    ``seed``, reading only the wires the images touch.  This is the one
-    readout-mitigation estimator: under mitigation the values are pulled
-    back through the calibration inverse and both moments come from the raw
-    shots, so the mean is unbiased for the noiseless expectation, and the
-    variance carries the amplification of inverting the channel.  The mean
-    is linear, so it is not clipped to the values' physical range.
+    ``exact`` returns the infinite-shot mean, ``sum c sum (-1)**parity
+    |amp|^2`` over the entries, with variance 0.  ``sampled`` draws
+    ``backend.shots`` with ``seed``, reading only the wires the strings
+    touch.  This is the one readout-mitigation estimator: under mitigation
+    the values are pulled back through the calibration inverse and both
+    moments come from the raw shots, so the mean is unbiased for the
+    noiseless expectation, and the variance carries the amplification of
+    inverting the channel.  The mean is linear, so it is not clipped to the
+    values' physical range.
     """
     if backend.mitigation and calibration is None:
         raise ValueError("mitigation requested but no calibration supplied")
-    gates, images = class_basis_change([(x, z) for _, x, z in observable])
-    if gates:
-        state = run_sparse(Circuit(total_qubits, gates), state)
-    images = [(c * sign, z) for (c, _, _), (sign, z) in zip(observable, images)]
     if backend.kind == "exact":
         probs = [(index, abs(amp) ** 2) for index, amp in state.items()]
         return sum(
@@ -411,27 +402,15 @@ def _estimate(
 
 
 def _read(
-    readouts: list[tuple[Circuit, list[tuple[float, int, int]], tuple[int, ...]]],
-    backend: Backend,
+    circuit: Circuit, images: list[tuple[float, int]], key: tuple[int, ...], backend: Backend,
     calibration: CalibrationMatrix | None,
-) -> list[tuple[float, float]]:
-    """Mean and variance of each readout ``(circuit, observable, seed key)``.
-
-    The observable ``[(coefficient, x_mask, z_mask)]`` over the circuit's
-    wires, all of them measured, is one commuting class.  Every circuit runs
-    on :func:`run_sparse`, consecutive readouts of one circuit object share
-    its simulation, and :func:`_estimate` reads each one; under ``sampled``
-    with the seed the key derives.
+) -> tuple[float, float]:
+    """Mean and variance of one readout: ``circuit``, basis change included,
+    runs on :func:`run_sparse` and :func:`_estimate` reads the signed
+    Z-strings ``images`` over its wires, under ``sampled`` with ``key``'s seed.
     """
-    results = []
-    circuit = state = None
-    for readout_circuit, observable, key in readouts:
-        if readout_circuit is not circuit:
-            circuit = readout_circuit
-            state = run_sparse(circuit)
-        seed = derive_seed(backend.seed, *key) if backend.kind == "sampled" else None
-        results.append(_estimate(state, observable, backend, seed, calibration, circuit.total_qubits))
-    return results
+    seed = derive_seed(backend.seed, *key) if backend.kind == "sampled" else None
+    return _estimate(run_sparse(circuit), images, backend, seed, calibration)
 
 
 def measure_diagonal(
@@ -448,23 +427,68 @@ def measure_diagonal(
     values from its basis instead of calling this.  The circuit path
     prepares ``|n>`` with X gates and reads ``sum_s w_s s`` over the I/Z-only
     strings (``x_mask`` 0), in term order: no other string has a diagonal
-    element.
+    element, and these need no basis change.
     """
     if not backend.measure_diagonals_with_circuits:
         return MeasurementEstimate(complex(diagonal_energy(hamiltonian, n)))
     diagonal = hamiltonian.x == 0
-    weights, z_masks = hamiltonian.w.real[diagonal].tolist(), hamiltonian.z[diagonal].tolist()
-    observable = [(w, 0, z) for w, z in zip(weights, z_masks)]
-    circuit = prepare_basis_circuit(n, hamiltonian.qubit_count)
-    [(mean, var)] = _read([(circuit, observable, (TAG_DIAGONAL, n))], backend, calibration)
+    images = list(zip(hamiltonian.w.real[diagonal].tolist(), hamiltonian.z[diagonal].tolist()))
+    mean, var = _read(prepare_basis_circuit(n, hamiltonian.qubit_count), images, (TAG_DIAGONAL, n),
+                      backend, calibration)
     return MeasurementEstimate(
         complex(mean),
         stderr_re=math.sqrt(var),
         shots=backend.shots if backend.kind == "sampled" else 0,
         circuits=1,
-        executions=len(observable),
+        executions=len(images),
         settings=1,
     )
+
+
+def _group_settings(
+    hamiltonian: PauliSum, x_mask: int, direct: bool
+) -> list[tuple[int, float, int, list[Gate], list[tuple[float, int]]]]:
+    """The measurement settings of the flip group of ``x_mask``, as ``(rank,
+    weight, z_mask, gates, images)``: the seed rank, weight and ``z_mask`` of
+    the setting's first string, the basis change that ends its circuit, and
+    the signed Z-strings its readout reads.  The strings' own diagonal
+    elements vanish, which the recoveries use:
+
+    - direct: one per commuting class of the strings, those of even and
+      those of odd Y count (at most two; one for real-weight fermionic
+      inputs), in the order each first appears.  The class is read from one
+      histogram of the part's single-ancilla circuit followed by the class's
+      :func:`class_basis_change`, as
+      ``m = <sum_s 0.5 w_s (s (x) I) + 0.5 w_s (s (x) Z)>``;
+      ``Re = 2 sum m``, ``Im = -2 sum m`` over the classes;
+    - indirect: one per string ``s`` with weight ``w``, with no gates,
+      ``m_s = <0.25 (II + ZI + IZ + ZZ)>`` on the two ancillas of the
+      string's own circuit, the probability that both read 0;
+      ``Re = sum w (4 m_s - 1)``, ``Im = sum w (1 - 4 m_s)``.
+
+    A rank is the string's index among the off-diagonal terms of the sum,
+    so a setting's shot stream does not depend on which other strings exist.
+    """
+    groups = hamiltonian.groups
+    span = groups.span(x_mask)
+    members = groups.index[span]
+    # a term's index among the off-diagonal terms: the diagonal ones before it drop out
+    ranks = members - np.searchsorted(groups.index[groups.span(0)], members)
+    strings = zip(ranks.tolist(), hamiltonian.w.real[members].tolist(), groups.z[span].tolist(),
+                  groups.odd[span].tolist())
+    prep, meas = 1 << hamiltonian.qubit_count, 2 << hamiltonian.qubit_count  # the ancillas' Z bits
+    if not direct:  # II, ZI, IZ, ZZ on the two ancillas
+        return [(k, w, z, [], [(0.25, a) for a in (0, prep, meas, prep | meas)]) for k, w, z, _ in strings]
+    classes: dict[bool, list[tuple[int, float, int]]] = {}
+    for k, w, z, odd in strings:
+        classes.setdefault(odd, []).append((k, w, z))
+    settings = []
+    for terms in classes.values():
+        gates, images = class_basis_change([(x_mask, z) for *_, z in terms])
+        images = [(0.5 * w * sign, image | a)
+                  for (_, w, _), (sign, image) in zip(terms, images) for a in (0, prep)]
+        settings.append((*terms[0], gates, images))
+    return settings
 
 
 def measure_offdiagonal(
@@ -477,76 +501,38 @@ def measure_offdiagonal(
     """Estimate the complex element ``<n|H|n'>`` for occupation masks
     ``n != n'`` on the Hamiltonian's ``qubit_count`` qubits.
 
-    Only the strings that flip exactly ``n XOR n'``, the flip group of that
-    ``x_mask`` in ``hamiltonian.groups``, are measured; their own diagonal
-    elements vanish, which the recovery below uses.  Per part (real,
-    imaginary) there is one readout per measurement setting, and the
-    settings are:
-
-    - direct: one per commuting class of the connecting strings, those of
-      even and those of odd Y count (at most two; one for real-weight
-      fermionic inputs), in the order each first appears.  The class is
-      read from one histogram of the part's one single-ancilla circuit, as
-      ``m = <sum_s 0.5 w_s (s (x) I) + 0.5 w_s (s (x) Z)>``;
-      ``Re = 2 sum m``, ``Im = -2 sum m`` over the classes;
-    - indirect: one per connecting string ``s`` with weight ``w``,
-      ``m_s = <0.25 (II + ZI + IZ + ZZ)>`` on the two ancillas of the
-      string's own circuit, the probability that both read 0;
-      ``Re = sum w (4 m_s - 1)``, ``Im = sum w (1 - 4 m_s)``.
-
-    A setting's seed key holds the index of its first string among the
-    off-diagonal terms of the sum, so its shot stream does not depend on
-    which other strings exist.  The standard errors propagate the readout
-    variances alone.  The direct style counts its two circuits even when no
-    string connects the pair.  A backend that measures nothing (``oracle``)
-    is a ValueError: its entries come from :func:`~heffsolve.pauli.project_masks`.
+    Only the strings that flip exactly ``n XOR n'`` are measured: per part
+    (real, imaginary), one readout per setting of :func:`_group_settings`.
+    The standard errors propagate the readout variances alone.  The direct
+    style counts its two circuits even when no string connects the pair.  A
+    backend that measures nothing (``oracle``) is a ValueError: its entries
+    come from :func:`~heffsolve.pauli.project_masks`.
     """
     if n == nprime:
         raise ValueError("off-diagonal measurement needs two distinct states")
     if not backend.uses_circuits:
         raise ValueError(f"the {backend.kind} backend measures nothing; use pauli.project_masks")
-    groups = hamiltonian.groups
-    num = hamiltonian.qubit_count
-    x_mask = n ^ nprime
-    span = groups.span(x_mask)
-    members = groups.index[span]
-    # a term's index among the off-diagonal terms: the diagonal ones before it drop out
-    ranks = members - np.searchsorted(groups.index[groups.span(0)], members)
-    weights, z_masks = hamiltonian.w.real[members].tolist(), groups.z[span].tolist()
+    num, x_mask = hamiltonian.qubit_count, n ^ nprime
     direct = backend.measurement_style == "direct"
-    # the (rank, weight, z_mask) of each setting's strings: a commuting class (direct) or one string
-    settings: dict[int, list[tuple[int, float, int]]] = {}
-    for k, w, z, odd in zip(ranks.tolist(), weights, z_masks, groups.odd[span].tolist()):
-        settings.setdefault(odd if direct else k, []).append((k, w, z))
-    prep, meas = 1 << num, 2 << num  # the z-mask bits of the two ancillas
+    settings = _group_settings(hamiltonian, x_mask, direct)
     recovered = []
     for index, (part, sign) in enumerate((("real", 1.0), ("imag", -1.0))):
-        if direct:
-            circuit = build_offdiagonal_circuit(n, nprime, num, part) if settings else None
-            readouts = [
-                (circuit, [(0.5 * w, x_mask, z | a) for _, w, z in terms for a in (0, prep)],
-                 (TAG_OFFDIAGONAL, n, nprime, index, terms[0][0]))
-                for terms in settings.values()
-            ]
-        else:
-            readouts = [
-                (build_indirect_circuit(n, nprime, num, x_mask, z, part),
-                 [(0.25, 0, a) for a in (0, prep, meas, prep | meas)],  # II, ZI, IZ, ZZ
-                 (TAG_OFFDIAGONAL, n, nprime, 2 + index, k))
-                for [(k, _, z)] in settings.values()
-            ]
         total = var = 0.0
-        for terms, (m, v) in zip(settings.values(), _read(readouts, backend, calibration)):
+        for k, w, z, gates, images in settings:
             if direct:
+                circuit = build_offdiagonal_circuit(n, nprime, num, part)
+                circuit.extend(gates)
+                m, v = _read(circuit, images, (TAG_OFFDIAGONAL, n, nprime, index, k), backend, calibration)
                 total += m
                 var += v
             else:
-                w = terms[0][1]
+                m, v = _read(build_indirect_circuit(n, nprime, num, x_mask, z, part), images,
+                             (TAG_OFFDIAGONAL, n, nprime, 2 + index, k), backend, calibration)
                 total += w * (sign * (4.0 * m - 1.0))
                 var += (w ** 2) * 16.0 * v
         recovered.append((2.0 * sign * total, 4.0 * var) if direct else (total, var))
     (re, var_re), (im, var_im) = recovered
-    executions = 2 * len(z_masks)
+    executions = 2 * len(hamiltonian.groups.z[hamiltonian.groups.span(x_mask)])
     return MeasurementEstimate(
         complex(re, im),
         stderr_re=math.sqrt(var_re),

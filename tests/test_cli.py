@@ -741,6 +741,18 @@ class TestScan:
         assert main(["scan", str(src), "--out", str(tmp_path / "o"), "--nf", "2"]) == 2
         assert "inconsistent qubit counts" in capsys.readouterr().err
 
+    def test_two_files_of_one_stem_are_refused_before_any_solve(self, tmp_path, h2_path, capsys):
+        src = tmp_path / "twins"
+        src.mkdir()
+        (src / "point_0.70.ferm").write_text(Path(h2_path).read_text())
+        assert main(["transform", str(src / "point_0.70.ferm"), "-o", str(src / "point_0.70.pauli")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main(["scan", str(src), "--out", str(out), "--nf", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "point_0.70.ferm" in err and "point_0.70.pauli" in err
+        assert not out.exists()
+
     def test_empty_directory_is_input_error(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -346,10 +346,10 @@ class TestReadouts:
             return bits.reshape(len(wires), len(state)), probs
         means = {"exact": [], "sampled": []}
 
-        def recording(readouts, backend, calibration):
-            results = read(readouts, backend, calibration)
-            means[backend.kind].extend(mean for mean, _ in results)
-            return results
+        def recording(circuit, images, key, backend, calibration):
+            mean, var = read(circuit, images, key, backend, calibration)
+            means[backend.kind].append(mean)
+            return mean, var
 
         monkeypatch.setattr(heffsolve.estimator, "_read", recording)
         monkeypatch.setattr(heffsolve.estimator, "sample_outcome_counts", every_entry_once)
@@ -526,10 +526,9 @@ class TestSparseExactBackend:
         simulated = []
         real_run_sparse = heffsolve.estimator.run_sparse
 
-        def counting(circuit, state=None):
-            if state is None:  # a circuit, not the basis rotations of a readout
-                simulated.append(circuit)
-            return real_run_sparse(circuit, state)
+        def counting(circuit):
+            simulated.append(circuit)
+            return real_run_sparse(circuit)
 
         def refused(*args, **kwargs):
             raise AssertionError("the exact backend built a dense state")
@@ -542,15 +541,31 @@ class TestSparseExactBackend:
         pairs = comb(basis.size, 2)
         connected = connected_pairs(hamiltonian, basis.states)
         settings = connecting_settings(hamiltonian, basis.states)
+        classes = connecting_classes(hamiltonian, basis.states)
         assert 0 < connected < pairs
-        offdiagonal = 2 * connected if style == "direct" else 2 * settings
-        assert len(simulated) == basis.size + offdiagonal
+        # one circuit per readout: a direct pair runs its preparation once per class
+        offdiagonal = 2 * classes if style == "direct" else 2 * settings
+        assert len(simulated) == basis.size + offdiagonal == counts.settings
         assert counts.diagonal == basis.size
         if style == "direct":
             assert counts.offdiagonal_real == counts.offdiagonal_imag == pairs
         else:
             assert counts.offdiagonal_real == counts.offdiagonal_imag == settings
 
+
+    def test_one_basis_change_per_connected_pair_and_class(self, rng, monkeypatch):
+        # the real and imaginary parts of a pair read one class through the same gates
+        hamiltonian, basis = wide_sector(rng)
+        calls = []
+        change = heffsolve.estimator.class_basis_change
+
+        def counting(strings):
+            calls.append(strings)
+            return change(strings)
+
+        monkeypatch.setattr(heffsolve.estimator, "class_basis_change", counting)
+        build_effective_hamiltonian(hamiltonian, basis, Backend.exact())
+        assert len(calls) == connecting_classes(hamiltonian, basis.states)
 
     @pytest.mark.parametrize("style", ["direct", "indirect"])
     def test_sampled_only_connected_pairs_simulate_circuits(self, rng, style, monkeypatch):
@@ -561,10 +576,9 @@ class TestSparseExactBackend:
         real_run_sparse = heffsolve.estimator.run_sparse
         real_sample = heffsolve.estimator.sample_outcome_counts
 
-        def counting(circuit, state=None):
-            if state is None:  # a circuit, not the basis rotations of a readout
-                simulated.append(circuit)
-            return real_run_sparse(circuit, state)
+        def counting(circuit):
+            simulated.append(circuit)
+            return real_run_sparse(circuit)
 
         def recording(*args):
             bits, counts = real_sample(*args)
@@ -589,7 +603,7 @@ class TestSparseExactBackend:
         classes = connecting_classes(hamiltonian, basis.states)
         assert 0 < connected < comb(basis.size, 2)
         assert connected < classes < settings
-        offdiagonal = 2 * connected if style == "direct" else 2 * settings
+        offdiagonal = 2 * classes if style == "direct" else 2 * settings
         assert len(simulated) == basis.size + offdiagonal
         # the calibration draws first: |0> and |1> on each wire of the two-ancilla register
         calibration = 2 * (hamiltonian.qubit_count + 2)
@@ -683,13 +697,12 @@ class TestMitigation:
         raw = _outcome_values(bits, parities, [0, 1], None)
         assert raw.tolist() == [3.5, -2.5, -1.5, 0.5]
         assert _outcome_values(bits, parities, [0, 1], calibration).tolist() == raw.tolist()
-        observable = [(c, s.x_mask, s.z_mask) for c, s in strings]
         # the pipeline's mitigated estimate equals the raw one
         state = {0: math.sqrt(0.7), 1: math.sqrt(0.3)}
         backend = Backend.sampled(shots=100, noise=ReadoutNoise())
-        raw = _estimate(state, observable, backend, 5, None, 2)
+        raw = _estimate(state, parities, backend, 5, None)
         mitigated = Backend.sampled(shots=100, noise=ReadoutNoise(), mitigation=True)
-        assert _estimate(state, observable, mitigated, 5, calibration, 2) == raw
+        assert _estimate(state, parities, mitigated, 5, calibration) == raw
 
     def test_exact_inversion_recovers_noiseless_distribution(self):
         noise = ReadoutNoise(0.04, 0.07)
@@ -706,7 +719,7 @@ class TestMitigation:
         # of Z is (A^-1)^T [1, -1] = [2.5, -2.5], and the mean is not clipped
         calibration = CalibrationMatrix((np.array([[0.7, 0.3], [0.3, 0.7]]),))
         backend = Backend.sampled(shots=100, noise=ReadoutNoise(), mitigation=True)
-        mean, _ = _estimate({0: 1.0}, [(1.0, 0, PauliString("Z").z_mask)], backend, 0, calibration, 1)
+        mean, _ = _estimate({0: 1.0}, [(1.0, PauliString("Z").z_mask)], backend, 0, calibration)
         assert mean == 2.5
 
     def test_pull_back_is_the_adjoint_of_the_channel(self):
