@@ -36,13 +36,8 @@ from .estimator import (
     heff_to_dict,
     heff_to_json,
 )
-from .fermion import (
-    FermionFormatError,
-    check_particle_conservation,
-    jw_transform,
-    load_fermion_hamiltonian,
-)
-from .pauli import PauliFormatError, PauliSum, format_pauli_sum, load_pauli_sum
+from .fermion import check_particle_conservation, jw_transform, load_fermion_hamiltonian
+from .pauli import PauliSum, content_lines, format_pauli_sum, load_pauli_sum
 from .records import Frozen
 from .spectra import (
     MAX_DENSE_DIMENSION,
@@ -90,26 +85,25 @@ def _publish(root: Path, files: dict[Path | str, str]) -> None:
             tmp.unlink(missing_ok=True)
 
 
-def _load_hamiltonian(path: str, fmt: str) -> PauliSum:
-    if fmt == "auto":
-        with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    fmt = "fermion" if line.startswith(("modes", "constant")) else "pauli"
-                    break
-            else:
-                raise ValueError(f"{path}: empty input file")
-    if fmt == "fermion":
+def _load_hamiltonian(path: str) -> PauliSum:
+    """The qubit Hamiltonian in ``path``: fermion terms, mapped by Jordan-Wigner, when
+    its first content line starts with ``modes`` or ``constant``, else a Pauli sum."""
+    with open(path, "r", encoding="utf-8") as fh:
+        first = next((line for _, _, line in content_lines(fh)), "")
+    if first.startswith(("modes", "constant")):
         hamiltonian = jw_transform(load_fermion_hamiltonian(path))
-    else:
+    else:  # an empty file too, whose sum of no terms the parser refuses
         hamiltonian = load_pauli_sum(path).real_weights()
-    # the sector projections would silently drop particle-changing strings
-    if fmt != "fermion" and not check_particle_conservation(hamiltonian):
-        raise ValueError(f"{path}: the Pauli sum does not conserve particle number")
+        # the sector projections would silently drop particle-changing strings
+        if not check_particle_conservation(hamiltonian):
+            raise ValueError(f"{path}: the Pauli sum does not conserve particle number")
     with np.errstate(over="ignore"):  # no energy, entry or eigenvalue exceeds sum |w|
-        if not np.isfinite(np.abs(hamiltonian.w).sum()):
+        total = np.abs(hamiltonian.w).sum()
+        if not np.isfinite(total):
             raise ValueError(f"{path}: the term magnitudes have a non-finite sum")
+        # the variance arithmetic of the measured backends forms products up to 4 (sum |w|)^2
+        if not np.isfinite(4 * total * total):
+            raise ValueError(f"{path}: the term magnitudes sum to {total:.6g}, too large to square")
     return hamiltonian
 
 
@@ -122,15 +116,13 @@ class RunConfig(Frozen):
     """
 
     __slots__ = ("input_path", "subspace", "annealing", "backend", "basis_file", "seed",
-                 "repeats", "dos_bins", "format")
+                 "repeats", "dos_bins")
 
     def __init__(
         self, input_path: str, subspace: SubspaceSpec, annealing: MonteCarloSearch,
         backend: Backend, basis_file: str | None, seed: int, repeats: int, dos_bins: int,
-        format: str,
     ):
-        self._set(input_path, subspace, annealing, backend, basis_file, seed, repeats, dos_bins,
-                  format)
+        self._set(input_path, subspace, annealing, backend, basis_file, seed, repeats, dos_bins)
 
     @classmethod
     def from_settings(cls, args: argparse.Namespace, values: dict, given: dict) -> "RunConfig":
@@ -139,7 +131,7 @@ class RunConfig(Frozen):
         return cls(
             input_path=args.input, subspace=subspace, annealing=annealing,
             backend=_build(Backend, _BACKEND_FIELDS, values, given), basis_file=args.basis,
-            **{name: values[name] for name in ("seed", "repeats", "dos_bins", "format")},
+            **{name: values[name] for name in ("seed", "repeats", "dos_bins")},
         )
 
     def describe(self) -> dict:
@@ -245,7 +237,7 @@ def _exact_reference(hamiltonian: PauliSum, particle_number: int) -> np.ndarray 
 def _prepare(config: RunConfig) -> tuple[PauliSum, SubspaceBasis, np.ndarray | None]:
     """Load and check the input, select the basis and compute the exact
     reference; raises on a bad input or capacity."""
-    hamiltonian = _load_hamiltonian(config.input_path, config.format)
+    hamiltonian = _load_hamiltonian(config.input_path)
     # before either basis path, so a --basis file is never blamed for the sector
     _require_sector(hamiltonian.qubit_count, config.subspace.particle_number)
     basis = _select_basis(hamiltonian, config)
@@ -298,7 +290,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_subspace(args) -> int:
     values, given = _settings(args)
-    basis = build_subspace(_load_hamiltonian(args.input, values["format"]), _selection(values, given)[0])
+    basis = build_subspace(_load_hamiltonian(args.input), _selection(values, given)[0])
     _publish(Path(), {args.output: format_states(basis.bits)})
     print(f"reference {basis.reference.bits}, kept {basis.size} configurations -> {args.output}")
     return EXIT_OK
@@ -424,7 +416,6 @@ _SETTINGS = {
     "mc_t0": (float, False, None),
     "mc_cooling": (float, False, None),
     "seed": (int, True, 0),
-    "format": (_words("auto", "fermion", "pauli"), False, "auto"),
     "backend": (_words("oracle", "exact", "sampled"), True, None),
     "shots": (int, True, None),
     "noise": (_parse_noise, True, None),
@@ -512,7 +503,6 @@ def _add_common(parser: argparse.ArgumentParser, with_backend: bool = True) -> N
     for name in ("mc_steps", "mc_t0", "mc_cooling"):
         _add(parser, name)
     _add(parser, "seed", help="master seed; all streams derive from it")
-    _add(parser, "format", help="input format (default: sniff)")
     if with_backend:
         parser.add_argument("--basis", help="reuse a fixed basis file")
         _add(parser, "backend")
@@ -600,7 +590,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (PauliFormatError, FermionFormatError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

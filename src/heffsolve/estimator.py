@@ -229,15 +229,7 @@ class CircuitCounts(NamedTuple):
         return self.offdiagonal_real + self.offdiagonal_imag
 
     def as_dict(self) -> dict:
-        return {
-            "diagonal": self.diagonal,
-            "offdiagonal_real": self.offdiagonal_real,
-            "offdiagonal_imag": self.offdiagonal_imag,
-            "offdiagonal_total": self.offdiagonal,
-            "string_executions": self.string_executions,
-            "settings": self.settings,
-            "total_shots": self.total_shots,
-        }
+        return {**self._asdict(), "offdiagonal_total": self.offdiagonal}
 
 
 class EffectiveHamiltonian(NamedTuple):

@@ -15,11 +15,13 @@ creation operator takes the ``- i Y`` branch.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, TextIO
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .pauli import WEIGHT_TOLERANCE, PauliSum, _flip_amplitudes, multiply_masks
+from .pauli import (
+    WEIGHT_TOLERANCE, PauliSum, TextFormatError, _flip_amplitudes, content_lines, multiply_masks,
+)
 from .records import Frozen
 
 __all__ = [
@@ -159,12 +161,8 @@ def check_particle_conservation(
 #   0.5 0.0 1^ 0^ 2 3     # <re> <im> then factors, '^' marks creation
 # ---------------------------------------------------------------------------
 
-class FermionFormatError(ValueError):
-    """Raised on malformed fermion-term text, with a 1-based line number."""
-
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
+class FermionFormatError(TextFormatError):
+    """Raised on malformed fermion-term text."""
 
 
 def _parse_factor(token: str, lineno: int) -> tuple[int, bool]:
@@ -181,34 +179,30 @@ def parse_fermion_hamiltonian(text: str | Iterable[str]) -> FermionHamiltonian:
     mode_count: int | None = None
     constant = 0.0
     terms: list[FermionTerm] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for lineno, fields, line in content_lines(lines):
         if fields[0] == "modes":
             if len(fields) != 2 or not (fields[1].isascii() and fields[1].isdigit()):
-                raise FermionFormatError(lineno, f"bad header {raw.strip()!r}")
+                raise FermionFormatError(lineno, f"bad header {line!r}")
             mode_count = int(fields[1])
             continue
         if fields[0] == "constant":
             try:
                 constant = float(fields[1])
             except (IndexError, ValueError):
-                raise FermionFormatError(lineno, f"bad constant line {raw.strip()!r}") from None
+                raise FermionFormatError(lineno, f"bad constant line {line!r}") from None
             if not math.isfinite(constant):
-                raise FermionFormatError(lineno, f"non-finite constant in {raw.strip()!r}")
+                raise FermionFormatError(lineno, f"non-finite constant in {line!r}")
             continue
         if mode_count is None:
             raise FermionFormatError(lineno, "term before 'modes N' header")
         if len(fields) < 3:
-            raise FermionFormatError(lineno, f"expected '<re> <im> <factor>...', got {raw.strip()!r}")
+            raise FermionFormatError(lineno, f"expected '<re> <im> <factor>...', got {line!r}")
         try:
             re_part, im_part = float(fields[0]), float(fields[1])
         except ValueError:
-            raise FermionFormatError(lineno, f"bad coefficient in {raw.strip()!r}") from None
+            raise FermionFormatError(lineno, f"bad coefficient in {line!r}") from None
         if not (math.isfinite(re_part) and math.isfinite(im_part)):
-            raise FermionFormatError(lineno, f"non-finite coefficient in {raw.strip()!r}")
+            raise FermionFormatError(lineno, f"non-finite coefficient in {line!r}")
         factors = tuple(_parse_factor(tok, lineno) for tok in fields[2:])
         terms.append(FermionTerm(complex(re_part, im_part), factors))
     if mode_count is None:
@@ -219,8 +213,6 @@ def parse_fermion_hamiltonian(text: str | Iterable[str]) -> FermionHamiltonian:
         raise FermionFormatError(len(lines) + 1, str(exc)) from None
 
 
-def load_fermion_hamiltonian(path_or_file: str | TextIO) -> FermionHamiltonian:
-    if hasattr(path_or_file, "read"):
-        return parse_fermion_hamiltonian(path_or_file.read())
-    with open(path_or_file, "r", encoding="utf-8") as fh:
+def load_fermion_hamiltonian(path: str) -> FermionHamiltonian:
+    with open(path, "r", encoding="utf-8") as fh:
         return parse_fermion_hamiltonian(fh.read())

@@ -17,7 +17,7 @@ strings are only parsed, printed and shown in messages.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -241,8 +241,10 @@ class FlipGroups:
     def __init__(self, hamiltonian: PauliSum):
         x, z = hamiltonian.x, hamiltonian.z
         self.index = np.argsort(x, kind="stable")
-        flips, starts = np.unique(x[self.index], return_index=True)
-        bounds = [*starts.tolist(), len(self.index)]
+        sorted_x = x[self.index]
+        # each run's start: a mask unlike the one before it (the first, unlike its complement)
+        starts = np.flatnonzero(sorted_x != np.concatenate((~sorted_x[:1], sorted_x[:-1])))
+        flips, bounds = sorted_x[starts], [*starts.tolist(), len(self.index)]
         self.spans: dict[int, slice] = dict(zip(flips.tolist(), map(slice, bounds[:-1], bounds[1:])))
         y = np.bitwise_count(x & z)[self.index]
         self.z = z[self.index]
@@ -264,7 +266,7 @@ def flip_cells(groups: FlipGroups, masks: np.ndarray) -> Iterator[tuple[slice, n
     ``searchsorted`` over the sorted masks finds its cells.
     """
     size = len(masks)
-    order = np.argsort(masks)
+    order = np.argsort(masks, kind="stable")
     sorted_masks = masks[order]
     if np.any(sorted_masks[1:] == sorted_masks[:-1]):
         raise ValueError("the states must be distinct")
@@ -336,15 +338,29 @@ def classify_terms(hamiltonian: PauliSum) -> tuple[PauliSum, PauliSum]:
 
 
 # ---------------------------------------------------------------------------
-# Text format: one term per line, "<re> <im> <string>", '#' starts a comment.
+# Text formats, '#' starting a comment; the Pauli sum's: one term per line, "<re> <im> <string>".
 # ---------------------------------------------------------------------------
 
-class PauliFormatError(ValueError):
-    """Raised on malformed Pauli-sum text, with a 1-based line number."""
+class TextFormatError(ValueError):
+    """Raised on malformed input text, with a 1-based line number."""
 
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
+
+
+class PauliFormatError(TextFormatError):
+    """Raised on malformed Pauli-sum text."""
+
+
+def content_lines(lines: Iterable[str]) -> Iterator[tuple[int, list[str], str]]:
+    """``(line number, fields, stripped line)`` for each of ``lines``, numbered
+    from 1, with content before its ``#`` comment: the one line reader of the
+    Pauli-sum, fermion-term and basis-state text formats."""
+    for lineno, raw in enumerate(lines, start=1):
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            yield lineno, fields, raw.strip()
 
 
 def parse_pauli_sum(text: str | Iterable[str]) -> PauliSum:
@@ -355,19 +371,15 @@ def parse_pauli_sum(text: str | Iterable[str]) -> PauliSum:
     lines = text.splitlines() if isinstance(text, str) else list(text)
     terms: list[tuple[complex, PauliString]] = []
     qubit_count: int | None = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for lineno, fields, line in content_lines(lines):
         if len(fields) != 3:
-            raise PauliFormatError(lineno, f"expected '<re> <im> <string>', got {raw.strip()!r}")
+            raise PauliFormatError(lineno, f"expected '<re> <im> <string>', got {line!r}")
         try:
             re_part, im_part = float(fields[0]), float(fields[1])
         except ValueError:
-            raise PauliFormatError(lineno, f"bad weight in {raw.strip()!r}") from None
+            raise PauliFormatError(lineno, f"bad weight in {line!r}") from None
         if not (math.isfinite(re_part) and math.isfinite(im_part)):
-            raise PauliFormatError(lineno, f"non-finite weight in {raw.strip()!r}")
+            raise PauliFormatError(lineno, f"non-finite weight in {line!r}")
         try:
             string = PauliString(fields[2])
         except ValueError as exc:
@@ -394,8 +406,6 @@ def format_pauli_sum(hamiltonian: PauliSum) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_pauli_sum(path_or_file: str | TextIO) -> PauliSum:
-    if hasattr(path_or_file, "read"):
-        return parse_pauli_sum(path_or_file.read())
-    with open(path_or_file, "r", encoding="utf-8") as fh:
+def load_pauli_sum(path: str) -> PauliSum:
+    with open(path, "r", encoding="utf-8") as fh:
         return parse_pauli_sum(fh.read())

@@ -14,11 +14,13 @@ only for files (:attr:`SubspaceBasis.bits`) and messages
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence, TextIO
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .pauli import BasisState, PauliSum, _flip_amplitudes, sites, string_order
+from .pauli import (
+    BasisState, PauliSum, TextFormatError, _flip_amplitudes, content_lines, sites, string_order,
+)
 from .records import Frozen
 
 __all__ = [
@@ -289,24 +291,19 @@ def format_states(bits: Sequence[str]) -> str:
     return "\n".join(bits) + "\n"
 
 
-def load_states(path_or_file: str | TextIO) -> list[BasisState]:
-    if hasattr(path_or_file, "read"):
-        text = path_or_file.read()
-    else:
-        with open(path_or_file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+def load_states(path: str) -> list[BasisState]:
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
     states = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, fields, line in content_lines(lines):
+        if len(fields) != 1:
+            raise TextFormatError(lineno, f"expected one bit string, got {line!r}")
         try:
-            states.append(BasisState(line))
+            states.append(BasisState(fields[0]))
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    lengths = {s.num_qubits for s in states}
-    if len(lengths) > 1:
-        raise ValueError("bit strings have inconsistent lengths")
+            raise TextFormatError(lineno, str(exc)) from None
+        if states[-1].num_qubits != states[0].num_qubits:
+            raise TextFormatError(lineno, "bit strings have inconsistent lengths")
     return states
 
 

@@ -19,7 +19,8 @@ import heffsolve.cli
 import heffsolve.spectra
 from heffsolve.cli import main
 from heffsolve.estimator import heff_matrix_from_dict
-from heffsolve.pauli import BasisState, flip_cells, load_pauli_sum
+from heffsolve.fermion import parse_fermion_hamiltonian
+from heffsolve.pauli import BasisState, flip_cells, format_pauli_sum, load_pauli_sum
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -235,6 +236,33 @@ class TestSolve:
         _, rows = read_csv(out / "error_vs_exact.csv")
         assert max(float(r[3]) for r in rows) <= 1e-10
 
+    # a comment, then 'constant' ahead of 'modes': the first content line decides
+    FIRST_LINE_FERMION = (
+        "# four modes\nconstant 0.717\nmodes 4\n-1.2563 0.0 0^ 0\n-0.4719 0.0 2^ 2\n"
+        "0.6757 0.0 0^ 1^ 1 0\n0.1809 0.0 0^ 1^ 3 2\n0.1809 0.0 2^ 3^ 1 0\n"
+    )
+
+    @pytest.mark.parametrize("suffix", ["ferm", "pauli"])
+    def test_the_first_content_line_names_the_format(self, tmp_path, capsys, suffix):
+        hamiltonian = heffsolve.jw_transform(parse_fermion_hamiltonian(self.FIRST_LINE_FERMION))
+        path = tmp_path / f"input.{suffix}"
+        path.write_text(self.FIRST_LINE_FERMION if suffix == "ferm"
+                        else "# a Pauli sum\n" + format_pauli_sum(hamiltonian))
+        out = tmp_path / "run"
+        assert main(["solve", str(path), "--out", str(out), "--nf", "2"]) == 0
+        _, rows = read_csv(out / "spectrum.csv")
+        basis = heffsolve.build_subspace(hamiltonian, heffsolve.SubspaceSpec(2, 2))
+        heff = heffsolve.build_effective_hamiltonian(hamiltonian, basis, heffsolve.Backend.oracle())
+        expected = heffsolve.eigendecompose(heff, compute_vectors=False).eigenvalues
+        assert [float(r[1]) for r in rows] == expected.tolist()
+        # and no flag overrides it
+        forced = tmp_path / "forced"
+        with pytest.raises(SystemExit) as done:
+            main(["solve", str(path), "--out", str(forced), "--nf", "2", "--format", "fermion"])
+        assert done.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+        assert not forced.exists()
+
     def test_diagonal_only_hamiltonian_counts_every_direct_circuit(self, tmp_path):
         pauli = tmp_path / "diagonal.pauli"
         pauli.write_text("1.0 0.0 ZIII\n0.5 0.0 IZZI\n-0.25 0.0 IIIZ\n")
@@ -347,7 +375,7 @@ class TestSolve:
             assert abs(error.real) <= 5 * e["stderr_re"] + 1e-12
             assert abs(error.imag) <= 5 * e["stderr_im"] + 1e-12
         # the listed cells are the connected pairs; every other pair reads exactly 0
-        hamiltonian = heffsolve.cli._load_hamiltonian(str(path), "fermion")
+        hamiltonian = heffsolve.cli._load_hamiltonian(str(path))
         masks = np.array([BasisState(bits).mask for bits in payload["basis"]], dtype=np.uint64)
         connected = {
             (i, j)
@@ -428,8 +456,11 @@ class TestInputValidation:
             # finite terms whose diagonal energies overflow
             ("huge.ferm", "modes 4\n" + "".join(f"1e308 0.0 {m}^ {m}\n" for m in range(3)),
              "non-finite"),
+            # a finite sum whose square, as the variance arithmetic forms it, overflows
+            ("square.pauli", "1e200 0.0 XXII\n1e200 0.0 YYII\n0.5 0.0 ZIII\n", "sum to 2e+200"),
         ],
-        ids=["nan-term", "nan-constant", "nan-pauli", "inf-hopping-pair", "overflow"],
+        ids=["nan-term", "nan-constant", "nan-pauli", "inf-hopping-pair", "overflow",
+             "square-overflow"],
     )
     def test_a_non_finite_input_is_an_input_error(self, tmp_path, capsys, name, text, message):
         # each once solved with exit 0 as if the bad term were absent
@@ -990,7 +1021,7 @@ class TestEnvOverrides:
         ("solve", "ns", "abc", True), ("solve", "strategy", "annealing", True),
         ("solve", "mc_steps", "abc", True), ("solve", "mc_t0", "warm", False),
         ("solve", "mc_cooling", "abc", False), ("solve", "seed", "1.5", True),
-        ("solve", "format", "json", False), ("solve", "backend", "quantum", True),
+        ("solve", "backend", "quantum", True),
         ("solve", "shots", "abc", True), ("solve", "noise", "0.1,abc", True),
         ("solve", "style", "sideways", True), ("solve", "diagonals", "circuits", True),
         ("solve", "repeats", "two", True), ("scan", "levels", "abc", True),
@@ -1098,7 +1129,7 @@ class TestCommandFlags:
     every command's flags were built."""
 
     SELECTION = ["--nf", "--order", "--ns", "--strategy", "--mc-steps", "--mc-t0", "--mc-cooling",
-                 "--seed", "--format"]
+                 "--seed"]
     RUN = [*SELECTION, "--basis", "--backend", "--shots", "--noise", "--mitigate", "--style",
            "--diagonals", "--repeats"]
     OWN = {
@@ -1192,7 +1223,7 @@ class TestManifestConfig:
         Path("basis.txt").write_text("1100\n1010\n0101\n0011\n")
         flags = [
             "--order", "1", "--ns", "4", "--strategy", "mc", "--mc-steps", "40",
-            "--mc-t0", "0.5", "--mc-cooling", "0.9", "--seed", "3", "--format", "fermion",
+            "--mc-t0", "0.5", "--mc-cooling", "0.9", "--seed", "3",
             "--basis", "basis.txt", "--backend", "sampled", "--shots", "300",
             "--noise", "0.01,0.02", "--mitigate", "--style", "indirect", "--diagonals", "circuit",
             "--repeats", "2", "--dos-bins", "7",

@@ -5,18 +5,22 @@ import itertools
 import numpy as np
 import pytest
 
+from heffsolve.fermion import load_fermion_hamiltonian
 from heffsolve.pauli import (
     BasisState,
     PauliFormatError,
     PauliString,
     PauliSum,
+    TextFormatError,
     classify_terms,
     format_pauli_sum,
+    load_pauli_sum,
     multiply_masks,
     parse_pauli_sum,
     sites,
     string_order,
 )
+from heffsolve.subspace import load_states
 
 from conftest import (
     add_sums,
@@ -305,6 +309,20 @@ class TestTextFormat:
     def test_errors_carry_line_numbers(self, text, lineno):
         with pytest.raises(PauliFormatError, match=f"line {lineno}"):
             parse_pauli_sum(text)
+
+    @pytest.mark.parametrize(
+        "load, text",
+        [(load_pauli_sum, "0.5 0.0 ZI\n0.5 0.0 Z\n"),
+         (load_fermion_hamiltonian, "modes 2\n0.5 0.0 0* 1\n"),
+         (load_states, "10\n1x\n")],
+        ids=["pauli", "fermion", "states"],
+    )
+    def test_every_loader_reads_a_path_and_raises_one_error_type(self, tmp_path, load, text):
+        path = tmp_path / "input.txt"
+        path.write_text("# a comment\n\n" + text)
+        with pytest.raises(TextFormatError, match="^line 4: ") as raised:
+            load(str(path))
+        assert raised.value.line_number == 4
 
 
 class TestBasisState:

@@ -1,6 +1,5 @@
 """Reference search, excitation enumeration, and basis selection."""
 
-import io
 import itertools
 from math import comb
 
@@ -337,8 +336,10 @@ class TestBuildSubspace:
 
 
 class TestStatesFile:
-    def test_round_trip(self):
-        again = load_states(io.StringIO(format_states(SECTOR_BASES)))
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "basis.txt"
+        path.write_text(format_states(SECTOR_BASES))
+        again = load_states(str(path))
         assert [s.bits for s in again] == SECTOR_BASES
 
     def test_rebuild_basis_from_file(self):
@@ -348,10 +349,14 @@ class TestStatesFile:
         assert basis.reference.bits == "1100"
         assert basis.diagonal_energies[0] == pytest.approx(-3.0)
 
-    def test_bad_line_reports_number(self):
+    def test_bad_line_reports_number(self, tmp_path):
+        path = tmp_path / "basis.txt"
+        path.write_text("1100\n10x0\n")
         with pytest.raises(ValueError, match="line 2"):
-            load_states(io.StringIO("1100\n10x0\n"))
+            load_states(str(path))
 
-    def test_inconsistent_lengths(self):
+    def test_inconsistent_lengths(self, tmp_path):
+        path = tmp_path / "basis.txt"
+        path.write_text("1100\n110\n")
         with pytest.raises(ValueError, match="inconsistent"):
-            load_states(io.StringIO("1100\n110\n"))
+            load_states(str(path))
