@@ -23,7 +23,6 @@ from .fermion import (
     load_fermion_hamiltonian,
 )
 from .subspace import (
-    ExhaustiveSearch,
     MonteCarloSearch,
     SubspaceBasis,
     SubspaceSpec,
@@ -67,7 +66,7 @@ __all__ = [
     "load_pauli_sum",
     "FermionHamiltonian", "FermionTerm", "check_particle_conservation",
     "jw_ladder", "jw_transform", "load_fermion_hamiltonian",
-    "ExhaustiveSearch", "MonteCarloSearch", "SubspaceBasis", "SubspaceSpec",
+    "MonteCarloSearch", "SubspaceBasis", "SubspaceSpec",
     "build_subspace", "enumerate_excitations", "find_reference",
     "Circuit", "Gate", "ReadoutNoise",
     "build_indirect_circuit", "build_offdiagonal_circuit",

@@ -49,7 +49,6 @@ from .spectra import (
     spectrum_to_csv,
 )
 from .subspace import (
-    ExhaustiveSearch,
     MonteCarloSearch,
     SubspaceBasis,
     SubspaceSpec,
@@ -87,23 +86,27 @@ def _publish(root: Path, files: dict[Path | str, str]) -> None:
 
 def _load_hamiltonian(path: str) -> PauliSum:
     """The qubit Hamiltonian in ``path``: fermion terms, mapped by Jordan-Wigner, when
-    its first content line starts with ``modes`` or ``constant``, else a Pauli sum."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = next((line for _, _, line in content_lines(fh)), "")
-    if first.startswith(("modes", "constant")):
-        hamiltonian = jw_transform(load_fermion_hamiltonian(path))
-    else:  # an empty file too, whose sum of no terms the parser refuses
-        hamiltonian = load_pauli_sum(path).real_weights()
-        # the sector projections would silently drop particle-changing strings
-        if not check_particle_conservation(hamiltonian):
-            raise ValueError(f"{path}: the Pauli sum does not conserve particle number")
-    with np.errstate(over="ignore"):  # no energy, entry or eigenvalue exceeds sum |w|
-        total = np.abs(hamiltonian.w).sum()
-        if not np.isfinite(total):
-            raise ValueError(f"{path}: the term magnitudes have a non-finite sum")
-        # the variance arithmetic of the measured backends forms products up to 4 (sum |w|)^2
-        if not np.isfinite(4 * total * total):
-            raise ValueError(f"{path}: the term magnitudes sum to {total:.6g}, too large to square")
+    its first content line starts with ``modes`` or ``constant``, else a Pauli sum.
+    Its ValueError names ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            first = next((line for _, _, line in content_lines(fh)), "")
+        if first.startswith(("modes", "constant")):
+            hamiltonian = jw_transform(load_fermion_hamiltonian(path))
+        else:  # an empty file too, whose sum of no terms the parser refuses
+            hamiltonian = load_pauli_sum(path).real_weights()
+            # the sector projections would silently drop particle-changing strings
+            if not check_particle_conservation(hamiltonian):
+                raise ValueError("the Pauli sum does not conserve particle number")
+        with np.errstate(over="ignore"):  # no energy, entry or eigenvalue exceeds sum |w|
+            total = np.abs(hamiltonian.w).sum()
+            if not np.isfinite(total):
+                raise ValueError("the term magnitudes have a non-finite sum")
+            # the variance arithmetic of the measured backends forms products up to 4 (sum |w|)^2
+            if not np.isfinite(4 * total * total):
+                raise ValueError(f"the term magnitudes sum to {total:.6g}, too large to square")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return hamiltonian
 
 
@@ -142,7 +145,7 @@ class RunConfig(Frozen):
             "order": subspace.max_excitation_order,
             "target_size": subspace.target_size if subspace.target_size is not None else "all",
             "basis_file": self.basis_file,
-            "strategy": "mc" if subspace.search_strategy == annealing else "exhaustive",
+            "strategy": "exhaustive" if subspace.search_strategy is None else "mc",
             "mc_steps": annealing.steps,
             "mc_t0": annealing.initial_temperature,
             "mc_cooling": annealing.cooling,
@@ -282,7 +285,10 @@ def _run_solve(
 # ---------------------------------------------------------------------------
 
 def _cmd_transform(args) -> int:
-    hamiltonian = jw_transform(load_fermion_hamiltonian(args.input))
+    try:
+        hamiltonian = jw_transform(load_fermion_hamiltonian(args.input))
+    except ValueError as exc:
+        raise ValueError(f"{args.input}: {exc}") from None
     _publish(Path(), {args.output: format_pauli_sum(hamiltonian)})
     print(f"wrote {args.output}: {hamiltonian.num_terms} strings, max locality {hamiltonian.max_locality}")
     return EXIT_OK
@@ -482,8 +488,8 @@ def _selection(values: dict, given: dict) -> tuple[SubspaceSpec, MonteCarloSearc
     # derive_seed loads numpy.random, which an exhaustive solve never needs
     seed = {"seed": derive_seed(values["seed"], TAG_ANNEALING)} if mc else {}
     annealing = _build(MonteCarloSearch, _ANNEALING_FIELDS, values, given, **seed)
-    strategy = annealing if mc else ExhaustiveSearch()
-    spec = _build(SubspaceSpec, _SUBSPACE_FIELDS, values, given, values["nf"], search_strategy=strategy)
+    spec = _build(SubspaceSpec, _SUBSPACE_FIELDS, values, given, values["nf"],
+                  search_strategy=annealing if mc else None)
     return spec, annealing
 
 

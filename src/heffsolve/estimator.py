@@ -320,7 +320,8 @@ def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
 def _mean_and_variance(counts: np.ndarray, values: np.ndarray, shots: int) -> tuple[float, float]:
     freq = counts / counts.sum()
     mean = float(freq @ values)
-    second = float(freq @ (values * values))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a variance the build refuses
+        second = float(freq @ (values * values))
     return mean, max(second - mean * mean, 0.0) / shots
 
 
@@ -585,13 +586,18 @@ def build_effective_hamiltonian(
             matrix[j, i] = est.value.conjugate()
     matrix = 0.5 * (matrix + matrix.conj().T)
     measured.sort(key=lambda cell: cell[:2])  # row-major; flip_cells gives them by flip group
+    stderrs = np.array([(e.stderr_re, e.stderr_im) for *_, e in measured], dtype=float).reshape(-1, 2)
+    unbounded = np.flatnonzero(~np.isfinite(stderrs).all(axis=1))
+    if unbounded.size:
+        i, j, _ = measured[unbounded[0]]
+        raise ValueError(f"the variance of entry ({i}, {j}) overflows: its standard error is not finite")
     return EffectiveHamiltonian(
         basis,
         matrix,
         np.array([(i, j) for i, j, _ in measured], dtype=np.int64).reshape(-1, 2),
         np.array([(e.shots, e.circuits, e.executions, e.settings) for *_, e in measured],
                  dtype=np.int64).reshape(-1, 4),
-        np.array([(e.stderr_re, e.stderr_im) for *_, e in measured], dtype=float).reshape(-1, 2),
+        stderrs,
         backend,
     )
 

@@ -15,7 +15,7 @@ creation operator takes the ``- i Y`` branch.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,7 +84,7 @@ def jw_ladder(mode: int, dagger: bool, qubit_count: int) -> PauliSum:
         raise ValueError(f"mode {mode} out of range for {qubit_count} qubits")
     site, tail = 1 << mode, (1 << mode) - 1
     y_weight = -0.5j if dagger else 0.5j
-    return PauliSum.from_masks([site, site], [tail, tail | site], [0.5, y_weight], qubit_count)
+    return PauliSum([site, site], [tail, tail | site], [0.5, y_weight], qubit_count)
 
 
 def jw_transform(hamiltonian: FermionHamiltonian, hermitian_tol: float = 1e-10) -> PauliSum:
@@ -120,7 +120,7 @@ def jw_transform(hamiltonian: FermionHamiltonian, hermitian_tol: float = 1e-10) 
             if abs(total[key]) <= WEIGHT_TOLERANCE:
                 del total[key]
     x, z = [key[0] for key in total], [key[1] for key in total]
-    return PauliSum.from_masks(x, z, total.values(), n).real_weights(tol=hermitian_tol)
+    return PauliSum(x, z, total.values(), n).real_weights(tol=hermitian_tol)
 
 
 def _pruned(weights: dict[tuple[int, int], complex]) -> dict[tuple[int, int], complex]:
@@ -174,8 +174,8 @@ def _parse_factor(token: str, lineno: int) -> tuple[int, bool]:
     return int(body), dagger
 
 
-def parse_fermion_hamiltonian(text: str | Iterable[str]) -> FermionHamiltonian:
-    lines = text.splitlines() if isinstance(text, str) else list(text)
+def parse_fermion_hamiltonian(text: str) -> FermionHamiltonian:
+    lines = text.splitlines()
     mode_count: int | None = None
     constant = 0.0
     terms: list[FermionTerm] = []

@@ -134,8 +134,9 @@ class BasisState:
 
 
 class PauliSum:
-    """A weighted sum of equal-length Pauli strings, held as read-only arrays
-    in term order: the strings' ``uint64`` masks ``x`` and ``z``, and their
+    """The sum over ``k`` of ``w[k]`` times the Pauli string with masks
+    ``x[k]`` and ``z[k]``, on ``qubit_count`` qubits (at most 64), held as
+    read-only arrays in term order: ``uint64`` masks ``x`` and ``z`` and
     complex weights ``w``.  :attr:`groups` is built on first use and kept;
     ``terms`` and iteration build ``(weight, PauliString)`` pairs on demand.
 
@@ -147,31 +148,11 @@ class PauliSum:
 
     __slots__ = ("x", "z", "w", "qubit_count", "_groups")
 
-    def __init__(self, terms: Iterable[tuple[complex, PauliString]] = (), qubit_count: int | None = None):
-        terms = list(terms)
-        if qubit_count is None:
-            if not terms:
-                raise ValueError("qubit_count is required for an empty sum")
-            qubit_count = terms[0][1].num_qubits
-        for _, string in terms:
-            if string.num_qubits != qubit_count:
-                raise ValueError(
-                    f"string {string.label!r} has {string.num_qubits} qubits, expected {qubit_count}"
-                )
-        self._hold([(s.x_mask, s.z_mask) for _, s in terms], [w for w, _ in terms], qubit_count)
-
-    @classmethod
-    def from_masks(cls, x, z, w, qubit_count: int) -> "PauliSum":
-        """The sum of ``w[k]`` times the string with masks ``x[k]`` and ``z[k]``."""
-        new = cls.__new__(cls)
-        new._hold(zip(map(int, x), map(int, z)), w, qubit_count)
-        return new
-
-    def _hold(self, masks: Iterable[tuple[int, int]], w, qubit_count: int) -> None:
+    def __init__(self, x, z, w, qubit_count: int):
         if qubit_count > 64:  # the masks are uint64 words
             raise ValueError(f"{qubit_count} qubits exceed the 64-bit masks")
         merged: dict[tuple[int, int], complex] = {}
-        for key, weight in zip(masks, w):
+        for key, weight in zip(zip(map(int, x), map(int, z)), w):
             merged[key] = merged.get(key, 0) + complex(weight)
         if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in merged.values()):
             raise ValueError("Pauli weights must be finite")
@@ -214,7 +195,7 @@ class PauliSum:
             raise ValueError(f"sum is not Hermitian: max imaginary weight {worst:.3e}")
         if not worst:
             return self
-        return PauliSum.from_masks(self.x, self.z, self.w.real.tolist(), self.qubit_count)
+        return PauliSum(self.x, self.z, self.w.real.tolist(), self.qubit_count)
 
     def __iter__(self) -> Iterator[tuple[complex, PauliString]]:
         return iter(self.terms)
@@ -332,7 +313,7 @@ def classify_terms(hamiltonian: PauliSum) -> tuple[PauliSum, PauliSum]:
     """
     flips, n = hamiltonian.x != 0, hamiltonian.qubit_count
     return tuple(
-        PauliSum.from_masks(hamiltonian.x[part], hamiltonian.z[part], hamiltonian.w[part], n)
+        PauliSum(hamiltonian.x[part], hamiltonian.z[part], hamiltonian.w[part], n)
         for part in (~flips, flips)
     )
 
@@ -363,13 +344,13 @@ def content_lines(lines: Iterable[str]) -> Iterator[tuple[int, list[str], str]]:
             yield lineno, fields, raw.strip()
 
 
-def parse_pauli_sum(text: str | Iterable[str]) -> PauliSum:
+def parse_pauli_sum(text: str) -> PauliSum:
     """Parse the Pauli-sum text format.
 
     Qubit count is inferred from the string length and must be uniform.
     """
-    lines = text.splitlines() if isinstance(text, str) else list(text)
-    terms: list[tuple[complex, PauliString]] = []
+    lines = text.splitlines()
+    x, z, w = [], [], []
     qubit_count: int | None = None
     for lineno, fields, line in content_lines(lines):
         if len(fields) != 3:
@@ -392,11 +373,13 @@ def parse_pauli_sum(text: str | Iterable[str]) -> PauliSum:
             raise PauliFormatError(
                 lineno, f"string length {string.num_qubits} != {qubit_count} seen earlier"
             )
-        terms.append((complex(re_part, im_part), string))
+        x.append(string.x_mask)
+        z.append(string.z_mask)
+        w.append(complex(re_part, im_part))
     if qubit_count is None:
         raise PauliFormatError(len(lines) + 1, "no terms found")
     try:
-        return PauliSum(terms, qubit_count)
+        return PauliSum(x, z, w, qubit_count)
     except ValueError as exc:  # finite weights that merge past the float range
         raise PauliFormatError(len(lines) + 1, str(exc)) from None
 

@@ -14,7 +14,7 @@ only for files (:attr:`SubspaceBasis.bits`) and messages
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .pauli import (
 from .records import Frozen
 
 __all__ = [
-    "ExhaustiveSearch",
     "MonteCarloSearch",
     "SubspaceSpec",
     "SubspaceBasis",
@@ -35,10 +34,6 @@ __all__ = [
     "format_states",
     "load_states",
 ]
-
-class ExhaustiveSearch(NamedTuple):
-    """Scan every configuration of the particle sector for the exact argmin."""
-
 
 class MonteCarloSearch(Frozen):
     """Simulated annealing over occupied/unoccupied swaps.
@@ -65,30 +60,23 @@ class MonteCarloSearch(Frozen):
         if not 0.0 < self.cooling <= 1.0:
             raise ValueError(f"annealing cooling factor must lie in (0, 1], got {self.cooling}")
 
-    def _key(self) -> tuple:
-        return self.steps, self.seed, self.initial_temperature, self.cooling
-
-    # by value: RunConfig.describe reads the strategy as "mc" when it equals the schedule
-    def __eq__(self, other: object) -> bool:
-        return type(other) is MonteCarloSearch and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
 
 class SubspaceSpec(Frozen):
     """What to select: sector, excitation truncation, size, search strategy.
 
-    ``target_size`` of None keeps every enumerated configuration.
+    ``target_size`` of None keeps every enumerated configuration, and a
+    ``search_strategy`` of None searches the sector exhaustively.
     """
 
     __slots__ = ("particle_number", "max_excitation_order", "target_size", "search_strategy")
 
     def __init__(
         self, particle_number: int, max_excitation_order: int, target_size: int | None = None,
-        search_strategy: ExhaustiveSearch | MonteCarloSearch = ExhaustiveSearch(),
+        search_strategy: MonteCarloSearch | None = None,
     ):
         self._set(particle_number, max_excitation_order, target_size, search_strategy)
+        if not (search_strategy is None or isinstance(search_strategy, MonteCarloSearch)):
+            raise ValueError(f"search strategy must be a MonteCarloSearch or None, got {search_strategy!r}")
         if self.max_excitation_order < 0:
             raise ValueError("excitation order must be nonnegative")
         if self.target_size is not None and self.target_size < 1:
@@ -178,17 +166,18 @@ def _require_sector(num: int, particle_number: int) -> None:
 def find_reference(
     hamiltonian: PauliSum,
     particle_number: int,
-    strategy: ExhaustiveSearch | MonteCarloSearch = ExhaustiveSearch(),
+    strategy: MonteCarloSearch | None = None,
 ) -> int:
     """The occupation mask minimizing the diagonal energy within the particle sector.
 
-    Exhaustive search scores the sector as one ``uint64`` array for the exact
-    argmin; Monte Carlo anneals swap proposals and returns the best one visited.
+    With no ``strategy``, exhaustive search scores the sector as one ``uint64``
+    array for the exact argmin; a Monte Carlo schedule anneals swap proposals
+    and returns the best one visited.
     Ties break toward the lexicographically smallest bit string.
     """
     num = hamiltonian.qubit_count
     _require_sector(num, particle_number)
-    if isinstance(strategy, ExhaustiveSearch):
+    if strategy is None:
         masks = _subset_masks(range(num), particle_number)
         energies = _diagonal(hamiltonian, masks)
         # masks descend in bit-string order: the last tie is the smallest string

@@ -27,10 +27,18 @@ PAULI_MATRICES = {
 }
 
 
+def sum_of_terms(terms, n: int) -> PauliSum:
+    """The sum of ``(weight, PauliString)`` pairs on ``n`` qubits, from their masks."""
+    terms = list(terms)
+    x, z = [s.x_mask for _, s in terms], [s.z_mask for _, s in terms]
+    return PauliSum(x, z, [w for w, _ in terms], n)
+
+
 def pauli_sum(pairs, n: int | None = None) -> PauliSum:
     """The sum of ``(weight, label)`` pairs on ``n`` qubits (by default, the
     first label's length)."""
-    return PauliSum([(w, PauliString(label)) for w, label in pairs], n)
+    terms = [(w, PauliString(label)) for w, label in pairs]
+    return sum_of_terms(terms, terms[0][1].num_qubits if n is None else n)
 
 
 def weight_of(hamiltonian: PauliSum, label: str) -> complex:
@@ -159,7 +167,7 @@ def dense_fermion(hamiltonian: FermionHamiltonian) -> np.ndarray:
 def add_sums(a: PauliSum, b: PauliSum) -> PauliSum:
     """``a + b``: the terms of ``a`` then ``b``, merged and pruned."""
     x, z, w = (np.concatenate(p) for p in zip((a.x, a.z, a.w), (b.x, b.z, b.w)))
-    return PauliSum.from_masks(x, z, w.tolist(), a.qubit_count)
+    return PauliSum(x, z, w.tolist(), a.qubit_count)
 
 
 def multiply_sums(a: PauliSum, b: PauliSum) -> PauliSum:
@@ -170,7 +178,7 @@ def multiply_sums(a: PauliSum, b: PauliSum) -> PauliSum:
         for wa, xa, za in a.triples() for wb, xb, zb in b.triples()
     ]
     xs, zs = [x for _, _, x, _ in products], [z for _, _, _, z in products]
-    return PauliSum.from_masks(xs, zs, [w * p for w, p, _, _ in products], a.qubit_count)
+    return PauliSum(xs, zs, [w * p for w, p, _, _ in products], a.qubit_count)
 
 
 def jw_transform_by_addition(hamiltonian: FermionHamiltonian, hermitian_tol: float = 1e-10) -> PauliSum:
@@ -178,7 +186,7 @@ def jw_transform_by_addition(hamiltonian: FermionHamiltonian, hermitian_tol: flo
     whole sum each time (quadratic in the string count).  The reference for
     the terms, their order and their weight bits."""
     n = hamiltonian.mode_count
-    total = PauliSum((), n)
+    total = PauliSum([], [], [], n)
     for term in hamiltonian.terms:
         mapped = pauli_sum([(term.coefficient, "I" * n)])
         for mode, dagger in term.factors:

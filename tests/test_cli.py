@@ -1,5 +1,6 @@
 """Command-line pipeline: subcommands, files, exit codes, reproducibility."""
 
+import ast
 import gc
 import importlib.util
 import json
@@ -491,6 +492,42 @@ class TestInputValidation:
         assert done.stderr.splitlines() == [message]
         assert not out.exists()
 
+    def test_a_malformed_scan_point_names_its_file(self, tmp_path, capsys):
+        # a format error once named only its line, whichever of the points it was in
+        points = tmp_path / "points"
+        points.mkdir()
+        for source in DATA.glob("*.ferm"):
+            (points / source.name).write_text(source.read_text())
+        bad = points / "h2_style_R1.50.ferm"
+        bad.write_text("modes 4\n0.5 0.0 0* 1\n")
+        out = tmp_path / "out"
+        assert main(["scan", str(points), "--out", str(out), "--nf", "2"]) == 2
+        assert capsys.readouterr().err == f"input error: {bad}: line 2: malformed factor token '0*'\n"
+        assert not out.exists()
+
+    def test_transform_of_a_pauli_sum_names_its_file(self, tmp_path, capsys):
+        path = tmp_path / "h2.pauli"
+        path.write_text("0.5 0.0 ZIII\n")
+        out = tmp_path / "out.pauli"
+        assert main(["transform", str(path), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"input error: {path}: line 1: term before 'modes N' header\n"
+        assert not out.exists()
+
+    def test_a_mitigated_variance_that_overflows_is_refused(self, tmp_path, capsys):
+        # The sum passes the 4 (sum |w|)^2 check, but the pull-back through a
+        # 0.49 flip channel multiplies each wire's read value by 50, and the
+        # squares of those values overflowed: a RuntimeWarning, then exit 0
+        # with a NaN stderr_re in heff.json.
+        path = tmp_path / "amplified.pauli"
+        path.write_text("1e152 0.0 XXII\n1e152 0.0 YYII\n0.5 0.0 ZIII\n")
+        out = tmp_path / "out"
+        argv = ["solve", str(path), "--out", str(out), "--nf", "2", "--backend", "sampled",
+                "--shots", "200", "--noise", "0.49,0.49", "--mitigate"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "standard error is not finite" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("backend", ["oracle", "exact"])
     def test_negative_shots(self, tmp_path, capsys, h2_path, backend):
         err = self.rejected(tmp_path, capsys, h2_path, "--backend", backend, "--shots", "-5")
@@ -687,21 +724,47 @@ class TestImports:
         assert len(modules) > 1
         assert stale == []
 
-    def test_every_name_the_benchmark_tracer_wraps_is_bound(self):
-        # perfbench/spans.py replaces these names for a traced solve; one that
-        # is missing makes every `--trace 1` run exit 1.
+    @staticmethod
+    def traced_names() -> set[tuple[str, str]]:
+        """``(module, name)`` of each name perfbench/spans.py wraps, read by file spec."""
         spec = importlib.util.spec_from_file_location(
             "perfbench_spans", ROOT / "perfbench" / "spans.py"
         )
         spans = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(spans)
-        assert spans.WRAPPED
+        return {(module, name) for module, name, *_ in spans.WRAPPED}
+
+    def test_every_name_the_benchmark_tracer_wraps_is_bound(self):
+        # perfbench/spans.py replaces these names for a traced solve; one that
+        # is missing makes every `--trace 1` run exit 1.
+        traced = self.traced_names()
+        assert traced
         missing = [
             f"{module}.{name}"
-            for module, name, *_ in spans.WRAPPED
+            for module, name in sorted(traced)
             if not hasattr(importlib.import_module(module), name)
         ]
         assert missing == []
+
+    def test_every_module_import_is_used_exported_or_traced(self):
+        # an import that a deletion left behind binds a name nothing reads
+        traced = self.traced_names()
+        idle = []
+        for path in sorted((ROOT / "src" / "heffsolve").glob("*.py")):
+            module = "heffsolve" if path.stem == "__init__" else f"heffsolve.{path.stem}"
+            syntax = ast.parse(path.read_text(encoding="utf-8"))
+            read = {node.id for node in ast.walk(syntax) if isinstance(node, ast.Name)}
+            read |= set(getattr(importlib.import_module(module), "__all__", ()))
+            for statement in syntax.body:
+                if not isinstance(statement, (ast.Import, ast.ImportFrom)):
+                    continue
+                if isinstance(statement, ast.ImportFrom) and statement.module == "__future__":
+                    continue
+                for alias in statement.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read and (module, name) not in traced:
+                        idle.append(f"{module}.{name}")
+        assert idle == []
 
     def test_a_traced_solve_counts_and_checks_clean(self, tmp_path, monkeypatch, h2_path):
         # perfbench/spans.py reads its counters off what the wrapped names

@@ -33,7 +33,6 @@ from heffsolve.fermion import (
 from heffsolve.pauli import (
     BasisState,
     PauliString,
-    PauliSum,
     classify_terms,
     flip_cells,
     project_masks,
@@ -49,6 +48,7 @@ from conftest import (
     random_conserving_hamiltonian,
     random_hermitian_sum,
     sum_matrix_element,
+    sum_of_terms,
 )
 from test_acceptance import h2_style_hamiltonian
 
@@ -391,7 +391,7 @@ class TestBuildEffectiveHamiltonian:
         assert np.array_equal(heff.matrix, project_masks(hamiltonian, basis.masks))
         # real weights on odd-Y strings: complex, and still exactly Hermitian
         odd_y, states = closed_sum(rng, 7, (0, 2, 3, 6), 40)
-        odd_y = PauliSum([(w.real, s) for w, s in odd_y], odd_y.qubit_count)
+        odd_y = sum_of_terms([(w.real, s) for w, s in odd_y], odd_y.qubit_count)
         assert any(s.y_count % 2 for _, s in odd_y)
         sector = [s for s in states if s.particle_number == 3]
         heff = build_effective_hamiltonian(odd_y, basis_from_states(odd_y, sector), Backend.oracle())
@@ -424,7 +424,7 @@ class TestBuildEffectiveHamiltonian:
 
         monkeypatch.setattr(heffsolve.estimator, "class_basis_change", negated)
         hamiltonian, states = closed_sum(rng, 7, (0, 2, 3, 6), 40)
-        hamiltonian = PauliSum([(w.real, s) for w, s in hamiltonian], hamiltonian.qubit_count)
+        hamiltonian = sum_of_terms([(w.real, s) for w, s in hamiltonian], hamiltonian.qubit_count)
         basis = basis_from_states(hamiltonian, [s for s in states if s.particle_number == 3])
         oracle = build_effective_hamiltonian(hamiltonian, basis, Backend.oracle())
         gap = {
@@ -1081,7 +1081,7 @@ class TestScreening:
             if s.x_mask != flip and s.label not in labels
         ]
         assert any(s.x_mask for _, s in extra)
-        padded = PauliSum(hamiltonian.terms + tuple(extra), hamiltonian.qubit_count)
+        padded = sum_of_terms(hamiltonian.terms + tuple(extra), hamiltonian.qubit_count)
         noise = ReadoutNoise(0.02, 0.02)
         calibration = build_calibration(noise, 2000, 5, 6)
         for style in ("direct", "indirect"):

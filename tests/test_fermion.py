@@ -210,7 +210,7 @@ class TestParticleConservation:
         assert check_particle_conservation(hopping)
 
     def test_empty_sum(self):
-        assert check_particle_conservation(PauliSum((), 4))
+        assert check_particle_conservation(PauliSum([], [], [], 4))
 
     def test_type_invariant_enforced(self):
         with pytest.raises(ValueError, match="conserve"):

@@ -9,7 +9,6 @@ import pytest
 import heffsolve.subspace
 from heffsolve.pauli import BasisState, FlipGroups
 from heffsolve.subspace import (
-    ExhaustiveSearch,
     MonteCarloSearch,
     SubspaceBasis,
     SubspaceSpec,
@@ -118,12 +117,7 @@ class TestFindReference:
         with pytest.raises(ValueError, match="annealing"):
             MonteCarloSearch(**schedule)
 
-    def test_strategies_compare_by_value(self):
-        # RunConfig.describe reads the strategy as "mc" when it equals the schedule
-        assert MonteCarloSearch(steps=5, seed=2) == MonteCarloSearch(steps=5, seed=2)
-        assert MonteCarloSearch(steps=5, seed=2) != MonteCarloSearch(steps=5, seed=3)
-        assert ExhaustiveSearch() == ExhaustiveSearch() != MonteCarloSearch()
-        assert MonteCarloSearch() != ExhaustiveSearch()
+    def test_schedule_is_read_only(self):
         with pytest.raises(AttributeError):
             MonteCarloSearch().steps = 1
 
@@ -262,6 +256,12 @@ class TestBuildSubspace:
         hamiltonian = level_hamiltonian((-2.0, -1.0, 1.0, 3.0))
         with pytest.raises(ValueError, match="excitation order"):
             build_subspace(hamiltonian, SubspaceSpec(2, 3))
+
+    @pytest.mark.parametrize("strategy", [(), "mc", MonteCarloSearch])
+    def test_a_strategy_that_is_no_schedule_is_refused(self, strategy):
+        # None searches exhaustively; anything else once failed only inside the annealer
+        with pytest.raises(ValueError, match="search strategy"):
+            SubspaceSpec(2, 2, search_strategy=strategy)
 
     def test_deterministic(self, rng):
         hamiltonian = random_conserving_hamiltonian(rng, 8, fermionic_terms=5)
